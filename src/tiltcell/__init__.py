@@ -68,7 +68,6 @@ from .duality import (
     build_cellular_basis,
     check_standard_duality,
     dualize_module,
-    dualize_morphism,
     fixed_point_data,
     fixed_point_for_tilting,
     fixed_point_iso,

@@ -21,7 +21,7 @@ from .errors import (
     NotSimple,
     NotSplit,
 )
-from .linalg import Field, Matrix, Subspace, block_diag, vstack
+from .linalg import Field, Matrix, Subspace, block_diag, coordinates, linear_combination, vstack
 
 
 class AlgebraPresentation:
@@ -92,12 +92,7 @@ class AlgebraPresentation:
         return self._left_mults
 
     def left_mult(self, a) -> Matrix:
-        F = self.field
-        acc = Matrix.zeros(F, self.dim, self.dim)
-        for i, ai in enumerate(a):
-            if ai != F.zero():
-                acc = acc + self.left_mult_basis()[i].scale(ai)
-        return acc
+        return linear_combination(self.field, a, self.left_mult_basis(), self.dim, self.dim)
 
     def _check_axioms(self):
         F = self.field
@@ -157,12 +152,7 @@ class ModuleRep:
                     raise InputError(f"module axiom fails at basis pair ({i},{j})")
 
     def act(self, coeffs) -> Matrix:
-        F = self.algebra.field
-        acc = Matrix.zeros(F, self.dim, self.dim)
-        for i, c in enumerate(coeffs):
-            if c != F.zero():
-                acc = acc + self.action[i].scale(c)
-        return acc
+        return linear_combination(self.algebra.field, coeffs, self.action, self.dim, self.dim)
 
     def __repr__(self):
         return f"ModuleRep(dim {self.dim} over {self.algebra.name or 'A'})"
@@ -240,15 +230,6 @@ class Morphism:
 # -- submodules, quotients, sums -----------------------------------------------
 
 
-def is_invariant(m: ModuleRep, space: Subspace) -> bool:
-    for a in m.action:
-        for row in space.basis.entries:
-            img = a @ Matrix.column(m.algebra.field, row)
-            if not space.contains_vector(tuple(x[0] for x in img.entries)):
-                return False
-    return True
-
-
 def submodule_rep(m: ModuleRep, space: Subspace):
     """(module on the subspace, inclusion morphism).  space must be invariant."""
     F = m.algebra.field
@@ -258,15 +239,13 @@ def submodule_rep(m: ModuleRep, space: Subspace):
         if space.dim == 0:
             action.append(Matrix.zeros(F, 0, 0))
             continue
-        sol, _ = incl.solve(a @ incl)
-        action.append(sol)
+        action.append(incl.solve(a @ incl))
     sub = ModuleRep(m.algebra, space.dim, action, check=False)
     return sub, Morphism(sub, m, incl)
 
 
 def quotient_rep(m: ModuleRep, space: Subspace):
     """(quotient module, projection morphism, section matrix) by an invariant subspace."""
-    F = m.algebra.field
     proj, section = space.complement_projection()
     action = [proj @ a @ section for a in m.action]
     quot = ModuleRep(m.algebra, m.dim - space.dim, action, check=False)
@@ -368,29 +347,18 @@ class EndAlgebra:
         self.basis = hom_space(module, module)
         F = module.algebra.field
         self.field = F
-        flat_rows = Matrix(F, [f.matrix.flat() for f in self.basis]) if self.basis else Matrix(F, [])
-        self._solver = flat_rows.transpose()
-        table = []
-        for f in self.basis:
-            row = []
-            for g in self.basis:
-                row.append(self.coords((f @ g).matrix))
-            table.append(row)
+        self._coords = coordinates(F, [f.matrix.flat() for f in self.basis], module.dim ** 2)
+        table = [[self.coords((f @ g).matrix) for g in self.basis] for f in self.basis]
         unit = self.coords(Matrix.identity(F, module.dim))
         self.presentation = AlgebraPresentation(F, len(self.basis), table, unit, check=False)
 
     def coords(self, matrix: Matrix):
-        target = Matrix.column(self.field, matrix.flat())
-        sol, _ = self._solver.solve(target)
-        return tuple(r[0] for r in sol.entries)
+        return self._coords(matrix.flat())
 
     def from_coords(self, coeffs) -> Morphism:
-        F = self.field
-        acc = Matrix.zeros(F, self.module.dim, self.module.dim)
-        for c, f in zip(coeffs, self.basis):
-            if c != F.zero():
-                acc = acc + f.matrix.scale(c)
-        return Morphism(self.module, self.module, acc)
+        n = self.module.dim
+        return Morphism(self.module, self.module, linear_combination(
+            self.field, coeffs, [f.matrix for f in self.basis], n, n))
 
     @property
     def dim(self):
@@ -520,19 +488,6 @@ def module_head(m: ModuleRep, rad: Subspace | None = None):
 # -- idempotents and Krull-Schmidt ----------------------------------------------
 
 
-def lift_idempotent(endo: Morphism) -> Morphism:
-    """Newton-lift an approximate idempotent (idempotent modulo a nilpotent
-    ideal) to an exact one: e <- 3e^2 - 2e^3 squares the error."""
-    e = endo
-    for _ in range(64):
-        sq = e @ e
-        if sq.matrix == e.matrix:
-            return e
-        e = Morphism(e.source, e.target, sq.matrix.scale(e.matrix.field.of(3))
-                     - (sq @ e).matrix.scale(e.matrix.field.of(2)))
-    raise NotComputable("idempotent lifting did not converge")
-
-
 def _idempotent_from_element(E: EndAlgebra, phi: Morphism) -> Morphism | None:
     """Try to turn one endomorphism into a nontrivial exact idempotent."""
     F = E.field
@@ -610,8 +565,7 @@ def split_by_idempotent(m: ModuleRep, e: Morphism):
         img = Subspace.from_rows(F, m.dim, endo.matrix.transpose().entries)
         sub, incl = submodule_rep(m, img)
         # projection: solve incl . proj = endo (endo acts as identity on its image)
-        sol, _ = incl.matrix.solve(endo.matrix)
-        pieces.append((sub, incl, Morphism(m, sub, sol)))
+        pieces.append((sub, incl, Morphism(m, sub, incl.matrix.solve(endo.matrix))))
     return pieces
 
 
@@ -670,10 +624,8 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, rng: random.Random | None = None) 
         if f.is_invertible():
             return f
     for _ in range(12):
-        acc = Matrix.zeros(F, n.dim, m.dim)
-        for f in fwd:
-            acc = acc + f.matrix.scale(F.sample(rng))
-        cand = Morphism(m, n, acc)
+        cand = Morphism(m, n, linear_combination(
+            F, [F.sample(rng) for _ in fwd], [f.matrix for f in fwd], n.dim, m.dim))
         if cand.is_invertible():
             return cand
     # complete route: Krull-Schmidt on both sides and summand matching

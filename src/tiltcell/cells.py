@@ -17,7 +17,7 @@ from .algebra import (
     module_radical,
 )
 from .errors import LabelNotInSupport, TheoremViolation
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, coordinates
 from .standard_basis import StandardBasisDatum, structure_coefficients
 from .tilting import TiltingRegistry
 
@@ -30,7 +30,6 @@ class CellData:
         self.gram = {}           # label -> |J| x |I| matrix
         self.gram_rank = {}
         self.support = list(datum.order)
-        reg = datum.reg
         for lam in self.support:
             self.gram[lam] = gram_matrix(datum, lam)
             self.gram_rank[lam] = self.gram[lam].rank()
@@ -43,20 +42,20 @@ class CellData:
         return {lam: self.gram_rank[lam] for lam in self.nonzero_support()}
 
 
-def _scalar_part_solver(tilt: TiltingRegistry, label):
-    """Decomposition End(T(label)) = K id + radical; returns (solver, dim)."""
+def _scalar_part(tilt: TiltingRegistry, label):
+    """Decomposition End(T(label)) = K id + radical; returns the map from an
+    endomorphism matrix to its scalar part."""
+    n = tilt.module(label).dim
     E = EndAlgebra(tilt.module(label))
     rad = algebra_radical(E.presentation)
-    F = E.field
-    ident = Matrix.identity(F, tilt.module(label).dim)
-    rows = [ident.flat()]
-    for r in rad.basis.entries:
-        rows.append(E.from_coords(r).matrix.flat())
+    rows = [Matrix.identity(E.field, n).flat()]
+    rows.extend(E.from_coords(r).matrix.flat() for r in rad.basis.entries)
     if len(rows) != E.dim:
         raise TheoremViolation(
             f"endomorphism ring at {label!r} is not scalar-plus-radical; "
             "the module is not indecomposable over a split algebra")
-    return Matrix(F, rows).transpose()
+    coords = coordinates(E.field, rows, n * n)
+    return lambda mat: coords(mat.flat())[0]
 
 
 def gram_matrix(datum: StandardBasisDatum, label) -> Matrix:
@@ -68,26 +67,15 @@ def gram_matrix(datum: StandardBasisDatum, label) -> Matrix:
     """
     if label not in datum.order:
         raise LabelNotInSupport(f"label {label!r} has an empty fiber")
-    tilt = datum.tilt
-    F = datum.reg.algebra.field
-    solver = _scalar_part_solver(tilt, label)
-    n_j = len(datum.F[label])
-    n_i = len(datum.G[label])
-    entries = []
-    for j in range(n_j):
-        row = []
-        for k in range(n_i):
-            comp = datum.Fhat[label][j] @ datum.Ghat[label][k]
-            sol, _ = solver.solve(Matrix.column(F, comp.matrix.flat()))
-            row.append(sol.entries[0][0])
-        entries.append(row)
-    beta = Matrix(F, entries, cols=n_i)
+    scalar = _scalar_part(datum.tilt, label)
+    beta = Matrix(datum.reg.algebra.field,
+                  [[scalar((fh @ gh).matrix) for gh in datum.Ghat[label]]
+                   for fh in datum.Fhat[label]], cols=len(datum.G[label]))
     _check_product_rule(datum, label, beta)
     return beta
 
 
 def _check_product_rule(datum: StandardBasisDatum, label, beta: Matrix):
-    F = datum.reg.algebra.field
     n_i = len(datum.G[label])
     n_j = len(datum.F[label])
     for i in range(n_i):

@@ -85,17 +85,6 @@ def dualize_module(tau: AntiInvolution, m: ModuleRep) -> ModuleRep:
     return ModuleRep(m.algebra, m.dim, action, check=False)
 
 
-def dualize_morphism(tau: AntiInvolution, f: Morphism,
-                     dual_source: ModuleRep, dual_target: ModuleRep) -> Morphism:
-    """Contravariant: D(f): D(target) -> D(source) is the transpose."""
-    return Morphism(dual_target, dual_source, f.matrix.transpose())
-
-
-def xi_matrix(field, m: ModuleRep) -> Matrix:
-    """Double-dual evaluation; the identity in coordinates."""
-    return Matrix.identity(field, m.dim)
-
-
 class DualityDatum:
     """Exchange witnesses and fixed-point isomorphisms for one duality."""
 
@@ -244,8 +233,7 @@ def induced_bar_map(reg: Registry, tilt: TiltingRegistry, tau: AntiInvolution,
     lhs = triple.pi.matrix @ phi.matrix                 # D(T) -> Nabla
     d_i = triple.i.matrix.transpose()                   # D(T) ->> D(Delta)
     # bar @ d_i = lhs with d_i full row rank: solve the transposed system
-    sol, _ = d_i.transpose().solve(lhs.transpose())
-    return sol.transpose()
+    return d_i.transpose().solve(lhs.transpose()).transpose()
 
 
 def build_cellular_basis(tilt: TiltingRegistry, t: ModuleRep, tau: AntiInvolution,

@@ -24,6 +24,10 @@ class InconsistentSystem(TiltcellError):
     """A linear system A x = b with b outside the column space of A."""
 
 
+class DependentFamily(TiltcellError):
+    """A coordinate map was asked for a linearly dependent family."""
+
+
 # -- algebra / module layer --------------------------------------------------
 
 class AlgebraMismatch(TiltcellError):

@@ -50,7 +50,6 @@ class WeightPoset:
                 raise InputError(f"cover ({a!r}, {b!r}) mentions unknown label")
             if a == b:
                 raise InputError(f"reflexive cover at {a!r}")
-        n = len(self.labels)
         below = {x: set() for x in self.labels}   # strictly smaller labels
         adj = {x: set() for x in self.labels}
         for a, b in self.covers:                  # a < b
@@ -148,15 +147,12 @@ class Registry:
                 f"{len(simples)} simple modules")
         self.opposite = algebra.opposite()
         self.data: dict[str, StandardData] = {}
-        self._op_projectives = {}
-        self._op_standards = {}
         for label, sd in zip(poset.labels, simples):
             self.data[label] = StandardData(
                 label=label, idempotent=sd.idempotent, simple=sd.simple,
                 projective=sd.projective, head_proj=sd.head_proj)
         self._build_standard_modules()
         self._build_costandard_modules()
-        self._hom_cache = {}
 
     # -- multiplicities via primitive idempotents --------------------------------
 
@@ -166,9 +162,6 @@ class Registry:
 
     def factor_labels(self, m: ModuleRep):
         return [x for x in self.poset.labels if self.mult(m, x) > 0]
-
-    def factors(self, m: ModuleRep):
-        return {x: self.mult(m, x) for x in self.poset.labels if self.mult(m, x) > 0}
 
     # -- construction -------------------------------------------------------------
 
@@ -208,10 +201,7 @@ class Registry:
             proj_op[label], _ = submodule_rep(reg_op, space)
         rad_op = Subspace(self.rad.ambient, self.rad.basis)  # same subset of A
         for label in self.poset.labels:
-            self._op_projectives[label] = proj_op[label]
-        for label in self.poset.labels:
             delta_op, proj_morph = self._standardize(op, proj_op, rad_op, label)
-            self._op_standards[label] = delta_op
             nabla = dualize_plain(self.algebra, delta_op)
             injective = dualize_plain(self.algebra, proj_op[label])
             incl = Morphism(nabla, injective, proj_morph.matrix.transpose())
@@ -235,16 +225,6 @@ class Registry:
 
     def injective(self, label):
         return self.data[label].injective
-
-    def hom(self, m, n) -> list[Morphism]:
-        # id-keyed memo: only sound for registry-owned modules, which the
-        # registry keeps alive; callers with transient modules use hom_space
-        key = (id(m), id(n))
-        out = self._hom_cache.get(key)
-        if out is None:
-            out = hom_space(m, n)
-            self._hom_cache[key] = out
-        return out
 
 
 def dualize_plain(algebra: AlgebraPresentation, m_op: ModuleRep) -> ModuleRep:
@@ -386,7 +366,7 @@ def _extension_middle(reg, m, n, omega, incl_omega, P0, pi, cocycles):
     for idx in range(d):
         to_m = to_m + m_incls[idx].matrix @ pi.matrix @ projs[idx + 1].matrix
     # factor through the quotient: solve proj_m . proj_w = to_m
-    sol, _ = proj_w.matrix.transpose().solve(to_m.transpose())
+    sol = proj_w.matrix.transpose().solve(to_m.transpose())
     proj_m = Morphism(E, msum, sol.transpose())
     return E, incl_n, proj_m, msum
 
@@ -453,11 +433,11 @@ def verify_standard_category(reg: Registry) -> VerificationReport:
             rep.record("costandard_highest_weight", lam, mu, poset.leq(mu, lam))
         for (mod, tag) in ((dat.simple, "simple"), (dat.standard, "standard"),
                            (dat.costandard, "costandard")):
-            rep.record(f"endo_{tag}_is_scalar", lam, lam, len(reg.hom(mod, mod)) == 1)
+            rep.record(f"endo_{tag}_is_scalar", lam, lam, len(hom_space(mod, mod)) == 1)
     for lam in poset.labels:
         for mu in poset.labels:
             want = 1 if lam == mu else 0
-            d = len(reg.hom(reg.standard(lam), reg.costandard(mu)))
+            d = len(hom_space(reg.standard(lam), reg.costandard(mu)))
             rep.record("hom_standard_costandard", lam, mu, d == want,
                        f"dim {d}, expected {want}")
             e1 = ext1_dim(reg, reg.standard(lam), reg.costandard(mu))
@@ -506,7 +486,7 @@ def subquotient(m: ModuleRep, big: Subspace, small: Subspace) -> ModuleRep:
     big_mod, big_incl = submodule_rep(m, big)
     if small.dim == 0:
         return big_mod
-    inner, _ = big_incl.matrix.solve(small.basis.transpose())
+    inner = big_incl.matrix.solve(small.basis.transpose())
     inner_space = Subspace.from_rows(F, big_mod.dim, inner.transpose().entries)
     return quotient_rep(big_mod, inner_space)[0]
 

@@ -4,30 +4,46 @@ Scalars are `fractions.Fraction` over Q and plain int residues in [0, p)
 over F_p; a `Field` value mediates all arithmetic.  Matrices and subspaces
 are immutable.  Subspaces are stored with a reduced-row-echelon basis, so
 two subspaces are equal as sets exactly when their basis matrices compare
-equal entry by entry.  Everything is deterministic: no floats, no hashing
+equal entry by entry.  `coordinates` row-reduces an independent family
+once and then reads the coordinates of any vector in its span, refusing
+vectors outside it.  Everything is deterministic: no floats, no hashing
 order, no randomness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
-from .errors import DimensionMismatch, InconsistentSystem, InputError
+from .errors import DependentFamily, DimensionMismatch, InconsistentSystem, InputError
+
+# The first thirteen primes decide Miller-Rabin exactly below this bound
+# (Sorenson and Webster, 2015); larger characteristics are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
+    if n >= _MR_LIMIT:
+        raise InputError(f"field characteristic {n} is too large to certify as prime "
+                         f"(limit {_MR_LIMIT})")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f <= isqrt(n):
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -310,11 +326,11 @@ class Matrix:
             vecs.append(v)
         return Matrix(F, vecs).rref()[0]
 
-    def solve(self, b: "Matrix"):
-        """All solutions of self @ X = b: (particular X, kernel row basis).
+    def solve(self, b: "Matrix") -> "Matrix":
+        """A particular solution X of self @ X = b, every free variable zero.
 
-        The particular solution sets every free variable to zero.  Raises
-        InconsistentSystem when some column of b is outside the column space.
+        Raises InconsistentSystem when some column of b is outside the column
+        space; the solutions differ from X by columns in kernel().
         """
         if b.rows != self.rows:
             raise DimensionMismatch("solve: row counts differ")
@@ -330,7 +346,7 @@ class Matrix:
         for i, pc in enumerate(pivots):
             for j in range(b.cols):
                 part[pc][j] = red.entries[i][self.cols + j]
-        return Matrix(F, part, cols=b.cols), self.kernel()
+        return Matrix(F, part, cols=b.cols)
 
     def inverse(self):
         if self.rows != self.cols:
@@ -346,6 +362,60 @@ class Matrix:
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
+
+
+# -- coordinates and linear combinations ---------------------------------------
+
+
+def coordinates(field: Field, rows, width: int):
+    """Coordinate map of an independent family of vectors in K^width.
+
+    Row-reduces the family beside an identity block once.  The returned map
+    reads a vector's pivot entries, checks exactly that the vector is that
+    combination of the reduced rows (touching only their nonzero entries),
+    and returns its coordinates in the family through the recorded
+    transform.  A vector outside the span raises InconsistentSystem; a
+    dependent family raises DependentFamily.
+    """
+    F = field
+    k = len(rows)
+    z, o = F.zero(), F.one()
+    red, pivots, _ = Matrix(F, [list(r) + [o if t == i else z for t in range(k)]
+                                for i, r in enumerate(rows)], cols=width + k).rref()
+    if pivots and pivots[-1] >= width:
+        raise DependentFamily(f"family of {k} vectors in K^{width} is linearly dependent")
+    free = sorted(set(range(width)).difference(pivots))
+    sparse = [[(c, r[c]) for c in free if r[c]] for r in red.entries]
+    transform = [r[width:] for r in red.entries]
+
+    def coords(vec):
+        resid = list(vec)
+        out = [z] * k
+        for p, srow, trow in zip(pivots, sparse, transform):
+            di = resid[p]
+            if di:
+                resid[p] = z
+                for c, x in srow:
+                    resid[c] = F.sub(resid[c], F.mul(di, x))
+                out = [F.add(a, F.mul(di, t)) for a, t in zip(out, trow)]
+        if any(resid):
+            raise InconsistentSystem("vector outside the span of the family")
+        return tuple(out)
+
+    return coords
+
+
+def linear_combination(field: Field, coeffs, mats, rows: int, cols: int) -> Matrix:
+    """sum c * M over the pairs with nonzero c, as a rows x cols matrix."""
+    F = field
+    acc = [[F.zero()] * cols for _ in range(rows)]
+    for c, m in zip(coeffs, mats):
+        if c:
+            for arow, mrow in zip(acc, m.entries):
+                for t, x in enumerate(mrow):
+                    if x:
+                        arow[t] = F.add(arow[t], F.mul(c, x))
+    return Matrix(F, acc, cols=cols)
 
 
 # -- block assembly ------------------------------------------------------------

@@ -322,7 +322,7 @@ def minpoly(m: Matrix):
         stacked = vstack(rows)
         target = Matrix.row(F, powers[-1].flat())
         try:
-            sol, _ = stacked.transpose().solve(target.transpose())
+            sol = stacked.transpose().solve(target.transpose())
         except InconsistentSystem:
             rows.append(target)
             k += 1

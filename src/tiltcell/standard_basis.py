@@ -16,12 +16,13 @@ from .algebra import ModuleRep, Morphism, hom_space
 from .errors import (
     AxiomViolation,
     BasisFailure,
+    DependentFamily,
     InconsistentSystem,
     NoLift,
     TheoremViolation,
 )
 from .highest_weight import Registry
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, coordinates, linear_combination
 from .tilting import TiltingRegistry
 
 
@@ -106,20 +107,17 @@ def _solve_lift(F, candidates, compose_to, target, rng):
         raise NoLift("lift space is empty")
     cols = Matrix(F, [compose_to(c.matrix).flat() for c in candidates]).transpose()
     try:
-        part, null = cols.solve(Matrix.column(F, target.flat()))
+        part = cols.solve(Matrix.column(F, target.flat()))
     except InconsistentSystem as exc:  # upstream axiom violation
         raise NoLift(f"no factorization exists: {exc}") from exc
-    coeffs = [part.entries[t][0] for t in range(len(candidates))]
+    coeffs = [r[0] for r in part.entries]
     if rng is not None:
-        for null_row in null.entries:
+        for null_row in cols.kernel().entries:
             c = F.sample(rng)
-            if c != F.zero():
+            if c:
                 coeffs = [F.add(a, F.mul(c, b)) for a, b in zip(coeffs, null_row)]
-    acc = Matrix.zeros(F, candidates[0].matrix.rows, candidates[0].matrix.cols)
-    for c, cand in zip(coeffs, candidates):
-        if c != F.zero():
-            acc = acc + cand.matrix.scale(c)
-    return acc
+    shape = candidates[0].matrix
+    return linear_combination(F, coeffs, [c.matrix for c in candidates], shape.rows, shape.cols)
 
 
 def lift_through_tilting(reg: Registry, tilt: TiltingRegistry, f: Morphism,
@@ -155,7 +153,9 @@ class StandardBasisDatum:
     lifts Ghat (T(label) -> T) and Fhat (T -> T(label)), and the cell
     matrix of composites c[i][j] = Ghat[i] . Fhat[j].  `order` lists the
     support along the linear extension; coords() expresses any endomorphism
-    in the cell basis.
+    in the cell basis.  finalize_datum installs the coordinate maps: of the
+    whole basis, of the fibers strictly below each label, and of each
+    label's G and F bases.
     """
 
     def __init__(self, tilt: TiltingRegistry, module: ModuleRep, seed: int):
@@ -169,15 +169,15 @@ class StandardBasisDatum:
         self.Ghat = {}
         self.Fhat = {}
         self.cells = {}
-        self._flat_solver = None
         self._index = []        # ordered (label, i, j)
-        self._lower_solvers = {}
+        self._coords = None
+        self._lower = {}        # label -> coordinate map of the strictly lower fibers
+        self._fiber_coords = {}  # label -> (coordinate map of G, of F)
 
     # -- assembly -------------------------------------------------------------
 
     def coords(self, matrix: Matrix):
-        sol, _ = self._flat_solver.solve(Matrix.column(self.reg.algebra.field, matrix.flat()))
-        return tuple(r[0] for r in sol.entries)
+        return self._coords(matrix.flat())
 
     def index(self):
         return tuple(self._index)
@@ -191,24 +191,17 @@ class StandardBasisDatum:
     def dim(self):
         return len(self._index)
 
-    def lower_span_solver(self, label):
-        """Membership oracle for the span of fibers at labels strictly below."""
-        return self._lower_solvers[label]
-
     def in_lower_span(self, label, matrix: Matrix) -> bool:
-        solver = self._lower_solvers[label]
-        F = self.reg.algebra.field
-        if solver is None:
-            return matrix.is_zero()
+        """Membership in the span of the fibers at labels strictly below."""
         try:
-            solver.solve(Matrix.column(F, matrix.flat()))
+            self._lower[label](matrix.flat())
             return True
         except InconsistentSystem:
             return False
 
 
-def build_standard_basis(tilt: TiltingRegistry, module: ModuleRep, seed: int = 0,
-                         fiber_trials: int = 8) -> StandardBasisDatum:
+def build_standard_basis(tilt: TiltingRegistry, module: ModuleRep,
+                         seed: int = 0) -> StandardBasisDatum:
     """Construct and certify the fibered basis of End(module).
 
     G and F are the canonical hom bases; lifts are canonical for seed 0 and
@@ -217,10 +210,8 @@ def build_standard_basis(tilt: TiltingRegistry, module: ModuleRep, seed: int = 0
     of a fiber's span has nonzero image multiplicity at its own label.
     """
     reg = tilt.base
-    F_field = reg.algebra.field
     datum = StandardBasisDatum(tilt, module, seed)
     rng = None if seed == 0 else random.Random(seed)
-    fiber_rng = random.Random(seed * 7919 + 1)
     for lam in reg.poset.linear_extension:
         G = hom_space(reg.standard(lam), module)
         Fs = hom_space(module, reg.costandard(lam))
@@ -235,55 +226,55 @@ def build_standard_basis(tilt: TiltingRegistry, module: ModuleRep, seed: int = 0
         for i in range(len(G)):
             for j in range(len(Fs)):
                 datum._index.append((lam, i, j))
-    finalize_datum(datum, fiber_trials, fiber_rng)
+    finalize_datum(datum)
     return datum
 
 
-def finalize_datum(datum: StandardBasisDatum, fiber_trials: int = 8,
-                   fiber_rng: random.Random | None = None):
-    """Certify an assembled datum and install its solvers.
+def finalize_datum(datum: StandardBasisDatum):
+    """Certify an assembled datum and install its coordinate maps.
 
     Checks the fiber count against dim End, linear independence of the
-    composites, and the image-weight property of every fiber; builds the
-    coordinate solver and per-label lower-span membership solvers.
+    composites, and the image-weight property of every fiber (its basis and
+    8 seeded samples of its span).
     """
     reg = datum.reg
-    F_field = reg.algebra.field
+    F = reg.algebra.field
     module = datum.module
-    fiber_rng = fiber_rng or random.Random(datum.seed * 7919 + 1)
     end_dim = len(hom_space(module, module))
     if len(datum._index) != end_dim:
         raise BasisFailure(datum.order[-1] if datum.order else "",
                            f"fiber count {len(datum._index)} != dim End = {end_dim}")
-    flat_rows = [datum.cell(lam, i, j).matrix.flat() for (lam, i, j) in datum._index]
-    stacked = Matrix(F_field, flat_rows)
-    if stacked.rank() != len(datum._index):
-        raise BasisFailure(datum.order[-1], "cell composites are linearly dependent")
-    datum._flat_solver = stacked.transpose()
-    # lower-span membership solvers
+    width = module.dim ** 2
+    try:
+        datum._coords = coordinates(
+            F, [datum.cell(lam, i, j).matrix.flat() for (lam, i, j) in datum._index], width)
+    except DependentFamily:
+        raise BasisFailure(datum.order[-1], "cell composites are linearly dependent") from None
     for lam in datum.order:
         lower = [datum.cell(mu, i, j).matrix.flat()
                  for (mu, i, j) in datum._index if reg.poset.lt(mu, lam)]
-        datum._lower_solvers[lam] = Matrix(F_field, lower).transpose() if lower else None
-    _certify_fiber_weights(datum, fiber_trials, fiber_rng)
+        datum._lower[lam] = coordinates(F, lower, width)
+        datum._fiber_coords[lam] = tuple(
+            coordinates(F, [h.matrix.flat() for h in homs], len(homs[0].matrix.flat()))
+            for homs in (datum.G[lam], datum.F[lam]))
+    _certify_fiber_weights(datum, random.Random(datum.seed * 7919 + 1))
     return datum
 
 
-def _certify_fiber_weights(datum: StandardBasisDatum, trials: int, rng: random.Random):
+def _certify_fiber_weights(datum: StandardBasisDatum, rng: random.Random):
     """Every basis composite, and sampled nonzero span elements, must carry
     nonzero image multiplicity at the fiber's own label."""
     reg = datum.reg
     F = reg.algebra.field
+    n = datum.module.dim
     for lam in datum.order:
-        fiber = [datum.cell(lam, i, j) for i in range(len(datum.G[lam]))
-                 for j in range(len(datum.F[lam]))]
+        fiber = [c for row in datum.cells[lam] for c in row]
         for c in fiber:
             if phi_weight(reg, c, lam) == 0:
                 raise BasisFailure(lam, "basis composite has zero weight at its own label")
-        for _ in range(trials):
-            acc = Matrix.zeros(F, datum.module.dim, datum.module.dim)
-            for c in fiber:
-                acc = acc + c.matrix.scale(F.sample(rng))
+        mats = [c.matrix for c in fiber]
+        for _ in range(8):
+            acc = linear_combination(F, [F.sample(rng) for _ in mats], mats, n, n)
             if not acc.is_zero():
                 m = Morphism(datum.module, datum.module, acc)
                 if phi_weight(reg, m, lam) == 0:
@@ -296,14 +287,10 @@ def hom_filtration_from_datum(datum: StandardBasisDatum, label: str,
     the coordinates of the given hom basis."""
     reg = datum.reg
     F = reg.algebra.field
-    h = len(homs)
-    solver = Matrix(F, [f.matrix.flat() for f in homs]).transpose()
-    rows = []
-    for (mu, i, j) in datum.index():
-        if reg.poset.leq(mu, label):
-            sol, _ = solver.solve(Matrix.column(F, datum.cell(mu, i, j).matrix.flat()))
-            rows.append([sol.entries[t][0] for t in range(h)])
-    return Subspace.from_rows(F, h, rows)
+    coords = coordinates(F, [f.matrix.flat() for f in homs], datum.module.dim ** 2)
+    rows = [coords(datum.cell(mu, i, j).matrix.flat())
+            for (mu, i, j) in datum.index() if reg.poset.leq(mu, label)]
+    return Subspace.from_rows(F, len(homs), rows)
 
 
 # -- structure coefficients and the fibered-multiplication axioms -----------------
@@ -324,28 +311,51 @@ class StructureCoefficients:
 
 
 def structure_coefficients(datum: StandardBasisDatum, phi: Morphism) -> StructureCoefficients:
-    reg = datum.reg
-    F = reg.algebra.field
+    F = datum.reg.algebra.field
     left = {}
     right = {}
     for lam in datum.order:
-        G = datum.G[lam]
-        solver_g = Matrix(F, [g.matrix.flat() for g in G]).transpose()
-        cols = []
-        for g in G:
-            target = (phi @ g).matrix
-            sol, _ = solver_g.solve(Matrix.column(F, target.flat()))
-            cols.append([sol.entries[t][0] for t in range(len(G))])
-        left[lam] = Matrix(F, list(map(list, zip(*cols))), cols=len(G)) if G else Matrix(F, [])
-        Fs = datum.F[lam]
-        solver_f = Matrix(F, [f.matrix.flat() for f in Fs]).transpose()
-        cols = []
-        for f in Fs:
-            target = (f @ phi).matrix
-            sol, _ = solver_f.solve(Matrix.column(F, target.flat()))
-            cols.append([sol.entries[t][0] for t in range(len(Fs))])
-        right[lam] = Matrix(F, list(map(list, zip(*cols))), cols=len(Fs)) if Fs else Matrix(F, [])
+        g_coords, f_coords = datum._fiber_coords[lam]
+        left[lam] = Matrix(F, [g_coords((phi @ g).matrix.flat()) for g in datum.G[lam]]).transpose()
+        right[lam] = Matrix(F, [f_coords((f @ phi).matrix.flat()) for f in datum.F[lam]]).transpose()
     return StructureCoefficients(left, right)
+
+
+def _replay_congruences(datum: StandardBasisDatum, trials: int, rng: random.Random,
+                        names, swap: bool):
+    """Replay both fibered congruences on every basis element and `trials`
+    random endomorphisms: phi . c_ij - sum_k left_ki c_kj and
+    c_ij . phi - sum_l right_lj c_il must lie in the span of strictly lower
+    fibers.  `names` names the two violations in that order; `swap` reports
+    the witness as (j, i).  Returns (probes, residual pairs checked).
+    """
+    F = datum.reg.algebra.field
+    n = datum.module.dim
+    probes = [datum.cell(lam, i, j) for (lam, i, j) in datum.index()]
+    mats = [c.matrix for c in probes]
+    for _ in range(trials):
+        acc = linear_combination(F, [F.sample(rng) for _ in mats], mats, n, n)
+        probes.append(Morphism(datum.module, datum.module, acc))
+    checked = 0
+    for phi in probes:
+        sc = structure_coefficients(datum, phi)
+        for lam in datum.order:
+            cells = datum.cells[lam]
+            left, right = sc.left[lam].entries, sc.right[lam].entries
+            for i, row in enumerate(cells):
+                for j, c_ij in enumerate(row):
+                    residuals = (
+                        ((phi @ c_ij).matrix, [(left[k][i], cells[k][j]) for k in range(len(cells))]),
+                        ((c_ij @ phi).matrix, [(right[l][j], row[l]) for l in range(len(row))]))
+                    for name, (acc, terms) in zip(names, residuals):
+                        for coeff, cell in terms:
+                            if coeff:
+                                acc = acc - cell.matrix.scale(coeff)
+                        if not datum.in_lower_span(lam, acc):
+                            raise AxiomViolation(lam, (j, i) if swap else (i, j), name,
+                                                 "residual escapes the lower fiber span")
+                    checked += 1
+    return len(probes), checked
 
 
 def verify_standard_axioms(datum: StandardBasisDatum, trials: int = 100,
@@ -355,43 +365,10 @@ def verify_standard_axioms(datum: StandardBasisDatum, trials: int = 100,
     strictly lower fibers.  Returns a summary dict; raises AxiomViolation
     with a witness on failure.
     """
-    reg = datum.reg
-    F = reg.algebra.field
-    rng = rng or random.Random(20200 + datum.seed)
-    probes = [datum.cell(lam, i, j) for (lam, i, j) in datum.index()]
-    for _ in range(trials):
-        acc = Matrix.zeros(F, datum.module.dim, datum.module.dim)
-        for (lam, i, j) in datum.index():
-            acc = acc + datum.cell(lam, i, j).matrix.scale(F.sample(rng))
-        probes.append(Morphism(datum.module, datum.module, acc))
-    checked = 0
-    for phi in probes:
-        sc = structure_coefficients(datum, phi)
-        for lam in datum.order:
-            n_i, n_j = len(datum.G[lam]), len(datum.F[lam])
-            r_left = sc.left[lam]
-            r_right = sc.right[lam]
-            for i in range(n_i):
-                for j in range(n_j):
-                    c_ij = datum.cell(lam, i, j)
-                    acc = (phi @ c_ij).matrix
-                    for k in range(n_i):
-                        coeff = r_left.entries[k][i]
-                        if coeff != F.zero():
-                            acc = acc - datum.cell(lam, k, j).matrix.scale(coeff)
-                    if not datum.in_lower_span(lam, acc):
-                        raise AxiomViolation(lam, (i, j), "fibered_left_multiplication",
-                                             "residual escapes the lower fiber span")
-                    acc = (c_ij @ phi).matrix
-                    for l in range(n_j):
-                        coeff = r_right.entries[l][j]
-                        if coeff != F.zero():
-                            acc = acc - datum.cell(lam, i, l).matrix.scale(coeff)
-                    if not datum.in_lower_span(lam, acc):
-                        raise AxiomViolation(lam, (i, j), "fibered_right_multiplication",
-                                             "residual escapes the lower fiber span")
-                    checked += 1
-    return {"probes": len(probes), "congruences_checked": 2 * checked, "ok": True}
+    probes, checked = _replay_congruences(
+        datum, trials, rng or random.Random(20200 + datum.seed),
+        ("fibered_left_multiplication", "fibered_right_multiplication"), swap=False)
+    return {"probes": probes, "congruences_checked": 2 * checked, "ok": True}
 
 
 class OppositeDatum:
@@ -420,44 +397,13 @@ class OppositeDatum:
         return self.base
 
     def verify(self, trials: int = 50, rng: random.Random | None = None):
-        """Fibered axioms for reversed composition: for phi in E^op,
-        phi * c'_ji = c_ij . phi expands with right-coefficients r(j, phi)
-        independent of i, and symmetrically; residuals in lower fibers."""
-        base = self.base
-        reg = base.reg
-        F = reg.algebra.field
-        rng = rng or random.Random(31337 + base.seed)
-        probes = [base.cell(lam, i, j) for (lam, i, j) in base.index()]
-        for _ in range(trials):
-            acc = Matrix.zeros(F, base.module.dim, base.module.dim)
-            for (lam, i, j) in base.index():
-                acc = acc + base.cell(lam, i, j).matrix.scale(F.sample(rng))
-            probes.append(Morphism(base.module, base.module, acc))
-        for phi in probes:
-            sc = structure_coefficients(base, phi)
-            for lam in base.order:
-                n_i, n_j = len(base.G[lam]), len(base.F[lam])
-                for j in range(n_j):
-                    for i in range(n_i):
-                        # phi * c'_{ji} == sum_l r_l(j, phi) c'_{li} mod lower
-                        acc = (base.cell(lam, i, j) @ phi).matrix
-                        for l in range(n_j):
-                            coeff = sc.right[lam].entries[l][j]
-                            if coeff != F.zero():
-                                acc = acc - base.cell(lam, i, l).matrix.scale(coeff)
-                        if not base.in_lower_span(lam, acc):
-                            raise AxiomViolation(lam, (j, i), "opposite_left_multiplication",
-                                                 "residual escapes the lower fiber span")
-                        # c'_{ji} * phi == sum_k r_k(phi, i) c'_{jk} mod lower
-                        acc = (phi @ base.cell(lam, i, j)).matrix
-                        for k in range(n_i):
-                            coeff = sc.left[lam].entries[k][i]
-                            if coeff != F.zero():
-                                acc = acc - base.cell(lam, k, j).matrix.scale(coeff)
-                        if not base.in_lower_span(lam, acc):
-                            raise AxiomViolation(lam, (j, i), "opposite_right_multiplication",
-                                                 "residual escapes the lower fiber span")
-        return {"probes": len(probes), "ok": True}
+        """Fibered axioms for reversed composition: phi * c'_ji = c_ij . phi
+        is the base right congruence and c'_ji * phi = phi . c_ij the left
+        one, so the base replay runs with the witness read as (j, i)."""
+        probes, _ = _replay_congruences(
+            self.base, trials, rng or random.Random(31337 + self.base.seed),
+            ("opposite_right_multiplication", "opposite_left_multiplication"), swap=True)
+        return {"probes": probes, "ok": True}
 
 
 def change_of_basis_unitriangular(datum_a: StandardBasisDatum,

@@ -153,9 +153,6 @@ class TiltingRegistry:
     def module(self, label) -> ModuleRep:
         return self.triples[label].module
 
-    def characteristic_pieces(self):
-        return [(label, 1) for label in self.base.poset.labels]
-
 
 def tilting_support(tilt: TiltingRegistry, t: ModuleRep):
     """Multiset {label: multiplicity of T(label) in t} via Krull-Schmidt."""

@@ -13,7 +13,6 @@ from tiltcell.algebra import (
     is_isomorphic,
     is_simple,
     krull_schmidt,
-    lift_idempotent,
     module_head,
     module_radical,
     module_socle,
@@ -172,17 +171,6 @@ def test_krull_schmidt_multiplicities():
     summands = krull_schmidt(big)
     assert sorted(s.dim for s, _, _ in summands) == [1, 2, 2]
     assert sum(s.dim for s, _, _ in summands) == big.dim
-
-
-def test_idempotent_lifting_squares_error():
-    alg = dual_numbers()
-    reg = alg.regular_module()
-    # endomorphism with e^2 - e in the radical: right multiplication by 1 + x
-    F = alg.field
-    e = Morphism(reg, reg, Matrix.from_int_rows(F, [[1, 0], [1, 1]]))
-    # not idempotent, congruent to identity mod radical
-    lifted = lift_idempotent(Morphism(reg, reg, Matrix.identity(F, 2)))
-    assert (lifted @ lifted).matrix == lifted.matrix
 
 
 def test_image_kernel_cokernel():

@@ -177,3 +177,31 @@ def test_negative_seed_rejected():
     code, _, err = run_cli("verify", "--catalog", "trivial", "--seed", "-3")
     assert code == 2
     assert b"nonnegative" in err
+
+
+def test_huge_prime_field_runs_quickly():
+    code, out, _ = run_cli("verify", "--catalog", "a2path", "--field",
+                           "Fp 1000000000000000003", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["input"]["field"] == "F1000000000000000003"
+
+
+def test_huge_composite_field_rejected():
+    code, _, err = run_cli("verify", "--catalog", "a2path", "--field", "Fp 1000000000000000001")
+    assert code == 2
+    assert b"not prime" in err
+
+
+def test_characteristic_beyond_primality_bound_rejected():
+    code, _, err = run_cli("verify", "--catalog", "a2path", "--field", f"Fp {10 ** 29}")
+    assert code == 2
+    assert str(10 ** 29).encode() in err
+
+
+def test_is_prime_matches_trial_division():
+    from tiltcell.linalg import _is_prime
+
+    def by_trial(n):
+        return n > 1 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(20000) if _is_prime(n)] == [n for n in range(20000) if by_trial(n)]

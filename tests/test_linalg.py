@@ -2,12 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tiltcell import poly
-from tiltcell.errors import InconsistentSystem, InputError
-from tiltcell.linalg import Field, Matrix, Subspace, block_diag, hstack, vstack
+from tiltcell.errors import DependentFamily, InconsistentSystem, InputError
+from tiltcell.linalg import (
+    Field,
+    Matrix,
+    Subspace,
+    block_diag,
+    coordinates,
+    hstack,
+    vstack,
+)
 
 Q = Field()
 F5 = Field(5)
@@ -51,14 +59,14 @@ def test_rref_rank_one():
 
 def test_solve_identity():
     b = Matrix.from_int_rows(Q, [[3], [7]])
-    part, null = Matrix.identity(Q, 2).solve(b)
-    assert part == b and null.rows == 0
+    part = Matrix.identity(Q, 2).solve(b)
+    assert part == b and Matrix.identity(Q, 2).kernel().rows == 0
 
 
 def test_solve_zero_full_nullspace():
     a = Matrix.zeros(Q, 2, 2)
-    part, null = a.solve(Matrix.zeros(Q, 2, 1))
-    assert part.is_zero() and null.rows == 2
+    part = a.solve(Matrix.zeros(Q, 2, 1))
+    assert part.is_zero() and a.kernel().rows == 2
 
 
 def test_solve_f5_matches_enumeration():
@@ -66,10 +74,10 @@ def test_solve_f5_matches_enumeration():
     a = Matrix.from_int_rows(F5, [[1, 1]])
     b = Matrix.from_int_rows(F5, [[2]])
     solutions = {(x, y) for x in range(5) for y in range(5) if (x + y) % 5 == 2}
-    part, null = a.solve(b)
+    part = a.solve(b)
     assert (part.entries[0][0], part.entries[1][0]) in solutions
     assert part.entries == ((2,), (0,))
-    assert null.entries == ((1, 4),)
+    assert a.kernel().entries == ((1, 4),)
     # every particular + multiple of the kernel vector is a solution
     for t in range(5):
         x = (2 + t * 1) % 5
@@ -138,7 +146,7 @@ def test_rref_idempotent(m):
 def test_solve_recovers_consistent_rhs(pair):
     a, x0 = pair
     b = a @ x0
-    part, _ = a.solve(b)
+    part = a.solve(b)
     assert a @ part == b
 
 
@@ -149,6 +157,44 @@ def test_dim_formula_intersection_sum(pair):
     v = Subspace.from_rows(F5, 4, ma.entries)
     w = Subspace.from_rows(F5, 4, mb.entries)
     assert v.intersect(w).dim + v.plus(w).dim == v.dim + w.dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([Q, F5]).flatmap(lambda F: st.tuples(
+    st.just(F), st.integers(1, 5).flatmap(lambda n: st.tuples(
+        matrices(F, n, n), matrices(F, 1, n))))))
+def test_coordinates_in_independent_family(case):
+    F, (square, c_row) = case
+    n = square.cols
+    rank = square.rank()
+    k = max(rank, 1)
+    fam = Matrix(F, square.entries[:k])
+    assume(fam.rank() == k)
+    c = c_row.entries[0][:k]
+    vec = (Matrix.row(F, c) @ fam).entries[0]
+    coords = coordinates(F, fam.entries, n)
+    assert coords(vec) == tuple(c)
+    assert coords(vec) == tuple(r[0] for r in fam.transpose().solve(Matrix.column(F, vec)).entries)
+    # a vector outside the span is refused
+    outside = next((t for t in range(n)
+                    if Matrix(F, list(fam.entries) + [[F.of(int(t == s)) for s in range(n)]]).rank() > k),
+                   None)
+    if outside is not None:
+        bumped = list(vec)
+        bumped[outside] = F.add(bumped[outside], F.one())
+        with pytest.raises(InconsistentSystem):
+            coords(bumped)
+    # a dependent family is refused
+    with pytest.raises(DependentFamily):
+        coordinates(F, list(fam.entries) + [vec], n)
+
+
+def test_coordinates_of_empty_family():
+    for F in (Q, F5):
+        coords = coordinates(F, [], 3)
+        assert coords((F.zero(),) * 3) == ()
+        with pytest.raises(InconsistentSystem):
+            coords((F.zero(), F.one(), F.zero()))
 
 
 def test_block_helpers():
