@@ -66,14 +66,14 @@ class AlgebraPresentation:
         F = self.field
         out = [F.zero()] * self.dim
         for i, ai in enumerate(a):
-            if ai == F.zero():
+            if not ai:
                 continue
             for j, bj in enumerate(b):
-                if bj == F.zero():
+                if not bj:
                     continue
                 c = F.mul(ai, bj)
                 for k, t in enumerate(self.table[i][j]):
-                    if t != F.zero():
+                    if t:
                         out[k] = F.add(out[k], F.mul(c, t))
         return tuple(out)
 
@@ -306,32 +306,41 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[Morphism]:
 
     Solves X a_M(b) = a_N(b) X for all basis elements b; the basis is the RREF
     basis of the solution space in row-major matrix coordinates, so the output
-    is deterministic.
+    is deterministic.  Equations with no nonzero coefficient are left out;
+    they do not change the solution space.
     """
     if m.algebra is not n.algebra and m.algebra.table != n.algebra.table:
         raise AlgebraMismatch("hom between modules over different algebras")
     F = m.algebra.field
+    p = F.p
     dm, dn = m.dim, n.dim
     if dm == 0 or dn == 0:
         return []
+    zero = F.zero()
     rows = []
     # unknown X is dn x dm, flattened row-major: index (r, c) -> r * dm + c
     for b in range(m.algebra.dim):
-        am = m.action[b]
-        an = n.action[b]
+        am = m.action[b].entries
+        an = n.action[b].entries
+        # (X am)[r, c] = sum_k X[r, k] am[k, c]
+        am_cols = [[(k, am[k][c]) for k in range(dm) if am[k][c]] for c in range(dm)]
+        # (an X)[r, c] = sum_k an[r, k] X[k, c]
+        an_rows = [[(k, x) for k, x in enumerate(an[r]) if x] for r in range(dn)]
         for r in range(dn):
+            an_r = an_rows[r]
             for c in range(dm):
-                row = [F.zero()] * (dn * dm)
-                # (X am)[r, c] = sum_k X[r, k] am[k, c]
-                for k in range(dm):
-                    if am.entries[k][c] != F.zero():
-                        row[r * dm + k] = F.add(row[r * dm + k], am.entries[k][c])
-                # (an X)[r, c] = sum_k an[r, k] X[k, c]
-                for k in range(dn):
-                    if an.entries[r][k] != F.zero():
-                        row[k * dm + c] = F.sub(row[k * dm + c], an.entries[r][k])
-                rows.append(row)
-    ker = Matrix(F, rows).kernel()
+                am_c = am_cols[c]
+                if not am_c and not an_r:
+                    continue
+                row = [zero] * (dn * dm)
+                for k, x in am_c:
+                    row[r * dm + k] = x
+                for k, x in an_r:
+                    t = k * dm + c
+                    row[t] = row[t] - x if p is None else (row[t] - x) % p
+                if any(row):
+                    rows.append(row)
+    ker = Matrix(F, rows, cols=dn * dm).kernel()
     out = []
     for vec in ker.entries:
         mat = Matrix(F, [vec[r * dm:(r + 1) * dm] for r in range(dn)])
@@ -373,8 +382,10 @@ def algebra_radical(algebra: AlgebraPresentation) -> Subspace:
 
     Over Q this is the kernel of the trace form (a, b) -> tr(L_{ab}); over F_p
     the chain of coefficient-of-characteristic-polynomial kernels at p-power
-    indices.  The result is certified: it must be a nilpotent ideal whose
-    quotient has vanishing radical by the same computation.
+    indices (Cohen, Ivanyos and Wales 1997), whose first step, the e_1
+    coefficient, is the same trace-form kernel.  The result is certified: it
+    must be a nilpotent ideal whose quotient has vanishing radical by the same
+    computation.
     """
     rad = _radical_candidate(algebra)
     _certify_radical(algebra, rad)
@@ -385,23 +396,26 @@ def _radical_candidate(algebra: AlgebraPresentation) -> Subspace:
     F = algebra.field
     n = algebra.dim
     lm = algebra.left_mult_basis()
-    if F.p is None:
-        # tr(L_i L_j) without forming the products
-        def pair_trace(a, b):
-            acc = F.zero()
-            for k in range(n):
-                for l in range(n):
-                    if a.entries[k][l] != F.zero():
-                        acc = F.add(acc, F.mul(a.entries[k][l], b.entries[l][k]))
-            return acc
+    p = F.p
+    # nonzero entries (k, l, x) of each L_i, so tr(L_i L_j) is one sparse sum
+    sparse = [[(k, l, x) for k, r in enumerate(a.entries) for l, x in enumerate(r) if x]
+              for a in lm]
 
-        gram = Matrix(F, [[pair_trace(lm[i], lm[j]) for j in range(n)] for i in range(n)])
-        return Subspace(n, gram.kernel())
+    def pair_trace(i, j):
+        b = lm[j].entries
+        acc = sum((x * b[l][k] for k, l, x in sparse[i]), F.zero())
+        return acc if p is None else acc % p
+
+    # the trace form's kernel: the radical over Q, and the first step of the
+    # chain over F_p, since e_1 of det(xI - L_ab) is -tr(L_a L_b)
+    gram = Matrix(F, [[pair_trace(i, j) for j in range(n)] for i in range(n)], cols=n)
+    space = Subspace(n, gram.kernel())
+    if p is None:
+        return space
     # char p: iterated kernels of a -> coeff_{p^i}(charpoly(L_{a b})) on a shrinking ideal
-    space = Subspace.full(F, n)
-    i = 0
-    while F.p ** i <= n and space.dim > 0:
-        target_index = n - F.p ** i  # ascending-coefficient index of e_{p^i}
+    i = 1
+    while p ** i <= n and space.dim > 0:
+        target_index = n - p ** i  # ascending-coefficient index of e_{p^i}
         basis_elems = [tuple(r) for r in space.basis.entries]
         rows = []
         for b in basis_elems:
@@ -418,7 +432,7 @@ def _radical_candidate(algebra: AlgebraPresentation) -> Subspace:
         for kr in ker.entries:
             vec = [F.zero()] * n
             for c, b in zip(kr, basis_elems):
-                if c != F.zero():
+                if c:
                     for t in range(n):
                         vec[t] = F.add(vec[t], F.mul(c, b[t]))
             new_rows.append(vec)
@@ -740,7 +754,7 @@ def simples_and_split_check(algebra: AlgebraPresentation,
             classes.append([ent])
 
     def support_key(vec):
-        first = next((i for i, x in enumerate(vec) if x != F.zero()), len(vec))
+        first = next((i for i, x in enumerate(vec) if x), len(vec))
         return (first, tuple(str(x) for x in vec))
 
     reps = [min(cls, key=lambda ent: support_key(ent[0])) for cls in classes]

@@ -1,13 +1,20 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and prime fields.
 
 Scalars are `fractions.Fraction` over Q and plain int residues in [0, p)
-over F_p; a `Field` value mediates all arithmetic.  Matrices and subspaces
-are immutable.  Subspaces are stored with a reduced-row-echelon basis, so
-two subspaces are equal as sets exactly when their basis matrices compare
-equal entry by entry.  `coordinates` row-reduces an independent family
-once and then reads the coordinates of any vector in its span, refusing
-vectors outside it.  Everything is deterministic: no floats, no hashing
-order, no randomness.
+over F_p; a `Field` value mediates scalar arithmetic.  Matrices are stored
+dense, but the inner loops of elimination (`Matrix.rref`), products
+(`Matrix.__matmul__`) and subspace membership touch only nonzero entries
+and do their arithmetic inline (`Fraction` operators over Q, one `% p` per
+update over F_p).  Their results are identical, entry by entry, to the
+dense loops that test and rewrite every entry; the tests keep those dense
+loops as the reference.  Matrices and subspaces are immutable.
+
+Subspaces are stored with a reduced-row-echelon basis, so two subspaces
+are equal as sets exactly when their basis matrices compare equal entry by
+entry.  `coordinates` row-reduces an independent family once and then
+reads the coordinates of any vector in its span, refusing vectors outside
+it.  Everything is deterministic: no floats, no hashing order, no
+randomness.
 """
 
 from __future__ import annotations
@@ -228,22 +235,29 @@ class Matrix:
         return Matrix(self.field, [[mul(c, a) for a in r] for r in self.entries], cols=self.cols)
 
     def __matmul__(self, other):
+        """Matrix product, touching only the nonzero entries of both factors.
+
+        The right factor's rows are made sparse once; each output row
+        accumulates a * b over nonzero a and nonzero b and is reduced mod p
+        once.  The result equals the dense triple loop's entry by entry (the
+        tests keep that loop as the reference).
+        """
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         F = self.field
+        p = F.p
         zero = F.zero()
-        ot = other.entries
+        ncols = other.cols
+        sparse = [[(j, b) for j, b in enumerate(r) if b] for r in other.entries]
         out = []
         for ra in self.entries:
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k, a in enumerate(ra):
-                    if a:
-                        acc = F.add(acc, F.mul(a, ot[k][j]))
-                row.append(acc)
-            out.append(row)
-        return Matrix(F, out, cols=other.cols)
+            row = [zero] * ncols
+            for a, srow in zip(ra, sparse):
+                if a:
+                    for j, b in srow:
+                        row[j] += a * b
+            out.append(row if p is None else [x % p for x in row])
+        return Matrix(F, out, cols=ncols)
 
     def transpose(self):
         if self.rows == 0:
@@ -251,8 +265,7 @@ class Matrix:
         return Matrix(self.field, list(zip(*self.entries)), cols=self.rows)
 
     def is_zero(self):
-        z = self.field.zero()
-        return all(a == z for r in self.entries for a in r)
+        return not any(a for r in self.entries for a in r)
 
     def trace(self):
         F = self.field
@@ -280,27 +293,50 @@ class Matrix:
     # -- elimination -----------------------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form: (matrix, pivot column tuple, rank)."""
+        """Reduced row echelon form: (matrix, pivot column tuple, rank).
+
+        Touches only nonzero entries: the pivot is found by truthiness, the
+        normalised pivot row's nonzero (column, value) pairs are listed once,
+        and each row with a nonzero entry in the pivot column is updated at
+        those columns only.  The result equals the dense elimination's entry
+        by entry (the tests keep that loop as the reference).
+        """
         F = self.field
+        p = F.p
+        zero, one = F.zero(), F.one()
         m = [list(r) for r in self.entries]
         nrows, ncols = self.rows, self.cols
         pivots = []
         prow = 0
         for col in range(ncols):
-            sel = None
-            for r in range(prow, nrows):
-                if m[r][col] != F.zero():
-                    sel = r
-                    break
+            sel = next((r for r in range(prow, nrows) if m[r][col]), None)
             if sel is None:
                 continue
             m[prow], m[sel] = m[sel], m[prow]
-            inv = F.inv(m[prow][col])
-            m[prow] = [F.mul(inv, x) for x in m[prow]]
+            pivot_row = m[prow]
+            a = pivot_row[col]
+            # entries left of col vanish in every row from prow down
+            nz = [(j, x) for j in range(col + 1, ncols) if (x := pivot_row[j])]
+            if a != 1:
+                inv = F.inv(a)
+                if p is None:
+                    nz = [(j, inv * x) for j, x in nz]
+                else:
+                    nz = [(j, inv * x % p) for j, x in nz]
+                for j, x in nz:
+                    pivot_row[j] = x
+            pivot_row[col] = one
             for r in range(nrows):
-                if r != prow and m[r][col] != F.zero():
-                    c = m[r][col]
-                    m[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(m[r], m[prow])]
+                c = m[r][col]
+                if c and r != prow:
+                    row = m[r]
+                    if p is None:
+                        for j, y in nz:
+                            row[j] -= c * y
+                    else:
+                        for j, y in nz:
+                            row[j] = (row[j] - c * y) % p
+                    row[col] = zero
             pivots.append(col)
             prow += 1
             if prow == nrows:
@@ -466,11 +502,12 @@ class Subspace:
     deduplication and equality checks trivial.
     """
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "basis", "_sparse")
 
     def __init__(self, ambient: int, basis: Matrix):
         self.ambient = ambient
         self.basis = basis
+        self._sparse = None
         if basis.cols not in (ambient, 0):
             raise DimensionMismatch("basis width differs from ambient dimension")
 
@@ -512,11 +549,29 @@ class Subspace:
         return f"Subspace(dim {self.dim} of K^{self.ambient})"
 
     def contains_vector(self, vec) -> bool:
+        """Membership by reducing vec against the RREF basis.
+
+        Each basis row's pivot entry decides its multiple; only the rows'
+        nonzero entries are touched, and no elimination is run.
+        """
         if self.dim == 0:
-            z = self.field.zero()
-            return all(x == z for x in vec)
-        stacked = Matrix(self.field, list(self.basis.entries) + [list(vec)])
-        return stacked.rank() == self.dim
+            return not any(vec)
+        if len(vec) != self.ambient:
+            raise DimensionMismatch("vector length differs from ambient dimension")
+        if self._sparse is None:
+            self._sparse = [[(j, x) for j, x in enumerate(r) if x] for r in self.basis.entries]
+        p = self.field.p
+        resid = list(vec)
+        for srow in self._sparse:
+            d = resid[srow[0][0]]
+            if d:
+                if p is None:
+                    for j, x in srow:
+                        resid[j] -= d * x
+                else:
+                    for j, x in srow:
+                        resid[j] = (resid[j] - d * x) % p
+        return not any(resid)
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(r) for r in other.basis.entries)

@@ -17,7 +17,7 @@ from .linalg import Field, Matrix
 
 def normalize(field, coeffs):
     cs = list(coeffs)
-    while cs and cs[-1] == field.zero():
+    while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
@@ -42,7 +42,7 @@ def mul(field, f, g):
         return ()
     out = [field.zero()] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if a == field.zero():
+        if not a:
             continue
         for j, b in enumerate(g):
             out[i + j] = field.add(out[i + j], field.mul(a, b))
@@ -274,7 +274,7 @@ def charpoly(m: Matrix):
     for col in range(n - 2):
         pivot = None
         for r in range(col + 1, n):
-            if h[r][col] != F.zero():
+            if h[r][col]:
                 pivot = r
                 break
         if pivot is None:
@@ -285,7 +285,7 @@ def charpoly(m: Matrix):
                 h[r][pivot], h[r][col + 1] = h[r][col + 1], h[r][pivot]
         inv = F.inv(h[col + 1][col])
         for r in range(col + 2, n):
-            if h[r][col] == F.zero():
+            if not h[r][col]:
                 continue
             factor = F.mul(h[r][col], inv)
             h[r] = [F.sub(x, F.mul(factor, y)) for x, y in zip(h[r], h[col + 1])]

@@ -1,10 +1,12 @@
 import pytest
 
+from tiltcell import poly
 from tiltcell.algebra import (
     AlgebraPresentation,
     EndAlgebra,
     ModuleRep,
     Morphism,
+    _radical_candidate,
     algebra_radical,
     cokernel,
     composition_multiplicity,
@@ -19,8 +21,9 @@ from tiltcell.algebra import (
     simples_and_split_check,
     submodule_generated,
 )
+from tiltcell.docio import catalog_document, catalog_names
 from tiltcell.errors import InputError, NotSimple, NotSplit
-from tiltcell.linalg import Field, Matrix
+from tiltcell.linalg import Field, Matrix, Subspace
 
 Q = Field()
 F5 = Field(5)
@@ -251,3 +254,68 @@ def test_end_algebra_structure():
     ident_coords = E.coords(Matrix.identity(Q, big.dim))
     back = E.from_coords(ident_coords)
     assert back.matrix == Matrix.identity(Q, big.dim)
+
+
+# -- the char-p radical chain against its dense form --------------------------
+
+
+def charpoly_chain_reference(algebra):
+    """The char-p radical chain run from the full space, with a whole
+    characteristic polynomial per basis product at every step."""
+    F = algebra.field
+    n = algebra.dim
+    space = Subspace.full(F, n)
+    i = 0
+    while F.p ** i <= n and space.dim > 0:
+        basis_elems = [tuple(r) for r in space.basis.entries]
+        rows = [[poly.charpoly(algebra.left_mult(algebra.multiply(a, b)))[n - F.p ** i]
+                 for a in basis_elems] for b in basis_elems]
+        new_rows = []
+        for kr in Matrix(F, rows).kernel().entries:
+            vec = [F.zero()] * n
+            for c, b in zip(kr, basis_elems):
+                for t in range(n):
+                    vec[t] = F.add(vec[t], F.mul(c, b[t]))
+            new_rows.append(vec)
+        space = Subspace.from_rows(F, n, new_rows)
+        i += 1
+    return space
+
+
+def truncated_polynomials(field, d):
+    """K[x]/x^d on the basis 1, x, ..., x^(d-1)."""
+    ents = [(i, j, i + j, 1) for i in range(d) for j in range(d) if i + j < d]
+    return AlgebraPresentation.from_struct_consts(field, d, ents, [1] + [0] * (d - 1))
+
+
+def cyclic_group_algebra(field, n):
+    ents = [(i, j, (i + j) % n, 1) for i in range(n) for j in range(n)]
+    return AlgebraPresentation.from_struct_consts(field, n, ents, [1] + [0] * (n - 1))
+
+
+def small_algebras(field):
+    out = [catalog_document(name, f"Fp {field.p}").algebra for name in catalog_names()]
+    out.append(cyclic_group_algebra(field, 3))
+    base = truncated_polynomials(field, 3)
+    out.append(base)
+    # End of the sum of all indecomposables K[x]/x^d, d = 1, 2, 3 (dim 14)
+    mods = []
+    for d in (1, 2, 3):
+        x = Matrix(field, [[field.of(int(c == r - 1)) for c in range(d)] for r in range(d)])
+        mods.append(ModuleRep(base, d, [Matrix.identity(field, d), x, x @ x]))
+    out.append(EndAlgebra(direct_sum(mods)[0]).presentation)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 17, 10007])
+def test_radical_candidate_matches_charpoly_chain(p):
+    field = Field(p)
+    continued = False
+    for alg in small_algebras(field):
+        rad = _radical_candidate(alg)
+        assert rad == charpoly_chain_reference(alg)
+        gram = Matrix(field, [[alg.left_mult(alg.table[i][j]).trace() for j in range(alg.dim)]
+                              for i in range(alg.dim)])
+        continued |= gram.kernel().rows > rad.dim
+    # only the small primes need the chain past the trace-form step here
+    assert continued == (p in (2, 3))

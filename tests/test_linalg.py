@@ -269,3 +269,136 @@ def test_coprime_split_idempotent():
     # power of a single irreducible yields nothing
     assert poly.coprime_split_idempotent(Q, (1, 2, 1)) is None  # (x+1)^2
     assert poly.coprime_split_idempotent(Q, (1, 0, 1)) is None  # x^2 + 1
+
+
+# -- sparse kernels against the dense loops ------------------------------------
+#
+# The dense elimination and product below are the loops that Matrix.rref and
+# Matrix.__matmul__ replaced; they test and rewrite every entry through the
+# Field methods.  The sparse kernels must return the same values, and the same
+# printed strings, on every input.
+
+F10007 = Field(10007)
+
+
+def dense_rref(m):
+    F = m.field
+    a = [list(r) for r in m.entries]
+    nrows, ncols = m.rows, m.cols
+    pivots = []
+    prow = 0
+    for col in range(ncols):
+        sel = None
+        for r in range(prow, nrows):
+            if a[r][col] != F.zero():
+                sel = r
+                break
+        if sel is None:
+            continue
+        a[prow], a[sel] = a[sel], a[prow]
+        inv = F.inv(a[prow][col])
+        a[prow] = [F.mul(inv, x) for x in a[prow]]
+        for r in range(nrows):
+            if r != prow and a[r][col] != F.zero():
+                c = a[r][col]
+                a[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(a[r], a[prow])]
+        pivots.append(col)
+        prow += 1
+        if prow == nrows:
+            break
+    return Matrix(F, a, cols=ncols), tuple(pivots), len(pivots)
+
+
+def dense_matmul(x, y):
+    F = x.field
+    zero = F.zero()
+    out = []
+    for ra in x.entries:
+        row = []
+        for j in range(y.cols):
+            acc = zero
+            for k, a in enumerate(ra):
+                if a:
+                    acc = F.add(acc, F.mul(a, y.entries[k][j]))
+            row.append(acc)
+        out.append(row)
+    return Matrix(F, out, cols=y.cols)
+
+
+def printed(m):
+    return [[str(x) for x in r] for r in m.entries]
+
+
+def sparse_scalars(field):
+    """Mostly zero, with repeated small values so that updates cancel."""
+    ints = st.sampled_from([0, 0, 0, 0, 0, 1, 1, -1, 2, -2, 3])
+    if field.p is None:
+        return st.one_of(ints.map(Fraction),
+                         st.tuples(st.integers(-3, 3), st.integers(1, 3)).map(
+                             lambda t: Fraction(*t)))
+    return st.one_of(ints, st.integers(0, field.p - 1)).map(field.of)
+
+
+@st.composite
+def sparse_matrices(draw, field, rows=None, cols=None):
+    rows = draw(st.integers(0, 7)) if rows is None else rows
+    cols = draw(st.integers(0, 7)) if cols is None else cols
+    ent = [[draw(sparse_scalars(field)) for _ in range(cols)] for _ in range(rows)]
+    # whole zero rows and columns, and rows repeated up to a scalar
+    for r in draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2)):
+        if r < rows:
+            ent[r] = [field.zero()] * cols
+    for c in draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2)):
+        for r in ent:
+            if c < cols:
+                r[c] = field.zero()
+    if rows >= 2 and draw(st.booleans()):
+        s = draw(sparse_scalars(field))
+        ent[rows - 1] = [field.mul(s, x) for x in ent[0]]
+    return Matrix(field, ent, cols=cols)
+
+
+kernel_fields = st.sampled_from([Q, F5, F10007])
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_fields.flatmap(sparse_matrices))
+def test_rref_matches_dense_reference(m):
+    red, pivots, rank = m.rref()
+    ref, ref_pivots, ref_rank = dense_rref(m)
+    assert (red, pivots, rank) == (ref, ref_pivots, ref_rank)
+    assert (red.rows, red.cols) == (m.rows, m.cols)
+    assert printed(red) == printed(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_fields.flatmap(lambda F: st.tuples(
+    st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)).flatmap(lambda s: st.tuples(
+        sparse_matrices(F, s[0], s[1]), sparse_matrices(F, s[1], s[2])))))
+def test_matmul_matches_dense_reference(pair):
+    a, b = pair
+    prod = a @ b
+    ref = dense_matmul(a, b)
+    assert prod == ref and (prod.rows, prod.cols) == (a.rows, b.cols)
+    assert printed(prod) == printed(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_fields.flatmap(lambda F: st.integers(1, 6).flatmap(lambda n: st.tuples(
+    sparse_matrices(F, None, n), sparse_matrices(F, 1, n), st.booleans()))))
+def test_contains_vector_matches_rank_test(case):
+    rows, noise, in_span = case
+    F, n = rows.field, rows.cols
+    space = Subspace.from_rows(F, n, rows.entries)
+    vec = list(noise.entries[0])
+    if in_span and space.dim:
+        coeffs = [F.of(t - 1) for t in range(space.dim)]
+        vec = list((Matrix.row(F, coeffs) @ space.basis).entries[0])
+    if space.dim:
+        expected = dense_rref(Matrix(F, list(space.basis.entries) + [vec]))[2] == space.dim
+    else:
+        expected = all(x == F.zero() for x in vec)
+    assert space.contains_vector(vec) == expected
+    assert space.contains_vector(vec) == expected  # the cached sparse rows agree
+    if in_span and space.dim:
+        assert expected

@@ -3,6 +3,8 @@ endomorphism algebra of the direct sum of all indecomposables over K[x]/(x^3).
 Exercises multiplicity-laden fibers, second syzygies, and the full pipeline
 beyond the hand-sized catalog."""
 
+import functools
+
 import pytest
 
 from tiltcell.algebra import (
@@ -23,31 +25,39 @@ from tiltcell.standard_basis import (
 from tiltcell.tilting import TiltingRegistry, tilting_support
 
 Q = Field()
+F10007 = Field(10007)
 
 
-@pytest.fixture(scope="module")
-def nilpotent_endomorphism_algebra():
+@functools.cache
+def auslander_x3(field):
     base = AlgebraPresentation.from_struct_consts(
-        Q, 3,
+        field, 3,
         [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (0, 2, 2, 1), (2, 0, 2, 1),
          (1, 1, 2, 1)],
         [1, 0, 0], name="K[x]/x3")
 
     def nil_module(d):
-        rows = [[Q.one() if c == r - 1 else Q.zero() for c in range(d)]
+        rows = [[field.one() if c == r - 1 else field.zero() for c in range(d)]
                 for r in range(d)]
-        x = Matrix(Q, rows)
-        return ModuleRep(base, d, [Matrix.identity(Q, d), x, x @ x])
+        x = Matrix(field, rows)
+        return ModuleRep(base, d, [Matrix.identity(field, d), x, x @ x])
 
     total, _, _ = direct_sum([nil_module(1), nil_module(2), nil_module(3)])
     pres = EndAlgebra(total).presentation
     # re-validate the generated structure constants from scratch
-    return AlgebraPresentation(Q, pres.dim, pres.table, pres.unit,
+    return AlgebraPresentation(field, pres.dim, pres.table, pres.unit,
                                name="auslander-x3", check=True)
 
 
-def test_stress_pipeline(nilpotent_endomorphism_algebra):
-    A = nilpotent_endomorphism_algebra
+@pytest.fixture(scope="module")
+def nilpotent_endomorphism_algebra():
+    return auslander_x3(Q)
+
+
+# the same invariants over Q and over a large prime: a differential check
+@pytest.mark.parametrize("field", [Q, F10007], ids=repr)
+def test_stress_pipeline(field):
+    A = auslander_x3(field)
     assert A.dim == 14
     reg = Registry(A, WeightPoset(["1", "2", "3"], [("3", "2"), ("2", "1")]))
     assert verify_standard_category(reg).ok
