@@ -545,12 +545,12 @@ def find_splitting_idempotent(E: EndAlgebra, rng: random.Random) -> Morphism | N
     rad = algebra_radical(E.presentation)
     if E.dim - rad.dim == 1:
         return None
-    candidates = list(E.basis)
-    for f, g in itertools.combinations(E.basis, 2):
-        candidates.append(f + g)
-    for f in E.basis:
-        for g in E.basis:
-            candidates.append(f @ g)
+    # basis elements, then pairwise sums, then products, each formed only
+    # when the sweep reaches it
+    candidates = itertools.chain(
+        E.basis,
+        (f + g for f, g in itertools.combinations(E.basis, 2)),
+        (f @ g for f in E.basis for g in E.basis))
     for phi in candidates:
         e = _idempotent_from_element(E, phi)
         if e is not None:

@@ -83,9 +83,8 @@ def _check_product_rule(datum: StandardBasisDatum, label, beta: Matrix):
             for k in range(n_i):
                 for l in range(n_j):
                     prod = datum.cell(label, i, j) @ datum.cell(label, k, l)
-                    resid = prod.matrix - datum.cell(label, i, l).matrix.scale(
-                        beta.entries[j][k])
-                    if not datum.in_lower_span(label, resid):
+                    if not datum._residual_is_lower(label, prod.matrix,
+                                                    {(label, i, l): beta.entries[j][k]}):
                         raise TheoremViolation(
                             f"product rule fails at {label!r} for (i,j,k,l)="
                             f"({i},{j},{k},{l})")

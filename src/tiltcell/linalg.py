@@ -3,11 +3,12 @@
 Scalars are `fractions.Fraction` over Q and plain int residues in [0, p)
 over F_p; a `Field` value mediates scalar arithmetic.  Matrices are stored
 dense, but the inner loops of elimination (`Matrix.rref`), products
-(`Matrix.__matmul__`) and subspace membership touch only nonzero entries
-and do their arithmetic inline (`Fraction` operators over Q, one `% p` per
-update over F_p).  Their results are identical, entry by entry, to the
-dense loops that test and rewrite every entry; the tests keep those dense
-loops as the reference.  Matrices and subspaces are immutable.
+(`Matrix.__matmul__`), coordinate maps (`coordinates`) and subspace
+membership touch only nonzero entries and do their arithmetic inline
+(`Fraction` operators over Q, one `% p` per update over F_p).  Their
+results are identical, entry by entry, to the dense loops that test and
+rewrite every entry; the tests keep those dense loops as the reference.
+Matrices and subspaces are immutable.
 
 Subspaces are stored with a reduced-row-echelon basis, so two subspaces
 are equal as sets exactly when their basis matrices compare equal entry by
@@ -164,6 +165,17 @@ class Matrix:
             if len(r) != self.cols:
                 raise DimensionMismatch("ragged matrix rows")
 
+    @classmethod
+    def _of(cls, field: Field, rows: tuple, cols: int) -> "Matrix":
+        """A matrix of row tuples already built, all `cols` long; the results
+        of elimination and products skip the copy and the ragged-row check."""
+        m = object.__new__(cls)
+        m.field = field
+        m.entries = rows
+        m.rows = len(rows)
+        m.cols = cols
+        return m
+
     # -- constructors ----------------------------------------------------------
 
     @classmethod
@@ -215,24 +227,26 @@ class Matrix:
     def __add__(self, other):
         self._check_same_shape(other)
         add = self.field.add
-        return Matrix(self.field, [
-            [add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)
-        ], cols=self.cols)
+        return Matrix._of(self.field, tuple(
+            tuple([add(a, b) for a, b in zip(ra, rb)]) for ra, rb in zip(self.entries, other.entries)
+        ), self.cols)
 
     def __sub__(self, other):
         self._check_same_shape(other)
         sub = self.field.sub
-        return Matrix(self.field, [
-            [sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)
-        ], cols=self.cols)
+        return Matrix._of(self.field, tuple(
+            tuple([sub(a, b) for a, b in zip(ra, rb)]) for ra, rb in zip(self.entries, other.entries)
+        ), self.cols)
 
     def __neg__(self):
         neg = self.field.neg
-        return Matrix(self.field, [[neg(a) for a in r] for r in self.entries], cols=self.cols)
+        return Matrix._of(self.field, tuple(tuple([neg(a) for a in r]) for r in self.entries),
+                          self.cols)
 
     def scale(self, c):
         mul = self.field.mul
-        return Matrix(self.field, [[mul(c, a) for a in r] for r in self.entries], cols=self.cols)
+        return Matrix._of(self.field, tuple(tuple([mul(c, a) for a in r]) for r in self.entries),
+                          self.cols)
 
     def __matmul__(self, other):
         """Matrix product, touching only the nonzero entries of both factors.
@@ -256,13 +270,13 @@ class Matrix:
                 if a:
                     for j, b in srow:
                         row[j] += a * b
-            out.append(row if p is None else [x % p for x in row])
-        return Matrix(F, out, cols=ncols)
+            out.append(tuple(row) if p is None else tuple([x % p for x in row]))
+        return Matrix._of(F, tuple(out), ncols)
 
     def transpose(self):
         if self.rows == 0:
-            return Matrix(self.field, [[] for _ in range(self.cols)], cols=0)
-        return Matrix(self.field, list(zip(*self.entries)), cols=self.rows)
+            return Matrix._of(self.field, ((),) * self.cols, 0)
+        return Matrix._of(self.field, tuple(zip(*self.entries)), self.rows)
 
     def is_zero(self):
         return not any(a for r in self.entries for a in r)
@@ -341,7 +355,7 @@ class Matrix:
             prow += 1
             if prow == nrows:
                 break
-        return Matrix(F, m, cols=ncols), tuple(pivots), len(pivots)
+        return Matrix._of(F, tuple(map(tuple, m)), ncols), tuple(pivots), len(pivots)
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -406,14 +420,18 @@ class Matrix:
 def coordinates(field: Field, rows, width: int):
     """Coordinate map of an independent family of vectors in K^width.
 
-    Row-reduces the family beside an identity block once.  The returned map
-    reads a vector's pivot entries, checks exactly that the vector is that
-    combination of the reduced rows (touching only their nonzero entries),
-    and returns its coordinates in the family through the recorded
-    transform.  A vector outside the span raises InconsistentSystem; a
-    dependent family raises DependentFamily.
+    Row-reduces the family beside an identity block once and keeps the
+    reduced rows' free-column entries and the transform rows sparse.  The
+    returned map reads a vector's pivot entries, checks exactly that the
+    vector is that combination of the reduced rows, and accumulates its
+    coordinates in the family through the transform; both touch only
+    nonzero entries, with `Fraction` operators over Q and one `% p` per
+    update (per coordinate for the transform) over F_p.  A vector outside
+    the span raises InconsistentSystem; a dependent family raises
+    DependentFamily.
     """
     F = field
+    p = F.p
     k = len(rows)
     z, o = F.zero(), F.one()
     red, pivots, _ = Matrix(F, [list(r) + [o if t == i else z for t in range(k)]
@@ -421,22 +439,28 @@ def coordinates(field: Field, rows, width: int):
     if pivots and pivots[-1] >= width:
         raise DependentFamily(f"family of {k} vectors in K^{width} is linearly dependent")
     free = sorted(set(range(width)).difference(pivots))
-    sparse = [[(c, r[c]) for c in free if r[c]] for r in red.entries]
-    transform = [r[width:] for r in red.entries]
+    steps = [(pc, [(c, r[c]) for c in free if r[c]],
+              [(t, x) for t, x in enumerate(r[width:]) if x])
+             for pc, r in zip(pivots, red.entries)]
 
     def coords(vec):
         resid = list(vec)
         out = [z] * k
-        for p, srow, trow in zip(pivots, sparse, transform):
-            di = resid[p]
-            if di:
-                resid[p] = z
-                for c, x in srow:
-                    resid[c] = F.sub(resid[c], F.mul(di, x))
-                out = [F.add(a, F.mul(di, t)) for a, t in zip(out, trow)]
+        for pc, srow, trow in steps:
+            d = resid[pc]
+            if d:
+                resid[pc] = z
+                if p is None:
+                    for c, x in srow:
+                        resid[c] -= d * x
+                else:
+                    for c, x in srow:
+                        resid[c] = (resid[c] - d * x) % p
+                for t, x in trow:
+                    out[t] += d * x
         if any(resid):
             raise InconsistentSystem("vector outside the span of the family")
-        return tuple(out)
+        return tuple(out) if p is None else tuple([x % p for x in out])
 
     return coords
 
@@ -451,7 +475,7 @@ def linear_combination(field: Field, coeffs, mats, rows: int, cols: int) -> Matr
                 for t, x in enumerate(mrow):
                     if x:
                         arow[t] = F.add(arow[t], F.mul(c, x))
-    return Matrix(F, acc, cols=cols)
+    return Matrix._of(F, tuple(map(tuple, acc)), cols)
 
 
 # -- block assembly ------------------------------------------------------------

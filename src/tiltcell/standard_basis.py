@@ -5,7 +5,8 @@ morphisms; factorizing through the indecomposable tilting modules produces
 a basis of End(T) fibered over the weight poset whose multiplication is
 triangular with respect to that filtration.  This module builds the basis
 for seeded lift choices, computes the structure coefficients, and verifies
-the fibered-multiplication axioms by exact residual membership.
+the fibered-multiplication axioms exactly, reading each product's
+coordinates in the cell basis.
 """
 
 from __future__ import annotations
@@ -153,9 +154,10 @@ class StandardBasisDatum:
     lifts Ghat (T(label) -> T) and Fhat (T -> T(label)), and the cell
     matrix of composites c[i][j] = Ghat[i] . Fhat[j].  `order` lists the
     support along the linear extension; coords() expresses any endomorphism
-    in the cell basis.  finalize_datum installs the coordinate maps: of the
-    whole basis, of the fibers strictly below each label, and of each
-    label's G and F bases.
+    in the cell basis.  finalize_datum installs the coordinate maps of the
+    whole basis and of each label's G and F bases, the position of every
+    (label, i, j) in the basis, and for each label the positions whose
+    label is not strictly below it.
     """
 
     def __init__(self, tilt: TiltingRegistry, module: ModuleRep, seed: int):
@@ -171,7 +173,8 @@ class StandardBasisDatum:
         self.cells = {}
         self._index = []        # ordered (label, i, j)
         self._coords = None
-        self._lower = {}        # label -> coordinate map of the strictly lower fibers
+        self._pos = {}           # (label, i, j) -> position in the basis
+        self._not_lower = {}     # label -> positions whose label is not strictly below
         self._fiber_coords = {}  # label -> (coordinate map of G, of F)
 
     # -- assembly -------------------------------------------------------------
@@ -192,12 +195,26 @@ class StandardBasisDatum:
         return len(self._index)
 
     def in_lower_span(self, label, matrix: Matrix) -> bool:
-        """Membership in the span of the fibers at labels strictly below."""
+        """Membership in the span of the fibers at labels strictly below,
+        read from the matrix's coordinates in the whole cell basis."""
+        return self._residual_is_lower(label, matrix, {})
+
+    def _residual_is_lower(self, label, matrix: Matrix, expected) -> bool:
+        """Whether matrix - sum c * cell(key), over the (key, c) pairs of
+        `expected` at fibers of `label`, lies in the span of the fibers at
+        labels strictly below.
+
+        The cells are a certified basis of End(T), so this holds exactly when
+        the matrix's coordinates equal c at each expected key and vanish at
+        every other position whose label is not strictly below; a matrix
+        outside End(T) fails.  No residual matrix is formed.
+        """
         try:
-            self._lower[label](matrix.flat())
-            return True
+            v = self._coords(matrix.flat())
         except InconsistentSystem:
             return False
+        want = {self._pos[key]: c for key, c in expected.items()}
+        return all(v[pos] == want.get(pos, 0) for pos in self._not_lower[label])
 
 
 def build_standard_basis(tilt: TiltingRegistry, module: ModuleRep,
@@ -250,10 +267,10 @@ def finalize_datum(datum: StandardBasisDatum):
             F, [datum.cell(lam, i, j).matrix.flat() for (lam, i, j) in datum._index], width)
     except DependentFamily:
         raise BasisFailure(datum.order[-1], "cell composites are linearly dependent") from None
+    datum._pos = {key: pos for pos, key in enumerate(datum._index)}
     for lam in datum.order:
-        lower = [datum.cell(mu, i, j).matrix.flat()
-                 for (mu, i, j) in datum._index if reg.poset.lt(mu, lam)]
-        datum._lower[lam] = coordinates(F, lower, width)
+        datum._not_lower[lam] = tuple(pos for pos, (mu, _, _) in enumerate(datum._index)
+                                      if not reg.poset.lt(mu, lam))
         datum._fiber_coords[lam] = tuple(
             coordinates(F, [h.matrix.flat() for h in homs], len(homs[0].matrix.flat()))
             for homs in (datum.G[lam], datum.F[lam]))
@@ -326,8 +343,12 @@ def _replay_congruences(datum: StandardBasisDatum, trials: int, rng: random.Rand
     """Replay both fibered congruences on every basis element and `trials`
     random endomorphisms: phi . c_ij - sum_k left_ki c_kj and
     c_ij . phi - sum_l right_lj c_il must lie in the span of strictly lower
-    fibers.  `names` names the two violations in that order; `swap` reports
-    the witness as (j, i).  Returns (probes, residual pairs checked).
+    fibers.  Each product is read once in the coordinates of the whole cell
+    basis and compared with the structure coefficients at (label, k, j),
+    resp. (label, i, l); every other position whose label is not strictly
+    below must vanish.  `names` names the two violations in that order;
+    `swap` reports the witness as (j, i).  Returns (probes, residual pairs
+    checked).
     """
     F = datum.reg.algebra.field
     n = datum.module.dim
@@ -345,13 +366,10 @@ def _replay_congruences(datum: StandardBasisDatum, trials: int, rng: random.Rand
             for i, row in enumerate(cells):
                 for j, c_ij in enumerate(row):
                     residuals = (
-                        ((phi @ c_ij).matrix, [(left[k][i], cells[k][j]) for k in range(len(cells))]),
-                        ((c_ij @ phi).matrix, [(right[l][j], row[l]) for l in range(len(row))]))
-                    for name, (acc, terms) in zip(names, residuals):
-                        for coeff, cell in terms:
-                            if coeff:
-                                acc = acc - cell.matrix.scale(coeff)
-                        if not datum.in_lower_span(lam, acc):
+                        ((phi @ c_ij).matrix, {(lam, k, j): left[k][i] for k in range(len(cells))}),
+                        ((c_ij @ phi).matrix, {(lam, i, l): right[l][j] for l in range(len(row))}))
+                    for name, (prod, expected) in zip(names, residuals):
+                        if not datum._residual_is_lower(lam, prod, expected):
                             raise AxiomViolation(lam, (j, i) if swap else (i, j), name,
                                                  "residual escapes the lower fiber span")
                     checked += 1
@@ -412,7 +430,6 @@ def change_of_basis_unitriangular(datum_a: StandardBasisDatum,
     plus strictly-lower-fiber corrections (same G/F bases, different lifts).
     """
     reg = datum_a.reg
-    F = reg.algebra.field
     if datum_a.index() != datum_b.index():
         return False
     idx = datum_a.index()
@@ -421,8 +438,8 @@ def change_of_basis_unitriangular(datum_a: StandardBasisDatum,
         for pos2, coeff in enumerate(coords):
             mu = idx[pos2][0]
             if pos2 == pos:
-                if coeff != F.one():
+                if coeff != 1:
                     return False
-            elif coeff != F.zero() and not reg.poset.lt(mu, lam):
+            elif coeff and not reg.poset.lt(mu, lam):
                 return False
     return True

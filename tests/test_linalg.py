@@ -402,3 +402,67 @@ def test_contains_vector_matches_rank_test(case):
     assert space.contains_vector(vec) == expected  # the cached sparse rows agree
     if in_span and space.dim:
         assert expected
+
+
+def dense_coordinates(field, rows, width):
+    """coordinates() with a dense transform: every pivot rebuilds the whole
+    coordinate list through the field operations."""
+    F = field
+    k = len(rows)
+    z, o = F.zero(), F.one()
+    red, pivots, _ = dense_rref(Matrix(F, [list(r) + [o if t == i else z for t in range(k)]
+                                           for i, r in enumerate(rows)], cols=width + k))
+    if pivots and pivots[-1] >= width:
+        raise DependentFamily("dependent")
+    free = sorted(set(range(width)).difference(pivots))
+    sparse = [[(c, r[c]) for c in free if r[c]] for r in red.entries]
+    transform = [r[width:] for r in red.entries]
+
+    def coords(vec):
+        resid = list(vec)
+        out = [z] * k
+        for p, srow, trow in zip(pivots, sparse, transform):
+            di = resid[p]
+            if di:
+                resid[p] = z
+                for c, x in srow:
+                    resid[c] = F.sub(resid[c], F.mul(di, x))
+                out = [F.add(a, F.mul(di, t)) for a, t in zip(out, trow)]
+        if any(resid):
+            raise InconsistentSystem("outside")
+        return tuple(out)
+
+    return coords
+
+
+def read_coords(coords, vec):
+    try:
+        out = coords(vec)
+    except InconsistentSystem:
+        return "outside"
+    return out, [str(x) for x in out]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_fields.flatmap(lambda F: st.integers(0, 7).flatmap(lambda n: st.tuples(
+    sparse_matrices(F, None, n), sparse_matrices(F, 1, 7), sparse_matrices(F, 1, n)))))
+def test_coordinates_match_dense_transform_reference(case):
+    rows, c_row, noise = case
+    F, n = rows.field, rows.cols
+    # the independent rows of a sparse family, in their order
+    fam = []
+    for r in rows.entries:
+        if dense_rref(Matrix(F, fam + [r], cols=n))[2] > len(fam):
+            fam.append(r)
+    coords = coordinates(F, fam, n)
+    ref = dense_coordinates(F, fam, n)
+    c = c_row.entries[0][:len(fam)]
+    inside = [F.zero()] * n
+    for a, r in zip(c, fam):
+        inside = [F.add(x, F.mul(a, y)) for x, y in zip(inside, r)]
+    got = read_coords(coords, inside)
+    assert got == read_coords(ref, inside) and got[0] == tuple(c)
+    assert read_coords(coords, noise.entries[0]) == read_coords(ref, noise.entries[0])
+    if len(rows.entries) > len(fam):
+        with pytest.raises(DependentFamily):
+            coordinates(F, rows.entries, n)

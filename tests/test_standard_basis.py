@@ -5,12 +5,13 @@ import pytest
 from tiltcell.algebra import Morphism, direct_sum, hom_space
 from tiltcell.errors import AxiomViolation
 from tiltcell.highest_weight import filtration_multiplicity
-from tiltcell.linalg import Matrix
+from tiltcell.linalg import Matrix, Subspace
 from tiltcell.standard_basis import (
     OppositeDatum,
     build_standard_basis,
     change_of_basis_unitriangular,
     extend_through_tilting,
+    finalize_datum,
     hom_filtration_from_datum,
     hom_filtration_oracle,
     lift_through_tilting,
@@ -204,22 +205,119 @@ def test_residuals_live_in_lower_span(pipelines, rng):
 
 
 def test_perturbed_datum_fails(pipelines):
-    # adding a higher-fiber element to a low cell breaks the fiber-weight
-    # certificate or the congruences; the verifier must notice
+    # adding a higher-fiber element to a low cell keeps a certified basis,
+    # but the right congruence at the low label no longer holds
     _, reg, tilt = pipelines["a2path"]
     T = char_tilting(reg, tilt)
     datum = build_standard_basis(tilt, T, seed=0)
     low = datum.order[0]
     high = datum.order[-1]
-    bad = datum.cells[low][0][0] + datum.cells[high][0][0]
-    datum.cells[low][0][0] = bad
-    with pytest.raises((AxiomViolation, Exception)):
-        out = verify_standard_axioms(datum, trials=4)
-        # if the congruences accidentally survive, the weight certificate must fail
-        from tiltcell.standard_basis import _certify_fiber_weights
+    datum.cells[low][0][0] = datum.cells[low][0][0] + datum.cells[high][0][0]
+    finalize_datum(datum)
+    with pytest.raises(AxiomViolation) as exc:
+        verify_standard_axioms(datum, trials=4)
+    assert (exc.value.label, exc.value.other, exc.value.which) == (
+        "2", (0, 0), "fibered_right_multiplication")
 
-        _certify_fiber_weights(datum, 4, random.Random(0))
-        raise AssertionError("perturbation went unnoticed")
+
+# -- the replay against the matrix-residual reference ---------------------------------
+
+def matrix_residual_replay(datum, trials, rng, names, swap):
+    """The replay as it was before cell coordinates: each residual is built
+    as a matrix, phi . c_ij minus the scaled cells, and tested for
+    membership in the span of the fibers strictly below."""
+    F = datum.reg.algebra.field
+    n = datum.module.dim
+    lower = {lam: Subspace.from_rows(F, n * n, [
+        datum.cell(mu, i, j).matrix.flat() for (mu, i, j) in datum.index()
+        if datum.reg.poset.lt(mu, lam)]) for lam in datum.order}
+    probes = [datum.cell(lam, i, j) for (lam, i, j) in datum.index()]
+    mats = [c.matrix for c in probes]
+    for _ in range(trials):
+        acc = Matrix.zeros(F, n, n)
+        for c, m in zip([F.sample(rng) for _ in mats], mats):
+            acc = acc + m.scale(c)
+        probes.append(Morphism(datum.module, datum.module, acc))
+    checked = 0
+    for phi in probes:
+        sc = structure_coefficients(datum, phi)
+        for lam in datum.order:
+            cells = datum.cells[lam]
+            left, right = sc.left[lam].entries, sc.right[lam].entries
+            for i, row in enumerate(cells):
+                for j, c_ij in enumerate(row):
+                    residuals = (
+                        ((phi @ c_ij).matrix, [(left[k][i], cells[k][j]) for k in range(len(cells))]),
+                        ((c_ij @ phi).matrix, [(right[l][j], row[l]) for l in range(len(row))]))
+                    for name, (acc, terms) in zip(names, residuals):
+                        for coeff, cell in terms:
+                            if coeff:
+                                acc = acc - cell.matrix.scale(coeff)
+                        if not lower[lam].contains_vector(acc.flat()):
+                            raise AxiomViolation(lam, (j, i) if swap else (i, j), name,
+                                                 "residual escapes the lower fiber span")
+                    checked += 1
+    return len(probes), checked
+
+
+def outcome(run):
+    try:
+        return run()
+    except AxiomViolation as exc:
+        return ("violation", exc.label, exc.other, exc.which)
+
+
+def assert_replay_matches_reference(datum, trials, op_trials):
+    """verify_standard_axioms and OppositeDatum.verify against the reference
+    replay with the same seeds: the same dicts, or the same witness."""
+    def reference():
+        probes, checked = matrix_residual_replay(
+            datum, trials, random.Random(20200 + datum.seed),
+            ("fibered_left_multiplication", "fibered_right_multiplication"), False)
+        return {"probes": probes, "congruences_checked": 2 * checked, "ok": True}
+
+    def op_reference():
+        probes, _ = matrix_residual_replay(
+            datum, op_trials, random.Random(31337 + datum.seed),
+            ("opposite_right_multiplication", "opposite_left_multiplication"), True)
+        return {"probes": probes, "ok": True}
+
+    got = outcome(lambda: verify_standard_axioms(datum, trials=trials))
+    assert got == outcome(reference)
+    op_got = outcome(lambda: OppositeDatum(datum).verify(trials=op_trials))
+    assert op_got == outcome(op_reference)
+    return got, op_got
+
+
+def test_replay_matches_matrix_residual_reference(pipelines):
+    for name, (_, reg, tilt) in pipelines.items():
+        T = char_tilting(reg, tilt)
+        for seed in (0, 3):
+            datum = build_standard_basis(tilt, T, seed=seed)
+            got, op_got = assert_replay_matches_reference(datum, 20, 10)
+            assert got["ok"] and op_got["ok"], name
+
+
+def test_replay_matches_reference_on_perturbed_datums(pipelines):
+    # every ordered pair of distinct labels: the (0, 0) cell of the first
+    # gains the (0, 0) cell of the second, and the datum is re-certified
+    violations = []
+    for name, (_, reg, tilt) in pipelines.items():
+        T = char_tilting(reg, tilt)
+        order = build_standard_basis(tilt, T, seed=0).order
+        for low in order:
+            for high in order:
+                if low == high:
+                    continue
+                datum = build_standard_basis(tilt, T, seed=0)
+                datum.cells[low][0][0] = datum.cells[low][0][0] + datum.cells[high][0][0]
+                finalize_datum(datum)
+                got, op_got = assert_replay_matches_reference(datum, 4, 4)
+                if "ok" not in got:
+                    violations.append((name, got, op_got))
+    assert ("a2path", ("violation", "2", (0, 0), "fibered_right_multiplication"),
+            ("violation", "2", (0, 0), "opposite_left_multiplication")) in violations
+    assert len(violations) == 7
 
 
 # -- filtration equivalence -----------------------------------------------------------

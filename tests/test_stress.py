@@ -20,6 +20,7 @@ from tiltcell.linalg import Field, Matrix
 from tiltcell.standard_basis import (
     build_standard_basis,
     change_of_basis_unitriangular,
+    finalize_datum,
     verify_standard_axioms,
 )
 from tiltcell.tilting import TiltingRegistry, tilting_support
@@ -93,3 +94,24 @@ def test_stress_reversed_order_fails_at_second_extensions(nilpotent_endomorphism
     assert rep.first_violation[0] == "ext2_standard_costandard"
     assert ext1_dim(reg, reg.standard("1"), reg.costandard("1")) == 0
     assert ext2_dim(reg, reg.standard("1"), reg.costandard("1")) == 1
+
+
+# the replay in cell coordinates against the matrix-residual reference, on the
+# certified datum and on a re-certified perturbation of it
+@pytest.mark.parametrize("field", [Q, F10007], ids=repr)
+def test_stress_replay_matches_matrix_residual_reference(field):
+    from test_standard_basis import assert_replay_matches_reference
+
+    reg = Registry(auslander_x3(field),
+                   WeightPoset(["1", "2", "3"], [("3", "2"), ("2", "1")]))
+    tilt = TiltingRegistry(reg)
+    T, _, _ = direct_sum([tilt.module(l) for l in ("1", "2", "3")])
+    datum = build_standard_basis(tilt, T, seed=0)
+    assert assert_replay_matches_reference(datum, 6, 3) == (
+        {"probes": 20, "congruences_checked": 560, "ok": True}, {"probes": 17, "ok": True})
+    low, high = datum.order[0], datum.order[-1]
+    datum.cells[low][0][0] = datum.cells[low][0][0] + datum.cells[high][0][0]
+    finalize_datum(datum)
+    assert assert_replay_matches_reference(datum, 6, 3) == (
+        ("violation", "3", (0, 0), "fibered_left_multiplication"),
+        ("violation", "3", (0, 0), "opposite_right_multiplication"))
