@@ -11,6 +11,7 @@ of each indecomposable tilting summand.
 from __future__ import annotations
 
 from .algebra import (
+    AlgebraPresentation,
     EndAlgebra,
     ModuleRep,
     algebra_radical,
@@ -76,15 +77,17 @@ def gram_matrix(datum: StandardBasisDatum, label) -> Matrix:
 
 
 def _check_product_rule(datum: StandardBasisDatum, label, beta: Matrix):
+    """c_ij . c_kl read from the datum's product table."""
+    table = datum.product_table()
+    pos = datum._pos
     n_i = len(datum.G[label])
     n_j = len(datum.F[label])
     for i in range(n_i):
         for j in range(n_j):
             for k in range(n_i):
                 for l in range(n_j):
-                    prod = datum.cell(label, i, j) @ datum.cell(label, k, l)
-                    if not datum._residual_is_lower(label, prod.matrix,
-                                                    {(label, i, l): beta.entries[j][k]}):
+                    prod = table[pos[(label, i, j)]][pos[(label, k, l)]]
+                    if not datum._congruent(label, prod, {pos[(label, i, l)]: beta.entries[j][k]}):
                         raise TheoremViolation(
                             f"product rule fails at {label!r} for (i,j,k,l)="
                             f"({i},{j},{k},{l})")
@@ -122,24 +125,12 @@ def co_cell_module(datum: StandardBasisDatum, label) -> ModuleRep:
 
 
 def end_presentation(datum: StandardBasisDatum):
-    """End(T) as an abstract algebra on the cell basis."""
-    if getattr(datum, "_end_presentation", None) is None:
-        from .algebra import AlgebraPresentation
-
-        F = datum.reg.algebra.field
-        idx = datum.index()
-        table = []
-        for (lam, i, j) in idx:
-            row = []
-            a = datum.cell(lam, i, j)
-            for (mu, k, l) in idx:
-                b = datum.cell(mu, k, l)
-                row.append(datum.coords((a @ b).matrix))
-            table.append(row)
-        unit = datum.coords(Matrix.identity(F, datum.module.dim))
-        datum._end_presentation = AlgebraPresentation(
-            F, len(idx), table, unit, name="End(T)", check=False)
-    return datum._end_presentation
+    """End(T) as an abstract algebra on the cell basis: its structure
+    constants are the datum's product table."""
+    F = datum.reg.algebra.field
+    unit = datum.coords(Matrix.identity(F, datum.module.dim))
+    return AlgebraPresentation(F, datum.dim(), datum.product_table(), unit,
+                               name="End(T)", check=False)
 
 
 def classify_simples(cell_data: CellData, support_multiplicities=None):

@@ -139,6 +139,7 @@ class Registry:
         self.algebra = algebra
         self.poset = poset
         self.rng = rng or random.Random(0)
+        self._syzygies = {}   # action matrices of a module -> its syzygy data
         self.rad = algebra_radical(algebra)
         simples = simples_and_split_check(algebra, self.rng)
         if len(simples) != len(poset.labels):
@@ -285,10 +286,17 @@ def _projection_block(F, total_dim, offset, dim):
 
 
 def syzygy(reg: Registry, m: ModuleRep):
-    """(Omega, inclusion Omega -> P0, P0, epi P0 -> m)."""
-    P0, pi, _ = projective_cover(reg, m)
-    ker = pi.kernel()
-    omega, incl = submodule_rep(P0, ker)
+    """(Omega, inclusion Omega -> P0, P0, epi P0 -> m), computed once per
+    module content (the action matrices) in the registry: projective_cover
+    draws no randomness.  The epimorphism is returned onto m itself."""
+    key = m.action
+    if key not in reg._syzygies:
+        P0, pi, _ = projective_cover(reg, m)
+        omega, incl = submodule_rep(P0, pi.kernel())
+        reg._syzygies[key] = (omega, incl, P0, pi)
+    omega, incl, P0, pi = reg._syzygies[key]
+    if pi.target is not m:
+        pi = Morphism(P0, m, pi.matrix)
     return omega, incl, P0, pi
 
 

@@ -466,16 +466,20 @@ def coordinates(field: Field, rows, width: int):
 
 
 def linear_combination(field: Field, coeffs, mats, rows: int, cols: int) -> Matrix:
-    """sum c * M over the pairs with nonzero c, as a rows x cols matrix."""
-    F = field
-    acc = [[F.zero()] * cols for _ in range(rows)]
+    """sum c * M over the pairs with nonzero c, as a rows x cols matrix,
+    touching only nonzero entries; over F_p each entry is reduced once."""
+    p = field.p
+    z = field.zero()
+    acc = [[z] * cols for _ in range(rows)]
     for c, m in zip(coeffs, mats):
         if c:
             for arow, mrow in zip(acc, m.entries):
                 for t, x in enumerate(mrow):
                     if x:
-                        arow[t] = F.add(arow[t], F.mul(c, x))
-    return Matrix._of(F, tuple(map(tuple, acc)), cols)
+                        arow[t] += c * x
+    if p is None:
+        return Matrix._of(field, tuple(map(tuple, acc)), cols)
+    return Matrix._of(field, tuple(tuple([x % p for x in r]) for r in acc), cols)
 
 
 # -- block assembly ------------------------------------------------------------

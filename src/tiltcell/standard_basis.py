@@ -5,8 +5,10 @@ morphisms; factorizing through the indecomposable tilting modules produces
 a basis of End(T) fibered over the weight poset whose multiplication is
 triangular with respect to that filtration.  This module builds the basis
 for seeded lift choices, computes the structure coefficients, and verifies
-the fibered-multiplication axioms exactly, reading each product's
-coordinates in the cell basis.
+the fibered-multiplication axioms exactly.  The products of the cells are
+formed once per datum, as a table of their coordinates in the cell basis;
+the axiom replay reads it, and a random probe's products follow by
+bilinearity, so it forms no matrix product.
 """
 
 from __future__ import annotations
@@ -157,7 +159,8 @@ class StandardBasisDatum:
     in the cell basis.  finalize_datum installs the coordinate maps of the
     whole basis and of each label's G and F bases, the position of every
     (label, i, j) in the basis, and for each label the positions whose
-    label is not strictly below it.
+    label is not strictly below it; it discards the product table, which
+    product_table() forms again on first use.
     """
 
     def __init__(self, tilt: TiltingRegistry, module: ModuleRep, seed: int):
@@ -176,6 +179,7 @@ class StandardBasisDatum:
         self._pos = {}           # (label, i, j) -> position in the basis
         self._not_lower = {}     # label -> positions whose label is not strictly below
         self._fiber_coords = {}  # label -> (coordinate map of G, of F)
+        self._table = None       # table[a][b]: coordinates of cell_a . cell_b
 
     # -- assembly -------------------------------------------------------------
 
@@ -194,27 +198,31 @@ class StandardBasisDatum:
     def dim(self):
         return len(self._index)
 
+    def product_table(self):
+        """table[a][b]: the coordinates of cell_a . cell_b in the whole cell
+        basis, the structure constants of End(T) on the cells.  Formed on
+        first use, one product per pair; finalize_datum discards it."""
+        if self._table is None:
+            mats = [self.cell(*key).matrix for key in self._index]
+            self._table = [[self._coords((a @ b).flat()) for b in mats] for a in mats]
+        return self._table
+
     def in_lower_span(self, label, matrix: Matrix) -> bool:
         """Membership in the span of the fibers at labels strictly below,
-        read from the matrix's coordinates in the whole cell basis."""
-        return self._residual_is_lower(label, matrix, {})
-
-    def _residual_is_lower(self, label, matrix: Matrix, expected) -> bool:
-        """Whether matrix - sum c * cell(key), over the (key, c) pairs of
-        `expected` at fibers of `label`, lies in the span of the fibers at
-        labels strictly below.
-
-        The cells are a certified basis of End(T), so this holds exactly when
-        the matrix's coordinates equal c at each expected key and vanish at
-        every other position whose label is not strictly below; a matrix
-        outside End(T) fails.  No residual matrix is formed.
-        """
+        read from the matrix's coordinates in the whole cell basis; a matrix
+        outside End(T) fails."""
         try:
             v = self._coords(matrix.flat())
         except InconsistentSystem:
             return False
-        want = {self._pos[key]: c for key, c in expected.items()}
-        return all(v[pos] == want.get(pos, 0) for pos in self._not_lower[label])
+        return self._congruent(label, v, {})
+
+    def _congruent(self, label, v, expected) -> bool:
+        """Whether the element with cell coordinates v is sum c * cell(pos)
+        over the (pos, c) pairs of `expected`, up to fibers at labels strictly
+        below: v equals c at each expected position and vanishes at every
+        other position whose label is not strictly below."""
+        return all(v[pos] == expected.get(pos, 0) for pos in self._not_lower[label])
 
 
 def build_standard_basis(tilt: TiltingRegistry, module: ModuleRep,
@@ -268,6 +276,7 @@ def finalize_datum(datum: StandardBasisDatum):
     except DependentFamily:
         raise BasisFailure(datum.order[-1], "cell composites are linearly dependent") from None
     datum._pos = {key: pos for pos, key in enumerate(datum._index)}
+    datum._table = None
     for lam in datum.order:
         datum._not_lower[lam] = tuple(pos for pos, (mu, _, _) in enumerate(datum._index)
                                       if not reg.poset.lt(mu, lam))
@@ -343,33 +352,40 @@ def _replay_congruences(datum: StandardBasisDatum, trials: int, rng: random.Rand
     """Replay both fibered congruences on every basis element and `trials`
     random endomorphisms: phi . c_ij - sum_k left_ki c_kj and
     c_ij . phi - sum_l right_lj c_il must lie in the span of strictly lower
-    fibers.  Each product is read once in the coordinates of the whole cell
-    basis and compared with the structure coefficients at (label, k, j),
-    resp. (label, i, l); every other position whose label is not strictly
-    below must vanish.  `names` names the two violations in that order;
-    `swap` reports the witness as (j, i).  Returns (probes, residual pairs
-    checked).
+    fibers.  A probe is its coefficient vector a in the cell basis; by
+    bilinearity phi . c_ij has coordinates sum_m a_m table[m][pos], c_ij . phi
+    has sum_m a_m table[pos][m], and the structure coefficients are sum_m a_m
+    times the basis elements'.  These must agree at (label, k, j), resp.
+    (label, i, l), and vanish at every other position whose label is not
+    strictly below.  `names` names the two violations in that order; `swap`
+    reports the witness as (j, i).  Returns (probes, residual pairs checked).
     """
     F = datum.reg.algebra.field
-    n = datum.module.dim
-    probes = [datum.cell(lam, i, j) for (lam, i, j) in datum.index()]
-    mats = [c.matrix for c in probes]
-    for _ in range(trials):
-        acc = linear_combination(F, [F.sample(rng) for _ in mats], mats, n, n)
-        probes.append(Morphism(datum.module, datum.module, acc))
+    n = datum.dim()
+    table = datum.product_table()
+    left_mult = [Matrix(F, row, cols=n) for row in table]
+    right_mult = [Matrix(F, col, cols=n) for col in zip(*table)]
+    basis_sc = [structure_coefficients(datum, datum.cell(*key)) for key in datum.index()]
+    z, o = F.zero(), F.one()
+    probes = [[o if t == m else z for t in range(n)] for m in range(n)]
+    probes.extend([F.sample(rng) for _ in range(n)] for _ in range(trials))
+    pos = datum._pos
     checked = 0
-    for phi in probes:
-        sc = structure_coefficients(datum, phi)
+    for a in probes:
+        left_prod = linear_combination(F, a, left_mult, n, n).entries
+        right_prod = linear_combination(F, a, right_mult, n, n).entries
         for lam in datum.order:
-            cells = datum.cells[lam]
-            left, right = sc.left[lam].entries, sc.right[lam].entries
-            for i, row in enumerate(cells):
-                for j, c_ij in enumerate(row):
+            n_i, n_j = len(datum.G[lam]), len(datum.F[lam])
+            left = linear_combination(F, a, [sc.left[lam] for sc in basis_sc], n_i, n_i).entries
+            right = linear_combination(F, a, [sc.right[lam] for sc in basis_sc], n_j, n_j).entries
+            for i in range(n_i):
+                for j in range(n_j):
+                    at = pos[(lam, i, j)]
                     residuals = (
-                        ((phi @ c_ij).matrix, {(lam, k, j): left[k][i] for k in range(len(cells))}),
-                        ((c_ij @ phi).matrix, {(lam, i, l): right[l][j] for l in range(len(row))}))
-                    for name, (prod, expected) in zip(names, residuals):
-                        if not datum._residual_is_lower(lam, prod, expected):
+                        (left_prod[at], {pos[(lam, k, j)]: left[k][i] for k in range(n_i)}),
+                        (right_prod[at], {pos[(lam, i, l)]: right[l][j] for l in range(n_j)}))
+                    for name, (v, expected) in zip(names, residuals):
+                        if not datum._congruent(lam, v, expected):
                             raise AxiomViolation(lam, (j, i) if swap else (i, j), name,
                                                  "residual escapes the lower fiber span")
                     checked += 1

@@ -1,4 +1,5 @@
 import pytest
+from conftest import GOOD_CATALOG
 
 from tiltcell.algebra import algebra_radical, direct_sum, hom_space
 from tiltcell.cells import (
@@ -11,6 +12,8 @@ from tiltcell.cells import (
     gram_matrix,
     is_semisimple_endalgebra,
 )
+from tiltcell.cli import Pipeline, cmd_cells
+from tiltcell.docio import catalog_document
 from tiltcell.errors import LabelNotInSupport, TheoremViolation
 from tiltcell.linalg import Matrix
 from tiltcell.standard_basis import build_standard_basis
@@ -165,3 +168,17 @@ def test_nonzero_support_equals_support(pipelines):
         T, datum = datum_for(reg, tilt)
         cd = CellData(datum)
         assert set(cd.nonzero_support()) == set(tilting_support(tilt, T))
+
+
+@pytest.mark.parametrize("name", GOOD_CATALOG)
+def test_cells_invariants_agree_over_q_and_good_primes(name):
+    # a differential check: the dimension invariants of the cells report do
+    # not depend on the characteristic for these algebras
+    seen = []
+    for spec in ("Q", "Fp 5", "Fp 7", "Fp 10007"):
+        report, code = cmd_cells(Pipeline(catalog_document(name, spec)))
+        seen.append((code, report["fibers"], report["semisimple"]["dim_end"],
+                     {lam: g["rank"] for lam, g in report["gram"].items()},
+                     report["simple_dims"]))
+    assert seen[0][0] == 0
+    assert seen[1:] == seen[:1] * 3

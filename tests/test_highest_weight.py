@@ -1,6 +1,7 @@
 import pytest
 
-from tiltcell.algebra import direct_sum, hom_space, is_isomorphic
+from tiltcell import highest_weight
+from tiltcell.algebra import ModuleRep, direct_sum, hom_space, is_isomorphic, submodule_rep
 from tiltcell.docio import catalog_document
 from tiltcell.errors import AxiomViolation, InputError, NoFiltration
 from tiltcell.highest_weight import (
@@ -14,6 +15,7 @@ from tiltcell.highest_weight import (
     filtration_multiplicity,
     nabla_filtration,
     subquotient,
+    syzygy,
     verify_standard_category,
 )
 from tiltcell.linalg import Field
@@ -302,3 +304,25 @@ def test_injective_accessor_and_socle(pipelines):
             assert inj.dim == reg.data[lab].costandard_incl.target.dim
             # socle of the injective envelope is the simple itself
             assert module_socle(inj, reg.rad).dim == reg.simple(lab).dim
+
+
+def test_syzygy_is_computed_once_per_module_content(monkeypatch):
+    _, reg = build("auslander-dualnumbers")
+    calls = []
+    cover = highest_weight.projective_cover
+    monkeypatch.setattr(highest_weight, "projective_cover",
+                        lambda r, m: calls.append(m) or cover(r, m))
+    for lab in reg.poset.labels:
+        m = reg.costandard(lab)
+        twin = ModuleRep(m.algebra, m.dim, list(m.action), check=False)
+        calls.clear()
+        first, second = syzygy(reg, m), syzygy(reg, twin)
+        assert calls == [m]
+        # the same omega, inclusion and cover for both; each epi onto its caller
+        assert first[:3] == second[:3]
+        assert first[3].target is m and second[3].target is twin
+        assert first[3].matrix == second[3].matrix
+        P0, pi, _ = cover(reg, twin)
+        omega, incl = submodule_rep(P0, pi.kernel())
+        assert (first[0].action, first[1].matrix, first[2].action, first[3].matrix) == (
+            omega.action, incl.matrix, P0.action, pi.matrix)

@@ -14,6 +14,7 @@ from tiltcell.linalg import (
     block_diag,
     coordinates,
     hstack,
+    linear_combination,
     vstack,
 )
 
@@ -466,3 +467,33 @@ def test_coordinates_match_dense_transform_reference(case):
     if len(rows.entries) > len(fam):
         with pytest.raises(DependentFamily):
             coordinates(F, rows.entries, n)
+
+
+def looped_linear_combination(field, coeffs, mats, rows, cols):
+    """linear_combination through the field operations, one reduction and
+    one new scalar per term."""
+    F = field
+    acc = [[F.zero()] * cols for _ in range(rows)]
+    for c, m in zip(coeffs, mats):
+        if c:
+            for arow, mrow in zip(acc, m.entries):
+                for t, x in enumerate(mrow):
+                    if x:
+                        arow[t] = F.add(arow[t], F.mul(c, x))
+    return Matrix(F, acc, cols=cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_fields.flatmap(lambda F: st.tuples(
+    st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)).flatmap(lambda s: st.tuples(
+        sparse_matrices(F, 1, s[0]),
+        st.lists(sparse_matrices(F, s[1], s[2]), min_size=s[0], max_size=s[0])))))
+def test_linear_combination_matches_looped_reference(case):
+    c_row, mats = case
+    F = c_row.field
+    rows, cols = (mats[0].rows, mats[0].cols) if mats else (2, 3)
+    coeffs = c_row.entries[0] if c_row.rows else ()
+    got = linear_combination(F, coeffs, mats, rows, cols)
+    ref = looped_linear_combination(F, coeffs, mats, rows, cols)
+    assert got == ref and (got.rows, got.cols) == (rows, cols)
+    assert printed(got) == printed(ref)

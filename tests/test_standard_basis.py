@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 from tiltcell.algebra import Morphism, direct_sum, hom_space
+from tiltcell.cells import CellData, is_semisimple_endalgebra
 from tiltcell.errors import AxiomViolation
 from tiltcell.highest_weight import filtration_multiplicity
 from tiltcell.linalg import Matrix, Subspace
@@ -318,6 +320,101 @@ def test_replay_matches_reference_on_perturbed_datums(pipelines):
     assert ("a2path", ("violation", "2", (0, 0), "fibered_right_multiplication"),
             ("violation", "2", (0, 0), "opposite_left_multiplication")) in violations
     assert len(violations) == 7
+
+
+def test_replay_rereads_the_table_after_refinalizing(pipelines):
+    # the replay forms the product table; perturbing the cells and
+    # finalizing again must discard it, or the stale products pass
+    violations = 0
+    for _, reg, tilt in pipelines.values():
+        T = char_tilting(reg, tilt)
+        order = build_standard_basis(tilt, T, seed=0).order
+        for low in order:
+            for high in order:
+                if low == high:
+                    continue
+                datum = build_standard_basis(tilt, T, seed=0)
+                assert verify_standard_axioms(datum, trials=2)["ok"]
+                datum.cells[low][0][0] = datum.cells[low][0][0] + datum.cells[high][0][0]
+                finalize_datum(datum)
+                got, _ = assert_replay_matches_reference(datum, 4, 4)
+                violations += "ok" not in got
+    assert violations == 7
+
+
+def count_matmuls(run):
+    """The Matrix products formed by run(), as (left id, right id) pairs."""
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def counted(a, b):
+        calls.append((id(a), id(b)))
+        return matmul(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Matrix, "__matmul__", counted)
+        run()
+    return calls
+
+
+def test_random_probes_form_no_matrix_product(pipelines):
+    for name, (_, reg, tilt) in pipelines.items():
+        T = char_tilting(reg, tilt)
+        counts = []
+        for trials in (0, 100):
+            datum = build_standard_basis(tilt, T, seed=0)
+            counts.append(len(count_matmuls(lambda: verify_standard_axioms(datum, trials=trials))))
+        assert counts[0] == counts[1], name
+
+
+def test_each_cell_product_is_formed_once(pipelines):
+    # the axiom replays, the product rule and the End(T) presentation all
+    # read one product table: every pair of cells is multiplied exactly once
+    for name, (_, reg, tilt) in pipelines.items():
+        T = char_tilting(reg, tilt)
+        datum = build_standard_basis(tilt, T, seed=0)
+        cell_pos = {id(datum.cell(*key).matrix): pos for pos, key in enumerate(datum.index())}
+
+        def run():
+            verify_standard_axioms(datum, trials=10)
+            OppositeDatum(datum).verify(trials=10)
+            is_semisimple_endalgebra(CellData(datum))
+
+        pairs = Counter((cell_pos[a], cell_pos[b])
+                        for a, b in count_matmuls(run)
+                        if a in cell_pos and b in cell_pos)
+        n = datum.dim()
+        assert sorted(pairs) == [(a, b) for a in range(n) for b in range(n)], name
+        assert set(pairs.values()) == {1}, name
+
+
+def assert_table_matches_products(datum, rng, trials):
+    """For seeded random probes phi = sum a_m cell_m: sum a_m table[m][pos]
+    and sum a_m table[pos][m] are the coordinates of phi . cell_pos and of
+    cell_pos . phi, read from the formed products."""
+    F = datum.reg.algebra.field
+    n = datum.module.dim
+    table = datum.product_table()
+    cells = [datum.cell(*key).matrix for key in datum.index()]
+    for _ in range(trials):
+        a = [F.sample(rng) for _ in cells]
+        phi = Matrix.zeros(F, n, n)
+        for c, m in zip(a, cells):
+            phi = phi + m.scale(c)
+        for at, cell in enumerate(cells):
+            left = right = [F.zero()] * len(cells)
+            for m, c in enumerate(a):
+                left = [F.add(x, F.mul(c, y)) for x, y in zip(left, table[m][at])]
+                right = [F.add(x, F.mul(c, y)) for x, y in zip(right, table[at][m])]
+            assert tuple(left) == datum.coords(phi @ cell)
+            assert tuple(right) == datum.coords(cell @ phi)
+
+
+def test_table_matches_products_of_random_probes(pipelines, rng):
+    for name, (_, reg, tilt) in pipelines.items():
+        T = char_tilting(reg, tilt)
+        for seed in (0, 3):
+            assert_table_matches_products(build_standard_basis(tilt, T, seed=seed), rng, 4)
 
 
 # -- filtration equivalence -----------------------------------------------------------

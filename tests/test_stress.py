@@ -4,6 +4,7 @@ Exercises multiplicity-laden fibers, second syzygies, and the full pipeline
 beyond the hand-sized catalog."""
 
 import functools
+import random
 
 import pytest
 
@@ -115,3 +116,16 @@ def test_stress_replay_matches_matrix_residual_reference(field):
     assert assert_replay_matches_reference(datum, 6, 3) == (
         ("violation", "3", (0, 0), "fibered_left_multiplication"),
         ("violation", "3", (0, 0), "opposite_right_multiplication"))
+
+
+# the bilinearity the replay rests on: seeded random probes read from the
+# product table against their formed products, on both sides of every cell
+@pytest.mark.parametrize("field", [Q, F10007], ids=repr)
+def test_stress_table_matches_products_of_random_probes(field):
+    from test_standard_basis import assert_table_matches_products
+
+    reg = Registry(auslander_x3(field),
+                   WeightPoset(["1", "2", "3"], [("3", "2"), ("2", "1")]))
+    tilt = TiltingRegistry(reg)
+    T, _, _ = direct_sum([tilt.module(l) for l in ("1", "2", "3")])
+    assert_table_matches_products(build_standard_basis(tilt, T, seed=0), random.Random(7), 3)
