@@ -2,6 +2,9 @@
 morphisms, and the structural toolbox: hom spaces, radicals and socles,
 composition multiplicities, Krull-Schmidt decomposition, isomorphism tests.
 
+The regular module is split from A's own multiplication: End_A(Ae) is right
+multiplication by eAe, with radical e.rad(A).e, so it solves no hom system.
+
 All arithmetic is exact.  Randomized searches (isomorphism probing,
 idempotent hunting) take an explicit seeded PRNG and are used only as fast
 paths or fallbacks behind deterministic sweeps, so results are reproducible.
@@ -9,6 +12,7 @@ paths or fallbacks behind deterministic sweeps, so results are reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -282,20 +286,15 @@ def direct_sum(mods):
 
 
 def submodule_generated(m: ModuleRep, vectors) -> Subspace:
-    """Smallest invariant subspace containing the given vectors."""
+    """Smallest invariant subspace containing the given vectors, in one step:
+    A.S is the span of every b_j v, which contains S (the unit is a
+    combination of the b_j) and is invariant (so is every b_i b_j)."""
     F = m.algebra.field
     space = Subspace.from_rows(F, m.dim, vectors)
-    while True:
-        rows = list(space.basis.entries)
-        new_rows = list(rows)
-        for a in m.action:
-            for row in rows:
-                img = a @ Matrix.column(F, row)
-                new_rows.append(tuple(x[0] for x in img.entries))
-        bigger = Subspace.from_rows(F, m.dim, new_rows)
-        if bigger.dim == space.dim:
-            return space
-        space = bigger
+    if space.dim == 0:
+        return space
+    return Subspace.from_rows(F, m.dim, [r for a in m.action
+                                         for r in (space.basis @ a.transpose()).entries])
 
 
 # -- hom spaces ------------------------------------------------------------------
@@ -349,17 +348,23 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[Morphism]:
 
 
 class EndAlgebra:
-    """End(M) packaged as an abstract algebra with coordinate maps."""
+    """End(M) as an abstract algebra: `basis` is hom_space(M, M)'s canonical basis
+    unless passed in; coordinates and `presentation` are formed on first use."""
 
-    def __init__(self, module: ModuleRep):
+    def __init__(self, module: ModuleRep, basis: list[Morphism] | None = None):
         self.module = module
-        self.basis = hom_space(module, module)
-        F = module.algebra.field
-        self.field = F
-        self._coords = coordinates(F, [f.matrix.flat() for f in self.basis], module.dim ** 2)
+        self.basis = hom_space(module, module) if basis is None else basis
+        self.field = module.algebra.field
+
+    @functools.cached_property
+    def _coords(self):
+        return coordinates(self.field, [f.matrix.flat() for f in self.basis], self.module.dim**2)
+
+    @functools.cached_property
+    def presentation(self) -> AlgebraPresentation:
         table = [[self.coords((f @ g).matrix) for g in self.basis] for f in self.basis]
-        unit = self.coords(Matrix.identity(F, module.dim))
-        self.presentation = AlgebraPresentation(F, len(self.basis), table, unit, check=False)
+        unit = self.coords(Matrix.identity(self.field, self.module.dim))
+        return AlgebraPresentation(self.field, len(self.basis), table, unit, check=False)
 
     def coords(self, matrix: Matrix):
         return self._coords(matrix.flat())
@@ -532,18 +537,20 @@ def _idempotent_from_element(E: EndAlgebra, phi: Morphism) -> Morphism | None:
     return None
 
 
-def find_splitting_idempotent(E: EndAlgebra, rng: random.Random) -> Morphism | None:
+def find_splitting_idempotent(E: EndAlgebra, rng: random.Random,
+                              rad_dim: int | None = None) -> Morphism | None:
     """A nontrivial idempotent endomorphism, or None if End(M) is local.
 
-    Follows the radical route: compute S = End/rad; if S is one-dimensional
-    the module is indecomposable.  Otherwise hunt an idempotent, sweeping
-    deterministically before sampling.
+    Follows the radical route: if End/rad is one-dimensional the module is
+    indecomposable; dim rad is computed from the presentation unless given.
+    Otherwise hunt an idempotent, sweeping deterministically before sampling.
     """
     F = E.field
     if E.dim == 1:
         return None
-    rad = algebra_radical(E.presentation)
-    if E.dim - rad.dim == 1:
+    if rad_dim is None:
+        rad_dim = algebra_radical(E.presentation).dim
+    if E.dim - rad_dim == 1:
         return None
     # basis elements, then pairwise sums, then products, each formed only
     # when the sweep reaches it
@@ -583,26 +590,52 @@ def split_by_idempotent(m: ModuleRep, e: Morphism):
     return pieces
 
 
+def _decompose(m: ModuleRep, rng: random.Random, endomorphisms):
+    """Split m by idempotents until every piece has a local End, where
+    endomorphisms(piece, incl into m, proj from m) gives End(piece)'s
+    canonical basis and dim rad End(piece) (None: from its presentation)."""
+    def split(piece, incl, proj):
+        basis, rad_dim = endomorphisms(piece, incl, proj)
+        e = find_splitting_idempotent(EndAlgebra(piece, basis), rng, rad_dim)
+        if e is None:
+            return [(piece, incl, proj)]
+        return [leaf for sub, sub_incl, sub_proj in split_by_idempotent(piece, e) if sub.dim
+                for leaf in split(sub, incl @ sub_incl, sub_proj @ proj)]
+
+    return split(m, Morphism.identity(m), Morphism.identity(m)) if m.dim else []
+
+
 def krull_schmidt(m: ModuleRep, rng: random.Random | None = None):
     """Indecomposable summands as a list of (module, inclusion, projection).
 
-    Each returned summand carries the local-endomorphism-ring certificate.
-    Inclusions and projections compose to idempotents of m summing to 1.
+    Each piece's End is solved by `hom_space`, and each returned summand
+    carries the local-endomorphism-ring certificate.  Inclusions and
+    projections compose to idempotents of m summing to 1.
     """
-    rng = rng or random.Random(0)
-    if m.dim == 0:
-        return []
-    E = EndAlgebra(m)
-    e = find_splitting_idempotent(E, rng)
-    if e is None:
-        return [(m, Morphism.identity(m), Morphism.identity(m))]
-    out = []
-    for sub, incl, proj in split_by_idempotent(m, e):
-        if sub.dim == 0:
-            continue
-        for inner, inner_incl, inner_proj in krull_schmidt(sub, rng):
-            out.append((inner, incl @ inner_incl, inner_proj @ proj))
-    return out
+    return _decompose(m, rng or random.Random(0),
+                      lambda piece, incl, proj: (hom_space(piece, piece), None))
+
+
+def _regular_endomorphisms(algebra: AlgebraPresentation, rad: Subspace):
+    """End and dim rad End of a piece of A's regular module: spans of proj.R.incl
+    for the right multiplications R: x -> x.b_j (End_A(A) = A^op; the same RREF
+    basis as `hom_space`) and x -> x.r, r in rad(A) (rad End(Ae) = e.rad(A).e)."""
+    F = algebra.field
+
+    def endomorphisms(piece, incl, proj):
+        d = piece.dim
+        # column b of proj.R_j.incl is proj(u_b.b_j), u_b = incl(basis vector b),
+        # and u_b.b_j is column j of left multiplication by u_b
+        prods = [(proj.matrix @ algebra.left_mult(u)).entries
+                 for u in incl.matrix.transpose().entries]
+        flat = Matrix(F, [[prods[b][a][j] for a in range(d) for b in range(d)]
+                          for j in range(algebra.dim)])
+        red, _, rank = flat.rref()
+        basis = [Morphism(piece, piece, Matrix(F, [r[k * d:(k + 1) * d] for k in range(d)]))
+                 for r in red.entries[:rank]]
+        return basis, (rad.basis @ flat).rank()
+
+    return endomorphisms
 
 
 def _indec_isomorphism(m: ModuleRep, n: ModuleRep) -> Morphism | None:
@@ -716,21 +749,25 @@ class SimpleDatum:
 
 
 def simples_and_split_check(algebra: AlgebraPresentation,
-                            rng: random.Random | None = None) -> list[SimpleDatum]:
+                            rng: random.Random | None = None,
+                            rad: Subspace | None = None) -> list[SimpleDatum]:
     """Primitive idempotents, projectives and simples of a split algebra.
 
-    Decomposes the regular module, reads off the orthogonal primitive
-    idempotents, groups the projectives by isomorphism and takes heads.
-    Raises NotSplit when some simple has endomorphisms beyond scalars.
-    Output order is canonical: sorted by the idempotent's first supported
-    coordinate, then lexicographically.
+    Decomposes the regular module as `krull_schmidt` does, reading each
+    piece's End and radical from A's product and `rad` (A's certified radical,
+    computed if not given), reads off the orthogonal primitive idempotents,
+    groups the projectives by isomorphism and takes heads.  Raises NotSplit
+    when some simple has endomorphisms beyond scalars.  Output order is
+    canonical: sorted by the idempotent's first supported coordinate, then
+    lexicographically.
     """
     rng = rng or random.Random(0)
     F = algebra.field
-    reg = algebra.regular_module()
-    rad = algebra_radical(algebra)
+    if rad is None:
+        rad = algebra_radical(algebra)
     try:
-        summands = krull_schmidt(reg, rng)
+        summands = _decompose(algebra.regular_module(), rng,
+                              _regular_endomorphisms(algebra, rad))
     except NotComputable as exc:
         # the regular module resisted splitting: a division endomorphism
         # algebra beyond K, i.e. a non-split input

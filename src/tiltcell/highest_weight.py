@@ -141,7 +141,7 @@ class Registry:
         self.rng = rng or random.Random(0)
         self._syzygies = {}   # action matrices of a module -> its syzygy data
         self.rad = algebra_radical(algebra)
-        simples = simples_and_split_check(algebra, self.rng)
+        simples = simples_and_split_check(algebra, self.rng, self.rad)
         if len(simples) != len(poset.labels):
             raise InputError(
                 f"poset has {len(poset.labels)} labels but the algebra has "

@@ -1,4 +1,9 @@
+import functools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltcell import poly
 from tiltcell.algebra import (
@@ -6,7 +11,9 @@ from tiltcell.algebra import (
     EndAlgebra,
     ModuleRep,
     Morphism,
+    _decompose,
     _radical_candidate,
+    _regular_endomorphisms,
     algebra_radical,
     cokernel,
     composition_multiplicity,
@@ -24,6 +31,8 @@ from tiltcell.algebra import (
 from tiltcell.docio import catalog_document, catalog_names
 from tiltcell.errors import InputError, NotSimple, NotSplit
 from tiltcell.linalg import Field, Matrix, Subspace
+
+from test_stress import auslander_algebra
 
 Q = Field()
 F5 = Field(5)
@@ -244,6 +253,45 @@ def test_submodule_generated():
     assert span2.dim == 2
 
 
+def submodule_generated_reference(m, vectors):
+    """The fixed-point loop: apply every action matrix to the span's basis,
+    one vector at a time, until the span stops growing."""
+    F = m.algebra.field
+    space = Subspace.from_rows(F, m.dim, vectors)
+    while True:
+        rows = list(space.basis.entries)
+        new_rows = list(rows)
+        for a in m.action:
+            for row in rows:
+                img = a @ Matrix.column(F, row)
+                new_rows.append(tuple(x[0] for x in img.entries))
+        bigger = Subspace.from_rows(F, m.dim, new_rows)
+        if bigger.dim == space.dim:
+            return space
+        space = bigger
+
+
+@functools.cache
+def regular_modules(field):
+    """Regular modules of the catalog algebras and of the Auslander algebra
+    of K[x]/x^3, over `field`, and of their opposites."""
+    spec = "Q" if field.p is None else f"Fp {field.p}"
+    algebras = [catalog_document(name, spec).algebra for name in catalog_names()]
+    algebras.append(auslander_algebra(field, 3))
+    return [a.regular_module() for alg in algebras for a in (alg, alg.opposite())]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_submodule_generated_matches_fixed_point_loop(data):
+    field = data.draw(st.sampled_from([Q, F5]))
+    m = data.draw(st.sampled_from(regular_modules(field)))
+    entries = st.sampled_from([0, 0, 0, 0, 0, 1, 1, -1, 2])
+    vectors = data.draw(st.lists(st.lists(entries, min_size=m.dim, max_size=m.dim)
+                                 .map(lambda r: [field.of(x) for x in r]), max_size=3))
+    assert submodule_generated(m, vectors) == submodule_generated_reference(m, vectors)
+
+
 def test_end_algebra_structure():
     alg = a2_algebra()
     simples = simples_and_split_check(alg)
@@ -319,3 +367,53 @@ def test_radical_candidate_matches_charpoly_chain(p):
         continued |= gram.kernel().rows > rad.dim
     # only the small primes need the chain past the trace-form step here
     assert continued == (p in (2, 3))
+
+
+# -- the regular module from A's own multiplication against the hom route ------
+
+
+REGULAR_REFERENCE_CASES = (
+    [pytest.param(lambda name=name, spec=spec: catalog_document(name, spec).algebra,
+                  id=f"{name}-{spec}")
+     for name in ["trivial", "semisimple2", "a2path", "auslander-dualnumbers", "ut3"]
+     for spec in ("Q", "Fp 3")]
+    + [pytest.param(lambda n=n, p=p: auslander_algebra(Field(p), n), id=f"auslander{n}-{p or 'Q'}")
+       for n, p in [(3, None), (3, 2), (3, 3), (3, 10007), (4, 10007)]])
+
+
+# every piece's End basis and radical dimension, the summands and the simples'
+# idempotents and projectives against krull_schmidt's hom_space route
+@pytest.mark.parametrize("make_algebra", REGULAR_REFERENCE_CASES)
+def test_regular_decomposition_matches_hom_space_route(make_algebra):
+    alg = make_algebra()
+    rad = algebra_radical(alg)
+    structural = _regular_endomorphisms(alg, rad)
+    pieces = []
+
+    def checked(piece, incl, proj):
+        basis, rad_dim = structural(piece, incl, proj)
+        E = EndAlgebra(piece)
+        assert [f.matrix for f in basis] == [f.matrix for f in E.basis]
+        assert rad_dim == algebra_radical(E.presentation).dim
+        pieces.append(piece.dim)
+        return basis, rad_dim
+
+    reg = alg.regular_module()
+    summands = _decompose(reg, random.Random(0), checked)
+    reference = krull_schmidt(reg, random.Random(0))
+    # every split has two nonzero pieces, and every piece was checked
+    assert pieces[0] == alg.dim and len(pieces) == 2 * len(summands) - 1
+    assert sum(s.dim for s, _, _ in summands) == alg.dim
+
+    def content(summand):
+        mod, incl, proj = summand
+        idem = (incl @ proj).matrix @ Matrix.column(alg.field, alg.unit)
+        return ([a.entries for a in mod.action], incl.matrix.entries, proj.matrix.entries,
+                idem.entries)
+
+    assert [content(x) for x in summands] == [content(x) for x in reference]
+    # each simple's idempotent and projective is one of the reference summands
+    by_idempotent = {tuple(r[0] for r in content(x)[3]): x[0] for x in reference}
+    for sd in simples_and_split_check(alg, rad=rad):
+        assert ([a.entries for a in sd.projective.action]
+                == [a.entries for a in by_idempotent[sd.idempotent].action])

@@ -51,6 +51,32 @@ def auslander_x3(field):
                                name="auslander-x3", check=True)
 
 
+@functools.cache
+def auslander_algebra(field, n):
+    """The Auslander algebra of K[x]/x^n in closed form, with no hom solve:
+    End(M_1 + ... + M_n), M_k = K[x]/x^k, on the maps b(j, k, s): M_j -> M_k
+    sending 1 to x^s, max(0, k - j) <= s < k, the identities b(k, k, 0) first.
+    The product is composition, b(k, l, t) b(j, k, s) = b(j, l, s + t), zero
+    when s + t >= l.  Label "k" names the simple at M_k."""
+    basis = [(k, k, 0) for k in range(1, n + 1)]
+    basis += [(j, k, s) for j in range(1, n + 1) for k in range(1, n + 1)
+              for s in range(max(0, k - j), k) if j != k or s]
+    index = {b: i for i, b in enumerate(basis)}
+    ents = [(a, b, index[(j, l, s + t)], 1)
+            for a, (k2, l, t) in enumerate(basis) for b, (j, k, s) in enumerate(basis)
+            if k2 == k and s + t < l]
+    unit = [int(j == k and s == 0) for j, k, s in basis]
+    return AlgebraPresentation.from_struct_consts(field, len(basis), ents, unit,
+                                                  name=f"auslander-x{n}")
+
+
+def chain_poset(n):
+    """The order n < n-1 < ... < 1, under which the Auslander algebra is
+    quasi-hereditary."""
+    return WeightPoset([str(k) for k in range(1, n + 1)],
+                       [(str(k + 1), str(k)) for k in range(1, n)])
+
+
 @pytest.fixture(scope="module")
 def nilpotent_endomorphism_algebra():
     return auslander_x3(Q)
@@ -129,3 +155,31 @@ def test_stress_table_matches_products_of_random_probes(field):
     tilt = TiltingRegistry(reg)
     T, _, _ = direct_sum([tilt.module(l) for l in ("1", "2", "3")])
     assert_table_matches_products(build_standard_basis(tilt, T, seed=0), random.Random(7), 3)
+
+
+# the closed forms of the Auslander algebra of K[x]/x^n at n = 4 (dim 30)
+def test_auslander4_closed_forms():
+    n = 4
+    ks = range(1, n + 1)
+    labels = [str(k) for k in ks]
+    one_each = dict.fromkeys(labels, 1)
+    A = auslander_algebra(F10007, n)
+    reg = Registry(A, chain_poset(n))
+    assert [reg.projective(l).dim for l in labels] == [
+        sum(min(j, k) for j in ks) for k in ks] == [4, 7, 9, 10]
+    assert [reg.standard(l).dim for l in labels] == [4, 3, 2, 1]
+    assert verify_standard_category(reg).ok
+
+    tilt = TiltingRegistry(reg)
+    # T(k) has dimension m(m + 1)/2 for m = n + 1 - k
+    assert [tilt.module(l).dim for l in labels] == [m * (m + 1) // 2 for m in reversed(ks)]
+    T, _, _ = direct_sum([tilt.module(l) for l in labels])
+    datum = build_standard_basis(tilt, T, seed=0)
+    assert datum.fiber_sizes() == {str(k): (k, k) for k in ks}
+    assert datum.dim() == A.dim == n * (n + 1) * (2 * n + 1) // 6 == 30
+    assert verify_standard_axioms(datum, trials=6)["ok"]
+
+    cd = CellData(datum)
+    assert cd.gram_rank == one_each
+    assert classify_simples(cd, tilting_support(tilt, T)) == one_each
+    assert not is_semisimple_endalgebra(cd)
