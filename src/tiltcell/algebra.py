@@ -4,6 +4,9 @@ composition multiplicities, Krull-Schmidt decomposition, isomorphism tests.
 
 The regular module is split from A's own multiplication: End_A(Ae) is right
 multiplication by eAe, with radical e.rad(A).e, so it solves no hom system.
+An endomorphism splits a module in one step: it is an idempotent, or its
+Fitting projection onto im(phi^n) along ker(phi^n) is, at 0 or at one
+eigenvalue in the base field.
 
 All arithmetic is exact.  Randomized searches (isomorphism probing,
 idempotent hunting) take an explicit seeded PRNG and are used only as fast
@@ -243,7 +246,7 @@ def submodule_rep(m: ModuleRep, space: Subspace):
         if space.dim == 0:
             action.append(Matrix.zeros(F, 0, 0))
             continue
-        action.append(incl.solve(a @ incl))
+        action.append(space.coordinates(a @ incl))
     sub = ModuleRep(m.algebra, space.dim, action, check=False)
     return sub, Morphism(sub, m, incl)
 
@@ -507,34 +510,40 @@ def module_head(m: ModuleRep, rad: Subspace | None = None):
 # -- idempotents and Krull-Schmidt ----------------------------------------------
 
 
+def _fitting_projection(m: Matrix) -> Matrix | None:
+    """The projection onto im(M^n) along ker(M^n), M n x n: the Fitting
+    decomposition K^n = im(M^n) + ker(M^n), whose summands are M-invariant
+    since the ranks of the powers of M are constant from n on.  None when
+    M is invertible or nilpotent, where one summand is all of K^n."""
+    F = m.field
+    n = m.rows
+    power = m.power(n)
+    img = Subspace.from_rows(F, n, power.transpose().entries)
+    if not 0 < img.dim < n:
+        return None
+    basis = vstack([img.basis, power.kernel()]).transpose()
+    # columns of basis: im then ker; keep the image coordinates only
+    return img.basis.transpose() @ Matrix(F, basis.inverse().entries[:img.dim])
+
+
 def _idempotent_from_element(E: EndAlgebra, phi: Morphism) -> Morphism | None:
-    """Try to turn one endomorphism into a nontrivial exact idempotent."""
+    """Try to turn one endomorphism into a nontrivial exact idempotent: phi
+    itself, or the Fitting projection of phi, or that of phi - r.1 at the
+    str-least linear root r of phi's minimal polynomial (the projection
+    onto the generalized eigenspaces of the other eigenvalues)."""
     F = E.field
     n = phi.matrix.rows
     ident = Matrix.identity(F, n)
     sq = phi @ phi
     if sq.matrix == phi.matrix and not phi.matrix.is_zero() and phi.matrix != ident:
         return phi
-    # Fitting: a singular, non-nilpotent map splits the module
-    power = phi.matrix.power(n)
-    r = power.rank()
-    if 0 < r < n and (power @ power).rank() == r:
-        # im(phi^n) is one Fitting summand; build the projection onto it
-        img = Subspace.from_rows(F, n, power.transpose().entries)
-        ker = Subspace(n, power.kernel())
-        basis = vstack([img.basis, ker.basis]).transpose()
-        inv = basis.inverse()
-        sel = Matrix(F, [[F.one() if (i == j and i < img.dim) else F.zero() for j in range(n)]
-                         for i in range(n)])
-        return Morphism(phi.source, phi.source, basis @ sel @ inv)
-    # coprime factor of the minimal polynomial
-    mp = poly.minpoly(phi.matrix)
-    e_poly = poly.coprime_split_idempotent(F, mp)
-    if e_poly is not None:
-        mat = poly.eval_matrix(F, e_poly, phi.matrix)
-        if not mat.is_zero() and mat != ident:
-            return Morphism(phi.source, phi.source, mat)
-    return None
+    proj = _fitting_projection(phi.matrix)
+    if proj is None:
+        roots = poly.linear_roots(F, poly.minpoly(phi.matrix))[0]
+        if not roots:
+            return None
+        proj = _fitting_projection(phi.matrix - ident.scale(min(roots, key=str)))
+    return None if proj is None else Morphism(phi.source, phi.source, proj)
 
 
 def find_splitting_idempotent(E: EndAlgebra, rng: random.Random,
@@ -585,8 +594,8 @@ def split_by_idempotent(m: ModuleRep, e: Morphism):
     for endo in (e, ident - e):
         img = Subspace.from_rows(F, m.dim, endo.matrix.transpose().entries)
         sub, incl = submodule_rep(m, img)
-        # projection: solve incl . proj = endo (endo acts as identity on its image)
-        pieces.append((sub, incl, Morphism(m, sub, incl.matrix.solve(endo.matrix))))
+        # projection: incl . proj = endo (endo acts as identity on its image)
+        pieces.append((sub, incl, Morphism(m, sub, img.coordinates(endo.matrix))))
     return pieces
 
 

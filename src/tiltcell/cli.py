@@ -134,16 +134,13 @@ def cmd_tilting(pipe: Pipeline) -> tuple[dict, int]:
         tr = tilt.triple(lab)
         from .highest_weight import filtration_multiplicity
 
+        mults = {kind: {mu: filtration_multiplicity(reg, tr.module, mu, kind)
+                        for mu in pipe.doc.poset.labels}
+                 for kind in ("standard", "costandard")}
         tiltings[lab] = {
             "dim": tr.module.dim,
-            "standard_factors": {
-                mu: filtration_multiplicity(reg, tr.module, mu, "standard")
-                for mu in pipe.doc.poset.labels
-                if filtration_multiplicity(reg, tr.module, mu, "standard")},
-            "costandard_factors": {
-                mu: filtration_multiplicity(reg, tr.module, mu, "costandard")
-                for mu in pipe.doc.poset.labels
-                if filtration_multiplicity(reg, tr.module, mu, "costandard")},
+            "standard_factors": {mu: k for mu, k in mults["standard"].items() if k},
+            "costandard_factors": {mu: k for mu, k in mults["costandard"].items() if k},
             "composite_normalized": True,
         }
     report["tiltings"] = tiltings

@@ -163,15 +163,16 @@ def fixed_point_data(reg: Registry, tilt: TiltingRegistry,
         psi_sym = fixed_point_for_module(reg, tau, t_mod)
         datum.fixed_forms[lam] = psi_sym
         phi = Morphism(dualize_module(tau, t_mod), t_mod, psi_sym.matrix.inverse())
-        _certify_fixed_point(lam, phi)
+        _certify_fixed_point(lam, phi, psi_sym)
         datum.phi[lam] = phi
     return datum
 
 
-def _certify_fixed_point(label, phi: Morphism):
-    """Phi . D(Phi^{-1}) . xi = id; in coordinates: P^{-1,T} cancels P^{-1}."""
+def _certify_fixed_point(label, phi: Morphism, psi_sym: Morphism):
+    """Phi . D(Phi^{-1}) . xi = id for Phi = Psi^{-1}; in coordinates:
+    P^T cancels P^{-1}, where P is Psi's matrix."""
     p_inv = phi.matrix          # matrix of Phi: D(X) -> X
-    check = p_inv @ p_inv.inverse().transpose()
+    check = p_inv @ psi_sym.matrix.transpose()
     if check != Matrix.identity(p_inv.field, p_inv.rows):
         raise NotStandardDuality(label, "fixed_point",
                                  "(symmetrized iso fails the fixed-point equation)")
@@ -213,11 +214,12 @@ def induced_involution(tau: AntiInvolution, t: ModuleRep, psi_sym: Morphism):
     NotInvolutive (carrying a) when alpha^2 != id.
     """
     P = psi_sym.matrix
+    P_inv = P.inverse()
 
     def alpha(mat: Matrix) -> Matrix:
-        return P.inverse() @ mat.transpose() @ P
+        return P_inv @ mat.transpose() @ P
 
-    a_elem = P.inverse() @ P.transpose()
+    a_elem = P_inv @ P.transpose()
     for probe in hom_space(t, t):
         if alpha(alpha(probe.matrix)) != probe.matrix:
             raise NotInvolutive(a_elem, "(the chosen form is not a fixed point)")

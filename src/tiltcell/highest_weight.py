@@ -200,9 +200,8 @@ class Registry:
         for label in self.poset.labels:
             space = submodule_generated(reg_op, [self.data[label].idempotent])
             proj_op[label], _ = submodule_rep(reg_op, space)
-        rad_op = Subspace(self.rad.ambient, self.rad.basis)  # same subset of A
         for label in self.poset.labels:
-            delta_op, proj_morph = self._standardize(op, proj_op, rad_op, label)
+            delta_op, proj_morph = self._standardize(op, proj_op, self.rad, label)
             nabla = dualize_plain(self.algebra, delta_op)
             injective = dualize_plain(self.algebra, proj_op[label])
             incl = Morphism(nabla, injective, proj_morph.matrix.transpose())
@@ -491,10 +490,10 @@ class FiltrationWitness:
 def subquotient(m: ModuleRep, big: Subspace, small: Subspace) -> ModuleRep:
     """The module big/small for nested invariant subspaces of m."""
     F = m.algebra.field
-    big_mod, big_incl = submodule_rep(m, big)
+    big_mod, _ = submodule_rep(m, big)
     if small.dim == 0:
         return big_mod
-    inner = big_incl.matrix.solve(small.basis.transpose())
+    inner = big.coordinates(small.basis.transpose())
     inner_space = Subspace.from_rows(F, big_mod.dim, inner.transpose().entries)
     return quotient_rep(big_mod, inner_space)[0]
 

@@ -110,9 +110,6 @@ class Field:
             return Fraction(1) / a
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     # -- parsing and formatting ----------------------------------------------
 
     def parse(self, s):
@@ -576,6 +573,12 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of K^{self.ambient})"
 
+    def _sparse_rows(self):
+        """The basis rows' nonzero (column, value) pairs, pivot first."""
+        if self._sparse is None:
+            self._sparse = [[(j, x) for j, x in enumerate(r) if x] for r in self.basis.entries]
+        return self._sparse
+
     def contains_vector(self, vec) -> bool:
         """Membership by reducing vec against the RREF basis.
 
@@ -586,11 +589,9 @@ class Subspace:
             return not any(vec)
         if len(vec) != self.ambient:
             raise DimensionMismatch("vector length differs from ambient dimension")
-        if self._sparse is None:
-            self._sparse = [[(j, x) for j, x in enumerate(r) if x] for r in self.basis.entries]
         p = self.field.p
         resid = list(vec)
-        for srow in self._sparse:
+        for srow in self._sparse_rows():
             d = resid[srow[0][0]]
             if d:
                 if p is None:
@@ -600,6 +601,15 @@ class Subspace:
                     for j, x in srow:
                         resid[j] = (resid[j] - d * x) % p
         return not any(resid)
+
+    def coordinates(self, m: Matrix) -> Matrix:
+        """X with basis^T @ X = m: an RREF basis row is the only one nonzero
+        at its pivot, so row i of X is m's row at the i-th pivot.  A column
+        of m outside the subspace raises InconsistentSystem."""
+        if not all(self.contains_vector(col) for col in m.transpose().entries):
+            raise InconsistentSystem("column outside the subspace")
+        return Matrix._of(m.field, tuple(m.entries[srow[0][0]] for srow in self._sparse_rows()),
+                          m.cols)
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(r) for r in other.basis.entries)

@@ -2,9 +2,10 @@
 
 Polynomials are tuples of coefficients in ascending degree with no trailing
 zeros (the zero polynomial is the empty tuple).  Only what the structure
-computations need lives here: gcd arithmetic, characteristic polynomials via
-Hessenberg reduction, minimal polynomials, root extraction for polynomials
-that split over the base field, and idempotents from coprime factorizations.
+computations need lives here: characteristic polynomials via Hessenberg
+reduction (the char-p radical chain), minimal polynomials, and their roots
+in the base field with the division and gcd arithmetic that finds them (the
+eigenvalue at which the idempotent sweep takes a Fitting projection).
 """
 
 from __future__ import annotations
@@ -80,38 +81,11 @@ def gcd(field, f, g):
     return monic(field, a)
 
 
-def extended_gcd(field, f, g):
-    """(d, u, v) with u f + v g = d = monic gcd(f, g)."""
-    r0, r1 = f, g
-    s0, s1 = (field.one(),), ()
-    t0, t1 = (), (field.one(),)
-    while r1:
-        q, r = divmod_poly(field, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, add(field, s0, scale(field, field.neg(field.one()), mul(field, q, s1)))
-        t0, t1 = t1, add(field, t0, scale(field, field.neg(field.one()), mul(field, q, t1)))
-    if not r0:
-        return (), (), ()
-    lead_inv = field.inv(r0[-1])
-    return scale(field, lead_inv, r0), scale(field, lead_inv, s0), scale(field, lead_inv, t0)
-
-
 def evaluate(field, f, x):
     acc = field.zero()
     for c in reversed(f):
         acc = field.add(field.mul(acc, x), c)
     return acc
-
-
-def eval_matrix(field, f, m: Matrix) -> Matrix:
-    acc = Matrix.zeros(field, m.rows, m.cols)
-    for c in reversed(f):
-        acc = (acc @ m) + Matrix.identity(field, m.rows).scale(c)
-    return acc
-
-
-def derivative(field, f):
-    return normalize(field, [field.mul(field.of(i), c) for i, c in enumerate(f)][1:])
 
 
 def deflate_root(field, f, r):
@@ -331,57 +305,3 @@ def minpoly(m: Matrix):
             continue
         coeffs = [F.neg(sol.entries[i][0]) for i in range(k)] + [F.one()]
         return normalize(F, coeffs)
-
-
-def _coprime_pair(field, f):
-    """A factorization f = g h with gcd(g, h) = 1 and both nonconstant, or None."""
-    f = monic(field, f)
-    if degree(f) < 2:
-        return None
-    roots, leftover = linear_roots(field, f)
-    distinct = sorted(set(roots), key=str)
-    if distinct and (len(distinct) > 1 or degree(leftover) >= 1):
-        r = distinct[0]
-        g = (field.one(),)
-        for _ in range(roots.count(r)):
-            g = mul(field, g, (field.neg(r), field.one()))
-        if 0 < degree(g) < degree(f):
-            return g, divmod_poly(field, f, g)[0]
-    df = derivative(field, f)
-    if df:
-        # separate the squarefree part from the repeated part when coprime
-        d = gcd(field, f, df)
-        if 0 < degree(d) < degree(f):
-            s = divmod_poly(field, f, d)[0]
-            shared = gcd(field, s, d)
-            coprime_part = divmod_poly(field, s, shared)[0]
-            if 0 < degree(coprime_part) < degree(f):
-                return coprime_part, divmod_poly(field, f, coprime_part)[0]
-    elif field.p is not None and degree(f) >= field.p:
-        # f' = 0 over F_p means f = r(x)^p with r sharing f's coefficients
-        r = normalize(field, [f[i] for i in range(0, len(f), field.p)])
-        sub = _coprime_pair(field, r)
-        if sub is not None:
-            g = sub[0]
-            gp = (field.one(),)
-            for _ in range(field.p):
-                gp = mul(field, gp, g)
-            return gp, divmod_poly(field, f, gp)[0]
-    return None
-
-
-def coprime_split_idempotent(field, f):
-    """A polynomial e with e^2 = e mod f and e != 0, 1 mod f, or None.
-
-    Exists whenever f admits a coprime factorization the cheap searches can
-    find; f a power of a single irreducible correctly yields None.
-    """
-    pair = _coprime_pair(field, f)
-    if pair is None:
-        return None
-    g, h = pair
-    d, u, v = extended_gcd(field, g, h)
-    if degree(d) != 0:
-        return None
-    # e = u g  (== 0 mod g, == 1 mod h)
-    return divmod_poly(field, mul(field, u, g), monic(field, f))[1]

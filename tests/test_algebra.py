@@ -2,9 +2,10 @@ import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tiltcell import algebra as algebra_module
 from tiltcell import poly
 from tiltcell.algebra import (
     AlgebraPresentation,
@@ -12,6 +13,8 @@ from tiltcell.algebra import (
     ModuleRep,
     Morphism,
     _decompose,
+    _fitting_projection,
+    _idempotent_from_element,
     _radical_candidate,
     _regular_endomorphisms,
     algebra_radical,
@@ -30,12 +33,15 @@ from tiltcell.algebra import (
 )
 from tiltcell.docio import catalog_document, catalog_names
 from tiltcell.errors import InputError, NotSimple, NotSplit
-from tiltcell.linalg import Field, Matrix, Subspace
+from tiltcell.linalg import Field, Matrix, Subspace, block_diag, vstack
+from tiltcell.tilting import tilting_support
 
+from test_schur import schur_algebra, schur_pipeline
 from test_stress import auslander_algebra
 
 Q = Field()
 F5 = Field(5)
+F10007 = Field(10007)
 
 
 def a2_algebra(field=Q):
@@ -417,3 +423,204 @@ def test_regular_decomposition_matches_hom_space_route(make_algebra):
     for sd in simples_and_split_check(alg, rad=rad):
         assert ([a.entries for a in sd.projective.action]
                 == [a.entries for a in by_idempotent[sd.idempotent].action])
+
+
+# -- the Fitting step against the coprime-factor idempotent it replaced ---------
+#
+# The polynomial route below split an endomorphism phi by a coprime
+# factorization g h of its minimal polynomial: e = u g with u g + v h = 1 is
+# 0 mod g and 1 mod h, so e(phi) projects along ker g(phi) onto ker h(phi).
+# At a linear root r, g = (x - r)^m and that is the Fitting projection of
+# phi - r.1.
+
+
+def extended_gcd(field, f, g):
+    """(d, u, v) with u f + v g = d = monic gcd(f, g)."""
+    r0, r1 = f, g
+    s0, s1 = (field.one(),), ()
+    t0, t1 = (), (field.one(),)
+    while r1:
+        q, r = poly.divmod_poly(field, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly.add(field, s0, poly.scale(field, field.neg(field.one()),
+                                                    poly.mul(field, q, s1)))
+        t0, t1 = t1, poly.add(field, t0, poly.scale(field, field.neg(field.one()),
+                                                    poly.mul(field, q, t1)))
+    if not r0:
+        return (), (), ()
+    lead_inv = field.inv(r0[-1])
+    return (poly.scale(field, lead_inv, r0), poly.scale(field, lead_inv, s0),
+            poly.scale(field, lead_inv, t0))
+
+
+def eval_matrix(field, f, m: Matrix) -> Matrix:
+    acc = Matrix.zeros(field, m.rows, m.cols)
+    for c in reversed(f):
+        acc = (acc @ m) + Matrix.identity(field, m.rows).scale(c)
+    return acc
+
+
+def derivative(field, f):
+    return poly.normalize(field, [field.mul(field.of(i), c) for i, c in enumerate(f)][1:])
+
+
+def _coprime_pair(field, f):
+    """A factorization f = g h with gcd(g, h) = 1 and both nonconstant, or None."""
+    f = poly.monic(field, f)
+    if poly.degree(f) < 2:
+        return None
+    roots, leftover = poly.linear_roots(field, f)
+    distinct = sorted(set(roots), key=str)
+    if distinct and (len(distinct) > 1 or poly.degree(leftover) >= 1):
+        r = distinct[0]
+        g = (field.one(),)
+        for _ in range(roots.count(r)):
+            g = poly.mul(field, g, (field.neg(r), field.one()))
+        if 0 < poly.degree(g) < poly.degree(f):
+            return g, poly.divmod_poly(field, f, g)[0]
+    df = derivative(field, f)
+    if df:
+        # separate the squarefree part from the repeated part when coprime
+        d = poly.gcd(field, f, df)
+        if 0 < poly.degree(d) < poly.degree(f):
+            s = poly.divmod_poly(field, f, d)[0]
+            shared = poly.gcd(field, s, d)
+            coprime_part = poly.divmod_poly(field, s, shared)[0]
+            if 0 < poly.degree(coprime_part) < poly.degree(f):
+                return coprime_part, poly.divmod_poly(field, f, coprime_part)[0]
+    elif field.p is not None and poly.degree(f) >= field.p:
+        # f' = 0 over F_p means f = r(x)^p with r sharing f's coefficients
+        r = poly.normalize(field, [f[i] for i in range(0, len(f), field.p)])
+        sub = _coprime_pair(field, r)
+        if sub is not None:
+            g = sub[0]
+            gp = (field.one(),)
+            for _ in range(field.p):
+                gp = poly.mul(field, gp, g)
+            return gp, poly.divmod_poly(field, f, gp)[0]
+    return None
+
+
+def coprime_split_idempotent(field, f):
+    """A polynomial e with e^2 = e mod f and e != 0, 1 mod f, or None."""
+    pair = _coprime_pair(field, f)
+    if pair is None:
+        return None
+    g, h = pair
+    d, u, v = extended_gcd(field, g, h)
+    if poly.degree(d) != 0:
+        return None
+    # e = u g  (== 0 mod g, == 1 mod h)
+    return poly.divmod_poly(field, poly.mul(field, u, g), poly.monic(field, f))[1]
+
+
+def reference_idempotent_from_element(phi: Morphism):
+    """The idempotent test, the Fitting projection at 0, then the coprime
+    factor of the minimal polynomial, each as the polynomial route had them."""
+    F = phi.matrix.field
+    n = phi.matrix.rows
+    ident = Matrix.identity(F, n)
+    if (phi @ phi).matrix == phi.matrix and not phi.matrix.is_zero() and phi.matrix != ident:
+        return phi.matrix
+    power = phi.matrix.power(n)
+    r = power.rank()
+    if 0 < r < n and (power @ power).rank() == r:
+        img = Subspace.from_rows(F, n, power.transpose().entries)
+        basis = vstack([img.basis, power.kernel()]).transpose()
+        sel = Matrix(F, [[F.one() if (i == j and i < img.dim) else F.zero() for j in range(n)]
+                         for i in range(n)])
+        return basis @ sel @ basis.inverse()
+    e_poly = coprime_split_idempotent(F, poly.minpoly(phi.matrix))
+    if e_poly is not None:
+        mat = eval_matrix(F, e_poly, phi.matrix)
+        if not mat.is_zero() and mat != ident:
+            return mat
+    return None
+
+
+# monic x^2 + b x + c as (c, b, 1), without a root in the field: x^2 + 1 and
+# x^2 + x + 1 over Q and F_10007 (10007 = 3 mod 4 and = 2 mod 3), x^2 + 2 and
+# x^2 + x + 1 over F_5
+QUADRATICS = {Q: [(1, 0, 1), (1, 1, 1)], F5: [(2, 0, 1), (1, 1, 1)],
+              F10007: [(1, 0, 1), (1, 1, 1)]}
+
+
+def jordan_block(field, ev, size):
+    return Matrix(field, [[field.of(ev) if c == r else field.of(int(c == r + 1))
+                           for c in range(size)] for r in range(size)])
+
+
+def companion(field, q):
+    c, b, _ = q
+    return Matrix.from_int_rows(field, [[0, -c], [1, -b]])
+
+
+@st.composite
+def conjugated_jordan_forms(draw):
+    """P J P^-1: J is Jordan blocks at eigenvalues in the field and companion
+    blocks of rootless quadratics, P = L U with unit triangular L and U."""
+    F = draw(st.sampled_from([Q, F5, F10007]))
+    blocks = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 3)), max_size=3))
+    quads = draw(st.lists(st.sampled_from(QUADRATICS[F]), max_size=2))
+    assume(blocks or quads)
+    J = block_diag([jordan_block(F, ev, size) for ev, size in blocks]
+                   + [companion(F, q) for q in quads])
+    n = J.rows
+    entries = st.sampled_from([0, 0, 1, -1, 2])
+    low = draw(st.lists(entries, min_size=n * n, max_size=n * n))
+    up = draw(st.lists(entries, min_size=n * n, max_size=n * n))
+    L = Matrix(F, [[F.of(1 if r == c else low[r * n + c] if c < r else 0) for c in range(n)]
+                   for r in range(n)])
+    U = Matrix(F, [[F.of(1 if r == c else up[r * n + c] if c > r else 0) for c in range(n)]
+                   for r in range(n)])
+    P = L @ U
+    return P @ J @ P.inverse()
+
+
+def bare_endomorphism(mat: Matrix):
+    """(End, phi) for mat acting on K^n as a module over K."""
+    F = mat.field
+    K = AlgebraPresentation.from_struct_consts(F, 1, [(0, 0, 0, 1)], [1])
+    m = ModuleRep(K, mat.rows, [Matrix.identity(F, mat.rows)])
+    return EndAlgebra(m, []), Morphism(m, m, mat)
+
+
+# on this family the reference splits only at a linear root or returns None
+@settings(max_examples=150, deadline=None)
+@given(conjugated_jordan_forms())
+def test_eigenvalue_split_matches_coprime_reference(mat):
+    E, phi = bare_endomorphism(mat)
+    e = _idempotent_from_element(E, phi)
+    assert (None if e is None else e.matrix) == reference_idempotent_from_element(phi)
+
+
+def recorded_sweep(monkeypatch, run):
+    """(End, candidate, idempotent or None) for every candidate the sweep tries."""
+    calls = []
+
+    def recording(E, phi):
+        out = _idempotent_from_element(E, phi)
+        calls.append((E, phi, out))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra_module, "_idempotent_from_element", recording)
+        run()
+    return calls
+
+
+# every sweep candidate of the regular module's and V^{⊗r}'s decompositions
+@pytest.mark.parametrize("r, field", [(3, Q), (4, Field(3))], ids=["r3-Q", "r4-F3"])
+def test_schur_sweep_candidates_match_coprime_reference(r, field, monkeypatch):
+    alg, tensor, _, _ = schur_algebra(field, r)
+    reg, tilt, _ = schur_pipeline(field, r)
+    stages = [recorded_sweep(monkeypatch, lambda: simples_and_split_check(alg, rad=reg.rad)),
+              recorded_sweep(monkeypatch, lambda: tilting_support(tilt, tensor))]
+    for calls in stages:
+        for E, phi, out in calls:
+            assert (None if out is None else out.matrix) == reference_idempotent_from_element(phi)
+    if (r, field) == (3, Q):
+        # both decompositions need the split at an eigenvalue other than 0
+        for calls in stages:
+            assert any(out is not None and out.matrix != phi.matrix
+                       and _fitting_projection(phi.matrix) is None for _, phi, out in calls)

@@ -261,17 +261,6 @@ def test_linear_roots_f5():
     assert sorted(roots) == [2, 3] and poly.degree(leftover) == 0
 
 
-def test_coprime_split_idempotent():
-    f = poly.mul(Q, (-1, 1), (-2, 1))  # (x-1)(x-2)
-    e = poly.coprime_split_idempotent(Q, f)
-    assert e is not None
-    sq = poly.divmod_poly(Q, poly.mul(Q, e, e), f)[1]
-    assert sq == poly.divmod_poly(Q, e, f)[1]
-    # power of a single irreducible yields nothing
-    assert poly.coprime_split_idempotent(Q, (1, 2, 1)) is None  # (x+1)^2
-    assert poly.coprime_split_idempotent(Q, (1, 0, 1)) is None  # x^2 + 1
-
-
 # -- sparse kernels against the dense loops ------------------------------------
 #
 # The dense elimination and product below are the loops that Matrix.rref and
@@ -403,6 +392,29 @@ def test_contains_vector_matches_rank_test(case):
     assert space.contains_vector(vec) == expected  # the cached sparse rows agree
     if in_span and space.dim:
         assert expected
+
+
+# coordinates in an RREF basis read at its pivots, against solving for them
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_subspace_coordinates_match_solve(data):
+    F = data.draw(kernel_fields)
+    n = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(0, 3))
+    space = Subspace.from_rows(F, n, data.draw(sparse_matrices(F, None, n)).entries)
+    incl = space.basis.transpose()
+    if data.draw(st.booleans()):
+        m = incl @ data.draw(sparse_matrices(F, space.dim, k))
+    else:
+        m = data.draw(sparse_matrices(F, n, k))
+    try:
+        expected = incl.solve(m)
+    except InconsistentSystem:
+        with pytest.raises(InconsistentSystem):
+            space.coordinates(m)
+    else:
+        assert space.coordinates(m) == expected
+        assert printed(space.coordinates(m)) == printed(expected)
 
 
 def dense_coordinates(field, rows, width):
