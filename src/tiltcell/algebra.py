@@ -424,7 +424,7 @@ def _radical_candidate(algebra: AlgebraPresentation) -> Subspace:
     i = 1
     while p ** i <= n and space.dim > 0:
         target_index = n - p ** i  # ascending-coefficient index of e_{p^i}
-        basis_elems = [tuple(r) for r in space.basis.entries]
+        basis_elems = space.basis.entries
         rows = []
         for b in basis_elems:
             row = []
@@ -436,15 +436,7 @@ def _radical_candidate(algebra: AlgebraPresentation) -> Subspace:
         # row b, column a: the condition matrix; kernel vectors are in the
         # coordinates of the current space's basis
         ker = Matrix(F, rows).kernel()
-        new_rows = []
-        for kr in ker.entries:
-            vec = [F.zero()] * n
-            for c, b in zip(kr, basis_elems):
-                if c:
-                    for t in range(n):
-                        vec[t] = F.add(vec[t], F.mul(c, b[t]))
-            new_rows.append(vec)
-        space = Subspace.from_rows(F, n, new_rows)
+        space = Subspace.from_rows(F, n, (ker @ space.basis).entries)
         i += 1
     return space
 
@@ -720,8 +712,7 @@ def is_simple(m: ModuleRep, rng: random.Random | None = None) -> bool:
 
 
 def composition_multiplicity(m: ModuleRep, simple: ModuleRep,
-                             rng: random.Random | None = None,
-                             _checked: bool = False) -> int:
+                             rng: random.Random | None = None) -> int:
     """[m : simple] by peeling socles and counting hom multiplicities.
 
     For split algebras dim Hom(simple, socle layer) counts exactly the
@@ -729,7 +720,7 @@ def composition_multiplicity(m: ModuleRep, simple: ModuleRep,
     Jordan-Hoelder multiplicity.
     """
     rng = rng or random.Random(0)
-    if not _checked and not is_simple(simple, rng):
+    if not is_simple(simple, rng):
         raise NotSimple("second argument has a proper nonzero submodule")
     rad = algebra_radical(m.algebra)
     total = 0

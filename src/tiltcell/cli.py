@@ -104,7 +104,7 @@ def _verification_section(pipe: Pipeline) -> dict:
             "dim_projective": d.projective.dim,
             "dim_standard": d.standard.dim,
             "dim_costandard": d.costandard.dim,
-            "idempotent": vector_entries(pipe.doc.field, d.idempotent),
+            "idempotent": vector_entries(d.idempotent),
         }
     return {
         "simples": simples,

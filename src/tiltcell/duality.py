@@ -69,15 +69,6 @@ class AntiInvolution:
     def apply_basis(self, i):
         return tuple(row[i] for row in self.matrix.entries)
 
-    def apply(self, coeffs):
-        F = self.algebra.field
-        out = [F.zero()] * self.algebra.dim
-        for i, c in enumerate(coeffs):
-            if c != F.zero():
-                for j, t in enumerate(self.apply_basis(i)):
-                    out[j] = F.add(out[j], F.mul(c, t))
-        return tuple(out)
-
 
 def dualize_module(tau: AntiInvolution, m: ModuleRep) -> ModuleRep:
     """Twisted dual: b acts on the dual space as the transpose of tau(b)."""
@@ -180,12 +171,11 @@ def _certify_fixed_point(label, phi: Morphism, psi_sym: Morphism):
 
 def fixed_point_for_tilting(reg: Registry, tilt: TiltingRegistry,
                             tau: AntiInvolution, datum: DualityDatum,
-                            t: ModuleRep, pieces=None) -> Morphism:
+                            t: ModuleRep) -> Morphism:
     """Symmetric invertible form on an arbitrary tilting module, transported
     from the block-diagonal form on its canonical summand decomposition."""
-    if pieces is None:
-        support = tilting_support(tilt, t)
-        pieces = [lam for lam in reg.poset.labels for _ in range(support.get(lam, 0))]
+    support = tilting_support(tilt, t)
+    pieces = [lam for lam in reg.poset.labels for _ in range(support.get(lam, 0))]
     canonical, _, _ = direct_sum([tilt.module(lam) for lam in pieces])
     block = block_diag([datum.fixed_forms[lam].matrix for lam in pieces])
     if canonical.dim == t.dim and all(
@@ -233,9 +223,8 @@ def induced_bar_map(reg: Registry, tilt: TiltingRegistry, tau: AntiInvolution,
     triple = tilt.triple(label)
     phi = datum.phi[label]
     lhs = triple.pi.matrix @ phi.matrix                 # D(T) -> Nabla
-    d_i = triple.i.matrix.transpose()                   # D(T) ->> D(Delta)
-    # bar @ d_i = lhs with d_i full row rank: solve the transposed system
-    return d_i.transpose().solve(lhs.transpose()).transpose()
+    # bar @ D(i) = lhs with D(i) = i^T of full row rank: solve i @ bar^T = lhs^T
+    return triple.i.matrix.solve(lhs.transpose()).transpose()
 
 
 def build_cellular_basis(tilt: TiltingRegistry, t: ModuleRep, tau: AntiInvolution,
@@ -256,32 +245,20 @@ def build_cellular_basis(tilt: TiltingRegistry, t: ModuleRep, tau: AntiInvolutio
     datum = StandardBasisDatum(tilt, t, seed)
     for lam in reg.poset.linear_extension:
         G = hom_space(reg.standard(lam), t)
-        if not G:
-            continue
-        Fs_space = hom_space(t, reg.costandard(lam))
-        if not Fs_space:
+        if not G or not hom_space(t, reg.costandard(lam)):
             continue
         bar = induced_bar_map(reg, tilt, tau, duality, lam)
-        Ghat = [extend_through_tilting(reg, tilt, g, lam, rng) for g in G]
+        Ghat = extend_through_tilting(reg, tilt, G, lam, rng)
         triple = tilt.triple(lam)
-        nabla = reg.costandard(lam)
-        t_lam = triple.module
-        Fs = [Morphism(t, nabla, bar @ g.matrix.transpose() @ psi_t.matrix) for g in G]
-        Fhat = [Morphism(t, t_lam,
+        Fs = [Morphism(t, reg.costandard(lam), bar @ g.matrix.transpose() @ psi_t.matrix)
+              for g in G]
+        Fhat = [Morphism(t, triple.module,
                          duality.phi[lam].matrix @ gh.matrix.transpose() @ psi_t.matrix)
                 for gh in Ghat]
         for f, fh in zip(Fs, Fhat):
             if (triple.pi.matrix @ fh.matrix) != f.matrix:
                 raise CellularityFailure(lam, -1, -1, "(dualized lift is not a lift)")
-        datum.order.append(lam)
-        datum.G[lam] = G
-        datum.F[lam] = Fs
-        datum.Ghat[lam] = Ghat
-        datum.Fhat[lam] = Fhat
-        datum.cells[lam] = [[gh @ fh for fh in Fhat] for gh in Ghat]
-        for i in range(len(G)):
-            for j in range(len(G)):
-                datum._index.append((lam, i, j))
+        datum.add_fiber(lam, G, Fs, Ghat, Fhat)
     finalize_datum(datum)
     # cellularity certificate: alpha transposes each fiber
     for (lam, i, j) in datum.index():

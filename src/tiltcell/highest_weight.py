@@ -28,7 +28,7 @@ from .algebra import (
     submodule_generated,
     submodule_rep,
 )
-from .errors import AxiomViolation, InputError, NoFiltration
+from .errors import AxiomViolation, InconsistentSystem, InputError, NoFiltration
 from .linalg import Matrix, Subspace
 
 
@@ -50,29 +50,17 @@ class WeightPoset:
                 raise InputError(f"cover ({a!r}, {b!r}) mentions unknown label")
             if a == b:
                 raise InputError(f"reflexive cover at {a!r}")
-        below = {x: set() for x in self.labels}   # strictly smaller labels
         adj = {x: set() for x in self.labels}
         for a, b in self.covers:                  # a < b
             adj[a].add(b)
-        # transitive closure by repeated sweeps (tiny posets)
-        changed = True
-        while changed:
-            changed = False
-            for a, b_set in adj.items():
-                for b in list(b_set):
-                    if a not in below[b]:
-                        below[b].add(a)
-                        changed = True
-                    for c in below[a]:
-                        if c not in below[b]:
-                            below[b].add(c)
-                            changed = True
-        for x in self.labels:
-            if x in below[x]:
-                raise InputError("cover relations contain a cycle")
-        self._below = below
         self.linear_extension = self._smallest_topological_sort(adj)
         self._position = {x: i for i, x in enumerate(self.linear_extension)}
+        # strictly smaller labels, complete for a before it is pushed up its covers
+        below = {x: set() for x in self.labels}
+        for a in self.linear_extension:
+            for b in adj[a]:
+                below[b] |= below[a] | {a}
+        self._below = below
 
     def _smallest_topological_sort(self, adj):
         indeg = {x: 0 for x in self.labels}
@@ -324,15 +312,11 @@ def ext1_with_classes(reg: Registry, m: ModuleRep, n: ModuleRep):
     if not homs_omega:
         return 0, [], None
     restricted = [h @ incl_omega for h in hom_space(P0, n)]
-    image_rows = [r.matrix.flat() for r in restricted]
-    img = Subspace.from_rows(F, n.dim * omega.dim, image_rows)
-    chosen = []
-    span = img
-    for h in homs_omega:
-        cand = span.plus(Subspace.from_rows(F, n.dim * omega.dim, [h.matrix.flat()]))
-        if cand.dim > span.dim:
-            span = cand
-            chosen.append(h)
+    # columns: the coboundaries, then the cocycles; a cocycle is chosen when
+    # it leaves the span of every column before it, i.e. at a pivot column
+    vecs = [r.matrix.flat() for r in restricted] + [h.matrix.flat() for h in homs_omega]
+    pivots = Matrix(F, vecs).transpose().rref()[1]
+    chosen = [homs_omega[c - len(restricted)] for c in pivots if c >= len(restricted)]
 
     def build(cocycles):
         return _extension_middle(reg, m, n, omega, incl_omega, P0, pi, cocycles)
@@ -365,16 +349,18 @@ def _extension_middle(reg, m, n, omega, incl_omega, P0, pi, cocycles):
         graph = col_n - col_p
         rows.extend(graph.transpose().entries)
     W = Subspace.from_rows(F, big.dim, rows)
-    E, proj_w, _ = quotient_rep(big, W)
+    E, proj_w, section = quotient_rep(big, W)
     incl_n = proj_w @ incls[0]
     # projection E -> m^d induced by pi on each block
     msum, m_incls, _ = direct_sum([m] * d)
     to_m = Matrix.zeros(F, msum.dim, big.dim)
     for idx in range(d):
         to_m = to_m + m_incls[idx].matrix @ pi.matrix @ projs[idx + 1].matrix
-    # factor through the quotient: solve proj_m . proj_w = to_m
-    sol = proj_w.matrix.transpose().solve(to_m.transpose())
-    proj_m = Morphism(E, msum, sol.transpose())
+    # factor through the quotient: proj_w . section = 1, so proj_m = to_m . section
+    # whenever to_m vanishes on W
+    proj_m = Morphism(E, msum, to_m @ section)
+    if proj_m.matrix @ proj_w.matrix != to_m:
+        raise InconsistentSystem("the projection does not factor through the quotient")
     return E, incl_n, proj_m, msum
 
 

@@ -135,9 +135,6 @@ class Field:
             return Fraction(num, den)
         return self.mul(self.of(num), self.inv(self.of(den)))
 
-    def fmt(self, a) -> str:
-        return str(a)
-
     # -- sampling (for seeded randomized searches) ----------------------------
 
     def sample(self, rng, span: int = 3):
@@ -212,7 +209,7 @@ class Matrix:
         return hash((self.field, self.rows, self.cols, self.entries))
 
     def __repr__(self):
-        body = "; ".join(" ".join(self.field.fmt(x) for x in r) for r in self.entries)
+        body = "; ".join(" ".join(map(str, r)) for r in self.entries)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     # -- arithmetic ---------------------------------------------------------------
@@ -646,23 +643,16 @@ class Subspace:
         ambient - dim.
         """
         F = self.field
-        pivots = self.basis.rref()[1]
-        free = [c for c in range(self.ambient) if c not in pivots]
-        q = len(free)
-        # reduce a standard basis vector modulo self, then read free coords
-        proj_rows = []
-        for fi, c in enumerate(free):
-            row = [F.zero()] * self.ambient
-            row[c] = F.one()
-            proj_rows.append(row)
-        proj = Matrix(F, proj_rows, cols=self.ambient)
-        if self.dim:
-            # subtract the pivot-coordinate contribution described by the basis
-            corr = [[F.zero()] * self.ambient for _ in range(q)]
-            for fi, c in enumerate(free):
-                for bi, pc in enumerate(pivots):
-                    corr[fi][pc] = self.basis.entries[bi][c]
-            proj = proj - Matrix(F, corr, cols=self.ambient)
-        section = Matrix(F, [[F.one() if free[i] == r else F.zero() for i in range(q)]
-                             for r in range(self.ambient)], cols=q)
-        return proj, section
+        z, o = F.zero(), F.one()
+        sparse = self._sparse_rows()
+        free = sorted(set(range(self.ambient)).difference(srow[0][0] for srow in sparse))
+        row_of = {c: fi for fi, c in enumerate(free)}
+        # e_c reduced modulo the RREF basis: a basis row with entry x at the
+        # free column c contributes -x at its pivot
+        proj = [[o if t == c else z for t in range(self.ambient)] for c in free]
+        for srow in sparse:
+            pc = srow[0][0]
+            for c, x in srow[1:]:
+                proj[row_of[c]][pc] = F.neg(x)
+        section = [[o if c == r else z for c in free] for r in range(self.ambient)]
+        return Matrix(F, proj, cols=self.ambient), Matrix(F, section, cols=len(free))

@@ -14,11 +14,11 @@ from .linalg import Matrix
 
 
 def matrix_entries(m: Matrix):
-    return [[m.field.fmt(x) for x in row] for row in m.entries]
+    return [[str(x) for x in row] for row in m.entries]
 
 
-def vector_entries(field, vec):
-    return [field.fmt(x) for x in vec]
+def vector_entries(vec):
+    return [str(x) for x in vec]
 
 
 def to_json_bytes(report: dict) -> bytes:

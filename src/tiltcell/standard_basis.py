@@ -5,7 +5,10 @@ morphisms; factorizing through the indecomposable tilting modules produces
 a basis of End(T) fibered over the weight poset whose multiplication is
 triangular with respect to that filtration.  This module builds the basis
 for seeded lift choices, computes the structure coefficients, and verifies
-the fibered-multiplication axioms exactly.  The products of the cells are
+the fibered-multiplication axioms exactly.  Lifts work a fiber at a time:
+all the maps of one fiber share one lift space, which is solved once for
+all of them, and StandardBasisDatum.add_fiber assembles a fiber for both
+the standard and the cellular basis.  The products of the cells are
 formed once per datum, as a table of their coordinates in the cell basis;
 the axiom replay reads it, and a random probe's products follow by
 bilinearity, so it forms no matrix product.
@@ -99,54 +102,59 @@ def hom_filtration(reg: Registry, m: ModuleRep, n: ModuleRep,
     return HomFiltration(m, n, homs, spaces)
 
 
-def _solve_lift(F, candidates, compose_to, target, rng):
-    """Representative x with compose_to(x) = target among a hom space.
+def _lift_fiber(F, source, target, compose_to, fiber, rng, what):
+    """Morphisms x: source -> target with compose_to(x) = f, one for each f
+    of a fiber, all from the one lift space Hom(source, target).
 
-    candidates: basis of the lift space; compose_to maps a candidate matrix
-    to the constrained composite.  Free variables of the solve are zero for
-    the canonical lift (rng None) and PRNG-sampled otherwise.
+    compose_to maps a candidate matrix to the constrained composite.  The
+    candidates' composites are formed once and one solve takes every f as a
+    right-hand side; its column for f is f's own solve, free variables zero,
+    which is the canonical lift (rng None).  Otherwise the kernel is computed
+    once and f's free variables are PRNG-sampled, a draw per null row, f by f.
     """
+    candidates = hom_space(source, target)
     if not candidates:
         raise NoLift("lift space is empty")
     cols = Matrix(F, [compose_to(c.matrix).flat() for c in candidates]).transpose()
     try:
-        part = cols.solve(Matrix.column(F, target.flat()))
+        part = cols.solve(Matrix(F, [f.matrix.flat() for f in fiber]).transpose())
     except InconsistentSystem as exc:  # upstream axiom violation
         raise NoLift(f"no factorization exists: {exc}") from exc
-    coeffs = [r[0] for r in part.entries]
-    if rng is not None:
-        for null_row in cols.kernel().entries:
+    null_rows = cols.kernel().entries if rng is not None else ()
+    mats = [c.matrix for c in candidates]
+    out = []
+    for f, coeffs in zip(fiber, part.transpose().entries):
+        for null_row in null_rows:
             c = F.sample(rng)
             if c:
                 coeffs = [F.add(a, F.mul(c, b)) for a, b in zip(coeffs, null_row)]
-    shape = candidates[0].matrix
-    return linear_combination(F, coeffs, [c.matrix for c in candidates], shape.rows, shape.cols)
-
-
-def lift_through_tilting(reg: Registry, tilt: TiltingRegistry, f: Morphism,
-                         label: str, rng: random.Random | None = None) -> Morphism:
-    """f-hat: M -> T(label) with pi . f-hat = f, for f: M -> Nabla(label)."""
-    triple = tilt.triple(label)
-    F = reg.algebra.field
-    candidates = hom_space(f.source, triple.module)
-    mat = _solve_lift(F, candidates, lambda m: triple.pi.matrix @ m, f.matrix, rng)
-    out = Morphism(f.source, triple.module, mat)
-    if (triple.pi @ out).matrix != f.matrix:
-        raise TheoremViolation("lift does not reproduce the morphism")
+        mat = linear_combination(F, coeffs, mats, target.dim, source.dim)
+        if compose_to(mat) != f.matrix:
+            raise TheoremViolation(f"{what} does not reproduce the morphism")
+        out.append(Morphism(source, target, mat))
     return out
 
 
-def extend_through_tilting(reg: Registry, tilt: TiltingRegistry, g: Morphism,
-                           label: str, rng: random.Random | None = None) -> Morphism:
-    """g-hat: T(label) -> N with g-hat . i = g, for g: Delta(label) -> N."""
+def lift_through_tilting(reg: Registry, tilt: TiltingRegistry, fs: list[Morphism],
+                         label: str, rng: random.Random | None = None) -> list[Morphism]:
+    """f-hat: M -> T(label) with pi . f-hat = f, for each f: M -> Nabla(label)
+    of a fiber with the one source M."""
+    if not fs:
+        return []
     triple = tilt.triple(label)
-    F = reg.algebra.field
-    candidates = hom_space(triple.module, g.target)
-    mat = _solve_lift(F, candidates, lambda m: m @ triple.i.matrix, g.matrix, rng)
-    out = Morphism(triple.module, g.target, mat)
-    if (out @ triple.i).matrix != g.matrix:
-        raise TheoremViolation("extension does not reproduce the morphism")
-    return out
+    return _lift_fiber(reg.algebra.field, fs[0].source, triple.module,
+                       lambda m: triple.pi.matrix @ m, fs, rng, "lift")
+
+
+def extend_through_tilting(reg: Registry, tilt: TiltingRegistry, gs: list[Morphism],
+                           label: str, rng: random.Random | None = None) -> list[Morphism]:
+    """g-hat: T(label) -> N with g-hat . i = g, for each g: Delta(label) -> N
+    of a fiber with the one target N."""
+    if not gs:
+        return []
+    triple = tilt.triple(label)
+    return _lift_fiber(reg.algebra.field, triple.module, gs[0].target,
+                       lambda m: m @ triple.i.matrix, gs, rng, "extension")
 
 
 class StandardBasisDatum:
@@ -182,6 +190,15 @@ class StandardBasisDatum:
         self._table = None       # table[a][b]: coordinates of cell_a . cell_b
 
     # -- assembly -------------------------------------------------------------
+
+    def add_fiber(self, label, G, Fs, Ghat, Fhat):
+        """Append the fiber at `label` along the order: its hom bases, their
+        lifts and the cells Ghat[i] . Fhat[j], indexed (label, i, j)."""
+        self.order.append(label)
+        self.G[label], self.F[label] = G, Fs
+        self.Ghat[label], self.Fhat[label] = Ghat, Fhat
+        self.cells[label] = [[gh @ fh for fh in Fhat] for gh in Ghat]
+        self._index.extend((label, i, j) for i in range(len(G)) for j in range(len(Fs)))
 
     def coords(self, matrix: Matrix):
         return self._coords(matrix.flat())
@@ -242,15 +259,8 @@ def build_standard_basis(tilt: TiltingRegistry, module: ModuleRep,
         Fs = hom_space(module, reg.costandard(lam))
         if not G or not Fs:
             continue
-        datum.order.append(lam)
-        datum.G[lam] = G
-        datum.F[lam] = Fs
-        datum.Ghat[lam] = [extend_through_tilting(reg, tilt, g, lam, rng) for g in G]
-        datum.Fhat[lam] = [lift_through_tilting(reg, tilt, f, lam, rng) for f in Fs]
-        datum.cells[lam] = [[gh @ fh for fh in datum.Fhat[lam]] for gh in datum.Ghat[lam]]
-        for i in range(len(G)):
-            for j in range(len(Fs)):
-                datum._index.append((lam, i, j))
+        Ghat = extend_through_tilting(reg, tilt, G, lam, rng)  # the G side draws first
+        datum.add_fiber(lam, G, Fs, Ghat, lift_through_tilting(reg, tilt, Fs, lam, rng))
     finalize_datum(datum)
     return datum
 

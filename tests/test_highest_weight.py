@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltcell import highest_weight
 from tiltcell.algebra import ModuleRep, direct_sum, hom_space, is_isomorphic, submodule_rep
@@ -18,9 +20,10 @@ from tiltcell.highest_weight import (
     syzygy,
     verify_standard_category,
 )
-from tiltcell.linalg import Field
+from tiltcell.linalg import Subspace
 
-Q = Field()
+from test_standard_basis import auslander3_pipeline
+from test_stress import F10007, Q
 
 
 def build(name):
@@ -55,6 +58,45 @@ def test_poset_transitive_closure_and_maximal():
     q = WeightPoset(["x", "y"], [])
     # incomparable: tie broken by linear extension position
     assert q.maximal_among(["x", "y"]) == "y"
+
+
+def reference_below(labels, covers):
+    """Strictly-below sets by depth-first search down the cover relations."""
+    down = {x: [a for a, b in covers if b == x] for x in labels}
+
+    def below(x, seen):
+        for a in down[x]:
+            if a not in seen:
+                seen.add(a)
+                below(a, seen)
+        return seen
+
+    return {x: below(x, set()) for x in labels}
+
+
+random_dags = st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.permutations([str(k) for k in range(n)]),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_dags)
+def test_poset_closure_matches_reference(dag):
+    # edges run forward along a random permutation, so the covers are acyclic
+    labels, pairs = dag
+    covers = [(labels[a], labels[b]) for a, b in pairs if a < b]
+    p = WeightPoset(labels, covers)
+    below = reference_below(labels, covers)
+    for a in labels:
+        for b in labels:
+            assert p.lt(a, b) == (a in below[b])
+    pos = {x: i for i, x in enumerate(p.linear_extension)}
+    assert all(pos[a] < pos[b] for a, b in covers)
+    if covers:
+        # closing any cover path back on itself is a cycle
+        a, b = covers[0]
+        with pytest.raises(InputError, match="cycle"):
+            WeightPoset(labels, covers + [(b, a)])
 
 
 # -- registry construction --------------------------------------------------------
@@ -193,6 +235,47 @@ def test_ext1_witness_replay():
     w = ext1_witness_factor(reg, reg.simple("2"), reg.costandard("1"))
     assert w is not None
     assert ext1_dim(reg, reg.simple(w), reg.costandard("1")) > 0
+
+
+def reference_cocycles(reg, m, n):
+    """The cocycles ext1_with_classes chose before one elimination: greedily,
+    each hom that enlarges the span of the coboundaries and of the homs
+    chosen so far."""
+    F = reg.algebra.field
+    omega, incl_omega, P0, _ = syzygy(reg, m)
+    homs_omega = hom_space(omega, n)
+    if not homs_omega:
+        return []
+    width = n.dim * omega.dim
+    span = Subspace.from_rows(F, width, [(h @ incl_omega).matrix.flat()
+                                         for h in hom_space(P0, n)])
+    chosen = []
+    for h in homs_omega:
+        cand = span.plus(Subspace.from_rows(F, width, [h.matrix.flat()]))
+        if cand.dim > span.dim:
+            span = cand
+            chosen.append(h)
+    return chosen
+
+
+@pytest.mark.parametrize("field", [None, Q, F10007], ids=["catalog", "auslander3-Q", "auslander3-F10007"])
+def test_ext1_cocycles_match_greedy_reference(pipelines, field):
+    if field is None:
+        regs = [reg for _, reg, _ in pipelines.values()]
+    else:
+        regs = [auslander3_pipeline(field)[0]]
+    nonzero = 0
+    for reg in regs:
+        mods = [mod for lab in reg.poset.labels
+                for mod in (reg.standard(lab), reg.costandard(lab), reg.simple(lab))]
+        for m in mods:
+            for n in mods:
+                d, chosen, _ = ext1_with_classes(reg, m, n)
+                want = reference_cocycles(reg, m, n)
+                assert d == len(chosen)
+                assert [h.matrix for h in chosen] == [h.matrix for h in want]
+                nonzero += d > 0
+    assert nonzero > 0
 
 
 # -- filtrations ------------------------------------------------------------------

@@ -135,6 +135,41 @@ def matrices(field, rows, cols):
         lambda ent: Matrix.from_int_rows(field, ent))
 
 
+def reference_complement_projection(s):
+    """complement_projection as it was: the pivots by a fresh elimination of
+    the basis, then the identity on the free coordinates minus a correction."""
+    F = s.field
+    pivots = s.basis.rref()[1]
+    free = [c for c in range(s.ambient) if c not in pivots]
+    q = len(free)
+    proj_rows = []
+    for c in free:
+        row = [F.zero()] * s.ambient
+        row[c] = F.one()
+        proj_rows.append(row)
+    proj = Matrix(F, proj_rows, cols=s.ambient)
+    if s.dim:
+        corr = [[F.zero()] * s.ambient for _ in range(q)]
+        for fi, c in enumerate(free):
+            for bi, pc in enumerate(pivots):
+                corr[fi][pc] = s.basis.entries[bi][c]
+        proj = proj - Matrix(F, corr, cols=s.ambient)
+    section = Matrix(F, [[F.one() if free[i] == r else F.zero() for i in range(q)]
+                         for r in range(s.ambient)], cols=q)
+    return proj, section
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([Q, F5]).flatmap(lambda F: st.integers(1, 5).flatmap(
+    lambda n: st.integers(0, n + 1).flatmap(lambda k: matrices(F, k, n)))))
+def test_complement_projection_matches_reference(m):
+    s = Subspace.from_rows(m.field, m.cols, m.entries) if m.rows else Subspace.zero(m.field, m.cols)
+    got, want = s.complement_projection(), reference_complement_projection(s)
+    for a, b in zip(got, want):
+        assert (a.rows, a.cols) == (b.rows, b.cols)
+        assert a == b and [list(map(str, r)) for r in a.entries] == [list(map(str, r)) for r in b.entries]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 4).flatmap(lambda n: matrices(Q, n, n)))
 def test_rref_idempotent(m):

@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 
@@ -5,9 +6,9 @@ import pytest
 
 from tiltcell.algebra import Morphism, direct_sum, hom_space
 from tiltcell.cells import CellData, is_semisimple_endalgebra
-from tiltcell.errors import AxiomViolation
-from tiltcell.highest_weight import filtration_multiplicity
-from tiltcell.linalg import Matrix, Subspace
+from tiltcell.errors import AxiomViolation, NoLift
+from tiltcell.highest_weight import Registry, filtration_multiplicity
+from tiltcell.linalg import Matrix, Subspace, linear_combination
 from tiltcell.standard_basis import (
     OppositeDatum,
     build_standard_basis,
@@ -21,6 +22,9 @@ from tiltcell.standard_basis import (
     structure_coefficients,
     verify_standard_axioms,
 )
+from tiltcell.tilting import TiltingRegistry
+
+from test_stress import F10007, Q, auslander_algebra, chain_poset
 
 
 def char_tilting(reg, tilt):
@@ -71,7 +75,7 @@ def test_phi_weight_additive_lemma(pipelines, rng):
 def test_lift_of_projection_is_identity_choice(pipelines):
     _, reg, tilt = pipelines["a2path"]
     tr = tilt.triple("1")
-    lifted = lift_through_tilting(reg, tilt, tr.pi, "1")
+    [lifted] = lift_through_tilting(reg, tilt, [tr.pi], "1")
     assert (tr.pi @ lifted).matrix == tr.pi.matrix
 
 
@@ -79,7 +83,7 @@ def test_lift_zero_is_zero(pipelines):
     _, reg, tilt = pipelines["a2path"]
     T = char_tilting(reg, tilt)
     zero = Morphism.zero(T, reg.costandard("2"))
-    lifted = lift_through_tilting(reg, tilt, zero, "2")
+    [lifted] = lift_through_tilting(reg, tilt, [zero], "2")
     assert lifted.is_zero()
 
 
@@ -91,11 +95,98 @@ def test_lift_equations_hold_for_all_seeds(pipelines):
             for lab in reg.poset.labels:
                 tr = tilt.triple(lab)
                 for f in hom_space(T, reg.costandard(lab)):
-                    fh = lift_through_tilting(reg, tilt, f, lab, rng)
+                    [fh] = lift_through_tilting(reg, tilt, [f], lab, rng)
                     assert (tr.pi @ fh).matrix == f.matrix
                 for g in hom_space(reg.standard(lab), T):
-                    gh = extend_through_tilting(reg, tilt, g, lab, rng)
+                    [gh] = extend_through_tilting(reg, tilt, [g], lab, rng)
                     assert (gh @ tr.i).matrix == g.matrix
+
+
+# -- fiber lifts against the per-morphism reference ------------------------------------
+
+def reference_solve_lift(F, candidates, compose_to, target, rng):
+    """One morphism's lift, as it was before fibers: its own solve and, with
+    a PRNG, its own kernel."""
+    if not candidates:
+        raise NoLift("lift space is empty")
+    cols = Matrix(F, [compose_to(c.matrix).flat() for c in candidates]).transpose()
+    part = cols.solve(Matrix.column(F, target.flat()))
+    coeffs = [r[0] for r in part.entries]
+    if rng is not None:
+        for null_row in cols.kernel().entries:
+            c = F.sample(rng)
+            if c:
+                coeffs = [F.add(a, F.mul(c, b)) for a, b in zip(coeffs, null_row)]
+    shape = candidates[0].matrix
+    return linear_combination(F, coeffs, [c.matrix for c in candidates], shape.rows, shape.cols)
+
+
+def reference_lift(reg, tilt, f, label, rng):
+    triple = tilt.triple(label)
+    return reference_solve_lift(reg.algebra.field, hom_space(f.source, triple.module),
+                                lambda m: triple.pi.matrix @ m, f.matrix, rng)
+
+
+def reference_extend(reg, tilt, g, label, rng):
+    triple = tilt.triple(label)
+    return reference_solve_lift(reg.algebra.field, hom_space(triple.module, g.target),
+                                lambda m: m @ triple.i.matrix, g.matrix, rng)
+
+
+@functools.cache
+def auslander3_pipeline(field):
+    reg = Registry(auslander_algebra(field, 3), chain_poset(3))
+    tilt = TiltingRegistry(reg)
+    return reg, tilt, char_tilting(reg, tilt)
+
+
+def assert_same_entries(got, want):
+    assert got == want
+    assert [[str(x) for x in r] for r in got.entries] == [[str(x) for x in r] for r in want.entries]
+
+
+@pytest.mark.parametrize("field", [None, Q, F10007], ids=["catalog", "auslander3-Q", "auslander3-F10007"])
+def test_fiber_lifts_match_per_morphism_reference(pipelines, field):
+    if field is None:
+        cases = [(reg, tilt, char_tilting(reg, tilt)) for _, reg, tilt in pipelines.values()]
+    else:
+        cases = [auslander3_pipeline(field)]
+    for reg, tilt, T in cases:
+        for seed in (0, 3, 7):
+            # one PRNG for the reference and one for the fibers, drawn in the
+            # order build_standard_basis draws: per label, the G side first
+            ref_rng = None if seed == 0 else random.Random(seed)
+            rng = None if seed == 0 else random.Random(seed)
+            for lab in reg.poset.linear_extension:
+                G = hom_space(reg.standard(lab), T)
+                Fs = hom_space(T, reg.costandard(lab))
+                want = [reference_extend(reg, tilt, g, lab, ref_rng) for g in G]
+                want += [reference_lift(reg, tilt, f, lab, ref_rng) for f in Fs]
+                got = extend_through_tilting(reg, tilt, G, lab, rng)
+                got += lift_through_tilting(reg, tilt, Fs, lab, rng)
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert_same_entries(a.matrix, b)
+
+
+def test_empty_fiber_lifts_to_empty_list(pipelines):
+    _, reg, tilt = pipelines["a2path"]
+    assert lift_through_tilting(reg, tilt, [], "1") == []
+    assert extend_through_tilting(reg, tilt, [], "1", random.Random(3)) == []
+
+
+@pytest.mark.parametrize("field", [Q, F10007], ids=repr)
+def test_basis_solves_each_lift_space_once(field, monkeypatch):
+    # one solve per side of each fiber, not one per morphism
+    reg, tilt, T = auslander3_pipeline(field)
+    calls = []
+    solve = Matrix.solve
+    monkeypatch.setattr(Matrix, "solve", lambda self, b: calls.append(b.cols) or solve(self, b))
+    datum = build_standard_basis(tilt, T, seed=3)
+    sizes = datum.fiber_sizes()
+    assert sum(i + j for i, j in sizes.values()) == 12
+    assert len(calls) == 2 * len(datum.order) == 6
+    assert sum(calls) == 12
 
 
 # -- the basis ----------------------------------------------------------------------
