@@ -2,6 +2,10 @@
 morphisms, and the structural toolbox: hom spaces, radicals and socles,
 composition multiplicities, Krull-Schmidt decomposition, isomorphism tests.
 
+Hom spaces impose the intertwining equations only for a generating set of
+A, found once per presentation: every module's action is an algebra
+homomorphism, so commuting with the generators is commuting with A.
+Associativity is checked on the nonzero entries of the structure table.
 The regular module is split from A's own multiplication: End_A(Ae) is right
 multiplication by eAe, with radical e.rad(A).e, so it solves no hom system.
 An endomorphism splits a module in one step: it is an idempotent, or its
@@ -29,6 +33,7 @@ from .errors import (
     NotSplit,
 )
 from .linalg import Field, Matrix, Subspace, block_diag, coordinates, linear_combination, vstack
+from .structure import first_nonassociative_pair, generating_set
 
 
 class AlgebraPresentation:
@@ -45,6 +50,7 @@ class AlgebraPresentation:
         self.unit = tuple(unit)
         self.name = name
         self._left_mults = None
+        self._generators = [None]   # one slot, shared with the opposite algebra
         if len(self.table) != dim or any(len(r) != dim for r in self.table):
             raise InputError("structure constant table has wrong shape")
         if len(self.unit) != dim:
@@ -103,7 +109,6 @@ class AlgebraPresentation:
 
     def _check_axioms(self):
         F = self.field
-        lm = self.left_mult_basis()
         unit_mat = self.left_mult(self.unit)
         ident = Matrix.identity(F, self.dim)
         if unit_mat != ident:
@@ -113,18 +118,24 @@ class AlgebraPresentation:
             e_i = tuple(F.one() if t == i else F.zero() for t in range(self.dim))
             if self.multiply(e_i, self.unit) != e_i:
                 raise InputError("unit is not a right identity")
-        # associativity on basis triples via L_i L_j = L_{b_i b_j}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                lhs = lm[i] @ lm[j]
-                rhs = self.left_mult(self.table[i][j])
-                if lhs != rhs:
-                    raise InputError(f"multiplication not associative at basis pair ({i},{j})")
+        pair = first_nonassociative_pair(self)
+        if pair is not None:
+            raise InputError("multiplication not associative at basis pair ({},{})".format(*pair))
+
+    def generators(self) -> tuple[int, ...]:
+        """Basis indices that generate the algebra together with the unit
+        (`structure.generating_set`), computed once and shared with the
+        opposite algebra, which the same indices generate."""
+        if self._generators[0] is None:
+            self._generators[0] = generating_set(self)
+        return self._generators[0]
 
     def opposite(self) -> "AlgebraPresentation":
         table = [[self.table[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        return AlgebraPresentation(self.field, self.dim, table, self.unit,
-                                   name=self.name + "^op", check=False)
+        op = AlgebraPresentation(self.field, self.dim, table, self.unit,
+                                 name=self.name + "^op", check=False)
+        op._generators = self._generators
+        return op
 
     def regular_module(self) -> "ModuleRep":
         return ModuleRep(self, self.dim, self.left_mult_basis(), check=False)
@@ -306,10 +317,15 @@ def submodule_generated(m: ModuleRep, vectors) -> Subspace:
 def hom_space(m: ModuleRep, n: ModuleRep) -> list[Morphism]:
     """Canonical basis of the space of intertwiners m -> n.
 
-    Solves X a_M(b) = a_N(b) X for all basis elements b; the basis is the RREF
-    basis of the solution space in row-major matrix coordinates, so the output
-    is deterministic.  Equations with no nonzero coefficient are left out;
-    they do not change the solution space.
+    Solves X a_M(g) = a_N(g) X for the generators g of the algebra
+    (`AlgebraPresentation.generators`).  That suffices because every module
+    that reaches here was checked on load or built from A's own operations,
+    so its action is a unital algebra homomorphism: X then commutes with the
+    action of every word in the generators, of the unit, and so of all of A.
+    The basis is the RREF basis of the solution space in row-major matrix
+    coordinates, which depends on the space alone, so the output is
+    deterministic.  Equations with no nonzero coefficient are left out; they
+    do not change the solution space.
     """
     if m.algebra is not n.algebra and m.algebra.table != n.algebra.table:
         raise AlgebraMismatch("hom between modules over different algebras")
@@ -321,7 +337,7 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[Morphism]:
     zero = F.zero()
     rows = []
     # unknown X is dn x dm, flattened row-major: index (r, c) -> r * dm + c
-    for b in range(m.algebra.dim):
+    for b in m.algebra.generators():
         am = m.action[b].entries
         an = n.action[b].entries
         # (X am)[r, c] = sum_k X[r, k] am[k, c]

@@ -128,6 +128,7 @@ class Registry:
         self.poset = poset
         self.rng = rng or random.Random(0)
         self._syzygies = {}   # action matrices of a module -> its syzygy data
+        self._ext1 = {}       # action matrices of (m, n) -> Ext^1 cocycles, or None
         self.rad = algebra_radical(algebra)
         simples = simples_and_split_check(algebra, self.rng, self.rad)
         if len(simples) != len(poset.labels):
@@ -304,24 +305,39 @@ def ext1_with_classes(reg: Registry, m: ModuleRep, n: ModuleRep):
 
     Cocycles are morphisms Omega(m) -> n modulo restrictions of morphisms
     P0 -> n; builder(cocycle) materializes the middle term with its
-    inclusion and projection.
+    inclusion and projection.  The cocycles are found once per content of
+    (m, n) in the registry, as `syzygy` is, and returned onto the caller's n,
+    with a builder bound to the caller's m and n.
     """
-    F = reg.algebra.field
-    omega, incl_omega, P0, pi = syzygy(reg, m)
-    homs_omega = hom_space(omega, n)
-    if not homs_omega:
+    key = (m.action, n.action)
+    if key not in reg._ext1:
+        reg._ext1[key] = _ext1_cocycles(reg, m, n)
+    chosen = reg._ext1[key]
+    if chosen is None:
         return 0, [], None
-    restricted = [h @ incl_omega for h in hom_space(P0, n)]
-    # columns: the coboundaries, then the cocycles; a cocycle is chosen when
-    # it leaves the span of every column before it, i.e. at a pivot column
-    vecs = [r.matrix.flat() for r in restricted] + [h.matrix.flat() for h in homs_omega]
-    pivots = Matrix(F, vecs).transpose().rref()[1]
-    chosen = [homs_omega[c - len(restricted)] for c in pivots if c >= len(restricted)]
+    chosen = [c if c.target is n else Morphism(c.source, n, c.matrix) for c in chosen]
+    omega, incl_omega, P0, pi = syzygy(reg, m)
 
     def build(cocycles):
         return _extension_middle(reg, m, n, omega, incl_omega, P0, pi, cocycles)
 
     return len(chosen), chosen, build
+
+
+def _ext1_cocycles(reg: Registry, m: ModuleRep, n: ModuleRep):
+    """The cocycles Omega(m) -> n chosen for Ext^1(m, n), or None when
+    Hom(Omega(m), n) = 0."""
+    F = reg.algebra.field
+    omega, incl_omega, P0, _ = syzygy(reg, m)
+    homs_omega = hom_space(omega, n)
+    if not homs_omega:
+        return None
+    restricted = [h @ incl_omega for h in hom_space(P0, n)]
+    # columns: the coboundaries, then the cocycles; a cocycle is chosen when
+    # it leaves the span of every column before it, i.e. at a pivot column
+    vecs = [r.matrix.flat() for r in restricted] + [h.matrix.flat() for h in homs_omega]
+    pivots = Matrix(F, vecs).transpose().rref()[1]
+    return [homs_omega[c - len(restricted)] for c in pivots if c >= len(restricted)]
 
 
 def ext1_dim(reg: Registry, m: ModuleRep, n: ModuleRep) -> int:

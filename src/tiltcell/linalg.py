@@ -356,25 +356,16 @@ class Matrix:
 
     def kernel(self):
         """Canonical (RREF) basis of the right null space, as matrix rows."""
-        F = self.field
-        red, pivots, rank = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        if not free:
-            return Matrix(F, [], cols=self.cols)
-        vecs = []
-        for fc in free:
-            v = [F.zero()] * self.cols
-            v[fc] = F.one()
-            for i, pc in enumerate(pivots):
-                v[pc] = F.neg(red.entries[i][fc])
-            vecs.append(v)
-        return Matrix(F, vecs).rref()[0]
+        red, pivots, _ = self.rref()
+        return _null_space(self.field, red, pivots, self.cols)
 
-    def solve(self, b: "Matrix") -> "Matrix":
+    def solve(self, b: "Matrix", with_kernel: bool = False):
         """A particular solution X of self @ X = b, every free variable zero.
 
         Raises InconsistentSystem when some column of b is outside the column
-        space; the solutions differ from X by columns in kernel().
+        space; the solutions differ from X by columns in kernel().  With
+        with_kernel, returns (X, kernel()) from the one elimination: the left
+        block of the RREF of [self | b] is the RREF of self.
         """
         if b.rows != self.rows:
             raise DimensionMismatch("solve: row counts differ")
@@ -390,7 +381,8 @@ class Matrix:
         for i, pc in enumerate(pivots):
             for j in range(b.cols):
                 part[pc][j] = red.entries[i][self.cols + j]
-        return Matrix(F, part, cols=b.cols)
+        part = Matrix(F, part, cols=b.cols)
+        return (part, _null_space(F, red, pivots, self.cols)) if with_kernel else part
 
     def inverse(self):
         if self.rows != self.cols:
@@ -406,6 +398,22 @@ class Matrix:
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
+
+
+def _null_space(F: Field, red: Matrix, pivots, cols: int) -> Matrix:
+    """Canonical (RREF) basis of the null space of the first `cols` columns
+    of a matrix, read from its RREF `red` with `pivots` (all below cols)."""
+    free = [c for c in range(cols) if c not in pivots]
+    if not free:
+        return Matrix(F, [], cols=cols)
+    vecs = []
+    for fc in free:
+        v = [F.zero()] * cols
+        v[fc] = F.one()
+        for i, pc in enumerate(pivots):
+            v[pc] = F.neg(red.entries[i][fc])
+        vecs.append(v)
+    return Matrix(F, vecs).rref()[0]
 
 
 # -- coordinates and linear combinations ---------------------------------------

@@ -109,18 +109,23 @@ def _lift_fiber(F, source, target, compose_to, fiber, rng, what):
     compose_to maps a candidate matrix to the constrained composite.  The
     candidates' composites are formed once and one solve takes every f as a
     right-hand side; its column for f is f's own solve, free variables zero,
-    which is the canonical lift (rng None).  Otherwise the kernel is computed
-    once and f's free variables are PRNG-sampled, a draw per null row, f by f.
+    which is the canonical lift (rng None).  Otherwise the same elimination
+    gives the kernel, and f's free variables are PRNG-sampled, a draw per null
+    row, f by f.
     """
     candidates = hom_space(source, target)
     if not candidates:
         raise NoLift("lift space is empty")
     cols = Matrix(F, [compose_to(c.matrix).flat() for c in candidates]).transpose()
+    targets = Matrix(F, [f.matrix.flat() for f in fiber]).transpose()
     try:
-        part = cols.solve(Matrix(F, [f.matrix.flat() for f in fiber]).transpose())
+        if rng is None:
+            part, null_rows = cols.solve(targets), ()
+        else:
+            part, null = cols.solve(targets, with_kernel=True)
+            null_rows = null.entries
     except InconsistentSystem as exc:  # upstream axiom violation
         raise NoLift(f"no factorization exists: {exc}") from exc
-    null_rows = cols.kernel().entries if rng is not None else ()
     mats = [c.matrix for c in candidates]
     out = []
     for f, coeffs in zip(fiber, part.transpose().entries):

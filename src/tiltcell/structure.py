@@ -1,0 +1,136 @@
+"""Computations on the nonzero entries of an algebra's structure table: the
+associativity check run when a presentation is loaded, and the generating
+set that `hom_space` imposes its intertwining equations for.
+
+Neither forms a matrix.  A subalgebra is grown as the span of the words in
+its generators applied to the unit, kept in echelon form on sparse rows.
+"""
+
+from __future__ import annotations
+
+
+def sparse_table(algebra):
+    """sparse[i][j]: the nonzero (k, c) of b_i b_j."""
+    return [[[(k, c) for k, c in enumerate(v) if c] for v in row] for row in algebra.table]
+
+
+def first_nonassociative_pair(algebra) -> tuple[int, int] | None:
+    """The first basis pair (i, j), row by row, with b_i (b_j b_k) != (b_i b_j) b_k
+    for some k (where L_i L_j and L_{b_i b_j} differ), or None.  Every triple is
+    checked exactly."""
+    p = algebra.field.p
+    sparse = sparse_table(algebra)
+    for i, row_i in enumerate(sparse):
+        for j, ij in enumerate(row_i):
+            row_j = sparse[j]
+            for k in range(algebra.dim):
+                acc = {}
+                for l, c in row_j[k]:
+                    for t, x in row_i[l]:
+                        acc[t] = acc.get(t, 0) + c * x
+                for l, c in ij:
+                    for t, x in sparse[l][k]:
+                        acc[t] = acc.get(t, 0) - c * x
+                if any(acc.values()) if p is None else any(x % p for x in acc.values()):
+                    return i, j
+    return None
+
+
+def generating_set(algebra) -> tuple[int, ...]:
+    """Basis indices that generate the algebra together with the unit.
+
+    Chosen greedily in basis order (b_i joins when it lies outside the
+    subalgebra the earlier choices generate), then pruned in one pass: a
+    generator is dropped when the others still generate.  No generator can
+    then be dropped, since each kept one was needed by a superset of the
+    rest.  The choice depends only on which sets generate, and a subspace
+    closed under the product is closed under the opposite product, so A and
+    A^op get the same indices.
+    """
+    sparse = sparse_table(algebra)
+    closure = _Closure(algebra, sparse)
+    gens = []
+    for i in range(algebra.dim):
+        if not closure.full() and not closure.contains(i):
+            closure.add_generator(i)
+            gens.append(i)
+    for g in tuple(gens):
+        rest = [h for h in gens if h != g]
+        closure = _Closure(algebra, sparse)
+        for h in rest:
+            closure.add_generator(h)
+        if closure.full():
+            gens = rest
+    return tuple(gens)
+
+
+class _Closure:
+    """The subalgebra generated by the unit and a growing set of basis elements:
+    the span of the words g_1 ... g_k . 1, kept closed under left multiplication
+    by every generator as generators are added.  Rows are sparse dicts with a
+    leading 1 at distinct leading columns, so a vector lies in the span exactly
+    when reducing it by leading column leaves nothing."""
+
+    def __init__(self, algebra, sparse):
+        self.field = algebra.field
+        self.dim = algebra.dim
+        self.sparse = sparse
+        self.rows = {}        # leading column -> row
+        self.gens = []
+        self._insert({k: c for k, c in enumerate(algebra.unit) if c})
+
+    def full(self) -> bool:
+        return len(self.rows) == self.dim
+
+    def contains(self, i: int) -> bool:
+        return not self._reduce({i: self.field.one()})
+
+    def add_generator(self, g: int):
+        """Close the span under g: every row owes a product by g, and every
+        new row a product by each generator."""
+        self.gens.append(g)
+        work = [(g, row) for row in self.rows.values()]
+        while work and not self.full():
+            h, v = work.pop()
+            row = self._insert(self._left_mult(h, v))
+            if row is not None:
+                work.extend((k, row) for k in self.gens)
+
+    def _insert(self, v: dict) -> dict | None:
+        """Reduce v; a remainder joins the rows, scaled to a leading 1."""
+        p = self.field.p
+        v = self._reduce(v)
+        if not v:
+            return None
+        lead = min(v)
+        s = self.field.inv(v[lead])
+        row = self.rows[lead] = {t: x * s if p is None else x * s % p for t, x in v.items()}
+        return row
+
+    def _reduce(self, v: dict) -> dict:
+        p, rows = self.field.p, self.rows
+        while v:
+            lead = min(v)
+            row = rows.get(lead)
+            if row is None:
+                return v
+            d = v[lead]
+            for t, x in row.items():
+                y = v.get(t, 0) - d * x
+                if p is not None:
+                    y %= p
+                if y:
+                    v[t] = y
+                else:
+                    del v[t]
+        return v
+
+    def _left_mult(self, g: int, v: dict) -> dict:
+        p, row = self.field.p, self.sparse[g]
+        acc = {}
+        for j, c in v.items():
+            for t, x in row[j]:
+                acc[t] = acc.get(t, 0) + c * x
+        if p is not None:
+            acc = {t: x % p for t, x in acc.items()}
+        return {t: x for t, x in acc.items() if x}

@@ -2,7 +2,7 @@ import functools
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from tiltcell import algebra as algebra_module
@@ -30,14 +30,19 @@ from tiltcell.algebra import (
     module_socle,
     simples_and_split_check,
     submodule_generated,
+    submodule_rep,
 )
+from tiltcell.cells import cell_module, co_cell_module, end_presentation
 from tiltcell.docio import catalog_document, catalog_names
 from tiltcell.errors import InputError, NotSimple, NotSplit
+from tiltcell.highest_weight import Registry
 from tiltcell.linalg import Field, Matrix, Subspace, block_diag, vstack
-from tiltcell.tilting import tilting_support
+from tiltcell.standard_basis import build_standard_basis
+from tiltcell.tilting import TiltingRegistry, tilting_support
 
 from test_schur import schur_algebra, schur_pipeline
-from test_stress import auslander_algebra
+from test_standard_basis import auslander3_pipeline, char_tilting
+from test_stress import auslander_algebra, chain_poset
 
 Q = Field()
 F5 = Field(5)
@@ -624,3 +629,251 @@ def test_schur_sweep_candidates_match_coprime_reference(r, field, monkeypatch):
         for calls in stages:
             assert any(out is not None and out.matrix != phi.matrix
                        and _fitting_projection(phi.matrix) is None for _, phi, out in calls)
+
+
+# -- hom spaces on a generating set, against the all-basis equations -------------
+
+
+def equation_rows(m, n, elements):
+    """The nonzero rows of X a_M(b) = a_N(b) X for each b in elements, X
+    flattened row-major, as hom_space builds them."""
+    F = m.algebra.field
+    dm, dn = m.dim, n.dim
+    rows = []
+    for b in elements:
+        am, an = m.action[b].entries, n.action[b].entries
+        for r in range(dn):
+            for c in range(dm):
+                row = [F.zero()] * (dn * dm)
+                for k in range(dm):
+                    row[r * dm + k] = F.add(row[r * dm + k], am[k][c])
+                for k in range(dn):
+                    row[k * dm + c] = F.sub(row[k * dm + c], an[r][k])
+                if any(row):
+                    rows.append(row)
+    return rows
+
+
+def hom_space_reference(m, n):
+    """The canonical hom basis from the equations of every basis element."""
+    F = m.algebra.field
+    if m.dim == 0 or n.dim == 0:
+        return []
+    ker = Matrix(F, equation_rows(m, n, range(m.algebra.dim)), cols=n.dim * m.dim).kernel()
+    return [Matrix(F, [v[r * m.dim:(r + 1) * m.dim] for r in range(n.dim)])
+            for v in ker.entries]
+
+
+def generated_subalgebra(alg, gens):
+    """The span of the words in gens applied to the unit, by a fixed-point loop."""
+    F = alg.field
+    space = Subspace.from_rows(F, alg.dim, [alg.unit])
+    while True:
+        bigger = Subspace.from_rows(F, alg.dim, list(space.basis.entries) + [
+            alg.multiply(alg.basis_vector(g), v) for g in gens for v in space.basis.entries])
+        if bigger == space:
+            return space
+        space = bigger
+
+
+def registry_modules(reg, tilt):
+    """Simples, projectives, (co)standards, injectives and indecomposable tiltings."""
+    return [getattr(reg.data[lab], key) for lab in reg.poset.labels
+            for key in ("simple", "projective", "standard", "costandard", "injective")
+            ] + [tilt.module(lab) for lab in reg.poset.labels]
+
+
+def opposite_modules(reg):
+    """Modules over A^op: its projectives."""
+    reg_op = reg.opposite.regular_module()
+    return [submodule_rep(reg_op, submodule_generated(reg_op, [reg.data[lab].idempotent]))[0]
+            for lab in reg.poset.labels]
+
+
+def cell_modules(datum):
+    """The cell modules over End(T) and the co-cell modules over End(T)^op."""
+    return ([cell_module(datum, lab) for lab in datum.order],
+            [co_cell_module(datum, lab) for lab in datum.order])
+
+
+def pipeline_groups(reg, tilt, T, cells=True):
+    """Groups of modules over one algebra each, for pairwise hom spaces."""
+    groups = [registry_modules(reg, tilt) + [T], opposite_modules(reg)]
+    if cells:
+        groups.extend(cell_modules(build_standard_basis(tilt, T, seed=0)))
+    return groups
+
+
+def catalog_groups(spec):
+    groups = []
+    for name in ["trivial", "semisimple2", "a2path", "auslander-dualnumbers", "ut3"]:
+        doc = catalog_document(name, spec)
+        reg = Registry(doc.algebra, doc.poset)
+        tilt = TiltingRegistry(reg)
+        groups.extend(pipeline_groups(reg, tilt, char_tilting(reg, tilt)))
+        groups.extend([[doc.algebra.regular_module()], [reg.opposite.regular_module()]])
+    return groups
+
+
+def auslander_groups(field, n):
+    if n == 3 and field.p in (None, 10007):
+        reg, tilt, T = auslander3_pipeline(field)
+    else:
+        reg = Registry(auslander_algebra(field, n), chain_poset(n))
+        tilt = TiltingRegistry(reg)
+        T = char_tilting(reg, tilt)
+    # the cells at n = 4 are left to the smaller inputs
+    return pipeline_groups(reg, tilt, T, cells=n == 3)
+
+
+def schur_groups(field):
+    reg, tilt, datum = schur_pipeline(field, 3)
+    return [registry_modules(reg, tilt) + [datum.module], opposite_modules(reg),
+            *cell_modules(datum)]
+
+
+HOM_REFERENCE_CASES = (
+    [pytest.param(lambda spec=spec: catalog_groups(spec), id=f"catalog-{spec}")
+     for spec in ("Q", "Fp 3")]
+    + [pytest.param(lambda n=n, p=p: auslander_groups(Field(p), n), id=f"auslander{n}-{p or 'Q'}")
+       for n, p in [(3, None), (3, 2), (3, 10007), (4, 10007)]]
+    + [pytest.param(lambda p=p: schur_groups(Field(p)), id=f"schur3-{p or 'Q'}")
+       for p in (None, 3)])
+
+
+@pytest.mark.parametrize("make_groups", HOM_REFERENCE_CASES)
+def test_hom_space_matches_all_basis_equations(make_groups):
+    # the generators' equations give the canonical basis of the whole system,
+    # entry for entry, on every ordered pair of modules in a group
+    nonzero = 0
+    for mods in make_groups():
+        for m in mods:
+            for n in mods:
+                got = [f.matrix for f in hom_space(m, n)]
+                want = hom_space_reference(m, n)
+                assert got == want
+                assert [str(g) for g in got] == [str(g) for g in want]
+                nonzero += bool(got)
+    assert nonzero > 0
+
+
+def test_hom_space_imposes_generator_equations_only(monkeypatch):
+    alg = auslander_algebra(F10007, 3)
+    A = alg.regular_module()
+    shapes = []
+    kernel = Matrix.kernel
+    monkeypatch.setattr(Matrix, "kernel",
+                        lambda self: shapes.append((self.rows, self.cols)) or kernel(self))
+    homs = hom_space(A, A)
+    monkeypatch.undo()
+    gens = alg.generators()
+    # 473 nonzero equations from the 6 generators, against 904 from all 14
+    assert len(gens) == 6 and len(homs) == 14
+    assert shapes == [(473, 196)]
+    assert len(equation_rows(A, A, gens)) == 473 and len(equation_rows(A, A, range(14))) == 904
+
+
+GENERATOR_CASES = (
+    [pytest.param(lambda name=name, spec=spec: catalog_document(name, spec).algebra,
+                  id=f"{name}-{spec}")
+     for name in catalog_names() for spec in ("Q", "Fp 3")]
+    + [pytest.param(lambda n=n, p=p: auslander_algebra(Field(p), n), id=f"auslander{n}-{p or 'Q'}")
+       for n, p in [(3, None), (3, 2), (3, 10007), (4, 10007)]]
+    + [pytest.param(lambda: schur_algebra(Q, 3)[0], id="schur3-Q"),
+       pytest.param(lambda: end_presentation(schur_pipeline(Field(3), 3)[2]), id="schur3-F3-end")])
+
+
+@pytest.mark.parametrize("make_algebra", GENERATOR_CASES)
+def test_generators_generate_and_none_can_be_dropped(make_algebra):
+    alg = make_algebra()
+    gens = alg.generators()
+    assert list(gens) == sorted(set(gens)) and all(0 <= g < alg.dim for g in gens)
+    assert generated_subalgebra(alg, gens).dim == alg.dim
+    for g in gens:
+        assert generated_subalgebra(alg, [h for h in gens if h != g]).dim < alg.dim
+    # computed once, and handed to the opposite algebra as it is
+    assert alg.generators() is gens
+    assert alg.opposite().generators() is gens
+    # deterministic: a fresh presentation of A, and one of A^op by its own
+    # table, choose the same indices
+    F = alg.field
+    assert AlgebraPresentation(F, alg.dim, alg.table, alg.unit, check=False).generators() == gens
+    op_table = [[alg.table[j][i] for j in range(alg.dim)] for i in range(alg.dim)]
+    assert AlgebraPresentation(F, alg.dim, op_table, alg.unit, check=False).generators() == gens
+
+
+def test_generator_counts():
+    # the Auslander algebra of K[x]/x^n needs its n - 1 non-unit idempotents
+    # and the 2(n - 1) arrows of its quiver
+    for n, size in [(3, 6), (4, 9), (5, 12)]:
+        assert len(auslander_algebra(F10007, n).generators()) == size
+    assert catalog_document("ut3").algebra.generators() == (0, 1, 3, 5)
+    assert catalog_document("trivial").algebra.generators() == ()
+
+
+# -- associativity on the sparse table against the dense products ---------------
+
+
+def dense_check_axioms(alg):
+    """The presentation check on dense left multiplications: the unit on both
+    sides, then L_i L_j = L_{b_i b_j} pair by pair."""
+    F = alg.field
+    lm = alg.left_mult_basis()
+    if alg.left_mult(alg.unit) != Matrix.identity(F, alg.dim):
+        raise InputError("unit is not a left identity")
+    for i in range(alg.dim):
+        e_i = alg.basis_vector(i)
+        if alg.multiply(e_i, alg.unit) != e_i:
+            raise InputError("unit is not a right identity")
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            if lm[i] @ lm[j] != alg.left_mult(alg.table[i][j]):
+                raise InputError(f"multiplication not associative at basis pair ({i},{j})")
+
+
+def check_error(run):
+    try:
+        run()
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+@functools.cache
+def associative_bases(field):
+    spec = "Q" if field.p is None else f"Fp {field.p}"
+    return ([catalog_document(name, spec).algebra for name in catalog_names()]
+            + [auslander_algebra(field, 3), truncated_polynomials(field, 4)])
+
+
+@st.composite
+def tables(draw):
+    """Tables of associative algebras with a few entries changed, and random
+    tables on which b_0 is the unit."""
+    field = draw(st.sampled_from([Q, F5]))
+    scalars = st.integers(-2, 2).map(field.of)
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(associative_bases(field)))
+        dim, unit = base.dim, base.unit
+        table = [[list(v) for v in row] for row in base.table]
+        for _ in range(draw(st.integers(1, 3))):
+            i, j, k = (draw(st.integers(0, dim - 1)) for _ in range(3))
+            table[i][j][k] = draw(scalars)
+    else:
+        dim = draw(st.integers(1, 4))
+        unit = [field.of(int(t == 0)) for t in range(dim)]
+        table = [[[draw(scalars) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+        for t in range(dim):
+            table[0][t] = table[t][0] = [field.of(int(s == t)) for s in range(dim)]
+    return field, dim, table, unit
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables())
+def test_associativity_check_matches_dense_products(case):
+    field, dim, table, unit = case
+    got = check_error(lambda: AlgebraPresentation(field, dim, table, unit))
+    want = check_error(lambda: dense_check_axioms(
+        AlgebraPresentation(field, dim, table, unit, check=False)))
+    assert got == want
+    event(got.split(" at ")[0] if got else "associative")

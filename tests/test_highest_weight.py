@@ -278,6 +278,30 @@ def test_ext1_cocycles_match_greedy_reference(pipelines, field):
     assert nonzero > 0
 
 
+def test_ext1_memo_returns_the_callers_modules(monkeypatch):
+    # a second call on modules of equal content solves nothing, and its
+    # cocycles and middle term are built on the second caller's modules
+    _, reg = build("a2path")
+    m, n = reg.simple("1"), reg.simple("2")
+    d, cocycles, build_middle = ext1_with_classes(reg, m, n)
+    assert ext1_with_classes(reg, n, m) == (0, [], None)
+    m2, n2 = (ModuleRep(x.algebra, x.dim, x.action, check=False) for x in (m, n))
+    calls = []
+    solve = highest_weight.hom_space
+    monkeypatch.setattr(highest_weight, "hom_space", lambda a, b: calls.append(1) or solve(a, b))
+    d2, cocycles2, build_middle2 = ext1_with_classes(reg, m2, n2)
+    assert calls == [] and d2 == d == 1
+    assert [c.matrix for c in cocycles2] == [c.matrix for c in cocycles]
+    assert all(c.target is n2 for c in cocycles2) and all(c.target is n for c in cocycles)
+    _, incl, proj, msum = build_middle2(cocycles2)
+    assert incl.source is n2 and proj.target is msum
+    assert [a.entries for a in msum.action] == [a.entries for a in m2.action]
+    _, incl, _, _ = build_middle(cocycles)
+    assert incl.source is n
+    # Hom(Omega(m), n) = 0 is remembered too
+    assert ext1_with_classes(reg, n2, m2) == (0, [], None) and calls == []
+
+
 # -- filtrations ------------------------------------------------------------------
 
 def test_delta_filtration_standard_module_trivial_chain():

@@ -544,3 +544,15 @@ def test_linear_combination_matches_looped_reference(case):
     ref = looped_linear_combination(F, coeffs, mats, rows, cols)
     assert got == ref and (got.rows, got.cols) == (rows, cols)
     assert printed(got) == printed(ref)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kernel_fields.flatmap(lambda F: st.integers(0, 6).flatmap(lambda n: st.tuples(
+    sparse_matrices(F, cols=n), sparse_matrices(F, rows=n)))))
+def test_solve_with_kernel_is_solve_and_kernel(case):
+    # the kernel read from the elimination of [a | b] is a's own kernel
+    a, x0 = case
+    b = a @ x0
+    part, null = a.solve(b, with_kernel=True)
+    assert part == a.solve(b) and printed(part) == printed(a.solve(b))
+    assert null == a.kernel() and (null.rows, null.cols) == (a.kernel().rows, a.cols)

@@ -181,7 +181,8 @@ def test_basis_solves_each_lift_space_once(field, monkeypatch):
     reg, tilt, T = auslander3_pipeline(field)
     calls = []
     solve = Matrix.solve
-    monkeypatch.setattr(Matrix, "solve", lambda self, b: calls.append(b.cols) or solve(self, b))
+    monkeypatch.setattr(Matrix, "solve",
+                        lambda self, b, **kw: calls.append(b.cols) or solve(self, b, **kw))
     datum = build_standard_basis(tilt, T, seed=3)
     sizes = datum.fiber_sizes()
     assert sum(i + j for i, j in sizes.values()) == 12
