@@ -12,9 +12,15 @@ An endomorphism splits a module in one step: it is an idempotent, or its
 Fitting projection onto im(phi^n) along ker(phi^n) is, at 0 or at one
 eigenvalue in the base field.
 
-All arithmetic is exact.  Randomized searches (isomorphism probing,
-idempotent hunting) take an explicit seeded PRNG and are used only as fast
-paths or fallbacks behind deterministic sweeps, so results are reproducible.
+A's certified radical is computed once per presentation and shared with
+the opposite algebra, whose radical is the same subspace.  Isomorphism is
+decided without randomness: by an invertible element of a hom basis, which
+exists when the modules are isomorphic and indecomposable, or else by
+matching Krull-Schmidt summands.
+
+All arithmetic is exact.  The one randomized search, the idempotent hunt
+behind the deterministic sweep, seeds its own PRNG on every call, so a split
+depends on nothing computed before it.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ class AlgebraPresentation:
         self.unit = tuple(unit)
         self.name = name
         self._left_mults = None
-        self._generators = [None]   # one slot, shared with the opposite algebra
+        self._invariants = {}   # generators and radical, shared with the opposite algebra
         if len(self.table) != dim or any(len(r) != dim for r in self.table):
             raise InputError("structure constant table has wrong shape")
         if len(self.unit) != dim:
@@ -126,15 +132,15 @@ class AlgebraPresentation:
         """Basis indices that generate the algebra together with the unit
         (`structure.generating_set`), computed once and shared with the
         opposite algebra, which the same indices generate."""
-        if self._generators[0] is None:
-            self._generators[0] = generating_set(self)
-        return self._generators[0]
+        if "generators" not in self._invariants:
+            self._invariants["generators"] = generating_set(self)
+        return self._invariants["generators"]
 
     def opposite(self) -> "AlgebraPresentation":
         table = [[self.table[j][i] for j in range(self.dim)] for i in range(self.dim)]
         op = AlgebraPresentation(self.field, self.dim, table, self.unit,
                                  name=self.name + "^op", check=False)
-        op._generators = self._generators
+        op._invariants = self._invariants
         return op
 
     def regular_module(self) -> "ModuleRep":
@@ -409,11 +415,15 @@ def algebra_radical(algebra: AlgebraPresentation) -> Subspace:
     indices (Cohen, Ivanyos and Wales 1997), whose first step, the e_1
     coefficient, is the same trace-form kernel.  The result is certified: it
     must be a nilpotent ideal whose quotient has vanishing radical by the same
-    computation.
+    computation.  It is computed once per presentation and shared with the
+    opposite algebra: rad(A^op) is the same subspace as rad(A).
     """
-    rad = _radical_candidate(algebra)
-    _certify_radical(algebra, rad)
-    return rad
+    shared = algebra._invariants
+    if "radical" not in shared:
+        rad = _radical_candidate(algebra)
+        _certify_radical(algebra, rad)
+        shared["radical"] = rad
+    return shared["radical"]
 
 
 def _radical_candidate(algebra: AlgebraPresentation) -> Subspace:
@@ -485,32 +495,29 @@ def _certify_radical(algebra: AlgebraPresentation, rad: Subspace):
         raise NotComputable("radical candidate is not nilpotent")
 
 
-def module_radical(m: ModuleRep, rad: Subspace | None = None) -> Subspace:
+def module_radical(m: ModuleRep) -> Subspace:
     """(rad A) M as a subspace of M."""
     F = m.algebra.field
-    if rad is None:
-        rad = algebra_radical(m.algebra)
     rows = []
-    for r in rad.basis.entries:
+    for r in algebra_radical(m.algebra).basis.entries:
         act = m.act(r)
         rows.extend(act.transpose().entries)  # columns of act span r.M
     return Subspace.from_rows(F, m.dim, rows)
 
 
-def module_socle(m: ModuleRep, rad: Subspace | None = None) -> Subspace:
+def module_socle(m: ModuleRep) -> Subspace:
     """Annihilator of rad A in M."""
     F = m.algebra.field
-    if rad is None:
-        rad = algebra_radical(m.algebra)
+    rad = algebra_radical(m.algebra)
     if rad.dim == 0:
         return Subspace.full(F, m.dim)
     stacked = vstack([m.act(r) for r in rad.basis.entries])
     return Subspace(m.dim, stacked.kernel())
 
 
-def module_head(m: ModuleRep, rad: Subspace | None = None):
+def module_head(m: ModuleRep):
     """(head module, projection morphism)."""
-    sub = module_radical(m, rad)
+    sub = module_radical(m)
     quot, proj, _ = quotient_rep(m, sub)
     return quot, proj
 
@@ -537,8 +544,8 @@ def _fitting_projection(m: Matrix) -> Matrix | None:
 def _idempotent_from_element(E: EndAlgebra, phi: Morphism) -> Morphism | None:
     """Try to turn one endomorphism into a nontrivial exact idempotent: phi
     itself, or the Fitting projection of phi, or that of phi - r.1 at the
-    str-least linear root r of phi's minimal polynomial (the projection
-    onto the generalized eigenspaces of the other eigenvalues)."""
+    str-least linear root r of phi's characteristic polynomial (the
+    projection onto the generalized eigenspaces of the other eigenvalues)."""
     F = E.field
     n = phi.matrix.rows
     ident = Matrix.identity(F, n)
@@ -547,20 +554,22 @@ def _idempotent_from_element(E: EndAlgebra, phi: Morphism) -> Morphism | None:
         return phi
     proj = _fitting_projection(phi.matrix)
     if proj is None:
-        roots = poly.linear_roots(F, poly.minpoly(phi.matrix))[0]
+        roots = poly.linear_roots(F, poly.charpoly(phi.matrix))[0]
         if not roots:
             return None
         proj = _fitting_projection(phi.matrix - ident.scale(min(roots, key=str)))
     return None if proj is None else Morphism(phi.source, phi.source, proj)
 
 
-def find_splitting_idempotent(E: EndAlgebra, rng: random.Random,
-                              rad_dim: int | None = None) -> Morphism | None:
+def find_splitting_idempotent(E: EndAlgebra, rad_dim: int | None = None) -> Morphism | None:
     """A nontrivial idempotent endomorphism, or None if End(M) is local.
 
     Follows the radical route: if End/rad is one-dimensional the module is
     indecomposable; dim rad is computed from the presentation unless given.
-    Otherwise hunt an idempotent, sweeping deterministically before sampling.
+    Otherwise hunt an idempotent: a deterministic sweep over the basis, its
+    pairwise sums and products, then 400 random combinations with growing
+    coefficient spans from a PRNG seeded afresh on each call, so two calls
+    on the same End return the same idempotent.
     """
     F = E.field
     if E.dim == 1:
@@ -580,6 +589,7 @@ def find_splitting_idempotent(E: EndAlgebra, rng: random.Random,
         if e is not None:
             return e
     # seeded random probes over growing coefficient pools
+    rng = random.Random(0)
     for attempt in range(400):
         coeffs = [F.sample(rng, span=2 + attempt // 50) for _ in range(E.dim)]
         phi = E.from_coords(coeffs)
@@ -607,13 +617,13 @@ def split_by_idempotent(m: ModuleRep, e: Morphism):
     return pieces
 
 
-def _decompose(m: ModuleRep, rng: random.Random, endomorphisms):
+def _decompose(m: ModuleRep, endomorphisms):
     """Split m by idempotents until every piece has a local End, where
     endomorphisms(piece, incl into m, proj from m) gives End(piece)'s
     canonical basis and dim rad End(piece) (None: from its presentation)."""
     def split(piece, incl, proj):
         basis, rad_dim = endomorphisms(piece, incl, proj)
-        e = find_splitting_idempotent(EndAlgebra(piece, basis), rng, rad_dim)
+        e = find_splitting_idempotent(EndAlgebra(piece, basis), rad_dim)
         if e is None:
             return [(piece, incl, proj)]
         return [leaf for sub, sub_incl, sub_proj in split_by_idempotent(piece, e) if sub.dim
@@ -622,22 +632,22 @@ def _decompose(m: ModuleRep, rng: random.Random, endomorphisms):
     return split(m, Morphism.identity(m), Morphism.identity(m)) if m.dim else []
 
 
-def krull_schmidt(m: ModuleRep, rng: random.Random | None = None):
+def krull_schmidt(m: ModuleRep):
     """Indecomposable summands as a list of (module, inclusion, projection).
 
     Each piece's End is solved by `hom_space`, and each returned summand
     carries the local-endomorphism-ring certificate.  Inclusions and
     projections compose to idempotents of m summing to 1.
     """
-    return _decompose(m, rng or random.Random(0),
-                      lambda piece, incl, proj: (hom_space(piece, piece), None))
+    return _decompose(m, lambda piece, incl, proj: (hom_space(piece, piece), None))
 
 
-def _regular_endomorphisms(algebra: AlgebraPresentation, rad: Subspace):
+def _regular_endomorphisms(algebra: AlgebraPresentation):
     """End and dim rad End of a piece of A's regular module: spans of proj.R.incl
     for the right multiplications R: x -> x.b_j (End_A(A) = A^op; the same RREF
     basis as `hom_space`) and x -> x.r, r in rad(A) (rad End(Ae) = e.rad(A).e)."""
     F = algebra.field
+    rad = algebra_radical(algebra)
 
     def endomorphisms(piece, incl, proj):
         d = piece.dim
@@ -656,48 +666,38 @@ def _regular_endomorphisms(algebra: AlgebraPresentation, rad: Subspace):
 
 
 def _indec_isomorphism(m: ModuleRep, n: ModuleRep) -> Morphism | None:
-    """Isomorphism test for modules known indecomposable: some composite
-    g . f with f: M -> N, g: N -> M basis morphisms must be invertible."""
+    """The first invertible element of hom_space(m, n), or None.  When m or
+    n is indecomposable, one exists exactly when m and n are isomorphic.
+
+    Say m and n are isomorphic, with f_i the basis of Hom(m, n) and g_j one
+    of Hom(n, m).  Both are indecomposable, so End(m) is local.  An
+    isomorphism sum a_i f_i with inverse sum b_j g_j gives
+    1 = sum a_i b_j g_j f_i in End(m); a sum of non-units of a local ring is
+    a non-unit, so some g_j f_i is a unit.  That f_i is injective between
+    spaces of one dimension, hence invertible.
+    """
     if m.dim != n.dim:
         return None
-    fwd = hom_space(m, n)
-    bwd = hom_space(n, m)
-    for f in fwd:
-        for g in bwd:
-            if (g @ f).is_invertible():
-                return f
-    return None
+    return next((f for f in hom_space(m, n) if f.is_invertible()), None)
 
 
-def is_isomorphic(m: ModuleRep, n: ModuleRep, rng: random.Random | None = None) -> Morphism | None:
+def is_isomorphic(m: ModuleRep, n: ModuleRep) -> Morphism | None:
     """An invertible intertwiner m -> n, or None.
 
-    Random linear combinations of a hom basis are tried first; the complete
-    fallback decomposes both modules and matches indecomposable summands.
+    An invertible element of the hom basis is returned when there is one,
+    which there always is for isomorphic indecomposables; otherwise both
+    modules are decomposed and their indecomposable summands matched.
     """
-    rng = rng or random.Random(0)
     if m.dim != n.dim:
         return None
-    if m.dim == 0:
-        return Morphism(m, n, Matrix(m.algebra.field, []))
-    fwd = hom_space(m, n)
-    if not fwd:
-        return None
-    F = m.algebra.field
-    for f in fwd:
-        if f.is_invertible():
-            return f
-    for _ in range(12):
-        cand = Morphism(m, n, linear_combination(
-            F, [F.sample(rng) for _ in fwd], [f.matrix for f in fwd], n.dim, m.dim))
-        if cand.is_invertible():
-            return cand
-    # complete route: Krull-Schmidt on both sides and summand matching
-    dec_m = krull_schmidt(m, rng)
-    dec_n = list(krull_schmidt(n, rng))
+    w = _indec_isomorphism(m, n)
+    if w is not None:
+        return w
+    dec_m = krull_schmidt(m)
+    dec_n = krull_schmidt(n)
     if len(dec_m) != len(dec_n):
         return None
-    total = Matrix.zeros(F, n.dim, m.dim)
+    total = Matrix.zeros(m.algebra.field, n.dim, m.dim)
     used = [False] * len(dec_n)
     for (sm, incl_m, proj_m) in dec_m:
         found = False
@@ -719,30 +719,27 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, rng: random.Random | None = None) 
 # -- composition multiplicities ------------------------------------------------------
 
 
-def is_simple(m: ModuleRep, rng: random.Random | None = None) -> bool:
+def is_simple(m: ModuleRep) -> bool:
     if m.dim == 0:
         return False
     if module_socle(m).dim != m.dim:
         return False
-    return len(krull_schmidt(m, rng)) == 1
+    return len(krull_schmidt(m)) == 1
 
 
-def composition_multiplicity(m: ModuleRep, simple: ModuleRep,
-                             rng: random.Random | None = None) -> int:
+def composition_multiplicity(m: ModuleRep, simple: ModuleRep) -> int:
     """[m : simple] by peeling socles and counting hom multiplicities.
 
     For split algebras dim Hom(simple, socle layer) counts exactly the
     occurrences in that layer; summing over the socle series gives the
     Jordan-Hoelder multiplicity.
     """
-    rng = rng or random.Random(0)
-    if not is_simple(simple, rng):
+    if not is_simple(simple):
         raise NotSimple("second argument has a proper nonzero submodule")
-    rad = algebra_radical(m.algebra)
     total = 0
     current = m
     while current.dim > 0:
-        soc = module_socle(current, rad)
+        soc = module_socle(current)
         layer, _ = submodule_rep(current, soc)
         total += len(hom_space(simple, layer))
         current, _, _ = quotient_rep(current, soc)
@@ -764,26 +761,21 @@ class SimpleDatum:
         self.head_proj = head_proj        # Morphism P ->> L
 
 
-def simples_and_split_check(algebra: AlgebraPresentation,
-                            rng: random.Random | None = None,
-                            rad: Subspace | None = None) -> list[SimpleDatum]:
+def simples_and_split_check(algebra: AlgebraPresentation) -> list[SimpleDatum]:
     """Primitive idempotents, projectives and simples of a split algebra.
 
     Decomposes the regular module as `krull_schmidt` does, reading each
-    piece's End and radical from A's product and `rad` (A's certified radical,
-    computed if not given), reads off the orthogonal primitive idempotents,
-    groups the projectives by isomorphism and takes heads.  Raises NotSplit
+    piece's End and radical from A's product and A's certified radical
+    (`algebra_radical`, computed on first use and then shared by every
+    caller), reads off the orthogonal primitive idempotents, groups the
+    projectives by isomorphism and takes heads.  Raises NotSplit
     when some simple has endomorphisms beyond scalars.  Output order is
     canonical: sorted by the idempotent's first supported coordinate, then
     lexicographically.
     """
-    rng = rng or random.Random(0)
     F = algebra.field
-    if rad is None:
-        rad = algebra_radical(algebra)
     try:
-        summands = _decompose(algebra.regular_module(), rng,
-                              _regular_endomorphisms(algebra, rad))
+        summands = _decompose(algebra.regular_module(), _regular_endomorphisms(algebra))
     except NotComputable as exc:
         # the regular module resisted splitting: a division endomorphism
         # algebra beyond K, i.e. a non-split input
@@ -814,7 +806,7 @@ def simples_and_split_check(algebra: AlgebraPresentation,
     reps.sort(key=lambda ent: support_key(ent[0]))
     out = []
     for (e_vec, p_mod, incl, proj) in reps:
-        head, head_proj = module_head(p_mod, rad)
+        head, head_proj = module_head(p_mod)
         if len(hom_space(head, head)) != 1:
             raise NotSplit(f"simple of dimension {head.dim} has endomorphism ring larger than K")
         out.append(SimpleDatum(e_vec, head, p_mod, head_proj))

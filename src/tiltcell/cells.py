@@ -101,27 +101,27 @@ def cell_module(datum: StandardBasisDatum, label) -> ModuleRep:
     basis; the module axioms (associativity against the presentation) are
     checked on construction.
     """
-    if label not in datum.order:
-        raise LabelNotInSupport(f"label {label!r} has an empty fiber")
-    E_pres = end_presentation(datum)
-    action = []
-    for (lam, i, j) in datum.index():
-        phi = datum.cell(lam, i, j)
-        action.append(structure_coefficients(datum, phi).left[label])
-    return ModuleRep(E_pres, len(datum.G[label]), action, check=True)
+    return _cell_module(datum, label, right=False)
 
 
 def co_cell_module(datum: StandardBasisDatum, label) -> ModuleRep:
     """Right-action companion on Hom(T, Nabla), packaged as a left module
     over the opposite of End(T)."""
+    return _cell_module(datum, label, right=True)
+
+
+def _cell_module(datum: StandardBasisDatum, label, right: bool) -> ModuleRep:
+    """Each cell acts through its left (right) structure coefficients at
+    `label`, on the G (F) side, over End(T) (its opposite)."""
     if label not in datum.order:
         raise LabelNotInSupport(f"label {label!r} has an empty fiber")
-    E_pres = end_presentation(datum).opposite()
-    action = []
-    for (lam, i, j) in datum.index():
-        phi = datum.cell(lam, i, j)
-        action.append(structure_coefficients(datum, phi).right[label])
-    return ModuleRep(E_pres, len(datum.F[label]), action, check=True)
+    E_pres = end_presentation(datum)
+    if right:
+        E_pres = E_pres.opposite()
+    coeffs = [structure_coefficients(datum, datum.cell(*key)) for key in datum.index()]
+    action = [(c.right if right else c.left)[label] for c in coeffs]
+    side = datum.F if right else datum.G
+    return ModuleRep(E_pres, len(side[label]), action, check=True)
 
 
 def end_presentation(datum: StandardBasisDatum):
@@ -183,7 +183,7 @@ def is_semisimple_endalgebra(cell_data: CellData) -> bool:
     datum = cell_data.datum
     pres = end_presentation(datum)
     by_radical = algebra_radical(pres).dim == 0
-    by_module = module_radical(datum.module, datum.reg.rad).dim == 0
+    by_module = module_radical(datum.module).dim == 0
     if by_radical != by_module:
         raise TheoremViolation(
             f"semisimplicity verdicts disagree: End radical zero = {by_radical}, "

@@ -94,13 +94,13 @@ def check_standard_duality(reg: Registry, tilt: TiltingRegistry,
     datum = DualityDatum(tau)
     for lam in reg.poset.labels:
         dual_nabla = dualize_module(tau, reg.costandard(lam))
-        w = is_isomorphic(dual_nabla, reg.standard(lam), reg.rng)
+        w = is_isomorphic(dual_nabla, reg.standard(lam))
         if w is None:
             raise NotStandardDuality(lam, "exchange",
                                      "(dual of costandard is not the standard module)")
         datum.exchange[lam] = w
         t_mod = tilt.module(lam)
-        w2 = is_isomorphic(dualize_module(tau, t_mod), t_mod, reg.rng)
+        w2 = is_isomorphic(dualize_module(tau, t_mod), t_mod)
         if w2 is None:
             raise NotStandardDuality(lam, "tilting_self_dual",
                                      "(indecomposable tilting module is not self-dual)")
@@ -136,10 +136,9 @@ def fixed_point_iso(tau: AntiInvolution, x: ModuleRep, psi: Morphism) -> Morphis
 
 def fixed_point_for_module(reg: Registry, tau: AntiInvolution, x: ModuleRep) -> Morphism:
     """Symmetric invertible intertwiner x -> D(x) for a self-dual
-    indecomposable, found by probing the hom space for an isomorphism and
-    symmetrizing it."""
+    indecomposable: the isomorphism `is_isomorphic` finds, symmetrized."""
     dual = dualize_module(tau, x)
-    psi = is_isomorphic(x, dual, reg.rng)
+    psi = is_isomorphic(x, dual)
     if psi is None:
         raise NotStandardDuality("?", "self_dual", "(module is not self-dual)")
     return fixed_point_iso(tau, x, psi)
@@ -182,7 +181,7 @@ def fixed_point_for_tilting(reg: Registry, tilt: TiltingRegistry,
             a == b for a, b in zip(canonical.action, t.action)):
         theta_mat = Matrix.identity(reg.algebra.field, t.dim)
     else:
-        theta = is_isomorphic(canonical, t, reg.rng)
+        theta = is_isomorphic(canonical, t)
         if theta is None:
             raise NotStandardDuality("?", "transport", "(module is not the expected sum)")
         theta_mat = theta.matrix

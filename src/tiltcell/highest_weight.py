@@ -11,7 +11,6 @@ one-dimensional on the diagonal and Ext^1 = Ext^2 = 0 throughout.
 from __future__ import annotations
 
 import heapq
-import random
 
 from .algebra import (
     AlgebraPresentation,
@@ -19,11 +18,11 @@ from .algebra import (
     Morphism,
     direct_sum,
     hom_space,
+    is_isomorphic,
     module_head,
     module_radical,
     module_socle,
     quotient_rep,
-    algebra_radical,
     simples_and_split_check,
     submodule_generated,
     submodule_rep,
@@ -122,15 +121,12 @@ class Registry:
     coordinate), so the i-th poset label names the i-th simple found.
     """
 
-    def __init__(self, algebra: AlgebraPresentation, poset: WeightPoset,
-                 rng: random.Random | None = None):
+    def __init__(self, algebra: AlgebraPresentation, poset: WeightPoset):
         self.algebra = algebra
         self.poset = poset
-        self.rng = rng or random.Random(0)
         self._syzygies = {}   # action matrices of a module -> its syzygy data
         self._ext1 = {}       # action matrices of (m, n) -> Ext^1 cocycles, or None
-        self.rad = algebra_radical(algebra)
-        simples = simples_and_split_check(algebra, self.rng, self.rad)
+        simples = simples_and_split_check(algebra)
         if len(simples) != len(poset.labels):
             raise InputError(
                 f"poset has {len(poset.labels)} labels but the algebra has "
@@ -155,11 +151,11 @@ class Registry:
 
     # -- construction -------------------------------------------------------------
 
-    def _standardize(self, algebra, proj_of, rad, label):
+    def _standardize(self, algebra, proj_of, label):
         """Largest quotient of P(label) whose lower factors sit below label:
         divide by the trace of all P(mu), mu not below label, inside rad P."""
         P = proj_of[label]
-        rad_sub = module_radical(P, rad)
+        rad_sub = module_radical(P)
         rad_mod, rad_incl = submodule_rep(P, rad_sub)
         gens = []
         for mu in self.poset.not_below(label):
@@ -173,15 +169,17 @@ class Registry:
     def _build_standard_modules(self):
         proj_of = {x: self.data[x].projective for x in self.poset.labels}
         for label in self.poset.labels:
-            delta, proj = self._standardize(self.algebra, proj_of, self.rad, label)
+            delta, proj = self._standardize(self.algebra, proj_of, label)
             self.data[label].standard = delta
             self.data[label].standard_proj = proj
 
     def _build_costandard_modules(self):
         """Dualize standard modules of the opposite algebra.
 
-        The opposite algebra shares the basis, the radical subspace, and the
-        primitive idempotents; P^op(label) is generated by the same idempotent.
+        The opposite algebra shares the basis, the radical subspace (the
+        presentation from `opposite()` reads A's memoized radical, computed
+        once for both), and the primitive idempotents; P^op(label) is
+        generated by the same idempotent.
         """
         op = self.opposite
         reg_op = op.regular_module()
@@ -190,7 +188,7 @@ class Registry:
             space = submodule_generated(reg_op, [self.data[label].idempotent])
             proj_op[label], _ = submodule_rep(reg_op, space)
         for label in self.poset.labels:
-            delta_op, proj_morph = self._standardize(op, proj_op, self.rad, label)
+            delta_op, proj_morph = self._standardize(op, proj_op, label)
             nabla = dualize_plain(self.algebra, delta_op)
             injective = dualize_plain(self.algebra, proj_op[label])
             incl = Morphism(nabla, injective, proj_morph.matrix.transpose())
@@ -234,7 +232,7 @@ def projective_cover(reg: Registry, m: ModuleRep):
     head are independent, exactly covering the head's isotypic parts.
     """
     F = reg.algebra.field
-    head, head_proj = module_head(m, reg.rad)
+    head, head_proj = module_head(m)
     blocks = []
     labels_used = []
     covered = Subspace.zero(F, head.dim)
@@ -254,23 +252,15 @@ def projective_cover(reg: Registry, m: ModuleRep):
                 blocks.append((P, f))
                 labels_used.append(label)
                 taken += 1
-    P0, incls, _ = direct_sum([b[0] for b in blocks]) if blocks else (None, [], [])
-    if P0 is None:
+    if not blocks:
         zero_mod = ModuleRep(reg.algebra, 0, [Matrix.zeros(F, 0, 0)] * reg.algebra.dim, check=False)
         return zero_mod, Morphism(zero_mod, m, Matrix.zeros(F, m.dim, 0)), []
+    P0, _, projs = direct_sum([b[0] for b in blocks])
     total = Matrix.zeros(F, m.dim, P0.dim)
-    offset = 0
-    for (P, f) in blocks:
-        total = total + f.matrix @ _projection_block(F, P0.dim, offset, P.dim)
-        offset += P.dim
+    for (_, f), pr in zip(blocks, projs):
+        total = total + f.matrix @ pr.matrix
     pi = Morphism(P0, m, total)
     return P0, pi, labels_used
-
-
-def _projection_block(F, total_dim, offset, dim):
-    rows = [[F.one() if c == offset + r else F.zero() for c in range(total_dim)]
-            for r in range(dim)]
-    return Matrix(F, rows, cols=total_dim)
 
 
 def syzygy(reg: Registry, m: ModuleRep):
@@ -286,18 +276,6 @@ def syzygy(reg: Registry, m: ModuleRep):
     if pi.target is not m:
         pi = Morphism(P0, m, pi.matrix)
     return omega, incl, P0, pi
-
-
-class ExtClass:
-    """One extension class 0 -> N -> E -> M -> 0 with its cocycle."""
-
-    __slots__ = ("cocycle", "middle", "incl", "proj")
-
-    def __init__(self, cocycle, middle, incl, proj):
-        self.cocycle = cocycle
-        self.middle = middle
-        self.incl = incl
-        self.proj = proj
 
 
 def ext1_with_classes(reg: Registry, m: ModuleRep, n: ModuleRep):
@@ -426,12 +404,12 @@ def verify_standard_category(reg: Registry) -> VerificationReport:
     poset = reg.poset
     for lam in poset.labels:
         dat = reg.data[lam]
-        head = module_head(dat.standard, reg.rad)[0]
+        head = module_head(dat.standard)[0]
         rep.record("head_of_standard", lam, lam,
                    reg.mult(dat.standard, lam) == 1
                    and head.dim == dat.simple.dim
                    and reg.mult(head, lam) == 1)
-        soc = submodule_rep(dat.costandard, module_socle(dat.costandard, reg.rad))[0]
+        soc = submodule_rep(dat.costandard, module_socle(dat.costandard))[0]
         rep.record("socle_of_costandard", lam, lam,
                    reg.mult(dat.costandard, lam) == 1
                    and soc.dim == dat.simple.dim
@@ -505,9 +483,7 @@ def _identify_factors(reg: Registry, m: ModuleRep, chain, labels, targets):
     isos = []
     for i, lam in enumerate(labels):
         factor = subquotient(m, chain[i + 1], chain[i])
-        from .algebra import is_isomorphic
-
-        w = is_isomorphic(factor, targets(lam), reg.rng)
+        w = is_isomorphic(factor, targets(lam))
         if w is None:
             raise NoFiltration(lam, "(chain factor failed identification)")
         isos.append(w)
@@ -546,12 +522,12 @@ def _delta_chain(reg: Registry, m: ModuleRep):
     F = reg.algebra.field
     if m.dim == 0:
         return [], []
-    head, _ = module_head(m, reg.rad)
+    head, _ = module_head(m)
     epi = None
     lam = None
     for cand in _peel_candidates(reg.poset, reg.factor_labels(head)):
         delta = reg.standard(cand)
-        delta_head_proj = module_head(delta, reg.rad)[1]
+        delta_head_proj = module_head(delta)[1]
         for f in hom_space(m, delta):
             # nonzero composite to the simple head makes f surjective
             if not (delta_head_proj @ f).is_zero():
@@ -590,12 +566,12 @@ def _nabla_chain(reg: Registry, n: ModuleRep):
     F = reg.algebra.field
     if n.dim == 0:
         return [], []
-    soc_mod, _ = submodule_rep(n, module_socle(n, reg.rad))
+    soc_mod, _ = submodule_rep(n, module_socle(n))
     mono = None
     lam = None
     for cand in _peel_candidates(reg.poset, reg.factor_labels(soc_mod)):
         nabla = reg.costandard(cand)
-        nabla_soc_incl = submodule_rep(nabla, module_socle(nabla, reg.rad))[1]
+        nabla_soc_incl = submodule_rep(nabla, module_socle(nabla))[1]
         for f in hom_space(nabla, n):
             # nonzero restriction to the simple socle makes f injective
             if not (f @ nabla_soc_incl).is_zero():

@@ -3,16 +3,15 @@
 Polynomials are tuples of coefficients in ascending degree with no trailing
 zeros (the zero polynomial is the empty tuple).  Only what the structure
 computations need lives here: characteristic polynomials via Hessenberg
-reduction (the char-p radical chain), minimal polynomials, and their roots
-in the base field with the division and gcd arithmetic that finds them (the
-eigenvalue at which the idempotent sweep takes a Fitting projection).
+reduction (the char-p radical chain), and their roots in the base field
+with the division and gcd arithmetic that finds them (the eigenvalue at
+which the idempotent sweep takes a Fitting projection).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InconsistentSystem
 from .linalg import Field, Matrix
 
 
@@ -153,8 +152,10 @@ def _rational_roots(f):
                 break
         if found is None:
             break
-        roots.append(found)
-        f = deflate_root(field, f, found)
+        # divide out the root's full multiplicity before searching again
+        while degree(f) >= 1 and evaluate(field, f, found) == 0:
+            roots.append(found)
+            f = deflate_root(field, f, found)
     return roots, f
 
 
@@ -279,29 +280,3 @@ def charpoly(m: Matrix):
     out = list(polys[n]) + [F.zero()] * (n + 1 - len(polys[n]))
     return tuple(out[: n + 1])
 
-
-def minpoly(m: Matrix):
-    """Minimal polynomial of a square matrix, monic, ascending coefficients."""
-    F = m.field
-    n = m.rows
-    if n == 0:
-        return (F.one(),)
-    from .linalg import vstack
-
-    powers = [Matrix.identity(F, n)]
-    rows = [Matrix.row(F, powers[0].flat())]
-    k = 1
-    while True:
-        powers.append(powers[-1] @ m)
-        stacked = vstack(rows)
-        target = Matrix.row(F, powers[-1].flat())
-        try:
-            sol = stacked.transpose().solve(target.transpose())
-        except InconsistentSystem:
-            rows.append(target)
-            k += 1
-            if k > n + 1:
-                raise RuntimeError("minimal polynomial search failed") from None
-            continue
-        coeffs = [F.neg(sol.entries[i][0]) for i in range(k)] + [F.one()]
-        return normalize(F, coeffs)

@@ -10,8 +10,6 @@ costandard module, and their normalized composite.
 
 from __future__ import annotations
 
-import random
-
 from .algebra import (
     ModuleRep,
     hom_space,
@@ -62,15 +60,13 @@ def universal_extension(reg: Registry, x: ModuleRep, label: str):
 
 
 def indecomposable_tilting(reg: Registry, label: str,
-                           dim_bound: int | None = None,
-                           rng: random.Random | None = None) -> TiltingTriple:
+                           dim_bound: int | None = None) -> TiltingTriple:
     """Build T(label) from Delta(label) by the universal-extension loop.
 
     Lower labels are processed along the linear extension, descending, until
     a full pass leaves every extension group zero; the summand carrying the
     top factor is the tilting module.
     """
-    rng = rng or random.Random(0)
     if dim_bound is None:
         dim_bound = 10 * reg.algebra.dim ** 2
     x = reg.standard(label)
@@ -89,7 +85,7 @@ def indecomposable_tilting(reg: Registry, label: str,
             break
     # the top factor occurs once; it singles out the summand that is T(label)
     t_mod = None
-    for (summand, _, _) in krull_schmidt(x, rng):
+    for (summand, _, _) in krull_schmidt(x):
         if reg.mult(summand, label) > 0:
             t_mod = summand
             break
@@ -139,13 +135,11 @@ def is_tilting(reg: Registry, t: ModuleRep):
 class TiltingRegistry:
     """All indecomposable tilting triples for a verified registry."""
 
-    def __init__(self, reg: Registry, dim_bound: int | None = None,
-                 rng: random.Random | None = None):
+    def __init__(self, reg: Registry, dim_bound: int | None = None):
         self.base = reg
-        self.rng = rng or random.Random(0)
         self.triples = {}
         for label in reg.poset.linear_extension:
-            self.triples[label] = indecomposable_tilting(reg, label, dim_bound, self.rng)
+            self.triples[label] = indecomposable_tilting(reg, label, dim_bound)
 
     def triple(self, label) -> TiltingTriple:
         return self.triples[label]
@@ -158,11 +152,11 @@ def tilting_support(tilt: TiltingRegistry, t: ModuleRep):
     """Multiset {label: multiplicity of T(label) in t} via Krull-Schmidt."""
     reg = tilt.base
     out: dict[str, int] = {}
-    for (summand, _, _) in krull_schmidt(t, tilt.rng):
+    for (summand, _, _) in krull_schmidt(t):
         matched = None
         for label in reg.poset.labels:
             cand = tilt.module(label)
-            if summand.dim == cand.dim and is_isomorphic(summand, cand, tilt.rng) is not None:
+            if summand.dim == cand.dim and is_isomorphic(summand, cand) is not None:
                 matched = label
                 break
         if matched is None:

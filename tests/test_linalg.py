@@ -18,6 +18,8 @@ from tiltcell.linalg import (
     vstack,
 )
 
+from test_algebra import minpoly
+
 Q = Field()
 F5 = Field(5)
 
@@ -247,11 +249,30 @@ def test_block_helpers():
 def test_charpoly_and_minpoly():
     m = Matrix.from_int_rows(Q, [[2, 1], [0, 3]])
     assert poly.charpoly(m) == (Fraction(6), Fraction(-5), Fraction(1))
-    assert poly.minpoly(m) == (Fraction(6), Fraction(-5), Fraction(1))
+    assert minpoly(m) == (Fraction(6), Fraction(-5), Fraction(1))
     # nilpotent Jordan block: charpoly x^3, minpoly x^3
     n = Matrix.from_int_rows(Q, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert poly.charpoly(n) == (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
-    assert poly.minpoly(n) == (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
+    assert minpoly(n) == (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
+    # the identity: charpoly (x - 1)^2, minpoly x - 1
+    ident = Matrix.identity(Q, 2)
+    assert poly.charpoly(ident) == (Fraction(1), Fraction(-2), Fraction(1))
+    assert minpoly(ident) == (Fraction(-1), Fraction(1))
+
+
+def test_linear_roots_with_multiplicity():
+    # (x - 2)^3 (x + 3)^2 (x^2 + 1), and the same over F_5 and F_10007
+    f = (Fraction(1),)
+    for factor in [(-2, 1)] * 3 + [(3, 1)] * 2 + [(1, 0, 1)]:
+        f = poly.mul(Q, f, tuple(Fraction(c) for c in factor))
+    roots, rest = poly.linear_roots(Q, f)
+    assert sorted(roots) == [-3, -3, 2, 2, 2] and rest == (1, 0, 1)
+    # over F_5, x + 3 = x - 2 and x^2 + 1 = (x - 2)(x - 3); over F_10007
+    # (= 3 mod 4) x^2 + 1 has no root
+    for field, extra, rest_degree in [(F5, [2, 3], 0), (Field(10007), [], 2)]:
+        roots, rest = poly.linear_roots(field, tuple(field.of(int(c)) for c in f))
+        assert sorted(roots) == sorted(field.of(c) for c in [-3, -3, 2, 2, 2] + extra)
+        assert poly.degree(rest) == rest_degree
 
 
 def test_charpoly_matches_eigenvalue_product_f5():
