@@ -7,10 +7,11 @@ A, found once per presentation: every module's action is an algebra
 homomorphism, so commuting with the generators is commuting with A.
 Associativity is checked on the nonzero entries of the structure table.
 The regular module is split from A's own multiplication: End_A(Ae) is right
-multiplication by eAe, with radical e.rad(A).e, so it solves no hom system.
+multiplication by eAe, so it solves no hom system.
 An endomorphism splits a module in one step: it is an idempotent, or its
 Fitting projection onto im(phi^n) along ker(phi^n) is, at 0 or at one
-eigenvalue in the base field.
+eigenvalue in the base field.  A local ring has no nontrivial idempotent,
+so dim rad End is computed only for a piece whose End basis does not split.
 
 A's certified radical is computed once per presentation and shared with
 the opposite algebra, whose radical is the same subspace.  Isomorphism is
@@ -37,6 +38,7 @@ from .errors import (
     NotComputable,
     NotSimple,
     NotSplit,
+    TheoremViolation,
 )
 from .linalg import Field, Matrix, Subspace, block_diag, coordinates, linear_combination, vstack
 from .structure import first_nonassociative_pair, generating_set
@@ -413,10 +415,10 @@ def algebra_radical(algebra: AlgebraPresentation) -> Subspace:
     Over Q this is the kernel of the trace form (a, b) -> tr(L_{ab}); over F_p
     the chain of coefficient-of-characteristic-polynomial kernels at p-power
     indices (Cohen, Ivanyos and Wales 1997), whose first step, the e_1
-    coefficient, is the same trace-form kernel.  The result is certified: it
-    must be a nilpotent ideal whose quotient has vanishing radical by the same
-    computation.  It is computed once per presentation and shared with the
-    opposite algebra: rad(A^op) is the same subspace as rad(A).
+    coefficient, is the same trace-form kernel.  The result is certified a
+    nilpotent ideal; that it is not too small is `wedderburn_count`'s check.
+    It is computed once per presentation and shared with the opposite
+    algebra: rad(A^op) is the same subspace as rad(A).
     """
     shared = algebra._invariants
     if "radical" not in shared:
@@ -561,22 +563,17 @@ def _idempotent_from_element(E: EndAlgebra, phi: Morphism) -> Morphism | None:
     return None if proj is None else Morphism(phi.source, phi.source, proj)
 
 
-def find_splitting_idempotent(E: EndAlgebra, rad_dim: int | None = None) -> Morphism | None:
+def find_splitting_idempotent(E: EndAlgebra) -> Morphism | None:
     """A nontrivial idempotent endomorphism, or None if End(M) is local.
 
-    Follows the radical route: if End/rad is one-dimensional the module is
-    indecomposable; dim rad is computed from the presentation unless given.
-    Otherwise hunt an idempotent: a deterministic sweep over the basis, its
-    pairwise sums and products, then 400 random combinations with growing
-    coefficient spans from a PRNG seeded afresh on each call, so two calls
-    on the same End return the same idempotent.
+    A deterministic sweep over the basis, its pairwise sums and products,
+    then 400 random combinations with growing coefficient spans from a PRNG
+    seeded afresh on each call, so two calls on the same End return the
+    same idempotent.  Once no basis element splits, End/rad one-dimensional
+    (dim rad from the presentation) certifies the module indecomposable.
     """
     F = E.field
     if E.dim == 1:
-        return None
-    if rad_dim is None:
-        rad_dim = algebra_radical(E.presentation).dim
-    if E.dim - rad_dim == 1:
         return None
     # basis elements, then pairwise sums, then products, each formed only
     # when the sweep reaches it
@@ -584,7 +581,9 @@ def find_splitting_idempotent(E: EndAlgebra, rad_dim: int | None = None) -> Morp
         E.basis,
         (f + g for f, g in itertools.combinations(E.basis, 2)),
         (f @ g for f in E.basis for g in E.basis))
-    for phi in candidates:
+    for count, phi in enumerate(candidates):
+        if count == E.dim and E.dim - algebra_radical(E.presentation).dim == 1:
+            return None
         e = _idempotent_from_element(E, phi)
         if e is not None:
             return e
@@ -619,11 +618,9 @@ def split_by_idempotent(m: ModuleRep, e: Morphism):
 
 def _decompose(m: ModuleRep, endomorphisms):
     """Split m by idempotents until every piece has a local End, where
-    endomorphisms(piece, incl into m, proj from m) gives End(piece)'s
-    canonical basis and dim rad End(piece) (None: from its presentation)."""
+    endomorphisms(piece, incl into m, proj from m) gives End(piece)'s canonical basis."""
     def split(piece, incl, proj):
-        basis, rad_dim = endomorphisms(piece, incl, proj)
-        e = find_splitting_idempotent(EndAlgebra(piece, basis), rad_dim)
+        e = find_splitting_idempotent(EndAlgebra(piece, endomorphisms(piece, incl, proj)))
         if e is None:
             return [(piece, incl, proj)]
         return [leaf for sub, sub_incl, sub_proj in split_by_idempotent(piece, e) if sub.dim
@@ -639,15 +636,14 @@ def krull_schmidt(m: ModuleRep):
     carries the local-endomorphism-ring certificate.  Inclusions and
     projections compose to idempotents of m summing to 1.
     """
-    return _decompose(m, lambda piece, incl, proj: (hom_space(piece, piece), None))
+    return _decompose(m, lambda piece, incl, proj: hom_space(piece, piece))
 
 
 def _regular_endomorphisms(algebra: AlgebraPresentation):
-    """End and dim rad End of a piece of A's regular module: spans of proj.R.incl
-    for the right multiplications R: x -> x.b_j (End_A(A) = A^op; the same RREF
-    basis as `hom_space`) and x -> x.r, r in rad(A) (rad End(Ae) = e.rad(A).e)."""
+    """End of a piece of A's regular module: the span of proj.R.incl for the
+    right multiplications R: x -> x.b_j (End_A(A) = A^op), in the same RREF
+    basis as `hom_space`."""
     F = algebra.field
-    rad = algebra_radical(algebra)
 
     def endomorphisms(piece, incl, proj):
         d = piece.dim
@@ -658,9 +654,8 @@ def _regular_endomorphisms(algebra: AlgebraPresentation):
         flat = Matrix(F, [[prods[b][a][j] for a in range(d) for b in range(d)]
                           for j in range(algebra.dim)])
         red, _, rank = flat.rref()
-        basis = [Morphism(piece, piece, Matrix(F, [r[k * d:(k + 1) * d] for k in range(d)]))
-                 for r in red.entries[:rank]]
-        return basis, (rad.basis @ flat).rank()
+        return [Morphism(piece, piece, Matrix(F, [r[k * d:(k + 1) * d] for k in range(d)]))
+                for r in red.entries[:rank]]
 
     return endomorphisms
 
@@ -685,13 +680,15 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep) -> Morphism | None:
     """An invertible intertwiner m -> n, or None.
 
     An invertible element of the hom basis is returned when there is one,
-    which there always is for isomorphic indecomposables; otherwise both
-    modules are decomposed and their indecomposable summands matched.
+    which there always is for isomorphic indecomposables; otherwise, unless
+    the hom space is zero, both modules are decomposed and their
+    indecomposable summands matched.
     """
     if m.dim != n.dim:
         return None
-    w = _indec_isomorphism(m, n)
-    if w is not None:
+    homs = hom_space(m, n)
+    w = next((f for f in homs if f.is_invertible()), None)
+    if w is not None or (m.dim and not homs):
         return w
     dec_m = krull_schmidt(m)
     dec_n = krull_schmidt(n)
@@ -765,11 +762,12 @@ def simples_and_split_check(algebra: AlgebraPresentation) -> list[SimpleDatum]:
     """Primitive idempotents, projectives and simples of a split algebra.
 
     Decomposes the regular module as `krull_schmidt` does, reading each
-    piece's End and radical from A's product and A's certified radical
-    (`algebra_radical`, computed on first use and then shared by every
-    caller), reads off the orthogonal primitive idempotents, groups the
-    projectives by isomorphism and takes heads.  Raises NotSplit
-    when some simple has endomorphisms beyond scalars.  Output order is
+    piece's End from A's product, reads off the orthogonal primitive
+    idempotents, groups the projectives by isomorphism and takes heads
+    through A's certified radical (`algebra_radical`, computed on first use
+    and then shared by every caller).  Raises NotSplit when some simple has
+    endomorphisms beyond scalars, and TheoremViolation when the simples
+    fail `wedderburn_count` against that radical.  Output order is
     canonical: sorted by the idempotent's first supported coordinate, then
     lexicographically.
     """
@@ -810,4 +808,16 @@ def simples_and_split_check(algebra: AlgebraPresentation) -> list[SimpleDatum]:
         if len(hom_space(head, head)) != 1:
             raise NotSplit(f"simple of dimension {head.dim} has endomorphism ring larger than K")
         out.append(SimpleDatum(e_vec, head, p_mod, head_proj))
+    wedderburn_count(algebra, [d.simple.dim for d in out], "Wedderburn")
     return out
+
+
+def wedderburn_count(algebra: AlgebraPresentation, simple_dims, what: str):
+    """Raise TheoremViolation unless dim A - dim rad A is the sum of the
+    squared simple dimensions, as it is for a split algebra and its radical;
+    a nilpotent ideal smaller than the radical fails it."""
+    quotient = algebra.dim - algebra_radical(algebra).dim
+    squares = sum(d * d for d in simple_dims)
+    if quotient != squares:
+        raise TheoremViolation(f"{what} count fails: dim - dim rad = {quotient} but "
+                               f"the simples' squared dimensions sum to {squares}")

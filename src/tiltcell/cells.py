@@ -1,26 +1,27 @@
 """Cell modules, Gram pairings and the simple modules of End(T).
 
 The left cell module at a label is the hom space from the standard module
-into T with End(T) acting by post-composition; the pairing comes from the
-scalar part of composites through the indecomposable tilting module, whose
-endomorphism ring is local.  Ranks of the pairings classify the simple
+into T with End(T) acting by post-composition.  The pairing is read off
+Hom(Delta, Nabla) = K c, where c = pi . i is the composite through the
+indecomposable tilting module: F_j . G_k = beta(j, k) c, so no radical of
+End(T(label)) is needed.  Ranks of the pairings classify the simple
 End(T)-modules and are cross-checked against the Krull-Schmidt multiplicity
-of each indecomposable tilting summand.
+of each indecomposable tilting summand, and against dim End(T)/rad.
 """
 
 from __future__ import annotations
 
 from .algebra import (
     AlgebraPresentation,
-    EndAlgebra,
     ModuleRep,
     algebra_radical,
     module_radical,
+    quotient_rep,
+    wedderburn_count,
 )
 from .errors import LabelNotInSupport, TheoremViolation
-from .linalg import Matrix, Subspace, coordinates
+from .linalg import Matrix, Subspace
 from .standard_basis import StandardBasisDatum, structure_coefficients
-from .tilting import TiltingRegistry
 
 
 class CellData:
@@ -43,35 +44,27 @@ class CellData:
         return {lam: self.gram_rank[lam] for lam in self.nonzero_support()}
 
 
-def _scalar_part(tilt: TiltingRegistry, label):
-    """Decomposition End(T(label)) = K id + radical; returns the map from an
-    endomorphism matrix to its scalar part."""
-    n = tilt.module(label).dim
-    E = EndAlgebra(tilt.module(label))
-    rad = algebra_radical(E.presentation)
-    rows = [Matrix.identity(E.field, n).flat()]
-    rows.extend(E.from_coords(r).matrix.flat() for r in rad.basis.entries)
-    if len(rows) != E.dim:
-        raise TheoremViolation(
-            f"endomorphism ring at {label!r} is not scalar-plus-radical; "
-            "the module is not indecomposable over a split algebra")
-    coords = coordinates(E.field, rows, n * n)
-    return lambda mat: coords(mat.flat())[0]
-
-
 def gram_matrix(datum: StandardBasisDatum, label) -> Matrix:
-    """beta at `label`: entry (j, k) is the scalar part of Fhat_j . Ghat_k
-    inside the local ring End(T(label)).
+    """beta at `label`: entry (j, k) is the b with F_j . G_k = b c in
+    Hom(Delta, Nabla) = K c, c = pi . i, checked exactly.  As pi . Fhat_j = F_j
+    and Ghat_k . i = G_k, b is the scalar part of Fhat_j . Ghat_k in the local
+    ring End(T(label)), since pi . phi . i is the scalar part of phi times c.
 
     Cross-checked by the product rule: c_ij . c_kl must equal
     beta(j, k) c_il up to strictly lower fibers.
     """
     if label not in datum.order:
         raise LabelNotInSupport(f"label {label!r} has an empty fiber")
-    scalar = _scalar_part(datum.tilt, label)
-    beta = Matrix(datum.reg.algebra.field,
-                  [[scalar((fh @ gh).matrix) for gh in datum.Ghat[label]]
-                   for fh in datum.Fhat[label]], cols=len(datum.G[label]))
+    c = datum.tilt.triple(label).c.matrix
+    # c is normalized to 1 at its first nonzero entry (r, s); b is read there
+    r, s = next((r, s) for r, row in enumerate(c.entries) for s, x in enumerate(row) if x)
+    composites = [[(f @ g).matrix for g in datum.G[label]] for f in datum.F[label]]
+    beta = Matrix(datum.reg.algebra.field, [[m.entries[r][s] for m in row] for row in composites],
+                  cols=len(datum.G[label]))
+    for j, row in enumerate(composites):
+        for k, m in enumerate(row):
+            if m != c.scale(beta.entries[j][k]):
+                raise TheoremViolation(f"F_{j} . G_{k} at {label!r} is not a multiple of pi . i")
     _check_product_rule(datum, label, beta)
     return beta
 
@@ -160,8 +153,6 @@ def cell_simple_module(datum: StandardBasisDatum, label) -> ModuleRep:
     beta = gram_matrix(datum, label)
     cm = cell_module(datum, label)
     radical_space = Subspace(cm.dim, beta.kernel())
-    from .algebra import quotient_rep
-
     return quotient_rep(cm, radical_space)[0]
 
 
@@ -170,7 +161,9 @@ def is_semisimple_endalgebra(cell_data: CellData) -> bool:
 
     (a) the radical of the abstract endomorphism algebra vanishes;
     (b) T itself is semisimple (zero module radical).  The two verdicts
-    must agree; disagreement is a hard error.
+    must agree; disagreement is a hard error.  The radical in (a) is first
+    counted against Graham-Lehrer: the simples have the pairings' ranks as
+    dimensions.
 
     Agreement is a theorem whenever the standard and costandard
     multiplicities of T match at every label (any T when a duality
@@ -182,6 +175,7 @@ def is_semisimple_endalgebra(cell_data: CellData) -> bool:
     """
     datum = cell_data.datum
     pres = end_presentation(datum)
+    wedderburn_count(pres, cell_data.gram_rank.values(), "Graham-Lehrer")
     by_radical = algebra_radical(pres).dim == 0
     by_module = module_radical(datum.module).dim == 0
     if by_radical != by_module:

@@ -18,7 +18,7 @@ from .cells import CellData, classify_simples, is_semisimple_endalgebra
 from .docio import InputDocument, catalog_document, catalog_names, load_document
 from .duality import AntiInvolution, build_cellular_basis
 from .errors import InputError, TiltcellError
-from .highest_weight import Registry, verify_standard_category
+from .highest_weight import Registry, filtration_multiplicity, verify_standard_category
 from .report import matrix_entries, render_text, to_json_bytes, vector_entries
 from .standard_basis import (
     build_standard_basis,
@@ -132,8 +132,6 @@ def cmd_tilting(pipe: Pipeline) -> tuple[dict, int]:
     tiltings = {}
     for lab in pipe.doc.poset.labels:
         tr = tilt.triple(lab)
-        from .highest_weight import filtration_multiplicity
-
         mults = {kind: {mu: filtration_multiplicity(reg, tr.module, mu, kind)
                         for mu in pipe.doc.poset.labels}
                  for kind in ("standard", "costandard")}

@@ -28,7 +28,7 @@ from .algebra import (
     submodule_rep,
 )
 from .errors import AxiomViolation, InconsistentSystem, InputError, NoFiltration
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, hstack
 
 
 class WeightPoset:
@@ -593,8 +593,6 @@ def _nabla_chain(reg: Registry, n: ModuleRep):
 
 def _preimage(F, proj_matrix: Matrix, s: Subspace) -> Subspace:
     """Preimage of a subspace under a surjection, as a subspace upstairs."""
-    from .linalg import hstack
-
     amb = proj_matrix.cols
     if s.dim == 0:
         return Subspace(amb, proj_matrix.kernel())

@@ -10,6 +10,7 @@ which the idempotent sweep takes a Fitting projection).
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from .linalg import Field, Matrix
@@ -227,8 +228,6 @@ def linear_roots(field, f, rng=None):
         return [], f
     if field.p is None:
         return _rational_roots(f)
-    import random
-
     return _prime_field_roots(field, f, rng or random.Random(0))
 
 

@@ -35,7 +35,7 @@ from tiltcell.algebra import (
 )
 from tiltcell.cells import cell_module, co_cell_module, end_presentation
 from tiltcell.docio import catalog_document, catalog_names
-from tiltcell.errors import InconsistentSystem, InputError, NotSimple, NotSplit
+from tiltcell.errors import InconsistentSystem, InputError, NotSimple, NotSplit, TheoremViolation
 from tiltcell.highest_weight import Registry
 from tiltcell.linalg import Field, Matrix, Subspace, block_diag, vstack
 from tiltcell.standard_basis import build_standard_basis
@@ -393,8 +393,8 @@ REGULAR_REFERENCE_CASES = (
        for n, p in [(3, None), (3, 2), (3, 3), (3, 10007), (4, 10007)]])
 
 
-# every piece's End basis and radical dimension, the summands and the simples'
-# idempotents and projectives against krull_schmidt's hom_space route
+# every piece's End basis, the summands and the simples' idempotents and
+# projectives against krull_schmidt's hom_space route
 @pytest.mark.parametrize("make_algebra", REGULAR_REFERENCE_CASES)
 def test_regular_decomposition_matches_hom_space_route(make_algebra):
     alg = make_algebra()
@@ -402,12 +402,10 @@ def test_regular_decomposition_matches_hom_space_route(make_algebra):
     pieces = []
 
     def checked(piece, incl, proj):
-        basis, rad_dim = structural(piece, incl, proj)
-        E = EndAlgebra(piece)
-        assert [f.matrix for f in basis] == [f.matrix for f in E.basis]
-        assert rad_dim == algebra_radical(E.presentation).dim
+        basis = structural(piece, incl, proj)
+        assert [f.matrix for f in basis] == [f.matrix for f in hom_space(piece, piece)]
         pieces.append(piece.dim)
-        return basis, rad_dim
+        return basis
 
     reg = alg.regular_module()
     summands = _decompose(reg, checked)
@@ -428,6 +426,86 @@ def test_regular_decomposition_matches_hom_space_route(make_algebra):
     for sd in simples_and_split_check(alg):
         assert ([a.entries for a in sd.projective.action]
                 == [a.entries for a in by_idempotent[sd.idempotent].action])
+
+
+# -- split before certifying, against the radical-first hunt ------------------
+
+
+def radical_first_splitting_idempotent(E):
+    """The hunt with dim rad End computed before any basis element is tried:
+    None as soon as End/rad is one-dimensional."""
+    if E.dim > 1 and E.dim - algebra_radical(E.presentation).dim == 1:
+        return None
+    return find_splitting_idempotent(E)
+
+
+def summand_entries(summands):
+    return [([a.entries for a in mod.action], incl.matrix.entries, proj.matrix.entries)
+            for mod, incl, proj in summands]
+
+
+def simple_entries(simples):
+    return [(sd.idempotent, [a.entries for a in sd.simple.action],
+             [a.entries for a in sd.projective.action], sd.head_proj.matrix.entries)
+            for sd in simples]
+
+
+def catalog_input(name, spec):
+    doc = catalog_document(name, spec)
+    return doc.algebra, doc.poset
+
+
+SPLIT_REFERENCE_CASES = (
+    [pytest.param(lambda name=name, spec=spec: catalog_input(name, spec), id=f"{name}-{spec}")
+     for name in ["trivial", "semisimple2", "a2path", "auslander-dualnumbers", "ut3"]
+     for spec in ("Q", "Fp 3", "Fp 2")]
+    + [pytest.param(lambda p=p: (auslander_algebra(Field(p), 3), chain_poset(3)),
+                    id=f"auslander3-{p or 'Q'}") for p in (None, 2, 10007)])
+
+
+# every summand of the regular and characteristic tilting modules, and every
+# simple's idempotent, simple, projective and head map, entry for entry
+@pytest.mark.parametrize("make_input", SPLIT_REFERENCE_CASES)
+def test_split_before_certifying_matches_radical_first(make_input, monkeypatch):
+    def decompositions():
+        reg = Registry(*make_input())
+        modules = [reg.algebra.regular_module(), char_tilting(reg, TiltingRegistry(reg))]
+        return ([summand_entries(krull_schmidt(m)) for m in modules],
+                simple_entries(simples_and_split_check(reg.algebra)))
+
+    got = decompositions()
+    monkeypatch.setattr(algebra_module, "find_splitting_idempotent",
+                        radical_first_splitting_idempotent)
+    assert got == decompositions()
+
+
+def test_krull_schmidt_certifies_no_radical_of_the_whole_end(monkeypatch):
+    _, _, T = auslander3_pipeline(F10007)
+    sizes = []
+    monkeypatch.setattr(algebra_module, "algebra_radical",
+                        lambda alg: sizes.append(alg.dim) or algebra_radical(alg))
+    summands = krull_schmidt(T)
+    # End(T) is 14-dimensional and splits on a basis element
+    assert len(hom_space(T, T)) == 14 and len(summands) > 1
+    assert 14 not in sizes
+
+
+def test_radical_too_small_fails_wedderburn_count(monkeypatch):
+    # the zero subspace is a nilpotent ideal, so it passes certification
+    monkeypatch.setattr(algebra_module, "_radical_candidate",
+                        lambda alg: Subspace.zero(alg.field, alg.dim))
+    with pytest.raises(TheoremViolation, match="Wedderburn count fails: .* = 3 .* 5"):
+        simples_and_split_check(catalog_document("a2path").algebra)
+
+
+def test_no_decomposition_when_hom_is_zero(pipelines, monkeypatch):
+    _, _, tilt = pipelines["semisimple2"]
+    calls = []
+    monkeypatch.setattr(algebra_module, "krull_schmidt",
+                        lambda m: calls.append(m) or krull_schmidt(m))
+    assert tilt.module("1").dim == tilt.module("2").dim == 1
+    assert is_isomorphic(tilt.module("1"), tilt.module("2")) is None
+    assert calls == []
 
 
 # -- the Fitting step against the coprime-factor idempotent it replaced ---------

@@ -1,7 +1,8 @@
 import pytest
 from conftest import GOOD_CATALOG
 
-from tiltcell.algebra import algebra_radical, direct_sum, hom_space
+from tiltcell import algebra as algebra_module
+from tiltcell.algebra import EndAlgebra, Morphism, algebra_radical, direct_sum, hom_space
 from tiltcell.cells import (
     CellData,
     cell_module,
@@ -14,10 +15,17 @@ from tiltcell.cells import (
 )
 from tiltcell.cli import Pipeline, cmd_cells
 from tiltcell.docio import catalog_document
+from tiltcell.duality import AntiInvolution, build_cellular_basis
 from tiltcell.errors import LabelNotInSupport, TheoremViolation
-from tiltcell.linalg import Matrix
+from tiltcell.highest_weight import Registry, verify_standard_category
+from tiltcell.linalg import Field, Matrix, Subspace, coordinates
 from tiltcell.standard_basis import build_standard_basis
-from tiltcell.tilting import tilting_support
+from tiltcell.tilting import TiltingRegistry, tilting_support
+
+from test_schur import schur_algebra, schur_pipeline
+from test_stress import F10007, Q, auslander_algebra, chain_poset
+
+F2 = Field(2)
 
 
 def datum_for(reg, tilt, labels=None, seed=0):
@@ -182,3 +190,93 @@ def test_cells_invariants_agree_over_q_and_good_primes(name):
                      report["simple_dims"]))
     assert seen[0][0] == 0
     assert seen[1:] == seen[:1] * 3
+
+
+# -- the Gram form read off Hom(Delta, Nabla) = K c against the local-ring route ---
+
+
+def reference_scalar_part(tilt, label):
+    """End(T(label)) = K id + radical, read from End's certified radical;
+    the map from an endomorphism matrix to its scalar part."""
+    n = tilt.module(label).dim
+    E = EndAlgebra(tilt.module(label))
+    rad = algebra_radical(E.presentation)
+    rows = [Matrix.identity(E.field, n).flat()]
+    rows.extend(E.from_coords(r).matrix.flat() for r in rad.basis.entries)
+    assert len(rows) == E.dim, f"End(T({label!r})) is not local"
+    coords = coordinates(E.field, rows, n * n)
+    return lambda mat: coords(mat.flat())[0]
+
+
+def reference_gram(datum, label):
+    """Entry (j, k): the scalar part of Fhat_j . Ghat_k in End(T(label))."""
+    scalar = reference_scalar_part(datum.tilt, label)
+    return Matrix(datum.reg.algebra.field,
+                  [[scalar((fh @ gh).matrix) for gh in datum.Ghat[label]]
+                   for fh in datum.Fhat[label]], cols=len(datum.G[label]))
+
+
+def catalog_case(name, spec):
+    doc = catalog_document(name, spec)
+    reg = Registry(doc.algebra, doc.poset)
+    verify_standard_category(reg).raise_if_failed()
+    # the cellular basis symmetrizes fixed points, which needs characteristic != 2
+    tau = (None if doc.anti_involution is None or doc.field.characteristic == 2
+           else AntiInvolution(doc.algebra, doc.anti_involution))
+    return reg, TiltingRegistry(reg), tau
+
+
+def auslander_case(field, n):
+    reg = Registry(auslander_algebra(field, n), chain_poset(n))
+    return reg, TiltingRegistry(reg), None
+
+
+def schur_case(r):
+    _, _, tau, _ = schur_algebra(Q, r)
+    reg, tilt, _ = schur_pipeline(Q, r)
+    return reg, tilt, tau
+
+
+GRAM_SWEEP = (
+    [pytest.param(lambda name=name, spec=spec: catalog_case(name, spec), id=f"{name}-{spec}")
+     for name in GOOD_CATALOG for spec in ("Q", "Fp 3", "Fp 2")]
+    + [pytest.param(lambda field=field, n=n: auslander_case(field, n),
+                    id=f"auslander{n}-{field.p or 'Q'}")
+       for field, n in [(Q, 3), (F2, 3), (F10007, 3), (F10007, 4)]]
+    + [pytest.param(lambda r=r: schur_case(r), id=f"schur2-{r}") for r in (3, 4)])
+
+
+@pytest.mark.parametrize("make_case", GRAM_SWEEP)
+def test_gram_matches_scalar_part_reference(make_case):
+    reg, tilt, tau = make_case()
+    total, _, _ = direct_sum([tilt.module(lab) for lab in reg.poset.labels])
+    datums = [build_standard_basis(tilt, total, seed=seed) for seed in range(3)]
+    if tau is not None:
+        datums += [build_cellular_basis(tilt, total, tau, seed=seed)[0] for seed in range(3)]
+    for datum in datums:
+        for lam in datum.order:
+            assert gram_matrix(datum, lam) == reference_gram(datum, lam)
+
+
+def test_gram_checks_the_composite_against_c(pipelines, monkeypatch):
+    # c = pi . i is [1 0] at the top label of 1 -> 2; against [1 1] the
+    # composite F_0 . G_0 = beta(0, 0) c, beta(0, 0) != 0, is no multiple
+    doc, reg, tilt = pipelines["a2path"]
+    _, datum = datum_for(reg, tilt)
+    triple = tilt.triple("1")
+    assert triple.c.matrix.entries == ((1, 0),) and not gram_matrix(datum, "1").is_zero()
+    monkeypatch.setattr(triple, "c", Morphism(triple.c.source, triple.c.target,
+                                              Matrix(doc.field, [[1, 1]])))
+    with pytest.raises(TheoremViolation, match="F_0 . G_0 at '1' is not a multiple of pi . i"):
+        gram_matrix(datum, "1")
+
+
+def test_radical_too_small_fails_graham_lehrer_count(pipelines, monkeypatch):
+    _, reg, tilt = pipelines["a2path"]
+    _, datum = datum_for(reg, tilt)
+    cd = CellData(datum)
+    # the zero subspace is a nilpotent ideal, so it passes certification
+    monkeypatch.setattr(algebra_module, "_radical_candidate",
+                        lambda alg: Subspace.zero(alg.field, alg.dim))
+    with pytest.raises(TheoremViolation, match="Graham-Lehrer count fails: .* = 3 .* 2"):
+        is_semisimple_endalgebra(cd)
