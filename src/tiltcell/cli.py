@@ -6,6 +6,11 @@ highest-weight axioms, `tilting` builds the indecomposable tilting modules,
 computes Gram matrices and the simple modules of End(T), and `cellular`
 runs the duality pipeline to a cellular basis.  Exit codes: 0 all
 certificates pass, 1 an axiom or theorem check failed, 2 input error.
+
+`build_report` frames every report: the meta, the verification section
+and its gate, the verdict in `ok` with the exit code, and the capture of a
+pipeline failure into a meta-only error report.  Each `cmd_*` only adds its
+own sections to the report and returns its verdict.
 """
 
 from __future__ import annotations
@@ -55,19 +60,6 @@ class Pipeline:
                 self.registry, dim_bound=self.doc.options["dim_bound"])
         return self._tiltings
 
-    def tilting_module(self):
-        """The requested tilting module as an explicit direct sum."""
-        tilt = self.tiltings()
-        if self.doc.tilting_request == "characteristic":
-            pieces = [(lab, 1) for lab in self.doc.poset.labels]
-        else:
-            pieces = self.doc.tilting_request
-        mods = []
-        for lab, mult in pieces:
-            mods.extend([tilt.module(lab)] * mult)
-        total, _, _ = direct_sum(mods)
-        return total, pieces
-
 
 def _meta(doc: InputDocument, command: str) -> dict:
     return {
@@ -116,17 +108,31 @@ def _verification_section(pipe: Pipeline) -> dict:
     }
 
 
-def cmd_verify(pipe: Pipeline) -> tuple[dict, int]:
-    report = _meta(pipe.doc, "verify")
-    report.update(_verification_section(pipe))
-    return report, 0 if report["ok"] else 1
+def cmd_verify(pipe: Pipeline, report: dict) -> bool:
+    return True
 
 
-def cmd_tilting(pipe: Pipeline) -> tuple[dict, int]:
-    report = _meta(pipe.doc, "tilting")
-    report.update(_verification_section(pipe))
-    if not report["ok"]:
-        return report, 1
+def _requested_tilting(pipe: Pipeline, report: dict):
+    """The requested tilting module as an explicit direct sum, its pieces and
+    dimension added to the report; returns (module, pieces)."""
+    doc = pipe.doc
+    pieces = ([(lab, 1) for lab in doc.poset.labels]
+              if doc.tilting_request == "characteristic" else doc.tilting_request)
+    tilt = pipe.tiltings()
+    total, _, _ = direct_sum([tilt.module(lab) for lab, mult in pieces for _ in range(mult)])
+    report["requested_tilting"] = {"pieces": [[lab, m] for lab, m in pieces],
+                                   "dim": total.dim}
+    return total, pieces
+
+
+def _cell_simples(pipe: Pipeline, datum, total):
+    """(cell data, tilting support, simple dims) of a datum of End(total)."""
+    cd = CellData(datum)
+    support = tilting_support(pipe.tiltings(), total)
+    return cd, support, classify_simples(cd, support)
+
+
+def cmd_tilting(pipe: Pipeline, report: dict) -> bool:
     reg = pipe.registry
     tilt = pipe.tiltings()
     tiltings = {}
@@ -142,29 +148,20 @@ def cmd_tilting(pipe: Pipeline) -> tuple[dict, int]:
             "composite_normalized": True,
         }
     report["tiltings"] = tiltings
-    total, pieces = pipe.tilting_module()
+    total, pieces = _requested_tilting(pipe, report)
     support = tilting_support(tilt, total)
-    report["requested_tilting"] = {
-        "pieces": [[lab, mult] for lab, mult in pieces],
-        "dim": total.dim,
-        "support": support,
-        "support_matches_request": support == {lab: m for lab, m in pieces},
-    }
-    ok = report["requested_tilting"]["support_matches_request"]
-    report["ok"] = bool(ok)
-    return report, 0 if ok else 1
+    ok = support == {lab: m for lab, m in pieces}
+    report["requested_tilting"].update(support=support, support_matches_request=ok)
+    return ok
 
 
-def _basis_section(pipe: Pipeline, datum, axioms) -> dict:
-    fibers = {}
+def _basis_section(datum, axioms) -> dict:
+    fibers, cells = {}, {}
     for lam in datum.order:
         n_i, n_j = len(datum.G[lam]), len(datum.F[lam])
         fibers[lam] = {"rows": n_i, "cols": n_j, "count": n_i * n_j}
-    cells = {}
-    for lam in datum.order:
-        cells[lam] = [[matrix_entries(datum.cell(lam, i, j).matrix)
-                       for j in range(len(datum.F[lam]))]
-                      for i in range(len(datum.G[lam]))]
+        cells[lam] = [[matrix_entries(datum.cell(lam, i, j).matrix) for j in range(n_j)]
+                      for i in range(n_i)]
     return {
         "dim_end": datum.dim(),
         "support": list(datum.order),
@@ -175,89 +172,55 @@ def _basis_section(pipe: Pipeline, datum, axioms) -> dict:
     }
 
 
-def cmd_basis(pipe: Pipeline) -> tuple[dict, int]:
-    report = _meta(pipe.doc, "basis")
-    report.update(_verification_section(pipe))
-    if not report["ok"]:
-        return report, 1
+def cmd_basis(pipe: Pipeline, report: dict) -> bool:
     seed = pipe.doc.options["seed"]
     trials = pipe.doc.options["trials"]
     tilt = pipe.tiltings()
-    total, pieces = pipe.tilting_module()
+    total, _ = _requested_tilting(pipe, report)
     datum = build_standard_basis(tilt, total, seed=seed)
     axioms = verify_standard_axioms(datum, trials=trials)
-    report["requested_tilting"] = {"pieces": [[lab, m] for lab, m in pieces],
-                                   "dim": total.dim}
-    report["basis"] = _basis_section(pipe, datum, axioms)
+    report["basis"] = _basis_section(datum, axioms)
     other = build_standard_basis(tilt, total, seed=seed + 1)
     verify_standard_axioms(other, trials=max(1, trials // 4))
     report["seed_study"] = {
         "seeds": [seed, seed + 1],
         "unitriangular": change_of_basis_unitriangular(datum, other),
     }
-    ok = (report["basis"]["fiber_count_equals_dim_end"]
-          and report["seed_study"]["unitriangular"])
-    report["ok"] = bool(ok)
-    return report, 0 if ok else 1
+    return (report["basis"]["fiber_count_equals_dim_end"]
+            and report["seed_study"]["unitriangular"])
 
 
-def cmd_cells(pipe: Pipeline) -> tuple[dict, int]:
-    report = _meta(pipe.doc, "cells")
-    report.update(_verification_section(pipe))
-    if not report["ok"]:
-        return report, 1
-    seed = pipe.doc.options["seed"]
-    tilt = pipe.tiltings()
-    total, pieces = pipe.tilting_module()
-    datum = build_standard_basis(tilt, total, seed=seed)
-    cd = CellData(datum)
-    support = tilting_support(tilt, total)
-    simple_dims = classify_simples(cd, support)
-    gram = {}
-    for lam in datum.order:
-        gram[lam] = {
-            "matrix": matrix_entries(cd.gram[lam]),
-            "rank": cd.gram_rank[lam],
-            "tilting_multiplicity": support.get(lam, 0),
-            "rank_matches_multiplicity": cd.gram_rank[lam] == support.get(lam, 0),
-        }
-    semis = is_semisimple_endalgebra(cd)
-    report["requested_tilting"] = {"pieces": [[lab, m] for lab, m in pieces],
-                                   "dim": total.dim}
+def cmd_cells(pipe: Pipeline, report: dict) -> bool:
+    total, _ = _requested_tilting(pipe, report)
+    datum = build_standard_basis(pipe.tiltings(), total, seed=pipe.doc.options["seed"])
+    cd, support, simple_dims = _cell_simples(pipe, datum, total)
+    gram = {lam: {"matrix": matrix_entries(cd.gram[lam]),
+                  "rank": cd.gram_rank[lam],
+                  "tilting_multiplicity": support.get(lam, 0),
+                  "rank_matches_multiplicity": cd.gram_rank[lam] == support.get(lam, 0)}
+            for lam in datum.order}
     report["fibers"] = {lam: {"rows": i, "cols": j}
                         for lam, (i, j) in datum.fiber_sizes().items()}
     report["gram"] = gram
     report["simple_dims"] = simple_dims
     report["semisimple"] = {
-        "value": semis,
+        "value": is_semisimple_endalgebra(cd),
         "verdicts_agree": True,
         "sum_of_squares": sum(d * d for d in simple_dims.values()),
         "dim_end": datum.dim(),
     }
-    report["ok"] = all(g["rank_matches_multiplicity"] for g in gram.values())
-    return report, 0 if report["ok"] else 1
+    return all(g["rank_matches_multiplicity"] for g in gram.values())
 
 
-def cmd_cellular(pipe: Pipeline) -> tuple[dict, int]:
-    report = _meta(pipe.doc, "cellular")
-    if pipe.doc.anti_involution is None:
-        raise InputError("cellular command needs an anti_involution in the input")
-    report.update(_verification_section(pipe))
-    if not report["ok"]:
-        return report, 1
-    seed = pipe.doc.options["seed"]
-    trials = pipe.doc.options["trials"]
+def cmd_cellular(pipe: Pipeline, report: dict) -> bool:
     tilt = pipe.tiltings()
     tau = AntiInvolution(pipe.doc.algebra, pipe.doc.anti_involution)
-    total, pieces = pipe.tilting_module()
-    datum, duality, alpha, cert = build_cellular_basis(tilt, total, tau, seed=seed)
-    axioms = verify_standard_axioms(datum, trials=trials)
-    cd = CellData(datum)
-    support = tilting_support(tilt, total)
-    simple_dims = classify_simples(cd, support)
-    report["requested_tilting"] = {"pieces": [[lab, m] for lab, m in pieces],
-                                   "dim": total.dim}
-    report["basis"] = _basis_section(pipe, datum, axioms)
+    total, _ = _requested_tilting(pipe, report)
+    datum, duality, alpha, cert = build_cellular_basis(
+        tilt, total, tau, seed=pipe.doc.options["seed"])
+    axioms = verify_standard_axioms(datum, trials=pipe.doc.options["trials"])
+    cd, _, simple_dims = _cell_simples(pipe, datum, total)
+    report["basis"] = _basis_section(datum, axioms)
     report["duality"] = {
         "exchange_ok": sorted(duality.exchange),
         "tilting_self_dual_ok": sorted(duality.tilting_self_dual),
@@ -272,10 +235,8 @@ def cmd_cellular(pipe: Pipeline) -> tuple[dict, int]:
                               for lam in datum.order),
         "simple_dims": simple_dims,
     }
-    ok = (report["cellularity"]["gram_symmetric"]
-          and cert["fibers_square"] and cert["alpha_involutive"])
-    report["ok"] = bool(ok)
-    return report, 0 if ok else 1
+    return (report["cellularity"]["gram_symmetric"]
+            and cert["fibers_square"] and cert["alpha_involutive"])
 
 
 COMMANDS = {
@@ -285,6 +246,32 @@ COMMANDS = {
     "cells": cmd_cells,
     "cellular": cmd_cellular,
 }
+
+
+def build_report(pipe: Pipeline, command: str) -> tuple[dict, int]:
+    """The report of one subcommand and its exit code.
+
+    Every report opens with the meta and the verification section; the
+    subcommand's own sections follow only when verification passes, and
+    `ok` is the verdict of both.  A pipeline failure (a TiltcellError other
+    than InputError) yields the meta-only error report with exit 1; an
+    InputError propagates, for exit 2.
+    """
+    report = _meta(pipe.doc, command)
+    if command == "cellular" and pipe.doc.anti_involution is None:
+        raise InputError("cellular command needs an anti_involution in the input")
+    try:
+        report.update(_verification_section(pipe))
+        ok = report["ok"] and COMMANDS[command](pipe, report)
+    except InputError:
+        raise
+    except TiltcellError as exc:
+        report = _meta(pipe.doc, command)
+        report["ok"] = False
+        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        return report, 1
+    report["ok"] = bool(ok)
+    return report, 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,16 +306,7 @@ def run(args) -> int:
             if val < 0:
                 raise InputError(f"--{key.replace('_', '-')} must be nonnegative")
             doc.options[key] = val
-    pipe = Pipeline(doc)
-    try:
-        report, code = COMMANDS[args.command](pipe)
-    except InputError:
-        raise
-    except TiltcellError as exc:
-        report = _meta(doc, args.command)
-        report["ok"] = False
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = 1
+    report, code = build_report(Pipeline(doc), args.command)
     out = to_json_bytes(report) if args.format == "json" else render_text(report).encode()
     sys.stdout.buffer.write(out)
     sys.stdout.buffer.flush()

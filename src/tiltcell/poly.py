@@ -5,11 +5,14 @@ zeros (the zero polynomial is the empty tuple).  Only what the structure
 computations need lives here: characteristic polynomials via Hessenberg
 reduction (the char-p radical chain), and their roots in the base field
 with the division and gcd arithmetic that finds them (the eigenvalue at
-which the idempotent sweep takes a Fitting projection).
+which the idempotent sweep takes a Fitting projection).  Over Q the roots
+are found among the rational-root candidates; over F_p, for every p, by
+splitting gcd(f, x^p - x) into its linear factors.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -135,9 +138,7 @@ def _rational_roots(f):
             roots.append(-f[0] / f[1])
             f = (f[1],)
             break
-        denom_lcm = 1
-        for c in f:
-            denom_lcm = denom_lcm * c.denominator // _gcd_int(denom_lcm, c.denominator)
+        denom_lcm = math.lcm(*(c.denominator for c in f))
         zf = [int(c * denom_lcm) for c in f]
         found = None
         for pnum in _int_divisors(zf[0]) or [0]:
@@ -160,46 +161,28 @@ def _rational_roots(f):
     return roots, f
 
 
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _prime_field_roots(field, f):
+    """Roots in F_p with multiplicity; the monic leftover has no roots in F_p.
 
-
-def _prime_field_roots(field, f, rng):
-    """Roots in F_p with multiplicity; leftover factor has no roots in F_p."""
-    p = field.p
+    After the zero roots are stripped, gcd(f, x^p - x) is the product of
+    f's distinct linear factors; an equal-degree split finds them, and each
+    is divided out of f to its full multiplicity.  For p = 2 that gcd has
+    degree at most 1, so the split draws nothing.
+    """
     roots = []
-    while f and f[0] == field.zero():
+    while f and not f[0]:
         roots.append(field.zero())
         f = f[1:]
     if degree(f) < 1:
         return roots, f
-    if p <= 4096:
-        for a in range(p):
-            while f and evaluate(field, f, a) == field.zero():
-                roots.append(a)
-                f = deflate_root(field, f, a)
-            if degree(f) < 1:
-                break
-        return roots, f
-    # large p: split off the product of linear factors, then equal-degree split
     fm = monic(field, f)
-    while True:
-        xt = pow_mod(field, (field.zero(), field.one()), p, fm)
-        lin = gcd(field, fm, add(field, xt, scale(field, field.neg(field.one()), (field.zero(), field.one()))))
-        if degree(lin) < 1:
-            break
-        for r in _split_linear(field, lin, rng):
-            mult = 0
-            while True:
-                q, rem = divmod_poly(field, fm, (field.neg(r), field.one()))
-                if rem:
-                    break
-                fm = q
-                mult += 1
-            roots.extend([r] * mult)
-        break
+    x = (field.zero(), field.one())
+    xp = pow_mod(field, x, field.p, fm)
+    lin = gcd(field, fm, add(field, xp, scale(field, field.neg(field.one()), x)))
+    for r in _split_linear(field, lin, random.Random(0)):
+        while degree(fm) >= 1 and not evaluate(field, fm, r):
+            roots.append(r)
+            fm = deflate_root(field, fm, r)
     return roots, fm
 
 
@@ -221,14 +204,14 @@ def _split_linear(field, f, rng):
             return _split_linear(field, d, rng) + _split_linear(field, rest, rng)
 
 
-def linear_roots(field, f, rng=None):
+def linear_roots(field, f):
     """(roots with multiplicity, non-split leftover factor) of f over the field."""
     f = normalize(field, f)
     if not f or degree(f) == 0:
         return [], f
     if field.p is None:
         return _rational_roots(f)
-    return _prime_field_roots(field, f, rng or random.Random(0))
+    return _prime_field_roots(field, f)
 
 
 # -- matrix polynomials --------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 from tiltcell.algebra import direct_sum, hom_space
 from tiltcell.cells import CellData, classify_simples, is_semisimple_endalgebra
-from tiltcell.cli import Pipeline, cmd_verify
+from tiltcell.cli import Pipeline, build_report
 from tiltcell.docio import catalog_document
 from tiltcell.duality import AntiInvolution, build_cellular_basis
 from tiltcell.highest_weight import ext1_witness_factor
@@ -58,12 +58,12 @@ def catalog_data(pipelines):
 def test_acceptance_1_axiom_suite(pipelines):
     for name in GOOD:
         doc, _, _ = pipelines[name]
-        report, code = cmd_verify(Pipeline(doc))
+        report, code = build_report(Pipeline(doc), "verify")
         assert code == 0 and report["ok"], (name, report["failures"])
         assert report["checks"]["failed"] == 0
     doc = catalog_document("dualnumbers")
     pipe = Pipeline(doc)
-    report, code = cmd_verify(pipe)
+    report, code = build_report(pipe, "verify")
     assert code == 1 and not report["ok"]
     failing = {f["check"] for f in report["failures"]}
     assert "ext1_standard_costandard" in failing

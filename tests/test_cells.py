@@ -13,7 +13,7 @@ from tiltcell.cells import (
     gram_matrix,
     is_semisimple_endalgebra,
 )
-from tiltcell.cli import Pipeline, cmd_cells
+from tiltcell.cli import Pipeline, build_report
 from tiltcell.docio import catalog_document
 from tiltcell.duality import AntiInvolution, build_cellular_basis
 from tiltcell.errors import LabelNotInSupport, TheoremViolation
@@ -184,7 +184,7 @@ def test_cells_invariants_agree_over_q_and_good_primes(name):
     # not depend on the characteristic for these algebras
     seen = []
     for spec in ("Q", "Fp 5", "Fp 7", "Fp 10007"):
-        report, code = cmd_cells(Pipeline(catalog_document(name, spec)))
+        report, code = build_report(Pipeline(catalog_document(name, spec)), "cells")
         seen.append((code, report["fibers"], report["semisimple"]["dim_end"],
                      {lam: g["rank"] for lam, g in report["gram"].items()},
                      report["simple_dims"]))

@@ -1,11 +1,15 @@
+import hashlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from tiltcell import cli
 from tiltcell.cli import build_parser
-from tiltcell.docio import parse_document
+from tiltcell.docio import catalog_names, parse_document
 from tiltcell.errors import InputError
 
 
@@ -205,3 +209,28 @@ def test_is_prime_matches_trial_division():
         return n > 1 and all(n % f for f in range(2, int(n ** 0.5) + 1))
 
     assert [n for n in range(20000) if _is_prime(n)] == [n for n in range(20000) if by_trial(n)]
+
+
+DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
+
+
+def report_digest(argv, monkeypatch):
+    """SHA-256 of the report bytes one in-process CLI run writes."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", out)
+    cli.main(argv)
+    out.flush()
+    return hashlib.sha256(out.buffer.getvalue()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_catalog_reports_match_recorded_digests(seed, monkeypatch):
+    # every catalog x subcommand JSON report against the benchmark's recorded
+    # digests, which this test reads and never writes
+    recorded = json.loads(DIGESTS.read_text())["catalog"][str(seed)]
+    seen = {}
+    for name in catalog_names():
+        for command in cli.COMMANDS:
+            argv = [command, "--catalog", name, "--format", "json", "--seed", str(seed)]
+            seen[" ".join(argv)] = report_digest(argv, monkeypatch)
+    assert seen == recorded

@@ -1,5 +1,6 @@
 import pytest
 
+from tiltcell import algebra, duality
 from tiltcell.algebra import (
     AlgebraPresentation,
     ModuleRep,
@@ -268,3 +269,32 @@ def test_alpha_identity_on_simple_tilting(pipelines):
     alpha, _ = induced_involution(tau, T, psi)
     ident = Matrix.identity(Q, 1)
     assert alpha(ident) == ident
+
+
+def test_cellular_basis_solves_each_self_duality_once(pipelines, monkeypatch):
+    # T(label) and D(T(label)) are compared by one hom-space solve per label,
+    # in either direction, whose isomorphism is then symmetrized
+    doc, reg, tilt = pipelines["auslander-dualnumbers"]
+    tau = auslander_tau(doc)
+    T, _, _ = direct_sum([tilt.module(lab) for lab in reg.poset.labels])
+    duals, solved = [], []
+    real_dualize, real_hom = duality.dualize_module, algebra.hom_space
+
+    def spy_dualize(tau, m):
+        duals.append((m, real_dualize(tau, m)))
+        return duals[-1][1]
+
+    def spy_hom(m, n):
+        solved.append((m, n))
+        return real_hom(m, n)
+
+    monkeypatch.setattr(duality, "dualize_module", spy_dualize)
+    monkeypatch.setattr(algebra, "hom_space", spy_hom)
+    monkeypatch.setattr(duality, "hom_space", spy_hom)
+    build_cellular_basis(tilt, T, tau)
+    for lab in reg.poset.labels:
+        t = tilt.module(lab)
+        dual_ids = {id(d) for m, d in duals if m is t}
+        pairs = [(m, n) for m, n in solved
+                 if (m is t and id(n) in dual_ids) or (n is t and id(m) in dual_ids)]
+        assert len(pairs) == 1, lab

@@ -317,6 +317,48 @@ def test_linear_roots_f5():
     assert sorted(roots) == [2, 3] and poly.degree(leftover) == 0
 
 
+
+def brute_force_roots(field, f):
+    """Every root of f over F_p by evaluation at each residue, each divided
+    out to its full multiplicity: the reference for linear_roots."""
+    roots = []
+    for a in range(field.p):
+        while poly.degree(f) >= 1 and poly.evaluate(field, f, a) == 0:
+            roots.append(a)
+            f = poly.deflate_root(field, f, a)
+    return roots, f
+
+
+def seeded_root_poly(field, rng):
+    """A nonzero multiple c * x^k * prod (x - r)^m * prod g, with repeated
+    roots and with monic quadratic or cubic factors g that have no root."""
+    p = field.p
+    f = (field.of(rng.randrange(1, p)),) + (field.zero(),) * rng.randrange(3)
+    for _ in range(rng.randrange(1, 4)):
+        r = field.of(rng.randrange(p))
+        for _ in range(rng.randrange(1, 4)):
+            f = poly.mul(field, f, (field.neg(r), field.one()))
+    for _ in range(rng.randrange(3)):
+        while True:
+            g = tuple(field.of(rng.randrange(p)) for _ in range(rng.choice((2, 3)))) + (field.one(),)
+            if not brute_force_roots(field, g)[0]:
+                break
+        f = poly.mul(field, f, g)
+    return f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 4093, 10007])
+def test_linear_roots_match_brute_force_enumeration(p):
+    field = Field(p)
+    rng = random.Random(p)
+    for _ in range(6):
+        f = seeded_root_poly(field, rng)
+        roots, leftover = poly.linear_roots(field, f)
+        want, want_leftover = brute_force_roots(field, f)
+        assert sorted(roots) == sorted(want)
+        assert poly.degree(leftover) == poly.degree(want_leftover)
+
+
 # -- sparse kernels against the dense loops ------------------------------------
 #
 # The dense elimination and product below are the loops that Matrix.rref and

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from collections import Counter
 
@@ -6,8 +7,9 @@ import pytest
 
 from tiltcell.algebra import Morphism, direct_sum, hom_space
 from tiltcell.cells import CellData, is_semisimple_endalgebra
-from tiltcell.errors import AxiomViolation, NoLift
-from tiltcell.highest_weight import Registry, filtration_multiplicity
+from tiltcell.docio import catalog_document
+from tiltcell.errors import AxiomViolation, BasisFailure, NoLift
+from tiltcell.highest_weight import Registry, filtration_multiplicity, verify_standard_category
 from tiltcell.linalg import Matrix, Subspace, linear_combination
 from tiltcell.standard_basis import (
     OppositeDatum,
@@ -313,6 +315,105 @@ def test_perturbed_datum_fails(pipelines):
     assert (exc.value.label, exc.value.other, exc.value.which) == (
         "2", (0, 0), "fibered_right_multiplication")
 
+
+# -- the fiber-weight certificate -----------------------------------------------------
+
+def sampled_weight_check(datum, rng):
+    """The sampled certificate the rank check replaced: each cell of a fiber
+    and 8 seeded random span elements must have nonzero weight at the
+    fiber's label.  Returns the first failing label, or None."""
+    reg = datum.reg
+    F = reg.algebra.field
+    n = datum.module.dim
+    for lam in datum.order:
+        mats = [c.matrix for row in datum.cells[lam] for c in row]
+        samples = [linear_combination(F, [F.sample(rng) for _ in mats], mats, n, n)
+                   for _ in range(8)]
+        for mat in mats + [m for m in samples if not m.is_zero()]:
+            if phi_weight(reg, Morphism(datum.module, datum.module, mat), lam) == 0:
+                return lam
+    return None
+
+
+def enumerated_weight_check(datum):
+    """The first label whose fiber span holds a nonzero element of zero
+    weight at that label, by enumerating every span element over F_p."""
+    reg = datum.reg
+    F = reg.algebra.field
+    n = datum.module.dim
+    for lam in datum.order:
+        mats = [c.matrix for row in datum.cells[lam] for c in row]
+        for coeffs in itertools.product(range(F.p), repeat=len(mats)):
+            if any(coeffs):
+                mat = linear_combination(F, list(coeffs), mats, n, n)
+                if phi_weight(reg, Morphism(datum.module, datum.module, mat), lam) == 0:
+                    return lam
+    return None
+
+
+def hide_zero_weight(datum, lam, z_key):
+    """Cells a, b of the fiber at lam and z elsewhere, with zero weight at
+    lam, become a, a + z and b: still independent, every cell of the fiber
+    keeps nonzero weight, and their difference z has zero weight."""
+    mu, i, j = z_key
+    a, b, z = datum.cells[lam][0][0], datum.cells[lam][0][1], datum.cells[mu][i][j]
+    datum.cells[lam][0][1] = a + z
+    datum.cells[mu][i][j] = b
+
+
+def certificate_outcome(datum):
+    try:
+        finalize_datum(datum)
+    except BasisFailure as exc:
+        return exc.label
+    return None
+
+
+def test_rank_certificate_catches_a_zero_weight_the_samples_miss(pipelines):
+    _, reg, tilt = pipelines["auslander-dualnumbers"]
+    T, _, _ = direct_sum([tilt.module("1")] * 2)
+    datum = build_standard_basis(tilt, T, seed=0)
+    assert datum.order == ["2", "1"] and phi_weight(reg, datum.cell("2", 0, 0), "1") == 0
+    hide_zero_weight(datum, "1", ("2", 0, 0))
+    assert all(phi_weight(reg, c, "1") for c in datum.cells["1"][0])
+    assert sampled_weight_check(datum, random.Random(datum.seed * 7919 + 1)) is None
+    with pytest.raises(BasisFailure) as exc:
+        finalize_datum(datum)
+    assert exc.value.label == "1"
+
+
+def add_higher_cell(datum, low, high):
+    datum.cells[low][0][0] = datum.cells[low][0][0] + datum.cells[high][0][0]
+
+
+@pytest.mark.parametrize("spec", ["Fp 2", "Fp 3"])
+def test_rank_certificate_matches_enumeration_over_small_fields(spec):
+    # certified datums of doubled indecomposables, and the same with a cell
+    # of another fiber hidden in a fiber's span or added to a fiber's cell
+    outcomes = Counter()
+    for name in ("a2path", "auslander-dualnumbers", "ut3"):
+        doc = catalog_document(name, spec)
+        reg = Registry(doc.algebra, doc.poset)
+        assert verify_standard_category(reg).ok
+        tilt = TiltingRegistry(reg)
+        for lab in reg.poset.labels:
+            T, _, _ = direct_sum([tilt.module(lab)] * 2)
+            keys = build_standard_basis(tilt, T, seed=0).index()
+            labels = sorted({lam for lam, _, _ in keys})
+            cases = [(None,)]
+            cases += [(hide_zero_weight, lam, z) for lam in labels for z in keys
+                      if z[0] != lam and (lam, 0, 1) in keys]
+            cases += [(add_higher_cell, low, high) for low in labels for high in labels
+                      if low != high]
+            for perturb, *args in cases:
+                datum = build_standard_basis(tilt, T, seed=1)
+                if perturb is not None:
+                    perturb(datum, *args)
+                want = enumerated_weight_check(datum)
+                assert certificate_outcome(datum) == want, (name, lab, args)
+                outcomes[want is None] += 1
+    # the 7 certified datums pass, and so does some perturbed one
+    assert outcomes[True] > 7 and outcomes[False]
 
 # -- the replay against the matrix-residual reference ---------------------------------
 
