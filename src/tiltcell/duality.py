@@ -172,8 +172,7 @@ def fixed_point_for_tilting(reg: Registry, tilt: TiltingRegistry,
     pieces = [lam for lam in reg.poset.labels for _ in range(support.get(lam, 0))]
     canonical, _, _ = direct_sum([tilt.module(lam) for lam in pieces])
     block = block_diag([datum.fixed_forms[lam].matrix for lam in pieces])
-    if canonical.dim == t.dim and all(
-            a == b for a, b in zip(canonical.action, t.action)):
+    if canonical.action == t.action:
         theta_mat = Matrix.identity(reg.algebra.field, t.dim)
     else:
         theta = is_isomorphic(canonical, t)

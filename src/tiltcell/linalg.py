@@ -147,12 +147,13 @@ class Field:
 class Matrix:
     """Immutable dense matrix with entries in a fixed field."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "entries", "_hash")
 
     def __init__(self, field: Field, entries, cols: int | None = None):
         self.field = field
         rows = tuple(tuple(r) for r in entries)
         self.entries = rows
+        self._hash = None
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else (cols or 0)
         for r in rows:
@@ -168,6 +169,7 @@ class Matrix:
         m.entries = rows
         m.rows = len(rows)
         m.cols = cols
+        m._hash = None
         return m
 
     # -- constructors ----------------------------------------------------------
@@ -206,7 +208,9 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.entries))
+        if self._hash is None:
+            self._hash = hash((self.field, self.rows, self.cols, self.entries))
+        return self._hash
 
     def __repr__(self):
         body = "; ".join(" ".join(map(str, r)) for r in self.entries)

@@ -106,7 +106,7 @@ def _make_triple(reg: Registry, label: str, t_mod: ModuleRep) -> TiltingTriple:
     if not i.is_injective() or not pi.is_surjective():
         raise TheoremViolation("canonical maps are not a mono/epi pair")
     c = pi @ i
-    first = next((x for row in c.matrix.entries for x in row if x != F.zero()), None)
+    first = next((x for row in c.matrix.entries for x in row if x), None)
     if first is None:
         raise TheoremViolation("composite through the tilting module vanishes")
     pi = pi.scale(F.inv(first))
@@ -121,15 +121,9 @@ def _make_triple(reg: Registry, label: str, t_mod: ModuleRep) -> TiltingTriple:
 
 def is_tilting(reg: Registry, t: ModuleRep):
     """(verdict, per-label extension report) for the two-sided criterion."""
-    report = {}
-    ok = True
-    for lam in reg.poset.labels:
-        left = ext1_dim(reg, t, reg.costandard(lam))
-        right = ext1_dim(reg, reg.standard(lam), t)
-        report[lam] = (left, right)
-        if left or right:
-            ok = False
-    return ok, report
+    report = {lam: (ext1_dim(reg, t, reg.costandard(lam)), ext1_dim(reg, reg.standard(lam), t))
+              for lam in reg.poset.labels}
+    return not any(left or right for left, right in report.values()), report
 
 
 class TiltingRegistry:
@@ -138,6 +132,7 @@ class TiltingRegistry:
     def __init__(self, reg: Registry, dim_bound: int | None = None):
         self.base = reg
         self.triples = {}
+        self._support = {}   # action matrices of a module -> tilting_support
         for label in reg.poset.linear_extension:
             self.triples[label] = indecomposable_tilting(reg, label, dim_bound)
 
@@ -149,18 +144,17 @@ class TiltingRegistry:
 
 
 def tilting_support(tilt: TiltingRegistry, t: ModuleRep):
-    """Multiset {label: multiplicity of T(label) in t} via Krull-Schmidt."""
-    reg = tilt.base
-    out: dict[str, int] = {}
-    for (summand, _, _) in krull_schmidt(t):
-        matched = None
-        for label in reg.poset.labels:
-            cand = tilt.module(label)
-            if summand.dim == cand.dim and is_isomorphic(summand, cand) is not None:
-                matched = label
-                break
-        if matched is None:
-            raise UnidentifiedSummand(
-                f"summand of dimension {summand.dim} matches no indecomposable tilting module")
-        out[matched] = out.get(matched, 0) + 1
-    return out
+    """Multiset {label: multiplicity of T(label) in t} via Krull-Schmidt,
+    once per module content in the registry, as `syzygy` is."""
+    if t.action not in tilt._support:
+        out = {}
+        for (summand, _, _) in krull_schmidt(t):
+            matched = next((lab for lab in tilt.base.poset.labels
+                            if summand.dim == tilt.module(lab).dim
+                            and is_isomorphic(summand, tilt.module(lab)) is not None), None)
+            if matched is None:
+                raise UnidentifiedSummand(
+                    f"summand of dimension {summand.dim} matches no indecomposable tilting module")
+            out[matched] = out.get(matched, 0) + 1
+        tilt._support[t.action] = out
+    return dict(tilt._support[t.action])

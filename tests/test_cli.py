@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from tiltcell import cli
+from tiltcell import cli, tilting
 from tiltcell.cli import build_parser
-from tiltcell.docio import catalog_names, parse_document
+from tiltcell.docio import catalog_document, catalog_names, parse_document
 from tiltcell.errors import InputError
 
 
@@ -214,16 +214,16 @@ def test_is_prime_matches_trial_division():
 DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
 
 
-def report_digest(argv, monkeypatch):
-    """SHA-256 of the report bytes one in-process CLI run writes."""
+def report_bytes(argv, monkeypatch):
+    """The report bytes one in-process CLI run writes."""
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     monkeypatch.setattr(sys, "stdout", out)
     cli.main(argv)
     out.flush()
-    return hashlib.sha256(out.buffer.getvalue()).hexdigest()
+    return out.buffer.getvalue()
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("seed", [0, 1, 7])
 def test_catalog_reports_match_recorded_digests(seed, monkeypatch):
     # every catalog x subcommand JSON report against the benchmark's recorded
     # digests, which this test reads and never writes
@@ -232,5 +232,33 @@ def test_catalog_reports_match_recorded_digests(seed, monkeypatch):
     for name in catalog_names():
         for command in cli.COMMANDS:
             argv = [command, "--catalog", name, "--format", "json", "--seed", str(seed)]
-            seen[" ".join(argv)] = report_digest(argv, monkeypatch)
+            seen[" ".join(argv)] = hashlib.sha256(report_bytes(argv, monkeypatch)).hexdigest()
     assert seen == recorded
+
+
+def test_basis_report_depends_on_trials_only_through_the_probe_counts(monkeypatch):
+    reports = {}
+    for trials in (0, None, 250):
+        argv = ["basis", "--catalog", "ut3", "--format", "json"]
+        report = json.loads(report_bytes(
+            argv + ([] if trials is None else ["--trials", str(trials)]), monkeypatch))
+        axioms = report["basis"]["axioms"]
+        reports[trials] = (report["input"].pop("trials"), axioms.pop("probes"),
+                           axioms.pop("congruences_checked"), report)
+    # ut3's cell basis has 6 elements, each probe checks both laws at all 6
+    assert [r[:3] for r in reports.values()] == [(0, 6, 72), (100, 106, 1272), (250, 256, 3072)]
+    assert reports[0][3] == reports[None][3] == reports[250][3]
+    assert reports[0][3]["ok"]
+
+
+def test_cellular_decomposes_the_requested_tilting_once(monkeypatch):
+    # fixed_point_for_tilting and the simple dimensions both need the
+    # tilting support of the requested module; it is decomposed once
+    pipe = cli.Pipeline(catalog_document("auslander-dualnumbers"))
+    pipe.tiltings()
+    calls = []
+    decompose = tilting.krull_schmidt
+    monkeypatch.setattr(tilting, "krull_schmidt", lambda m: calls.append(m) or decompose(m))
+    report, code = cli.build_report(pipe, "cellular")
+    assert code == 0 and report["ok"]
+    assert len(calls) == 1

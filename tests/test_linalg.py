@@ -113,6 +113,21 @@ def test_subspace_canonical_equality():
     assert a.basis == b.basis
 
 
+@pytest.mark.parametrize("field", [Q, F5], ids=repr)
+def test_equal_matrices_hash_equal_however_built(field):
+    # the hash is cached on first use; a matrix from __init__, from _of and
+    # from transpose must still hash as the equal matrices do
+    rows = [[field.of(x) for x in r] for r in [[1, 0, 2], [3, 4, 0]]]
+    built = [Matrix(field, rows), Matrix._of(field, tuple(map(tuple, rows)), 3),
+             Matrix(field, list(zip(*rows))).transpose(), Matrix(field, rows).transpose().transpose()]
+    for m in built:
+        assert m == built[0]
+        assert hash(m) == hash(m) == hash(built[0])
+    assert len(set(built)) == 1
+    assert {built[0]: 1}[built[2]] == 1
+    assert hash(Matrix(field, rows).transpose()) == hash(Matrix(field, list(zip(*rows))))
+
+
 def test_complement_projection_roundtrip():
     s = Subspace.from_rows(Q, 3, [[1, 2, 0]])
     proj, section = s.complement_projection()

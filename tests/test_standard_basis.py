@@ -5,6 +5,8 @@ from collections import Counter
 
 import pytest
 
+import tiltcell.linalg
+import tiltcell.standard_basis
 from tiltcell.algebra import Morphism, direct_sum, hom_space
 from tiltcell.cells import CellData, is_semisimple_endalgebra
 from tiltcell.docio import catalog_document
@@ -13,6 +15,7 @@ from tiltcell.highest_weight import Registry, filtration_multiplicity, verify_st
 from tiltcell.linalg import Matrix, Subspace, linear_combination
 from tiltcell.standard_basis import (
     OppositeDatum,
+    basis_residuals,
     build_standard_basis,
     change_of_basis_unitriangular,
     extend_through_tilting,
@@ -263,6 +266,38 @@ def test_seed_variation_unitriangular(pipelines):
             assert change_of_basis_unitriangular(other, base), (name, seed)
 
 
+def coordinatewise_unitriangular(datum_a, datum_b):
+    """change_of_basis_unitriangular as it was, coordinate by coordinate."""
+    if datum_a.index() != datum_b.index():
+        return False
+    idx = datum_a.index()
+    for pos, (lam, i, j) in enumerate(idx):
+        for pos2, coeff in enumerate(datum_a.coords(datum_b.cell(lam, i, j).matrix)):
+            if pos2 == pos:
+                if coeff != 1:
+                    return False
+            elif coeff and not datum_a.reg.poset.lt(idx[pos2][0], lam):
+                return False
+    return True
+
+
+def test_unitriangularity_matches_coordinatewise_check(pipelines):
+    # seeds change the basis unitriangularly; a cell that gains a higher or
+    # incomparable cell does not
+    verdicts = Counter()
+    for name, pipeline in pipelines.items():
+        _, reg, tilt = pipeline
+        T = char_tilting(reg, tilt)
+        datums = [build_standard_basis(tilt, T, seed=seed) for seed in (0, 3)]
+        datums += [datum for _, datum in perturbed_datums({name: pipeline})]
+        for a in datums:
+            for b in datums:
+                want = coordinatewise_unitriangular(a, b)
+                assert change_of_basis_unitriangular(a, b) == want, name
+                verdicts[want] += 1
+    assert verdicts[True] and verdicts[False]
+
+
 def test_structure_coefficients_identity_and_zero(pipelines):
     _, reg, tilt = pipelines["ut3"]
     T = char_tilting(reg, tilt)
@@ -493,6 +528,23 @@ def test_replay_matches_matrix_residual_reference(pipelines):
             assert got["ok"] and op_got["ok"], name
 
 
+def perturbed_datums(pipelines):
+    """(name, datum) for the datums of the test below: for every ordered pair
+    of distinct labels, the (0, 0) cell of the first gains the (0, 0) cell
+    of the second, and the datum is re-certified."""
+    for name, (_, reg, tilt) in pipelines.items():
+        T = char_tilting(reg, tilt)
+        order = build_standard_basis(tilt, T, seed=0).order
+        for low in order:
+            for high in order:
+                if low == high:
+                    continue
+                datum = build_standard_basis(tilt, T, seed=0)
+                datum.cells[low][0][0] = datum.cells[low][0][0] + datum.cells[high][0][0]
+                finalize_datum(datum)
+                yield name, datum
+
+
 def test_replay_matches_reference_on_perturbed_datums(pipelines):
     # every ordered pair of distinct labels: the (0, 0) cell of the first
     # gains the (0, 0) cell of the second, and the datum is re-certified
@@ -513,6 +565,71 @@ def test_replay_matches_reference_on_perturbed_datums(pipelines):
     assert ("a2path", ("violation", "2", (0, 0), "fibered_right_multiplication"),
             ("violation", "2", (0, 0), "opposite_left_multiplication")) in violations
     assert len(violations) == 7
+
+
+@pytest.mark.parametrize("trials", [0, 1, 100])
+def test_replay_matches_reference_at_trial_counts(pipelines, trials):
+    # certified datums at two seeds, and the perturbed ones, whose witnesses
+    # come from the basis probes
+    datums = [build_standard_basis(tilt, char_tilting(reg, tilt), seed=seed)
+              for _, reg, tilt in pipelines.values() for seed in (0, 3)]
+    datums += [datum for _, datum in perturbed_datums(pipelines)]
+    outcomes = Counter()
+    for datum in datums:
+        got, op_got = assert_replay_matches_reference(datum, trials, trials)
+        outcomes["ok" in got, "ok" in op_got] += 1
+    assert outcomes == {(True, True): 15, (False, False): 7}
+
+
+def reference_probe_residuals(datum, a):
+    """Probe a's residual at every checked entry (at, side, pos), formed
+    from the probe itself: its products and structure coefficients are
+    linear combinations over the table rows, the table columns and the
+    basis elements' structure coefficients."""
+    F = datum.reg.algebra.field
+    n = datum.dim()
+    table = datum.product_table()
+    pos = datum._pos
+    basis_sc = [structure_coefficients(datum, datum.cell(*key)) for key in datum.index()]
+    prods = [linear_combination(F, a, [Matrix(F, rows, cols=n) for rows in mult], n, n).entries
+             for mult in (table, list(zip(*table)))]
+    out = {}
+    for lam in datum.order:
+        n_i, n_j = len(datum.G[lam]), len(datum.F[lam])
+        left = linear_combination(F, a, [sc.left[lam] for sc in basis_sc], n_i, n_i).entries
+        right = linear_combination(F, a, [sc.right[lam] for sc in basis_sc], n_j, n_j).entries
+        for i in range(n_i):
+            for j in range(n_j):
+                at = pos[(lam, i, j)]
+                expected = ({pos[(lam, k, j)]: left[k][i] for k in range(n_i)},
+                            {pos[(lam, i, l)]: right[l][j] for l in range(n_j)})
+                for side in (0, 1):
+                    for q in datum._not_lower[lam]:
+                        out[(at, side, q)] = F.sub(prods[side][at][q], expected[side].get(q, 0))
+    return out
+
+
+def test_probe_residual_is_the_combination_of_basis_residuals(pipelines):
+    # where the residuals are nonzero, a seeded random probe's residual is
+    # sum a_m R_m at every checked entry, and a unit probe's is R_m itself
+    rng = random.Random(11)
+    violated = 0
+    for name, datum in perturbed_datums(pipelines):
+        F = datum.reg.algebra.field
+        n = datum.dim()
+        residuals = basis_residuals(datum)
+        violated += bool(residuals)
+        probes = [[F.one() if t == m else F.zero() for t in range(n)] for m in range(n)]
+        probes += [[F.sample(rng) for _ in range(n)] for _ in range(3)]
+        for a in probes:
+            want = reference_probe_residuals(datum, a)
+            assert set(residuals) <= set(want)
+            for entry, r in want.items():
+                combined = F.zero()
+                for m, x in residuals.get(entry, ()):
+                    combined = F.add(combined, F.mul(a[m], x))
+                assert combined == r, (name, entry)
+    assert violated == 7
 
 
 def test_replay_rereads_the_table_after_refinalizing(pipelines):
@@ -550,14 +667,35 @@ def count_matmuls(run):
     return calls
 
 
+def count_linear_combinations(run):
+    """The linear_combination calls made by run()."""
+    calls = []
+    combine = linear_combination
+
+    def counted(*args):
+        calls.append(args)
+        return combine(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (tiltcell.linalg, tiltcell.standard_basis):
+            mp.setattr(module, "linear_combination", counted)
+        run()
+    return len(calls)
+
+
 def test_random_probes_form_no_matrix_product(pipelines):
+    # nor any linear combination: a random probe is checked on the basis
+    # probes' residuals
     for name, (_, reg, tilt) in pipelines.items():
         T = char_tilting(reg, tilt)
-        counts = []
+        counts, combos = [], []
         for trials in (0, 100):
             datum = build_standard_basis(tilt, T, seed=0)
             counts.append(len(count_matmuls(lambda: verify_standard_axioms(datum, trials=trials))))
+            combos.append(count_linear_combinations(
+                lambda: verify_standard_axioms(datum, trials=trials)))
         assert counts[0] == counts[1], name
+        assert combos[1] <= combos[0], name
 
 
 def test_each_cell_product_is_formed_once(pipelines):
