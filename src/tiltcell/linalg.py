@@ -1,14 +1,14 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Scalars are `fractions.Fraction` over Q and plain int residues in [0, p)
-over F_p; a `Field` value mediates scalar arithmetic.  Matrices are stored
-dense, but the inner loops of elimination (`Matrix.rref`), products
-(`Matrix.__matmul__`), coordinate maps (`coordinates`) and subspace
-membership touch only nonzero entries and do their arithmetic inline
-(`Fraction` operators over Q, one `% p` per update over F_p).  Their
-results are identical, entry by entry, to the dense loops that test and
-rewrite every entry; the tests keep those dense loops as the reference.
-Matrices and subspaces are immutable.
+Scalars over Q are Python ints for integral values and `fractions.Fraction`
+for the rest; over F_p they are int residues in [0, p).  A `Field` value
+mediates scalar arithmetic.  Matrices are stored dense, but the inner loops
+of elimination (`Matrix.rref`), products (`Matrix.__matmul__`), coordinate
+maps (`coordinates`) and subspace membership touch only nonzero entries and
+do their arithmetic inline (native int and `Fraction` operators over Q, one
+`% p` per update over F_p).  Their results are identical, entry by entry,
+to the dense loops that test and rewrite every entry; the tests keep those
+dense loops as the reference.  Matrices and subspaces are immutable.
 
 Subspaces are stored with a reduced-row-echelon basis, so two subspaces
 are equal as sets exactly when their basis matrices compare equal entry by
@@ -55,8 +55,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _rational(x: Fraction):
+    """x as a field scalar over Q: its numerator when x is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class Field:
-    """The rationals (p is None) or the prime field F_p."""
+    """The rationals (p is None) or the prime field F_p.
+
+    Over Q, `zero`, `one`, `of` and `sample` return ints, and `parse` and
+    `inv` return an int when the exact value is integral and a `Fraction`
+    otherwise.  Arithmetic may still leave an integral `Fraction` behind;
+    the two types mix exactly.  `+`, `-` and `*` of ints and Fractions are
+    exact, an int equals and hashes like the Fraction of the same value,
+    and both print the same, so matrices, memo keys and reports do not
+    depend on which type a scalar has.  The one division is `inv`'s
+    `Fraction(1, a)`: `/` on two ints would give a float.
+    """
 
     __slots__ = ("p",)
 
@@ -83,13 +98,13 @@ class Field:
     # -- scalar arithmetic ---------------------------------------------------
 
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return 1
 
     def of(self, n: int):
-        return Fraction(n) if self.p is None else n % self.p
+        return n if self.p is None else n % self.p
 
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
@@ -107,7 +122,7 @@ class Field:
         if self.p is None:
             if a == 0:
                 raise ZeroDivisionError("inverse of 0")
-            return Fraction(1) / a
+            return _rational(Fraction(1, a))
         return pow(a, self.p - 2, self.p)
 
     # -- parsing and formatting ----------------------------------------------
@@ -132,7 +147,7 @@ class Field:
         if den == 0:
             raise InputError(f"zero denominator in {s!r}")
         if self.p is None:
-            return Fraction(num, den)
+            return _rational(Fraction(num, den))
         return self.mul(self.of(num), self.inv(self.of(den)))
 
     # -- sampling (for seeded randomized searches) ----------------------------
@@ -140,7 +155,7 @@ class Field:
     def sample(self, rng, span: int = 3):
         """Small scalar from a seeded PRNG (full field when p is small)."""
         if self.p is None:
-            return Fraction(rng.randint(-span, span))
+            return rng.randint(-span, span)
         return rng.randint(0, min(self.p - 1, 2 * span))
 
 
@@ -431,7 +446,7 @@ def coordinates(field: Field, rows, width: int):
     returned map reads a vector's pivot entries, checks exactly that the
     vector is that combination of the reduced rows, and accumulates its
     coordinates in the family through the transform; both touch only
-    nonzero entries, with `Fraction` operators over Q and one `% p` per
+    nonzero entries, with native operators over Q and one `% p` per
     update (per coordinate for the transform) over F_p.  A vector outside
     the span raises InconsistentSystem; a dependent family raises
     DependentFamily.
@@ -547,7 +562,8 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, field: Field, ambient: int, rows) -> "Subspace":
-        rows = [[field.of(x) if isinstance(x, int) else x for x in r] for r in rows]
+        if field.p is not None:
+            rows = [[field.of(x) if isinstance(x, int) else x for x in r] for r in rows]
         if not rows:
             return cls(ambient, Matrix(field, [], cols=ambient))
         red, _, rank = Matrix(field, rows).rref()

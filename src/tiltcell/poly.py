@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 from .linalg import Field, Matrix
 
@@ -126,16 +125,16 @@ def _int_divisors(n: int):
 
 
 def _rational_roots(f):
-    """Roots in Q of a polynomial with Fraction coefficients, with multiplicity."""
+    """Roots in Q of a polynomial with rational coefficients, with multiplicity."""
     field = Field()
     roots = []
     # strip powers of x
     while f and f[0] == 0:
-        roots.append(Fraction(0))
+        roots.append(field.zero())
         f = f[1:]
     while degree(f) >= 1:
         if degree(f) == 1:
-            roots.append(-f[0] / f[1])
+            roots.append(field.mul(field.neg(f[0]), field.inv(f[1])))
             f = (f[1],)
             break
         denom_lcm = math.lcm(*(c.denominator for c in f))
@@ -144,7 +143,7 @@ def _rational_roots(f):
         for pnum in _int_divisors(zf[0]) or [0]:
             for qden in _int_divisors(zf[-1]):
                 for sign in (1, -1):
-                    cand = Fraction(sign * pnum, qden)
+                    cand = field.mul(field.of(sign * pnum), field.inv(field.of(qden)))
                     if evaluate(field, f, cand) == 0:
                         found = cand
                         break

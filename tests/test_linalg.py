@@ -326,6 +326,20 @@ def test_linear_roots_q():
     assert roots == [Fraction(1)] and poly.degree(leftover) == 2
 
 
+def test_rational_roots_divide_exactly():
+    # integral coefficients are ints over Q, so an int / int would be a float
+    assert [(r, type(r)) for r in poly.linear_roots(Q, (-3, 1))[0]] == [(3, int)]
+    assert [(r, type(r)) for r in poly.linear_roots(Q, (1, 2))[0]] == [(Fraction(-1, 2), Fraction)]
+    # x (x - 3) (2x + 1)^2 (x^2 + 1), through the candidate search
+    f = (0, 1)
+    for factor in [(-3, 1), (1, 2), (1, 2), (1, 0, 1)]:
+        f = poly.mul(Q, f, factor)
+    roots, leftover = poly.linear_roots(Q, f)
+    assert sorted(roots) == [Fraction(-1, 2), Fraction(-1, 2), 0, 3]
+    assert {type(r) for r in roots} <= {int, Fraction}
+    assert poly.degree(leftover) == 2
+
+
 def test_linear_roots_f5():
     f = (1, 0, 1)  # x^2 + 1 = (x-2)(x-3) over F_5
     roots, leftover = poly.linear_roots(F5, f)
@@ -634,3 +648,73 @@ def test_solve_with_kernel_is_solve_and_kernel(case):
     part, null = a.solve(b, with_kernel=True)
     assert part == a.solve(b) and printed(part) == printed(a.solve(b))
     assert null == a.kernel() and (null.rows, null.cols) == (a.kernel().rows, a.cols)
+
+
+# Over Q an integral scalar is an int and any other value a Fraction, while
+# arithmetic can still leave an integral Fraction behind: the kernels must
+# give the same values on any mix of the three as on all-Fraction inputs.
+def mixed_scalars():
+    small = st.sampled_from([0, 0, 0, 0, 1, 1, -1, 2, -2, 3])
+    return st.one_of(small, small.map(Fraction),
+                     st.tuples(st.integers(-3, 3), st.integers(1, 3)).map(lambda t: Fraction(*t)))
+
+
+@st.composite
+def mixed_matrices(draw, rows, cols):
+    return Matrix(Q, [[draw(mixed_scalars()) for _ in range(cols)] for _ in range(rows)],
+                  cols=cols)
+
+
+def all_fraction(m):
+    return Matrix(Q, [[Fraction(x) for x in r] for r in m.entries], cols=m.cols)
+
+
+def kernel_results(a, b, rhs, c):
+    """rref, @, kernel, solve, coordinates, linear_combination and
+    Subspace.from_rows on an m x n matrix a, an n x k matrix b, an m x 1
+    right-hand side and a row of at least max(m, 2) coefficients."""
+    red, pivots, rank = a.rref()
+    fam = list(red.entries[:rank])
+    coeffs = c.entries[0][:rank]
+    inside = linear_combination(Q, coeffs, [Matrix.row(Q, r) for r in fam], 1, a.cols)
+    coords = coordinates(Q, fam, a.cols)
+    out = [red, pivots, rank, a @ b, a.kernel(), a.solve(a @ b),
+           read_coords(coords, inside.entries[0]),
+           linear_combination(Q, c.entries[0][:2], [a, red], a.rows, a.cols),
+           Subspace.from_rows(Q, a.cols, a.entries).basis]
+    try:
+        out.append(a.solve(rhs))
+    except InconsistentSystem:
+        out.append("inconsistent")
+    if b.cols:
+        out.append(read_coords(coords, b.transpose().entries[0]))
+    return out
+
+
+def shown(v):
+    """A result with every scalar as its str (a float would show as '3.0')."""
+    if isinstance(v, Matrix):
+        return (v.rows, v.cols, printed(v))
+    if isinstance(v, (tuple, list)):
+        return tuple(shown(x) for x in v)
+    return str(v)
+
+
+def scalar_types(v):
+    if isinstance(v, Matrix):
+        return {type(x) for r in v.entries for x in r}
+    if isinstance(v, (tuple, list)):
+        return set().union(*map(scalar_types, v))
+    return {type(v)} - {str}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 4)).flatmap(
+    lambda s: st.tuples(mixed_matrices(s[0], s[1]), mixed_matrices(s[1], s[2]),
+                        mixed_matrices(s[0], 1), mixed_matrices(1, max(s[0], 2)))))
+def test_mixed_int_fraction_entries_match_all_fraction_copy(case):
+    got = kernel_results(*case)
+    ref = kernel_results(*map(all_fraction, case))
+    assert got == ref
+    assert shown(got) == shown(ref)
+    assert scalar_types(got) <= {int, Fraction}

@@ -1,0 +1,66 @@
+"""Every matrix holds scalars of exactly the field's types: over Q an int
+for an integral value or a Fraction, over F_p an int residue in [0, p).
+
+Every Matrix construction (`Matrix.__init__` and `Matrix._of`) is checked
+while the whole catalog and the dim-14 Auslander pipeline run, so a float
+or an unreduced residue reaching a matrix anywhere fails here."""
+
+from fractions import Fraction
+
+import pytest
+
+from tiltcell import cli
+from tiltcell.docio import catalog_names
+from tiltcell.linalg import Matrix
+
+from test_cli import report_bytes
+from test_stress import auslander3_pipeline
+
+
+def wrong_scalars(m: Matrix) -> list:
+    p = m.field.p
+    if p is None:
+        return [x for r in m.entries for x in r if type(x) not in (int, Fraction)]
+    return [x for r in m.entries for x in r if type(x) is not int or not 0 <= x < p]
+
+
+@pytest.fixture
+def checked_matrices(monkeypatch):
+    """(number of matrices built, the wrong scalars they held) so far."""
+    built, wrong = [0], []
+    init, of = Matrix.__init__, Matrix._of.__func__
+
+    def check(m):
+        built[0] += 1
+        wrong.extend((m.field, x) for x in wrong_scalars(m))
+
+    def checked_init(self, field, entries, cols=None):
+        init(self, field, entries, cols)
+        check(self)
+
+    def checked_of(cls, field, rows, cols):
+        m = of(cls, field, rows, cols)
+        check(m)
+        return m
+
+    monkeypatch.setattr(Matrix, "__init__", checked_init)
+    monkeypatch.setattr(Matrix, "_of", classmethod(checked_of))
+    return built, wrong
+
+
+@pytest.mark.parametrize("field_args", [[], ["--field", "Fp 3"]], ids=["Q", "F3"])
+def test_catalog_matrices_hold_field_scalars(field_args, checked_matrices, monkeypatch):
+    built, wrong = checked_matrices
+    for name in catalog_names():
+        for command in cli.COMMANDS:
+            report_bytes([command, "--catalog", name, "--format", "json", *field_args],
+                         monkeypatch)
+    assert built[0] > 1000
+    assert wrong == []
+
+
+def test_auslander3_matrices_hold_field_scalars(checked_matrices):
+    built, wrong = checked_matrices
+    auslander3_pipeline("Q", 0)
+    assert built[0] > 1000
+    assert wrong == []

@@ -4,7 +4,11 @@ Exercises multiplicity-laden fibers, second syzygies, and the full pipeline
 beyond the hand-sized catalog."""
 
 import functools
+import hashlib
+import importlib.util
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from tiltcell.algebra import (
     hom_space,
 )
 from tiltcell.cells import CellData, classify_simples, is_semisimple_endalgebra
+from tiltcell.docio import parse_document
 from tiltcell.highest_weight import Registry, WeightPoset, verify_standard_category
 from tiltcell.linalg import Field, Matrix
 from tiltcell.standard_basis import (
@@ -183,3 +188,55 @@ def test_auslander4_closed_forms():
     assert cd.gram_rank == one_each
     assert classify_simples(cd, tilting_support(tilt, T)) == one_each
     assert not is_semisimple_endalgebra(cd)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_auslander_document(n, field_spec):
+    """The benchmark's generated input document (`bench/gen.py`), parsed."""
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return parse_document(gen.auslander_document(n, field_spec))
+
+
+def cell_digest(datum) -> str:
+    """SHA-256 of every basis cell matrix, in index order (as `bench/worker.py`)."""
+    h = hashlib.sha256()
+    for lam, i, j in datum.index():
+        rows = datum.cell(lam, i, j).matrix.entries
+        h.update(json.dumps([lam, i, j, [[str(x) for x in r] for r in rows]]).encode())
+    return h.hexdigest()
+
+
+def auslander3_pipeline(field_spec, seed):
+    """The benchmark's dim-14 Auslander pipeline on its generated document,
+    with the same seed-independent checks; returns the seeded basis datum."""
+    doc = bench_auslander_document(3, field_spec)
+    labels = ("1", "2", "3")
+    one_each = dict.fromkeys(labels, 1)
+    reg = Registry(doc.algebra, doc.poset)
+    assert [reg.projective(l).dim for l in labels] == [3, 5, 6]
+    assert verify_standard_category(reg).ok
+    tilt = TiltingRegistry(reg)
+    T, _, _ = direct_sum([tilt.module(l) for l in labels])
+    datum = build_standard_basis(tilt, T, seed=seed)
+    assert datum.dim() == 14
+    assert verify_standard_axioms(datum, trials=6)["ok"]
+    assert change_of_basis_unitriangular(datum, build_standard_basis(tilt, T, seed=seed + 1))
+    cd = CellData(datum)
+    assert cd.gram_rank == one_each
+    support = tilting_support(tilt, T)
+    assert classify_simples(cd, support) == one_each
+    assert not is_semisimple_endalgebra(cd)
+    return datum
+
+
+# the basis cells of the benchmark's Auslander workloads against the digests
+# recorded for them, which this test reads and never writes
+@pytest.mark.parametrize("workload, field_spec",
+                         [("auslander3-Q", "Q"), ("auslander3-F10007", "Fp 10007")])
+def test_auslander3_basis_matches_recorded_digest(workload, field_spec):
+    recorded = json.loads((BENCH / "digests.json").read_text())[workload]["0"]["basis"]
+    assert cell_digest(auslander3_pipeline(field_spec, 0)) == recorded
