@@ -480,21 +480,15 @@ def _certify_radical(algebra: AlgebraPresentation, rad: Subspace):
                 raise NotComputable("radical candidate is not a left ideal")
             if not rad.contains_vector(algebra.multiply(row, e_b)):
                 raise NotComputable("radical candidate is not a right ideal")
-    # nilpotency: powers of the subspace must reach zero
+    # nilpotency: the powers R^k of an ideal are nested, so they reach zero
+    # unless one step keeps the dimension, where they stay for good
     current = rad
-    for _ in range(n + 1):
-        if current.dim == 0:
-            return
-        rows = []
-        for u in current.basis.entries:
-            for v in rad.basis.entries:
-                rows.append(algebra.multiply(u, v))
-        nxt = Subspace.from_rows(F, n, rows)
-        if nxt.dim >= current.dim and nxt.dim > 0 and nxt == current:
+    while current.dim:
+        nxt = Subspace.from_rows(F, n, [algebra.multiply(u, v) for u in current.basis.entries
+                                        for v in rad.basis.entries])
+        if nxt.dim == current.dim:
             raise NotComputable("radical candidate is not nilpotent")
         current = nxt
-    if current.dim != 0:
-        raise NotComputable("radical candidate is not nilpotent")
 
 
 def module_radical(m: ModuleRep) -> Subspace:

@@ -7,6 +7,10 @@ computes Gram matrices and the simple modules of End(T), and `cellular`
 runs the duality pipeline to a cellular basis.  Exit codes: 0 all
 certificates pass, 1 an axiom or theorem check failed, 2 input error.
 
+`build_parser` is one parser for every subcommand: the subcommand is its
+first positional argument and the flags, which all subcommands share, are
+declared once, so they may also come before the subcommand.
+
 `build_report` frames every report: the meta, the verification section
 and its gate, the verdict in `ok` with the exit code, and the capture of a
 pipeline failure into a meta-only error report.  Each `cmd_*` only adds its
@@ -279,21 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tiltcell",
         description="standard and cellular bases of endomorphism algebras "
                     "of tilting modules, with exact arithmetic")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--input", help="path to a JSON input document")
-        src.add_argument("--catalog", choices=catalog_names(),
-                         help="built-in algebra by name")
-        p.add_argument("--field", default=None,
-                       help='override the base field: "Q" or "Fp <p>"')
-        p.add_argument("--seed", type=int, default=None, help="PRNG seed for lift choices")
-        p.add_argument("--trials", type=int, default=None,
-                       help="random endomorphisms per axiom verification")
-        p.add_argument("--dim-bound", type=int, default=None,
-                       help="abort tilting construction above this dimension")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("command", choices=COMMANDS)
+    src = parser.add_mutually_exclusive_group(required=True)
+    src.add_argument("--input", help="path to a JSON input document")
+    src.add_argument("--catalog", choices=catalog_names(), help="built-in algebra by name")
+    parser.add_argument("--field", default=None,
+                        help='override the base field: "Q" or "Fp <p>"')
+    parser.add_argument("--seed", type=int, default=None, help="PRNG seed for lift choices")
+    parser.add_argument("--trials", type=int, default=None,
+                        help="random endomorphisms per axiom verification")
+    parser.add_argument("--dim-bound", type=int, default=None,
+                        help="abort tilting construction above this dimension")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 

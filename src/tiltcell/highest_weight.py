@@ -151,25 +151,26 @@ class Registry:
 
     # -- construction -------------------------------------------------------------
 
-    def _standardize(self, algebra, proj_of, label):
-        """Largest quotient of P(label) whose lower factors sit below label:
-        divide by the trace of all P(mu), mu not below label, inside rad P."""
-        P = proj_of[label]
-        rad_sub = module_radical(P)
-        rad_mod, rad_incl = submodule_rep(P, rad_sub)
-        gens = []
-        for mu in self.poset.not_below(label):
-            for f in hom_space(proj_of[mu], rad_mod):
-                pushed = rad_incl @ f
-                gens.extend(pushed.matrix.transpose().entries)
-        U = submodule_generated(P, gens) if gens else Subspace.zero(algebra.field, P.dim)
-        quot, proj_morph, _ = quotient_rep(P, U)
+    def _standardize(self, P, label):
+        """Largest quotient of P = P(label) whose lower factors sit below
+        label: divide by the trace of all P(mu), mu not below label, inside
+        rad P.
+
+        The trace is A.e_mu.rad P (Dlab and Ringel 1992), generated by the
+        vectors e_mu.rad P, so no hom system is solved: a map f: A.e_mu -> N
+        is a -> a.v for v = f(e_mu) in e_mu.N, and every v in e_mu.N gives
+        one, so the images A.v of all such maps span A.e_mu.N.  P may be a
+        projective of A or of A^op; the idempotents act through P's action.
+        """
+        rad = module_radical(P).basis
+        gens = [r for mu in self.poset.not_below(label)
+                for r in (rad @ P.act(self.data[mu].idempotent).transpose()).entries]
+        quot, proj_morph, _ = quotient_rep(P, submodule_generated(P, gens))
         return quot, proj_morph
 
     def _build_standard_modules(self):
-        proj_of = {x: self.data[x].projective for x in self.poset.labels}
         for label in self.poset.labels:
-            delta, proj = self._standardize(self.algebra, proj_of, label)
+            delta, proj = self._standardize(self.data[label].projective, label)
             self.data[label].standard = delta
             self.data[label].standard_proj = proj
 
@@ -188,7 +189,7 @@ class Registry:
             space = submodule_generated(reg_op, [self.data[label].idempotent])
             proj_op[label], _ = submodule_rep(reg_op, space)
         for label in self.poset.labels:
-            delta_op, proj_morph = self._standardize(op, proj_op, label)
+            delta_op, proj_morph = self._standardize(proj_op[label], label)
             nabla = dualize_plain(self.algebra, delta_op)
             injective = dualize_plain(self.algebra, proj_op[label])
             incl = Morphism(nabla, injective, proj_morph.matrix.transpose())

@@ -404,16 +404,14 @@ class Matrix:
         return (part, _null_space(F, red, pivots, self.cols)) if with_kernel else part
 
     def inverse(self):
+        """The solution X of self @ X = I.  A singular matrix raises
+        InconsistentSystem: some pivot of [self | I] falls in the I block."""
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of non-square matrix")
-        n = self.rows
-        red, pivots, rank = Matrix(
-            self.field,
-            [list(r) + list(e) for r, e in zip(self.entries, Matrix.identity(self.field, n).entries)],
-        ).rref()
-        if rank < n:
-            raise InconsistentSystem("matrix is singular")
-        return Matrix(self.field, [r[n:] for r in red.entries])
+        try:
+            return self.solve(Matrix.identity(self.field, self.rows))
+        except InconsistentSystem:
+            raise InconsistentSystem("matrix is singular") from None
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows

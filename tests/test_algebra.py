@@ -35,7 +35,14 @@ from tiltcell.algebra import (
 )
 from tiltcell.cells import cell_module, co_cell_module, end_presentation
 from tiltcell.docio import catalog_document, catalog_names
-from tiltcell.errors import InconsistentSystem, InputError, NotSimple, NotSplit, TheoremViolation
+from tiltcell.errors import (
+    InconsistentSystem,
+    InputError,
+    NotComputable,
+    NotSimple,
+    NotSplit,
+    TheoremViolation,
+)
 from tiltcell.highest_weight import Registry
 from tiltcell.linalg import Field, Matrix, Subspace, block_diag, vstack
 from tiltcell.standard_basis import build_standard_basis
@@ -140,6 +147,20 @@ def test_radical_group_algebra_char_p():
     ents5 = [(i, j, (i + j) % 3, 1) for i in range(3) for j in range(3)]
     alg5 = AlgebraPresentation.from_struct_consts(F5, 3, ents5, [1, 0, 0], name="F5C3")
     assert algebra_radical(alg5).dim == 0
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "not nilpotent"),   # A itself
+    ([[1, 0, 0]], "not a left ideal"),                      # a.e1 = a
+    ([[0, 1, 0]], "not a right ideal"),                     # e2.a = a
+], ids=["whole-algebra", "not-left-ideal", "not-right-ideal"])
+def test_certify_radical_rejects_bad_candidates(monkeypatch, rows, message):
+    alg = a2_algebra()
+    monkeypatch.setattr(algebra_module, "_radical_candidate",
+                        lambda algebra: Subspace.from_rows(Q, 3, rows))
+    with pytest.raises(NotComputable, match=message):
+        algebra_radical(alg)
+    assert "radical" not in alg._invariants
 
 
 def test_module_radical_socle_head():

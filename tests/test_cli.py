@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -111,6 +112,81 @@ def test_parser_rejects_missing_source():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["verify"])
+
+
+def reference_parser():
+    """The parser `build_parser` made before it declared each option once:
+    one subparser per command, each with its own copy of every flag."""
+    parser = argparse.ArgumentParser(prog="tiltcell")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, fn in cli.COMMANDS.items():
+        p = sub.add_parser(name, help=fn.__doc__)
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--input")
+        src.add_argument("--catalog", choices=catalog_names())
+        p.add_argument("--field", default=None)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--trials", type=int, default=None)
+        p.add_argument("--dim-bound", type=int, default=None)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+    return parser
+
+
+FLAGS = [[], ["--field", "Fp 5"], ["--field", "Q"], ["--seed", "3"], ["--seed", "-1"],
+         ["--trials", "0"], ["--dim-bound", "12"], ["--format", "json"], ["--format", "text"],
+         ["--field", "Fp 7", "--seed", "4", "--trials", "9", "--dim-bound", "30",
+          "--format", "json"]]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_parser_matches_five_subparser_reference(command):
+    new, ref = build_parser(), reference_parser()
+    for source in (["--input", "doc.json"], ["--catalog", "ut3"]):
+        for flags in FLAGS:
+            for argv in ([command, *source, *flags], [command, *flags, *source]):
+                assert vars(new.parse_args(argv)) == vars(ref.parse_args(argv)), argv
+
+
+def exit_code(parser, argv):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["-h"], 0),
+    (["basis", "-h"], 0),
+    (["verify"], 2),                                                  # no source
+    (["verify", "--input", "doc.json", "--catalog", "ut3"], 2),       # two sources
+    (["frobnicate", "--catalog", "ut3"], 2),                          # unknown command
+    (["ver", "--catalog", "ut3"], 2),                                 # no abbreviations
+    (["cells", "--catalog", "ut3", "--format", "xml"], 2),
+    (["cells", "--catalog", "nonsense"], 2),
+    (["cells", "--catalog", "ut3", "--seed", "three"], 2),
+    (["cells", "--catalog", "ut3", "extra"], 2),
+    ([], 2),
+])
+def test_parser_exit_codes_match_reference(argv, code, capsys):
+    assert exit_code(build_parser(), argv) == exit_code(reference_parser(), argv) == code
+
+
+def test_parser_declares_each_option_once():
+    def option_strings(parser):
+        for action in parser._actions:
+            yield from action.option_strings
+            if isinstance(action, argparse._SubParsersAction):
+                for p in action.choices.values():
+                    yield from option_strings(p)
+
+    parser = build_parser()
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+    strings = list(option_strings(parser))
+    assert len(strings) == len(set(strings))
+    assert {"--input", "--catalog", "--field", "--seed", "--trials", "--dim-bound",
+            "--format"} <= set(strings)
+    # flags may now come before the command as well
+    assert vars(parser.parse_args(["--seed", "2", "cells", "--catalog", "ut3"])) == vars(
+        parser.parse_args(["cells", "--catalog", "ut3", "--seed", "2"]))
 
 
 def test_parse_document_rejections():

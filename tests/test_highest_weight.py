@@ -2,8 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tiltcell import algebra as algebra_module
 from tiltcell import highest_weight
-from tiltcell.algebra import ModuleRep, direct_sum, hom_space, is_isomorphic, submodule_rep
+from tiltcell.algebra import (
+    ModuleRep,
+    direct_sum,
+    hom_space,
+    is_isomorphic,
+    module_radical,
+    quotient_rep,
+    submodule_generated,
+    submodule_rep,
+)
 from tiltcell.docio import catalog_document
 from tiltcell.errors import AxiomViolation, InputError, NoFiltration
 from tiltcell.highest_weight import (
@@ -22,8 +32,10 @@ from tiltcell.highest_weight import (
 )
 from tiltcell.linalg import Subspace
 
-from test_standard_basis import auslander3_pipeline
-from test_stress import F10007, Q
+from conftest import GOOD_CATALOG
+from test_schur import F2, F3, schur_algebra
+from test_standard_basis import assert_same_entries, auslander3_pipeline
+from test_stress import F10007, Q, auslander_algebra, chain_poset
 
 
 def build(name):
@@ -151,6 +163,83 @@ def test_costandard_mirrors_opposite_standard():
         from tiltcell.algebra import module_socle
 
         assert module_socle(nab).dim == reg.simple(lab).dim
+
+
+def reference_standardize(reg, algebra, proj_of, label):
+    """The hom route `Registry._standardize` took before it read the trace
+    off the idempotents: the images of every map P(mu) -> rad P, mu not
+    below label, from one hom solve per mu."""
+    P = proj_of[label]
+    rad_mod, rad_incl = submodule_rep(P, module_radical(P))
+    gens = []
+    for mu in reg.poset.not_below(label):
+        for f in hom_space(proj_of[mu], rad_mod):
+            gens.extend((rad_incl @ f).matrix.transpose().entries)
+    U = submodule_generated(P, gens) if gens else Subspace.zero(algebra.field, P.dim)
+    quot, proj_morph, _ = quotient_rep(P, U)
+    return quot, proj_morph
+
+
+def standardize_cases():
+    for field in (None, "Fp 3"):
+        for name in GOOD_CATALOG:
+            doc = catalog_document(name, field)
+            yield f"{name}-{field or 'Q'}", doc.algebra, doc.poset
+    for field in (Q, F2, F10007):
+        yield f"auslander3-{field!r}", auslander_algebra(field, 3), chain_poset(3)
+    yield "auslander4-F10007", auslander_algebra(F10007, 4), chain_poset(4)
+    for field in (Q, F3):
+        algebra, _, _, poset = schur_algebra(field, 3)
+        yield f"S(2,3)-{field!r}", algebra, poset
+
+
+@pytest.mark.parametrize("case", list(standardize_cases()), ids=lambda c: c[0])
+def test_standard_modules_match_hom_route_reference(case):
+    _, algebra, poset = case
+    reg = Registry(algebra, poset)
+    proj_of = {lab: reg.data[lab].projective for lab in poset.labels}
+    reg_op = reg.opposite.regular_module()
+    proj_op = {lab: submodule_rep(reg_op, submodule_generated(
+        reg_op, [reg.data[lab].idempotent]))[0] for lab in poset.labels}
+    for lab in poset.labels:
+        d = reg.data[lab]
+        delta, proj = reference_standardize(reg, algebra, proj_of, lab)
+        assert_same_entries(d.standard_proj.matrix, proj.matrix)
+        for got, want in zip(d.standard.action, delta.action):
+            assert_same_entries(got, want)
+        delta_op, proj_op_morph = reference_standardize(reg, reg.opposite, proj_op, lab)
+        assert_same_entries(d.costandard_incl.matrix, proj_op_morph.matrix.transpose())
+        for got, want in zip(d.costandard.action, delta_op.action):
+            assert_same_entries(got, want.transpose())
+
+
+def test_registry_solves_no_hom_system_for_standard_modules(monkeypatch):
+    """Every hom_space call while a Registry is built comes from
+    `simples_and_split_check`; where A is the sum of its indecomposable
+    projectives, one each, of distinct dimensions, no two summands are
+    compared, and those calls are the End(head) checks alone."""
+    calls, inside = [], []
+    hom, simples = algebra_module.hom_space, highest_weight.simples_and_split_check
+    monkeypatch.setattr(algebra_module, "hom_space",
+                        lambda m, n: calls.append((m, n, bool(inside))) or hom(m, n))
+    monkeypatch.setattr(highest_weight, "hom_space", algebra_module.hom_space)
+
+    def spied_simples(algebra):
+        inside.append(True)
+        try:
+            return simples(algebra)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(highest_weight, "simples_and_split_check", spied_simples)
+    for _, algebra, poset in standardize_cases():
+        calls.clear()
+        reg = Registry(algebra, poset)
+        assert calls and all(from_simples for _, _, from_simples in calls)
+        heads = [reg.simple(lab) for lab in poset.labels]
+        dims = [reg.projective(lab).dim for lab in poset.labels]
+        if sum(dims) == algebra.dim and len(set(dims)) == len(dims):
+            assert all(m is n and any(m is h for h in heads) for m, n, _ in calls)
 
 
 def test_verify_passes_on_good_catalog(pipelines):

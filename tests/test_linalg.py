@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tiltcell import poly
-from tiltcell.errors import DependentFamily, InconsistentSystem, InputError
+from tiltcell.errors import DependentFamily, DimensionMismatch, InconsistentSystem, InputError
 from tiltcell.linalg import (
     Field,
     Matrix,
@@ -486,6 +486,56 @@ def test_rref_matches_dense_reference(m):
     assert (red, pivots, rank) == (ref, ref_pivots, ref_rank)
     assert (red.rows, red.cols) == (m.rows, m.cols)
     assert printed(red) == printed(ref)
+
+
+def reference_inverse(m):
+    """The [A | I] elimination `Matrix.inverse` ran before it went through
+    `solve`: the right block of the RREF, or None when a pivot falls in the
+    identity block (A singular)."""
+    n = m.rows
+    ident = Matrix.identity(m.field, n)
+    red, pivots, _ = Matrix(m.field, [list(r) + list(e) for r, e in zip(m.entries, ident.entries)],
+                            cols=2 * n).rref()
+    if pivots != tuple(range(n)):
+        return None
+    return Matrix(m.field, [r[n:] for r in red.entries], cols=n)
+
+
+@st.composite
+def square_matrices(draw, field):
+    """Square sparse matrices, singular more often than not, and invertible
+    ones: the rows of L U, L unit lower and U upper triangular with a
+    nonzero diagonal, rotated."""
+    n = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        return draw(sparse_matrices(field, n, n))
+    low, up = draw(sparse_matrices(field, n, n)), draw(sparse_matrices(field, n, n))
+    L = [[field.one() if i == j else (x if j < i else field.zero())
+          for j, x in enumerate(r)] for i, r in enumerate(low.entries)]
+    U = [[x if j > i else draw(sparse_scalars(field).filter(bool)) if j == i else field.zero()
+          for j, x in enumerate(r)] for i, r in enumerate(up.entries)]
+    prod = (Matrix(field, L, cols=n) @ Matrix(field, U, cols=n)).entries
+    k = draw(st.integers(0, max(n - 1, 0)))
+    return Matrix(field, prod[k:] + prod[:k], cols=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([Q, F5]).flatmap(square_matrices))
+def test_inverse_matches_identity_block_reference(m):
+    ref = reference_inverse(m)
+    if ref is None:
+        with pytest.raises(InconsistentSystem, match="matrix is singular"):
+            m.inverse()
+        assert not m.is_invertible()
+        return
+    inv = m.inverse()
+    assert inv == ref and printed(inv) == printed(ref)
+    assert m @ inv == Matrix.identity(m.field, m.rows) == inv @ m
+
+
+def test_inverse_rejects_non_square():
+    with pytest.raises(DimensionMismatch):
+        Matrix(Q, [[1, 2]]).inverse()
 
 
 @settings(max_examples=150, deadline=None)
