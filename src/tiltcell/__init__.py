@@ -7,8 +7,6 @@ from .algebra import (
     ModuleRep,
     Morphism,
     algebra_radical,
-    cokernel,
-    composition_multiplicity,
     direct_sum,
     hom_space,
     is_isomorphic,
@@ -21,44 +19,32 @@ from .algebra import (
 from .highest_weight import (
     Registry,
     WeightPoset,
-    delta_filtration,
     ext1_dim,
     ext1_with_classes,
-    ext1_witness_factor,
     ext2_dim,
     filtration_multiplicity,
-    nabla_filtration,
     verify_standard_category,
 )
 from .tilting import (
     TiltingRegistry,
     TiltingTriple,
     indecomposable_tilting,
-    is_tilting,
     tilting_support,
     universal_extension,
 )
 from .standard_basis import (
-    HomFiltration,
-    OppositeDatum,
     StandardBasisDatum,
     build_standard_basis,
-    hom_filtration,
     change_of_basis_unitriangular,
     extend_through_tilting,
-    hom_filtration_from_datum,
-    hom_filtration_oracle,
     lift_through_tilting,
-    phi_weight,
     structure_coefficients,
     verify_standard_axioms,
 )
 from .cells import (
     CellData,
     cell_module,
-    cell_simple_module,
     classify_simples,
-    co_cell_module,
     gram_matrix,
     is_semisimple_endalgebra,
 )

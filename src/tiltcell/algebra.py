@@ -1,13 +1,14 @@
 """Finite-dimensional algebras by structure constants, their modules and
-morphisms, and the structural toolbox: hom spaces, radicals and socles,
-composition multiplicities, Krull-Schmidt decomposition, isomorphism tests.
+morphisms, and the structural toolbox: hom spaces, radicals, socles and
+heads, Krull-Schmidt decomposition, isomorphism tests.
 
 Hom spaces impose the intertwining equations only for a generating set of
 A, found once per presentation: every module's action is an algebra
 homomorphism, so commuting with the generators is commuting with A.
 Associativity is checked on the nonzero entries of the structure table.
-The regular module is split from A's own multiplication: End_A(Ae) is right
-multiplication by eAe, so it solves no hom system.
+The regular module is split and its summands are grouped by isomorphism
+from A's own multiplication: Hom_A(Ae, Af) is right multiplication by eAf,
+so neither step solves a hom system.
 An endomorphism splits a module in one step: it is an idempotent, or its
 Fitting projection onto im(phi^n) along ker(phi^n) is, at 0 or at one
 eigenvalue in the base field.  A local ring has no nontrivial idempotent,
@@ -36,7 +37,6 @@ from .errors import (
     DimensionMismatch,
     InputError,
     NotComputable,
-    NotSimple,
     NotSplit,
     TheoremViolation,
 )
@@ -123,7 +123,7 @@ class AlgebraPresentation:
             raise InputError("unit is not a left identity")
         # right identity: b_i * 1 = b_i
         for i in range(self.dim):
-            e_i = tuple(F.one() if t == i else F.zero() for t in range(self.dim))
+            e_i = self.basis_vector(i)
             if self.multiply(e_i, self.unit) != e_i:
                 raise InputError("unit is not a right identity")
         pair = first_nonassociative_pair(self)
@@ -276,12 +276,6 @@ def quotient_rep(m: ModuleRep, space: Subspace):
     action = [proj @ a @ section for a in m.action]
     quot = ModuleRep(m.algebra, m.dim - space.dim, action, check=False)
     return quot, Morphism(m, quot, proj), section
-
-
-def cokernel(f: Morphism):
-    """(target / image, projection morphism)."""
-    quot, proj, _ = quotient_rep(f.target, f.image())
-    return quot, proj
 
 
 def direct_sum(mods):
@@ -633,25 +627,23 @@ def krull_schmidt(m: ModuleRep):
     return _decompose(m, lambda piece, incl, proj: hom_space(piece, piece))
 
 
-def _regular_endomorphisms(algebra: AlgebraPresentation):
-    """End of a piece of A's regular module: the span of proj.R.incl for the
-    right multiplications R: x -> x.b_j (End_A(A) = A^op), in the same RREF
-    basis as `hom_space`."""
+def _regular_homs(algebra: AlgebraPresentation, source: ModuleRep, incl: Morphism,
+                  target: ModuleRep, proj: Morphism) -> list[Morphism]:
+    """Hom(source, target) for pieces of A's regular module, with incl from
+    source into A and proj from A onto target: the span of proj.R.incl for
+    the right multiplications R: x -> x.b_j (End_A(A) = A^op), in the same
+    RREF basis as `hom_space`."""
     F = algebra.field
-
-    def endomorphisms(piece, incl, proj):
-        d = piece.dim
-        # column b of proj.R_j.incl is proj(u_b.b_j), u_b = incl(basis vector b),
-        # and u_b.b_j is column j of left multiplication by u_b
-        prods = [(proj.matrix @ algebra.left_mult(u)).entries
-                 for u in incl.matrix.transpose().entries]
-        flat = Matrix(F, [[prods[b][a][j] for a in range(d) for b in range(d)]
-                          for j in range(algebra.dim)])
-        red, _, rank = flat.rref()
-        return [Morphism(piece, piece, Matrix(F, [r[k * d:(k + 1) * d] for k in range(d)]))
-                for r in red.entries[:rank]]
-
-    return endomorphisms
+    d, t = source.dim, target.dim
+    # column b of proj.R_j.incl is proj(u_b.b_j), u_b = incl(basis vector b),
+    # and u_b.b_j is column j of left multiplication by u_b
+    prods = [(proj.matrix @ algebra.left_mult(u)).entries
+             for u in incl.matrix.transpose().entries]
+    flat = Matrix(F, [[prods[b][a][j] for a in range(t) for b in range(d)]
+                      for j in range(algebra.dim)])
+    red, _, rank = flat.rref()
+    return [Morphism(source, target, Matrix(F, [r[k * d:(k + 1) * d] for k in range(t)]))
+            for r in red.entries[:rank]]
 
 
 def _indec_isomorphism(m: ModuleRep, n: ModuleRep) -> Morphism | None:
@@ -707,36 +699,6 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep) -> Morphism | None:
     return cand if cand.is_invertible() else None
 
 
-# -- composition multiplicities ------------------------------------------------------
-
-
-def is_simple(m: ModuleRep) -> bool:
-    if m.dim == 0:
-        return False
-    if module_socle(m).dim != m.dim:
-        return False
-    return len(krull_schmidt(m)) == 1
-
-
-def composition_multiplicity(m: ModuleRep, simple: ModuleRep) -> int:
-    """[m : simple] by peeling socles and counting hom multiplicities.
-
-    For split algebras dim Hom(simple, socle layer) counts exactly the
-    occurrences in that layer; summing over the socle series gives the
-    Jordan-Hoelder multiplicity.
-    """
-    if not is_simple(simple):
-        raise NotSimple("second argument has a proper nonzero submodule")
-    total = 0
-    current = m
-    while current.dim > 0:
-        soc = module_socle(current)
-        layer, _ = submodule_rep(current, soc)
-        total += len(hom_space(simple, layer))
-        current, _, _ = quotient_rep(current, soc)
-    return total
-
-
 # -- simples of the algebra ------------------------------------------------------
 
 
@@ -757,17 +719,20 @@ def simples_and_split_check(algebra: AlgebraPresentation) -> list[SimpleDatum]:
 
     Decomposes the regular module as `krull_schmidt` does, reading each
     piece's End from A's product, reads off the orthogonal primitive
-    idempotents, groups the projectives by isomorphism and takes heads
-    through A's certified radical (`algebra_radical`, computed on first use
-    and then shared by every caller).  Raises NotSplit when some simple has
-    endomorphisms beyond scalars, and TheoremViolation when the simples
-    fail `wedderburn_count` against that radical.  Output order is
-    canonical: sorted by the idempotent's first supported coordinate, then
-    lexicographically.
+    idempotents, groups the projectives by isomorphism with their hom spaces
+    also read from A's product, and takes heads through A's certified
+    radical (`algebra_radical`, computed on first use and then shared by
+    every caller).  The grouping does not depend on the radical, so
+    `wedderburn_count` can check the radical against it.  Raises NotSplit
+    when some simple has endomorphisms beyond scalars, and TheoremViolation
+    when the simples fail `wedderburn_count` against that radical.  Output
+    order is canonical: sorted by the idempotent's first supported
+    coordinate, then lexicographically.
     """
     F = algebra.field
     try:
-        summands = _decompose(algebra.regular_module(), _regular_endomorphisms(algebra))
+        summands = _decompose(algebra.regular_module(), lambda piece, incl, proj:
+                              _regular_homs(algebra, piece, incl, piece, proj))
     except NotComputable as exc:
         # the regular module resisted splitting: a division endomorphism
         # algebra beyond K, i.e. a non-split input
@@ -778,16 +743,18 @@ def simples_and_split_check(algebra: AlgebraPresentation) -> list[SimpleDatum]:
         unit_col = Matrix.column(F, algebra.unit)
         e_vec = tuple(r[0] for r in (endo.matrix @ unit_col).entries)
         entries.append((e_vec, p_mod, incl, proj))
-    # group by isomorphism of projectives
+    # group by isomorphism of projectives, with Hom(P, Q) read off A's
+    # product: the summands are indecomposable, so they are isomorphic
+    # exactly when its basis has an invertible element (`_indec_isomorphism`)
     classes: list[list] = []
     for ent in entries:
-        placed = False
         for cls in classes:
-            if _indec_isomorphism(ent[1], cls[0][1]) is not None:
+            _, q_mod, _, q_proj = cls[0]
+            if ent[1].dim == q_mod.dim and any(
+                    f.is_invertible() for f in _regular_homs(algebra, ent[1], ent[2], q_mod, q_proj)):
                 cls.append(ent)
-                placed = True
                 break
-        if not placed:
+        else:
             classes.append([ent])
 
     def support_key(vec):

@@ -16,11 +16,10 @@ from .algebra import (
     ModuleRep,
     algebra_radical,
     module_radical,
-    quotient_rep,
     wedderburn_count,
 )
 from .errors import LabelNotInSupport, TheoremViolation
-from .linalg import Matrix, Subspace
+from .linalg import Matrix
 from .standard_basis import StandardBasisDatum, structure_coefficients
 
 
@@ -92,29 +91,14 @@ def cell_module(datum: StandardBasisDatum, label) -> ModuleRep:
 
     The action is a module structure over End(T) presented on the cell
     basis; the module axioms (associativity against the presentation) are
-    checked on construction.
+    checked on construction.  Each cell acts through its left structure
+    coefficients at `label`.
     """
-    return _cell_module(datum, label, right=False)
-
-
-def co_cell_module(datum: StandardBasisDatum, label) -> ModuleRep:
-    """Right-action companion on Hom(T, Nabla), packaged as a left module
-    over the opposite of End(T)."""
-    return _cell_module(datum, label, right=True)
-
-
-def _cell_module(datum: StandardBasisDatum, label, right: bool) -> ModuleRep:
-    """Each cell acts through its left (right) structure coefficients at
-    `label`, on the G (F) side, over End(T) (its opposite)."""
     if label not in datum.order:
         raise LabelNotInSupport(f"label {label!r} has an empty fiber")
-    E_pres = end_presentation(datum)
-    if right:
-        E_pres = E_pres.opposite()
-    coeffs = [structure_coefficients(datum, datum.cell(*key)) for key in datum.index()]
-    action = [(c.right if right else c.left)[label] for c in coeffs]
-    side = datum.F if right else datum.G
-    return ModuleRep(E_pres, len(side[label]), action, check=True)
+    action = [structure_coefficients(datum, datum.cell(*key)).left[label]
+              for key in datum.index()]
+    return ModuleRep(end_presentation(datum), len(datum.G[label]), action, check=True)
 
 
 def end_presentation(datum: StandardBasisDatum):
@@ -146,14 +130,6 @@ def classify_simples(cell_data: CellData, support_multiplicities=None):
                 raise TheoremViolation(
                     f"summand at {lam!r} has multiplicity {want} but the pairing vanishes")
     return dims
-
-
-def cell_simple_module(datum: StandardBasisDatum, label) -> ModuleRep:
-    """The simple head of the cell module: quotient by the pairing radical."""
-    beta = gram_matrix(datum, label)
-    cm = cell_module(datum, label)
-    radical_space = Subspace(cm.dim, beta.kernel())
-    return quotient_rep(cm, radical_space)[0]
 
 
 def is_semisimple_endalgebra(cell_data: CellData) -> bool:

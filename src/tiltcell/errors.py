@@ -34,10 +34,6 @@ class AlgebraMismatch(TiltcellError):
     """Operands live over different algebras."""
 
 
-class NotSimple(TiltcellError):
-    """A module claimed simple has a proper nonzero submodule."""
-
-
 class NotSplit(TiltcellError):
     """Some simple module has endomorphism ring larger than the base field."""
 
@@ -64,14 +60,6 @@ class AxiomViolation(TiltcellError):
 
 class TheoremViolation(TiltcellError):
     """Two independent computations of the same invariant disagree."""
-
-
-class NoFiltration(TiltcellError):
-    """Module admits no (co)standard filtration; carries a witness label."""
-
-    def __init__(self, label, detail=""):
-        self.label = label
-        super().__init__(f"no filtration, witness label {label!r} {detail}".rstrip())
 
 
 class NoLift(TiltcellError):

@@ -3,9 +3,10 @@
 Builds, for a user-supplied partial order on the simples, the standard
 modules (largest quotients of the projective covers with lower composition
 factors), the costandard modules (dually, through the opposite algebra),
-extension groups from minimal projective presentations, and the axiom
+extension groups from minimal projective presentations, the axiom
 verifier that certifies the quasi-hereditary structure: Hom(Delta, Nabla)
-one-dimensional on the diagonal and Ext^1 = Ext^2 = 0 throughout.
+one-dimensional on the diagonal and Ext^1 = Ext^2 = 0 throughout, and the
+(co)standard filtration multiplicities of a module by hom dimensions.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .algebra import (
     Morphism,
     direct_sum,
     hom_space,
-    is_isomorphic,
     module_head,
     module_radical,
     module_socle,
@@ -27,8 +27,8 @@ from .algebra import (
     submodule_generated,
     submodule_rep,
 )
-from .errors import AxiomViolation, InconsistentSystem, InputError, NoFiltration
-from .linalg import Matrix, Subspace, hstack
+from .errors import AxiomViolation, InconsistentSystem, InputError
+from .linalg import Matrix, Subspace
 
 
 class WeightPoset:
@@ -359,16 +359,6 @@ def _extension_middle(reg, m, n, omega, incl_omega, P0, pi, cocycles):
     return E, incl_n, proj_m, msum
 
 
-def ext1_witness_factor(reg: Registry, m: ModuleRep, n: ModuleRep):
-    """A composition factor label of m witnessing Ext^1(m, n) != 0, or None."""
-    if ext1_dim(reg, m, n) == 0:
-        return None
-    for label in reg.factor_labels(m):
-        if ext1_dim(reg, reg.simple(label), n) > 0:
-            return label
-    return None
-
-
 # -- axiom verification -------------------------------------------------------------
 
 
@@ -445,161 +435,6 @@ def verify_standard_category(reg: Registry) -> VerificationReport:
             if ext1_dim(reg, reg.standard(mu), reg.standard(lam)) > 0:
                 rep.record("ext1_standard_direction", lam, mu, poset.lt(mu, lam))
     return rep
-
-
-# -- filtrations ------------------------------------------------------------------
-
-
-class FiltrationWitness:
-    """Ascending chain 0 = N_0 < ... < N_k = module with identified factors.
-
-    chain holds Subspaces of the module; factor_labels[i] names the factor
-    N_{i+1}/N_i and factor_isos[i] is an invertible morphism from that
-    subquotient onto the registry's standard or costandard module.
-    """
-
-    __slots__ = ("module", "kind", "chain", "factor_labels", "factor_isos")
-
-    def __init__(self, module, kind, chain, factor_labels, factor_isos):
-        self.module = module
-        self.kind = kind
-        self.chain = chain
-        self.factor_labels = factor_labels
-        self.factor_isos = factor_isos
-
-
-def subquotient(m: ModuleRep, big: Subspace, small: Subspace) -> ModuleRep:
-    """The module big/small for nested invariant subspaces of m."""
-    F = m.algebra.field
-    big_mod, _ = submodule_rep(m, big)
-    if small.dim == 0:
-        return big_mod
-    inner = big.coordinates(small.basis.transpose())
-    inner_space = Subspace.from_rows(F, big_mod.dim, inner.transpose().entries)
-    return quotient_rep(big_mod, inner_space)[0]
-
-
-def _identify_factors(reg: Registry, m: ModuleRep, chain, labels, targets):
-    """Isomorphism witnesses for each chain subquotient against its target."""
-    isos = []
-    for i, lam in enumerate(labels):
-        factor = subquotient(m, chain[i + 1], chain[i])
-        w = is_isomorphic(factor, targets(lam))
-        if w is None:
-            raise NoFiltration(lam, "(chain factor failed identification)")
-        isos.append(w)
-    return isos
-
-
-def delta_filtration(reg: Registry, m: ModuleRep) -> FiltrationWitness:
-    """Explicit standard filtration of m, or NoFiltration.
-
-    Membership is decided by the extension criterion (vanishing against all
-    costandard modules); the chain is then peeled from the top: an
-    epimorphism onto the standard module at a maximal head label always
-    exists and its kernel is again filtered.
-    """
-    for lam in reg.poset.labels:
-        if ext1_dim(reg, m, reg.costandard(lam)) != 0:
-            raise NoFiltration(lam, "(extension against costandard does not vanish)")
-    chain, labels = _delta_chain(reg, m)
-    chain = [Subspace.zero(reg.algebra.field, m.dim)] + chain
-    isos = _identify_factors(reg, m, chain, labels, reg.standard)
-    return FiltrationWitness(m, "standard", chain, labels, isos)
-
-
-def _peel_candidates(poset, labels):
-    """Label order for peeling: the maximal one first, then the rest by
-    decreasing linear-extension position.  A peel at the smallest head label
-    always succeeds on a filtered module, so the loop terminates."""
-    first = poset.maximal_among(labels)
-    rest = sorted((x for x in labels if x != first),
-                  key=poset.position, reverse=True)
-    return [first] + rest
-
-
-def _delta_chain(reg: Registry, m: ModuleRep):
-    """Ascending subspaces of m (zero excluded, full included) and labels."""
-    F = reg.algebra.field
-    if m.dim == 0:
-        return [], []
-    head, _ = module_head(m)
-    epi = None
-    lam = None
-    for cand in _peel_candidates(reg.poset, reg.factor_labels(head)):
-        delta = reg.standard(cand)
-        delta_head_proj = module_head(delta)[1]
-        for f in hom_space(m, delta):
-            # nonzero composite to the simple head makes f surjective
-            if not (delta_head_proj @ f).is_zero():
-                epi, lam = f, cand
-                break
-        if epi is not None:
-            break
-    if epi is None:
-        raise NoFiltration(reg.poset.maximal_among(reg.factor_labels(head)),
-                           "(no epimorphism onto a standard module)")
-    delta = reg.standard(lam)
-    assert epi.is_surjective()
-    ker_space = epi.kernel()
-    ker_mod, ker_incl = submodule_rep(m, ker_space)
-    sub_chain, sub_labels = _delta_chain(reg, ker_mod)
-    chain = [Subspace.from_rows(F, m.dim, (s.basis @ ker_incl.matrix.transpose()).entries)
-             for s in sub_chain[:-1]]
-    if sub_chain:
-        chain.append(ker_space)
-    chain.append(Subspace.full(F, m.dim))
-    return chain, sub_labels + [lam]
-
-
-def nabla_filtration(reg: Registry, n: ModuleRep) -> FiltrationWitness:
-    """Explicit costandard filtration of n, or NoFiltration (dual peel)."""
-    for lam in reg.poset.labels:
-        if ext1_dim(reg, reg.standard(lam), n) != 0:
-            raise NoFiltration(lam, "(extension from standard does not vanish)")
-    chain, labels = _nabla_chain(reg, n)
-    chain = [Subspace.zero(reg.algebra.field, n.dim)] + chain
-    isos = _identify_factors(reg, n, chain, labels, reg.costandard)
-    return FiltrationWitness(n, "costandard", chain, labels, isos)
-
-
-def _nabla_chain(reg: Registry, n: ModuleRep):
-    F = reg.algebra.field
-    if n.dim == 0:
-        return [], []
-    soc_mod, _ = submodule_rep(n, module_socle(n))
-    mono = None
-    lam = None
-    for cand in _peel_candidates(reg.poset, reg.factor_labels(soc_mod)):
-        nabla = reg.costandard(cand)
-        nabla_soc_incl = submodule_rep(nabla, module_socle(nabla))[1]
-        for f in hom_space(nabla, n):
-            # nonzero restriction to the simple socle makes f injective
-            if not (f @ nabla_soc_incl).is_zero():
-                mono, lam = f, cand
-                break
-        if mono is not None:
-            break
-    if mono is None:
-        raise NoFiltration(reg.poset.maximal_among(reg.factor_labels(soc_mod)),
-                           "(no monomorphism from a costandard module)")
-    nabla = reg.costandard(lam)
-    assert mono.is_injective()
-    img = mono.image()
-    quot, qproj, _ = quotient_rep(n, img)
-    sub_chain, sub_labels = _nabla_chain(reg, quot)
-    chain = [img] + [_preimage(F, qproj.matrix, s) for s in sub_chain]
-    return chain, [lam] + sub_labels
-
-
-def _preimage(F, proj_matrix: Matrix, s: Subspace) -> Subspace:
-    """Preimage of a subspace under a surjection, as a subspace upstairs."""
-    amb = proj_matrix.cols
-    if s.dim == 0:
-        return Subspace(amb, proj_matrix.kernel())
-    ker = hstack([proj_matrix, -s.basis.transpose()]).kernel()
-    rows = [r[:amb] for r in ker.entries]
-    return Subspace.from_rows(F, amb, rows)
 
 
 def filtration_multiplicity(reg: Registry, x: ModuleRep, label: str, kind: str) -> int:

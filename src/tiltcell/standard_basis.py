@@ -1,17 +1,19 @@
 """Standard bases of endomorphism algebras of tilting modules.
 
-Hom spaces carry a filtration by the labels occurring in images of
-morphisms; factorizing through the indecomposable tilting modules produces
-a basis of End(T) fibered over the weight poset whose multiplication is
-triangular with respect to that filtration.  This module builds the basis
-for seeded lift choices, computes the structure coefficients, and verifies
-the fibered-multiplication axioms exactly.  Lifts work a fiber at a time:
-all the maps of one fiber share one lift space, which is solved once for
-all of them, and StandardBasisDatum.add_fiber assembles a fiber for both
-the standard and the cellular basis.  The products of the cells are
-formed once per datum, as a table of their coordinates in the cell basis;
-the axiom replay reads the basis elements' residuals off it, and a random
-probe's residuals follow from them by bilinearity.
+Factorizing the maps between T and the (co)standard modules through the
+indecomposable tilting modules produces a basis of End(T) fibered over the
+weight poset, whose multiplication is triangular with respect to the
+filtration of End(T) by the labels occurring in images of morphisms: a
+product's residual lies in the span of strictly lower fibers.  This module
+builds the basis for seeded lift choices, computes the structure
+coefficients, and verifies the fibered-multiplication axioms exactly.
+Lifts work a fiber at a time: all the maps of one fiber share one lift
+space, which is solved once for all of them, and
+StandardBasisDatum.add_fiber assembles a fiber for both the standard and
+the cellular basis.  The products of the cells are formed once per datum,
+as a table of their coordinates in the cell basis; the axiom replay reads
+the basis elements' residuals off it, and a random probe's residuals follow
+from them by bilinearity.
 """
 
 from __future__ import annotations
@@ -29,78 +31,8 @@ from .errors import (
     TheoremViolation,
 )
 from .highest_weight import Registry
-from .linalg import Matrix, Subspace, coordinates, linear_combination
+from .linalg import Matrix, coordinates, linear_combination
 from .tilting import TiltingRegistry
-
-
-def phi_weight(reg: Registry, f: Morphism, label: str) -> int:
-    """Multiplicity of the simple at `label` in the image of f.
-
-    Equals the rank of (primitive idempotent action) . f, since the
-    idempotent picks out exactly that isotypic layer in a split algebra.
-    """
-    return (f.target.act(reg.data[label].idempotent) @ f.matrix).rank()
-
-
-def hom_filtration_oracle(reg: Registry, m: ModuleRep, n: ModuleRep, label: str,
-                          homs: list[Morphism] | None = None) -> Subspace:
-    """Hom(m, n)^{<= label} by brute membership: the subspace of morphisms
-    whose image avoids all simples at labels not below-or-equal `label`.
-
-    Image avoidance of the simple at mu is the linear condition
-    e_mu . f = 0, so the subspace is a kernel computation in the
-    coordinates of the canonical hom basis.
-    """
-    F = reg.algebra.field
-    if homs is None:
-        homs = hom_space(m, n)
-    h = len(homs)
-    if h == 0:
-        return Subspace.zero(F, 0)
-    rows = []
-    for mu in reg.poset.labels:
-        if reg.poset.leq(mu, label):
-            continue
-        e_act = n.act(reg.data[mu].idempotent)
-        cols = [(e_act @ f.matrix).flat() for f in homs]
-        for entry_idx in range(len(cols[0])):
-            rows.append([col[entry_idx] for col in cols])
-    if not rows:
-        return Subspace.full(F, h)
-    return Subspace(h, Matrix(F, rows).kernel())
-
-
-class HomFiltration:
-    """All the subspaces Hom(m, n)^{<= label} at once, in the coordinates of
-    the canonical hom basis; monotone in the poset order by construction."""
-
-    def __init__(self, m: ModuleRep, n: ModuleRep, homs, spaces):
-        self.source = m
-        self.target = n
-        self.homs = homs
-        self.spaces = spaces
-
-    def space(self, label) -> Subspace:
-        return self.spaces[label]
-
-
-def hom_filtration(reg: Registry, m: ModuleRep, n: ModuleRep,
-                   datum: "StandardBasisDatum | None" = None) -> HomFiltration:
-    """The label filtration of Hom(m, n).
-
-    With a basis datum for End(m) = End(n) available, each layer is the span
-    of the fibers at labels below; otherwise the membership conditions are
-    solved directly.  The two routes agree (tested exhaustively at small
-    dimensions).
-    """
-    homs = hom_space(m, n)
-    spaces = {}
-    for label in reg.poset.labels:
-        if datum is not None:
-            spaces[label] = hom_filtration_from_datum(datum, label, homs)
-        else:
-            spaces[label] = hom_filtration_oracle(reg, m, n, label, homs)
-    return HomFiltration(m, n, homs, spaces)
 
 
 def _lift_fiber(F, source, target, compose_to, fiber, rng, what):
@@ -316,18 +248,6 @@ def _certify_fiber_weights(datum: StandardBasisDatum):
             raise BasisFailure(lam, "fiber span has zero weight at its own label")
 
 
-def hom_filtration_from_datum(datum: StandardBasisDatum, label: str,
-                              homs: list[Morphism]) -> Subspace:
-    """Hom^{<= label} as the span of fibers at labels <= label, expressed in
-    the coordinates of the given hom basis."""
-    reg = datum.reg
-    F = reg.algebra.field
-    coords = coordinates(F, [f.matrix.flat() for f in homs], datum.module.dim ** 2)
-    rows = [coords(datum.cell(mu, i, j).matrix.flat())
-            for (mu, i, j) in datum.index() if reg.poset.leq(mu, label)]
-    return Subspace.from_rows(F, len(homs), rows)
-
-
 # -- structure coefficients and the fibered-multiplication axioms -----------------
 
 
@@ -370,27 +290,26 @@ def basis_residuals(datum: StandardBasisDatum):
     return out
 
 
-def _replay_congruences(datum: StandardBasisDatum, trials: int, rng: random.Random,
-                        names, swap: bool):
+def _replay_congruences(datum: StandardBasisDatum, trials: int, rng: random.Random):
     """Replay both fibered congruences on every basis element and `trials`
     random endomorphisms: each residual must lie in the span of strictly
     lower fibers.  A probe is its coefficient vector a in the cell basis, and
     by bilinearity its residuals are exactly sum_m a_m r_m over the
-    basis_residuals r, checked for every probe in one pass.  `names` names
-    the two sides; `swap` reports the witness as (j, i).  Returns the number
-    of probes; each checks both congruences at every cell.
+    basis_residuals r, checked for every probe in one pass.  Returns the
+    number of probes; each checks both congruences at every cell.
     """
     F = datum.reg.algebra.field
     n = datum.dim()
     probes = [[F.one() if t == m else F.zero() for t in range(n)] for m in range(n)]
     probes.extend([F.sample(rng) for _ in range(n)] for _ in range(trials))
     residuals = sorted(basis_residuals(datum).items())
+    names = ("fibered_left_multiplication", "fibered_right_multiplication")
     for a in probes:
         for (at, side, _), terms in residuals:
             r = sum(a[m] * x for m, x in terms)
             if r if F.p is None else r % F.p:
                 lam, i, j = datum.index()[at]
-                raise AxiomViolation(lam, (j, i) if swap else (i, j), names[side],
+                raise AxiomViolation(lam, (i, j), names[side],
                                      "residual escapes the lower fiber span")
     return len(probes)
 
@@ -403,46 +322,8 @@ def verify_standard_axioms(datum: StandardBasisDatum, trials: int = 100,
     elements' (_replay_congruences).  Returns a summary dict; raises
     AxiomViolation with a witness on failure.
     """
-    probes = _replay_congruences(
-        datum, trials, rng or random.Random(20200 + datum.seed),
-        ("fibered_left_multiplication", "fibered_right_multiplication"), swap=False)
+    probes = _replay_congruences(datum, trials, rng or random.Random(20200 + datum.seed))
     return {"probes": probes, "congruences_checked": 2 * probes * datum.dim(), "ok": True}
-
-
-class OppositeDatum:
-    """The same cells read in the opposite algebra: index sets transpose and
-    the two fibered congruences exchange roles.
-
-    With multiplication a * b := b . a, the left congruence for the
-    opposite datum is literally the right congruence of the base datum
-    under (i, j) -> (j, i), and vice versa; verify() replays both against
-    the reversed composition to certify this identification.
-    """
-
-    def __init__(self, datum: StandardBasisDatum):
-        self.base = datum
-
-    def index(self):
-        return tuple((lam, j, i) for (lam, i, j) in self.base.index())
-
-    def cell(self, label, i, j):
-        return self.base.cell(label, j, i)
-
-    def fiber_sizes(self):
-        return {lam: (j, i) for lam, (i, j) in self.base.fiber_sizes().items()}
-
-    def opposite(self):
-        return self.base
-
-    def verify(self, trials: int = 50, rng: random.Random | None = None):
-        """Fibered axioms for reversed composition: phi * c'_ji = c_ij . phi
-        is the base right congruence and c'_ji * phi = phi . c_ij the left
-        one, so the base replay runs (random probes checked as combinations of
-        the basis residuals) with the witness read as (j, i)."""
-        probes = _replay_congruences(
-            self.base, trials, rng or random.Random(31337 + self.base.seed),
-            ("opposite_right_multiplication", "opposite_left_multiplication"), swap=True)
-        return {"probes": probes, "ok": True}
 
 
 def change_of_basis_unitriangular(datum_a: StandardBasisDatum,

@@ -119,13 +119,6 @@ def _make_triple(reg: Registry, label: str, t_mod: ModuleRep) -> TiltingTriple:
     return TiltingTriple(label, t_mod, i, pi, c)
 
 
-def is_tilting(reg: Registry, t: ModuleRep):
-    """(verdict, per-label extension report) for the two-sided criterion."""
-    report = {lam: (ext1_dim(reg, t, reg.costandard(lam)), ext1_dim(reg, reg.standard(lam), t))
-              for lam in reg.poset.labels}
-    return not any(left or right for left, right in report.values()), report
-
-
 class TiltingRegistry:
     """All indecomposable tilting triples for a verified registry."""
 

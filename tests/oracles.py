@@ -1,0 +1,306 @@
+"""Reference implementations the tests compare the pipeline against.
+
+No stage of the pipeline calls these: they decide the same questions by
+other routes (explicit filtrations, composition series, membership
+conditions solved directly), so a test can check a pipeline result against
+an independent computation.
+"""
+
+from __future__ import annotations
+
+from tiltcell.algebra import (
+    ModuleRep,
+    Morphism,
+    hom_space,
+    is_isomorphic,
+    krull_schmidt,
+    module_head,
+    module_socle,
+    quotient_rep,
+    submodule_rep,
+)
+from tiltcell.cells import cell_module, gram_matrix
+from tiltcell.errors import TiltcellError
+from tiltcell.highest_weight import Registry, ext1_dim
+from tiltcell.linalg import Matrix, Subspace, coordinates, hstack
+from tiltcell.standard_basis import StandardBasisDatum
+
+
+# -- errors ------------------------------------------------------------------
+
+
+class NotSimple(TiltcellError):
+    """A module claimed simple has a proper nonzero submodule."""
+
+
+class NoFiltration(TiltcellError):
+    """Module admits no (co)standard filtration; carries a witness label."""
+
+    def __init__(self, label, detail=""):
+        self.label = label
+        super().__init__(f"no filtration, witness label {label!r} {detail}".rstrip())
+
+
+# -- composition multiplicities ----------------------------------------------
+
+
+def is_simple(m: ModuleRep) -> bool:
+    if m.dim == 0:
+        return False
+    if module_socle(m).dim != m.dim:
+        return False
+    return len(krull_schmidt(m)) == 1
+
+
+def composition_multiplicity(m: ModuleRep, simple: ModuleRep) -> int:
+    """[m : simple] by peeling socles and counting hom multiplicities.
+
+    For split algebras dim Hom(simple, socle layer) counts exactly the
+    occurrences in that layer; summing over the socle series gives the
+    Jordan-Hoelder multiplicity.
+    """
+    if not is_simple(simple):
+        raise NotSimple("second argument has a proper nonzero submodule")
+    total = 0
+    current = m
+    while current.dim > 0:
+        soc = module_socle(current)
+        layer, _ = submodule_rep(current, soc)
+        total += len(hom_space(simple, layer))
+        current, _, _ = quotient_rep(current, soc)
+    return total
+
+
+# -- (co)standard filtrations and extension witnesses ------------------------
+
+
+class FiltrationWitness:
+    """Ascending chain 0 = N_0 < ... < N_k = module with identified factors.
+
+    chain holds Subspaces of the module; factor_labels[i] names the factor
+    N_{i+1}/N_i and factor_isos[i] is an invertible morphism from that
+    subquotient onto the registry's standard or costandard module.
+    """
+
+    __slots__ = ("module", "kind", "chain", "factor_labels", "factor_isos")
+
+    def __init__(self, module, kind, chain, factor_labels, factor_isos):
+        self.module = module
+        self.kind = kind
+        self.chain = chain
+        self.factor_labels = factor_labels
+        self.factor_isos = factor_isos
+
+
+def subquotient(m: ModuleRep, big: Subspace, small: Subspace) -> ModuleRep:
+    """The module big/small for nested invariant subspaces of m."""
+    F = m.algebra.field
+    big_mod, _ = submodule_rep(m, big)
+    if small.dim == 0:
+        return big_mod
+    inner = big.coordinates(small.basis.transpose())
+    inner_space = Subspace.from_rows(F, big_mod.dim, inner.transpose().entries)
+    return quotient_rep(big_mod, inner_space)[0]
+
+
+def _identify_factors(reg: Registry, m: ModuleRep, chain, labels, targets):
+    """Isomorphism witnesses for each chain subquotient against its target."""
+    isos = []
+    for i, lam in enumerate(labels):
+        factor = subquotient(m, chain[i + 1], chain[i])
+        w = is_isomorphic(factor, targets(lam))
+        if w is None:
+            raise NoFiltration(lam, "(chain factor failed identification)")
+        isos.append(w)
+    return isos
+
+
+def delta_filtration(reg: Registry, m: ModuleRep) -> FiltrationWitness:
+    """Explicit standard filtration of m, or NoFiltration.
+
+    Membership is decided by the extension criterion (vanishing against all
+    costandard modules); the chain is then peeled from the top: an
+    epimorphism onto the standard module at a maximal head label always
+    exists and its kernel is again filtered.
+    """
+    for lam in reg.poset.labels:
+        if ext1_dim(reg, m, reg.costandard(lam)) != 0:
+            raise NoFiltration(lam, "(extension against costandard does not vanish)")
+    chain, labels = _delta_chain(reg, m)
+    chain = [Subspace.zero(reg.algebra.field, m.dim)] + chain
+    isos = _identify_factors(reg, m, chain, labels, reg.standard)
+    return FiltrationWitness(m, "standard", chain, labels, isos)
+
+
+def _peel_candidates(poset, labels):
+    """Label order for peeling: the maximal one first, then the rest by
+    decreasing linear-extension position.  A peel at the smallest head label
+    always succeeds on a filtered module, so the loop terminates."""
+    first = poset.maximal_among(labels)
+    rest = sorted((x for x in labels if x != first),
+                  key=poset.position, reverse=True)
+    return [first] + rest
+
+
+def _delta_chain(reg: Registry, m: ModuleRep):
+    """Ascending subspaces of m (zero excluded, full included) and labels."""
+    F = reg.algebra.field
+    if m.dim == 0:
+        return [], []
+    head, _ = module_head(m)
+    epi = None
+    lam = None
+    for cand in _peel_candidates(reg.poset, reg.factor_labels(head)):
+        delta = reg.standard(cand)
+        delta_head_proj = module_head(delta)[1]
+        for f in hom_space(m, delta):
+            # nonzero composite to the simple head makes f surjective
+            if not (delta_head_proj @ f).is_zero():
+                epi, lam = f, cand
+                break
+        if epi is not None:
+            break
+    if epi is None:
+        raise NoFiltration(reg.poset.maximal_among(reg.factor_labels(head)),
+                           "(no epimorphism onto a standard module)")
+    delta = reg.standard(lam)
+    assert epi.is_surjective()
+    ker_space = epi.kernel()
+    ker_mod, ker_incl = submodule_rep(m, ker_space)
+    sub_chain, sub_labels = _delta_chain(reg, ker_mod)
+    chain = [Subspace.from_rows(F, m.dim, (s.basis @ ker_incl.matrix.transpose()).entries)
+             for s in sub_chain[:-1]]
+    if sub_chain:
+        chain.append(ker_space)
+    chain.append(Subspace.full(F, m.dim))
+    return chain, sub_labels + [lam]
+
+
+def nabla_filtration(reg: Registry, n: ModuleRep) -> FiltrationWitness:
+    """Explicit costandard filtration of n, or NoFiltration (dual peel)."""
+    for lam in reg.poset.labels:
+        if ext1_dim(reg, reg.standard(lam), n) != 0:
+            raise NoFiltration(lam, "(extension from standard does not vanish)")
+    chain, labels = _nabla_chain(reg, n)
+    chain = [Subspace.zero(reg.algebra.field, n.dim)] + chain
+    isos = _identify_factors(reg, n, chain, labels, reg.costandard)
+    return FiltrationWitness(n, "costandard", chain, labels, isos)
+
+
+def _nabla_chain(reg: Registry, n: ModuleRep):
+    F = reg.algebra.field
+    if n.dim == 0:
+        return [], []
+    soc_mod, _ = submodule_rep(n, module_socle(n))
+    mono = None
+    lam = None
+    for cand in _peel_candidates(reg.poset, reg.factor_labels(soc_mod)):
+        nabla = reg.costandard(cand)
+        nabla_soc_incl = submodule_rep(nabla, module_socle(nabla))[1]
+        for f in hom_space(nabla, n):
+            # nonzero restriction to the simple socle makes f injective
+            if not (f @ nabla_soc_incl).is_zero():
+                mono, lam = f, cand
+                break
+        if mono is not None:
+            break
+    if mono is None:
+        raise NoFiltration(reg.poset.maximal_among(reg.factor_labels(soc_mod)),
+                           "(no monomorphism from a costandard module)")
+    nabla = reg.costandard(lam)
+    assert mono.is_injective()
+    img = mono.image()
+    quot, qproj, _ = quotient_rep(n, img)
+    sub_chain, sub_labels = _nabla_chain(reg, quot)
+    chain = [img] + [_preimage(F, qproj.matrix, s) for s in sub_chain]
+    return chain, [lam] + sub_labels
+
+
+def _preimage(F, proj_matrix: Matrix, s: Subspace) -> Subspace:
+    """Preimage of a subspace under a surjection, as a subspace upstairs."""
+    amb = proj_matrix.cols
+    if s.dim == 0:
+        return Subspace(amb, proj_matrix.kernel())
+    ker = hstack([proj_matrix, -s.basis.transpose()]).kernel()
+    rows = [r[:amb] for r in ker.entries]
+    return Subspace.from_rows(F, amb, rows)
+
+
+def ext1_witness_factor(reg: Registry, m: ModuleRep, n: ModuleRep):
+    """A composition factor label of m witnessing Ext^1(m, n) != 0, or None."""
+    if ext1_dim(reg, m, n) == 0:
+        return None
+    for label in reg.factor_labels(m):
+        if ext1_dim(reg, reg.simple(label), n) > 0:
+            return label
+    return None
+
+
+def is_tilting(reg: Registry, t: ModuleRep):
+    """(verdict, per-label extension report) for the two-sided criterion."""
+    report = {lam: (ext1_dim(reg, t, reg.costandard(lam)), ext1_dim(reg, reg.standard(lam), t))
+              for lam in reg.poset.labels}
+    return not any(left or right for left, right in report.values()), report
+
+
+# -- image weights and the label filtration of hom spaces --------------------
+
+
+def phi_weight(reg: Registry, f: Morphism, label: str) -> int:
+    """Multiplicity of the simple at `label` in the image of f.
+
+    Equals the rank of (primitive idempotent action) . f, since the
+    idempotent picks out exactly that isotypic layer in a split algebra.
+    """
+    return (f.target.act(reg.data[label].idempotent) @ f.matrix).rank()
+
+
+def hom_filtration_oracle(reg: Registry, m: ModuleRep, n: ModuleRep, label: str,
+                          homs: list[Morphism] | None = None) -> Subspace:
+    """Hom(m, n)^{<= label} by brute membership: the subspace of morphisms
+    whose image avoids all simples at labels not below-or-equal `label`.
+
+    Image avoidance of the simple at mu is the linear condition
+    e_mu . f = 0, so the subspace is a kernel computation in the
+    coordinates of the canonical hom basis.
+    """
+    F = reg.algebra.field
+    if homs is None:
+        homs = hom_space(m, n)
+    h = len(homs)
+    if h == 0:
+        return Subspace.zero(F, 0)
+    rows = []
+    for mu in reg.poset.labels:
+        if reg.poset.leq(mu, label):
+            continue
+        e_act = n.act(reg.data[mu].idempotent)
+        cols = [(e_act @ f.matrix).flat() for f in homs]
+        for entry_idx in range(len(cols[0])):
+            rows.append([col[entry_idx] for col in cols])
+    if not rows:
+        return Subspace.full(F, h)
+    return Subspace(h, Matrix(F, rows).kernel())
+
+
+def hom_filtration_from_datum(datum: StandardBasisDatum, label: str,
+                              homs: list[Morphism]) -> Subspace:
+    """Hom^{<= label} as the span of fibers at labels <= label, expressed in
+    the coordinates of the given hom basis."""
+    reg = datum.reg
+    F = reg.algebra.field
+    coords = coordinates(F, [f.matrix.flat() for f in homs], datum.module.dim ** 2)
+    rows = [coords(datum.cell(mu, i, j).matrix.flat())
+            for (mu, i, j) in datum.index() if reg.poset.leq(mu, label)]
+    return Subspace.from_rows(F, len(homs), rows)
+
+
+# -- cell modules ------------------------------------------------------------
+
+
+def cell_simple_module(datum: StandardBasisDatum, label) -> ModuleRep:
+    """The simple head of the cell module: quotient by the pairing radical."""
+    beta = gram_matrix(datum, label)
+    cm = cell_module(datum, label)
+    radical_space = Subspace(cm.dim, beta.kernel())
+    return quotient_rep(cm, radical_space)[0]

@@ -16,16 +16,15 @@ from tiltcell.cells import CellData, classify_simples, is_semisimple_endalgebra
 from tiltcell.cli import Pipeline, build_report
 from tiltcell.docio import catalog_document
 from tiltcell.duality import AntiInvolution, build_cellular_basis
-from tiltcell.highest_weight import ext1_witness_factor
 from tiltcell.linalg import Matrix
 from tiltcell.standard_basis import (
     build_standard_basis,
     change_of_basis_unitriangular,
-    hom_filtration_from_datum,
-    hom_filtration_oracle,
     verify_standard_axioms,
 )
 from tiltcell.tilting import tilting_support
+
+from oracles import ext1_witness_factor, hom_filtration_from_datum, hom_filtration_oracle
 
 GOOD = ["trivial", "semisimple2", "a2path", "auslander-dualnumbers", "ut3"]
 

@@ -1,15 +1,20 @@
-"""Every module-level private function or class in tiltcell has a caller.
+"""Every module-level private function or class in tiltcell has a caller,
+and every name the package exports has a use or is documented.
 
 A private name is one with a leading underscore (dunder names are left
 out).  It counts as used when its name is read, as a name, an attribute or
 an imported name, anywhere in the package outside its own definition; a
-helper that only calls itself is an orphan.
+helper that only calls itself is an orphan.  An exported name, one that
+`__init__.py` imports, counts as used in the same way (the import in
+`__init__.py` itself does not count), or when README's "Library entry
+points" block lists it.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tiltcell"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tiltcell"
 
 
 def private_definitions(tree: ast.Module):
@@ -63,3 +68,53 @@ def test_orphans_are_found():
 def test_every_private_helper_has_a_caller():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert orphans(sources) == []
+
+
+def imported_names(source: str) -> list[str]:
+    """The names a module's `from ... import` statements bind."""
+    return [a.asname or a.name for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) for a in node.names]
+
+
+def entry_points(readme: str) -> set[str]:
+    """The names imported by the code block under "Library entry points"."""
+    block = readme.split("## Library entry points", 1)[1].split("```", 2)[1]
+    return set(imported_names(block.split("\n", 1)[1]))
+
+
+def unused_exports(exports, sources: dict[str, str], documented) -> list[str]:
+    """Each exported name that no module of `sources` reads outside its own
+    definition and that is not in `documented`."""
+    trees = [ast.parse(text) for text in sources.values()]
+
+    def definition(tree, name):
+        return next((node for node in tree.body if getattr(node, "name", None) == name), None)
+
+    return [name for name in exports if name not in documented
+            and not any(name in names_read(tree, skip=definition(tree, name)) for tree in trees)]
+
+
+def test_unused_exports_are_found():
+    init = "from .a import Used, Documented, Lonely, Recursive, by_attribute\n"
+    sources = {
+        "a": ("class Used:\n    pass\n\n"
+              "class Documented:\n    pass\n\n"
+              "class Lonely:\n    pass\n\n"
+              "def Recursive(n):\n    return Recursive(n - 1) if n else 0\n\n"
+              "def by_attribute():\n    return 1\n"),
+        "b": ("from .a import Used\nfrom . import a\n\n"
+              "def f():\n    return Used(), a.by_attribute()\n"),
+    }
+    readme = ("# x\n\n## Library entry points\n\n```python\n"
+              "from x import (\n    Documented,\n)\n```\n\nLonely is described here.\n")
+    assert entry_points(readme) == {"Documented"}
+    assert unused_exports(imported_names(init), sources, entry_points(readme)) == [
+        "Lonely", "Recursive"]
+
+
+def test_every_export_is_used_or_documented():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"}
+    exports = imported_names((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    documented = entry_points((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert unused_exports(exports, sources, documented) == []

@@ -6,17 +6,16 @@ from tiltcell.errors import ConstructionDiverged, NothingToDo, UnidentifiedSumma
 from tiltcell.highest_weight import (
     Registry,
     WeightPoset,
-    delta_filtration,
     ext1_dim,
     filtration_multiplicity,
-    nabla_filtration,
 )
 from tiltcell.tilting import (
     indecomposable_tilting,
-    is_tilting,
     tilting_support,
     universal_extension,
 )
+
+from oracles import delta_filtration, is_tilting, nabla_filtration
 
 
 EXPECTED_DIMS = {
