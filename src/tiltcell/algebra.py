@@ -12,9 +12,11 @@ so neither step solves a hom system.
 An endomorphism splits a module in one step: it is an idempotent, or its
 Fitting projection onto im(phi^n) along ker(phi^n) is, at 0 or at one
 eigenvalue in the base field.  A local ring has no nontrivial idempotent,
-so dim rad End is computed only for a piece whose End basis does not split.
+so a piece whose End basis does not split is certified local by those
+eigenvalues: the phi - chi(phi).1 span a nilpotent ideal of codimension 1.
 
-A's certified radical is computed once per presentation and shared with
+A's radical is read off the heads of its projective summands, in every
+characteristic, certified, computed once per presentation and shared with
 the opposite algebra, whose radical is the same subspace.  Isomorphism is
 decided without randomness: by an invertible element of a hom basis, which
 exists when the modules are isomorphic and indecomposable, or else by
@@ -59,6 +61,7 @@ class AlgebraPresentation:
         self.name = name
         self._left_mults = None
         self._invariants = {}   # generators and radical, shared with the opposite algebra
+        self._summands = None   # the regular module's split (`_regular_summands`), not shared
         if len(self.table) != dim or any(len(r) != dim for r in self.table):
             raise InputError("structure constant table has wrong shape")
         if len(self.unit) != dim:
@@ -370,12 +373,14 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[Morphism]:
 
 class EndAlgebra:
     """End(M) as an abstract algebra: `basis` is hom_space(M, M)'s canonical basis
-    unless passed in; coordinates and `presentation` are formed on first use."""
+    unless passed in; coordinates and `presentation` are formed on first use;
+    `find_splitting_idempotent` records `radical` when End(M) is local."""
 
     def __init__(self, module: ModuleRep, basis: list[Morphism] | None = None):
         self.module = module
         self.basis = hom_space(module, module) if basis is None else basis
         self.field = module.algebra.field
+        self.radical = None
 
     @functools.cached_property
     def _coords(self):
@@ -404,76 +409,55 @@ class EndAlgebra:
 
 
 def algebra_radical(algebra: AlgebraPresentation) -> Subspace:
-    """The Jacobson radical as a subspace of the algebra.
-
-    Over Q this is the kernel of the trace form (a, b) -> tr(L_{ab}); over F_p
-    the chain of coefficient-of-characteristic-polynomial kernels at p-power
-    indices (Cohen, Ivanyos and Wales 1997), whose first step, the e_1
-    coefficient, is the same trace-form kernel.  The result is certified a
-    nilpotent ideal; that it is not too small is `wedderburn_count`'s check.
-    It is computed once per presentation and shared with the opposite
-    algebra: rad(A^op) is the same subspace as rad(A).
+    """The Jacobson radical of a split algebra as a subspace of it, in every
+    characteristic read off the heads of its projective summands
+    (`_radical_from_projectives`); raises NotSplit on a non-split algebra.
+    The result is certified a nilpotent ideal; that it is not too small is
+    `wedderburn_count`'s check.  It is computed once per presentation and
+    shared with the opposite algebra, whose radical is the same subspace.
     """
     shared = algebra._invariants
     if "radical" not in shared:
-        rad = _radical_candidate(algebra)
-        _certify_radical(algebra, rad)
+        rad = _radical_from_projectives(algebra)
+        defect = _ideal_defect(algebra, rad)
+        if defect:
+            raise NotComputable(f"radical candidate is {defect}")
         shared["radical"] = rad
     return shared["radical"]
 
 
-def _radical_candidate(algebra: AlgebraPresentation) -> Subspace:
+def _radical_from_projectives(algebra: AlgebraPresentation) -> Subspace:
+    """J(A) as the sum of rad P = J.P over the summands P = A.e of the
+    regular module.  rad P is generated by the images of the radical maps
+    into P: e_k.P for the idempotents e_k of the other isomorphism classes,
+    and the images of rad End(P), which the split recorded when it certified
+    End(P) local (`_local_radical`)."""
+    F = algebra.field
+    vectors = []
+    for cls in _regular_summands(algebra):
+        # f.P is the sum of the e_k.P, for f = 1 - the class's idempotents
+        f = list(algebra.unit)
+        for e_vec, *_ in cls:
+            f = [F.sub(x, y) for x, y in zip(f, e_vec)]
+        left = algebra.left_mult(f)
+        for _, _, incl, _, E in cls:
+            gens = [left @ incl.matrix] + [incl.matrix @ E.from_coords(r).matrix
+                                           for r in E.radical.basis.entries]
+            vectors.extend(r for g in gens for r in g.transpose().entries)
+    return submodule_generated(algebra.regular_module(), vectors)
+
+
+def _ideal_defect(algebra: AlgebraPresentation, rad: Subspace) -> str | None:
+    """Why rad is not a nilpotent two-sided ideal of the algebra, or None."""
     F = algebra.field
     n = algebra.dim
-    lm = algebra.left_mult_basis()
-    p = F.p
-    # nonzero entries (k, l, x) of each L_i, so tr(L_i L_j) is one sparse sum
-    sparse = [[(k, l, x) for k, r in enumerate(a.entries) for l, x in enumerate(r) if x]
-              for a in lm]
-
-    def pair_trace(i, j):
-        b = lm[j].entries
-        acc = sum((x * b[l][k] for k, l, x in sparse[i]), F.zero())
-        return acc if p is None else acc % p
-
-    # the trace form's kernel: the radical over Q, and the first step of the
-    # chain over F_p, since e_1 of det(xI - L_ab) is -tr(L_a L_b)
-    gram = Matrix(F, [[pair_trace(i, j) for j in range(n)] for i in range(n)], cols=n)
-    space = Subspace(n, gram.kernel())
-    if p is None:
-        return space
-    # char p: iterated kernels of a -> coeff_{p^i}(charpoly(L_{a b})) on a shrinking ideal
-    i = 1
-    while p ** i <= n and space.dim > 0:
-        target_index = n - p ** i  # ascending-coefficient index of e_{p^i}
-        basis_elems = space.basis.entries
-        rows = []
-        for b in basis_elems:
-            row = []
-            for a in basis_elems:
-                prod = algebra.multiply(a, b)
-                cp = poly.charpoly(algebra.left_mult(prod))
-                row.append(cp[target_index])
-            rows.append(row)
-        # row b, column a: the condition matrix; kernel vectors are in the
-        # coordinates of the current space's basis
-        ker = Matrix(F, rows).kernel()
-        space = Subspace.from_rows(F, n, (ker @ space.basis).entries)
-        i += 1
-    return space
-
-
-def _certify_radical(algebra: AlgebraPresentation, rad: Subspace):
-    F = algebra.field
-    n = algebra.dim
-    # two-sided ideal check
     for b in range(n):
         e_b = algebra.basis_vector(b)
         for row in rad.basis.entries:
             if not rad.contains_vector(algebra.multiply(e_b, row)):
-                raise NotComputable("radical candidate is not a left ideal")
+                return "not a left ideal"
             if not rad.contains_vector(algebra.multiply(row, e_b)):
-                raise NotComputable("radical candidate is not a right ideal")
+                return "not a right ideal"
     # nilpotency: the powers R^k of an ideal are nested, so they reach zero
     # unless one step keeps the dimension, where they stay for good
     current = rad
@@ -481,8 +465,9 @@ def _certify_radical(algebra: AlgebraPresentation, rad: Subspace):
         nxt = Subspace.from_rows(F, n, [algebra.multiply(u, v) for u in current.basis.entries
                                         for v in rad.basis.entries])
         if nxt.dim == current.dim:
-            raise NotComputable("radical candidate is not nilpotent")
+            return "not nilpotent"
         current = nxt
+    return None
 
 
 def module_radical(m: ModuleRep) -> Subspace:
@@ -531,24 +516,41 @@ def _fitting_projection(m: Matrix) -> Matrix | None:
     return img.basis.transpose() @ Matrix(F, basis.inverse().entries[:img.dim])
 
 
-def _idempotent_from_element(E: EndAlgebra, phi: Morphism) -> Morphism | None:
-    """Try to turn one endomorphism into a nontrivial exact idempotent: phi
-    itself, or the Fitting projection of phi, or that of phi - r.1 at the
-    str-least linear root r of phi's characteristic polynomial (the
-    projection onto the generalized eigenspaces of the other eigenvalues)."""
+def _idempotent_from_element(E: EndAlgebra, phi: Morphism):
+    """(idempotent, eigenvalue): a nontrivial exact idempotent made from phi,
+    namely phi itself, or the Fitting projection of phi, or that of phi - r.1
+    at the str-least linear root r of phi's characteristic polynomial (onto
+    the generalized eigenspaces of the other eigenvalues); else None, with
+    r, phi's one eigenvalue (phi - r.1 nilpotent), or None if r is not in K."""
     F = E.field
     n = phi.matrix.rows
     ident = Matrix.identity(F, n)
-    sq = phi @ phi
-    if sq.matrix == phi.matrix and not phi.matrix.is_zero() and phi.matrix != ident:
-        return phi
+    if phi.matrix == ident:
+        return None, F.one()
+    if (phi @ phi).matrix == phi.matrix and not phi.matrix.is_zero():
+        return phi, None
     proj = _fitting_projection(phi.matrix)
-    if proj is None:
-        roots = poly.linear_roots(F, poly.charpoly(phi.matrix))[0]
-        if not roots:
-            return None
-        proj = _fitting_projection(phi.matrix - ident.scale(min(roots, key=str)))
-    return None if proj is None else Morphism(phi.source, phi.source, proj)
+    if proj is not None:
+        return Morphism(phi.source, phi.source, proj), None
+    roots = poly.linear_roots(F, poly.charpoly(phi.matrix))[0]
+    if not roots:
+        return None, None
+    root = min(roots, key=str)
+    proj = _fitting_projection(phi.matrix - ident.scale(root))
+    return (None, root) if proj is None else (Morphism(phi.source, phi.source, proj), None)
+
+
+def _local_radical(E: EndAlgebra, eigenvalues) -> Subspace | None:
+    """N = span{phi - chi(phi).1 : phi in E's basis}, the eigenvalues chi the
+    sweep read (None where not in K), when it is a nilpotent ideal of
+    codimension 1, so that E/N = K and N = rad E certifies E local; else None."""
+    if None in eigenvalues:
+        return None
+    F, pres = E.field, E.presentation
+    N = Subspace.from_rows(F, E.dim, [
+        [F.sub(x, F.mul(chi, u)) for x, u in zip(pres.basis_vector(i), pres.unit)]
+        for i, chi in enumerate(eigenvalues)])
+    return N if N.dim == E.dim - 1 and _ideal_defect(pres, N) is None else None
 
 
 def find_splitting_idempotent(E: EndAlgebra) -> Morphism | None:
@@ -557,11 +559,13 @@ def find_splitting_idempotent(E: EndAlgebra) -> Morphism | None:
     A deterministic sweep over the basis, its pairwise sums and products,
     then 400 random combinations with growing coefficient spans from a PRNG
     seeded afresh on each call, so two calls on the same End return the
-    same idempotent.  Once no basis element splits, End/rad one-dimensional
-    (dim rad from the presentation) certifies the module indecomposable.
+    same idempotent.  Once no basis element splits, the eigenvalues the
+    sweep read certify the module indecomposable (`_local_radical`), and
+    the radical they give is recorded as `E.radical`.
     """
     F = E.field
     if E.dim == 1:
+        E.radical = Subspace.zero(F, 1)
         return None
     # basis elements, then pairwise sums, then products, each formed only
     # when the sweep reaches it
@@ -569,12 +573,16 @@ def find_splitting_idempotent(E: EndAlgebra) -> Morphism | None:
         E.basis,
         (f + g for f, g in itertools.combinations(E.basis, 2)),
         (f @ g for f in E.basis for g in E.basis))
+    eigenvalues = []
     for count, phi in enumerate(candidates):
-        if count == E.dim and E.dim - algebra_radical(E.presentation).dim == 1:
-            return None
-        e = _idempotent_from_element(E, phi)
+        if count == E.dim:
+            E.radical = _local_radical(E, eigenvalues)
+            if E.radical is not None:
+                return None
+        e, chi = _idempotent_from_element(E, phi)
         if e is not None:
             return e
+        eigenvalues.append(chi)
     # seeded random probes over growing coefficient pools
     rng = random.Random(0)
     for attempt in range(400):
@@ -582,7 +590,7 @@ def find_splitting_idempotent(E: EndAlgebra) -> Morphism | None:
         phi = E.from_coords(coeffs)
         if phi.matrix.is_zero():
             continue
-        e = _idempotent_from_element(E, phi)
+        e = _idempotent_from_element(E, phi)[0]
         if e is not None:
             return e
     raise NotComputable(
@@ -606,11 +614,14 @@ def split_by_idempotent(m: ModuleRep, e: Morphism):
 
 def _decompose(m: ModuleRep, endomorphisms):
     """Split m by idempotents until every piece has a local End, where
-    endomorphisms(piece, incl into m, proj from m) gives End(piece)'s canonical basis."""
+    endomorphisms(piece, incl into m, proj from m) gives End(piece) as an
+    `EndAlgebra` on its canonical basis.  Each leaf is (piece, incl, proj,
+    End(piece)), its End carrying the radical that certified it local."""
     def split(piece, incl, proj):
-        e = find_splitting_idempotent(EndAlgebra(piece, endomorphisms(piece, incl, proj)))
+        E = endomorphisms(piece, incl, proj)
+        e = find_splitting_idempotent(E)
         if e is None:
-            return [(piece, incl, proj)]
+            return [(piece, incl, proj, E)]
         return [leaf for sub, sub_incl, sub_proj in split_by_idempotent(piece, e) if sub.dim
                 for leaf in split(sub, incl @ sub_incl, sub_proj @ proj)]
 
@@ -624,7 +635,7 @@ def krull_schmidt(m: ModuleRep):
     carries the local-endomorphism-ring certificate.  Inclusions and
     projections compose to idempotents of m summing to 1.
     """
-    return _decompose(m, lambda piece, incl, proj: hom_space(piece, piece))
+    return [leaf[:3] for leaf in _decompose(m, lambda piece, incl, proj: EndAlgebra(piece))]
 
 
 def _regular_homs(algebra: AlgebraPresentation, source: ModuleRep, incl: Morphism,
@@ -714,57 +725,59 @@ class SimpleDatum:
         self.head_proj = head_proj        # Morphism P ->> L
 
 
-def simples_and_split_check(algebra: AlgebraPresentation) -> list[SimpleDatum]:
-    """Primitive idempotents, projectives and simples of a split algebra.
-
-    Decomposes the regular module as `krull_schmidt` does, reading each
-    piece's End from A's product, reads off the orthogonal primitive
-    idempotents, groups the projectives by isomorphism with their hom spaces
-    also read from A's product, and takes heads through A's certified
-    radical (`algebra_radical`, computed on first use and then shared by
-    every caller).  The grouping does not depend on the radical, so
-    `wedderburn_count` can check the radical against it.  Raises NotSplit
-    when some simple has endomorphisms beyond scalars, and TheoremViolation
-    when the simples fail `wedderburn_count` against that radical.  Output
-    order is canonical: sorted by the idempotent's first supported
-    coordinate, then lexicographically.
-    """
+def _regular_summands(algebra: AlgebraPresentation):
+    """The regular module's indecomposable summands P = A.e in isomorphism
+    classes of (idempotent, P, inclusion, projection, End(P) with its radical),
+    split as `krull_schmidt` splits and grouped as `_indec_isomorphism` does,
+    every End and Hom read off A's product and none off the radical.  Computed
+    once per presentation (A^op's summands are not A's); raises NotSplit when
+    the regular module resists splitting."""
+    if algebra._summands is not None:
+        return algebra._summands
     F = algebra.field
     try:
         summands = _decompose(algebra.regular_module(), lambda piece, incl, proj:
-                              _regular_homs(algebra, piece, incl, piece, proj))
+                              EndAlgebra(piece, _regular_homs(algebra, piece, incl, piece, proj)))
     except NotComputable as exc:
         # the regular module resisted splitting: a division endomorphism
         # algebra beyond K, i.e. a non-split input
         raise NotSplit(f"algebra appears not to be split over {F!r}: {exc}") from exc
-    entries = []
-    for (p_mod, incl, proj) in summands:
-        endo = incl @ proj
-        unit_col = Matrix.column(F, algebra.unit)
-        e_vec = tuple(r[0] for r in (endo.matrix @ unit_col).entries)
-        entries.append((e_vec, p_mod, incl, proj))
-    # group by isomorphism of projectives, with Hom(P, Q) read off A's
-    # product: the summands are indecomposable, so they are isomorphic
-    # exactly when its basis has an invertible element (`_indec_isomorphism`)
+    unit_col = Matrix.column(F, algebra.unit)
     classes: list[list] = []
-    for ent in entries:
+    for (p_mod, incl, proj, E) in summands:
+        e_vec = tuple(r[0] for r in ((incl @ proj).matrix @ unit_col).entries)
+        ent = (e_vec, p_mod, incl, proj, E)
         for cls in classes:
-            _, q_mod, _, q_proj = cls[0]
-            if ent[1].dim == q_mod.dim and any(
-                    f.is_invertible() for f in _regular_homs(algebra, ent[1], ent[2], q_mod, q_proj)):
+            _, q_mod, _, q_proj, _ = cls[0]
+            if p_mod.dim == q_mod.dim and any(
+                    f.is_invertible() for f in _regular_homs(algebra, p_mod, incl, q_mod, q_proj)):
                 cls.append(ent)
                 break
         else:
             classes.append([ent])
+    algebra._summands = classes
+    return classes
 
+
+def simples_and_split_check(algebra: AlgebraPresentation) -> list[SimpleDatum]:
+    """Primitive idempotents, projectives and simples of a split algebra.
+
+    One projective per class of `_regular_summands`, with its head through
+    A's certified radical (`algebra_radical`).  The grouping does not depend
+    on the radical, so `wedderburn_count` can check the radical against it.
+    Raises NotSplit when some simple has endomorphisms beyond scalars, and
+    TheoremViolation when the simples fail `wedderburn_count`.  Output order
+    is canonical: by the idempotent's first supported coordinate, then
+    lexicographically.
+    """
     def support_key(vec):
         first = next((i for i, x in enumerate(vec) if x), len(vec))
         return (first, tuple(str(x) for x in vec))
 
-    reps = [min(cls, key=lambda ent: support_key(ent[0])) for cls in classes]
+    reps = [min(cls, key=lambda ent: support_key(ent[0])) for cls in _regular_summands(algebra)]
     reps.sort(key=lambda ent: support_key(ent[0]))
     out = []
-    for (e_vec, p_mod, incl, proj) in reps:
+    for (e_vec, p_mod, *_) in reps:
         head, head_proj = module_head(p_mod)
         if len(hom_space(head, head)) != 1:
             raise NotSplit(f"simple of dimension {head.dim} has endomorphism ring larger than K")

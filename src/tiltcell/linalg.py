@@ -294,13 +294,6 @@ class Matrix:
     def is_zero(self):
         return not any(a for r in self.entries for a in r)
 
-    def trace(self):
-        F = self.field
-        acc = F.zero()
-        for i in range(min(self.rows, self.cols)):
-            acc = F.add(acc, self.entries[i][i])
-        return acc
-
     def flat(self):
         return tuple(a for r in self.entries for a in r)
 

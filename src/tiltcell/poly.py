@@ -3,9 +3,9 @@
 Polynomials are tuples of coefficients in ascending degree with no trailing
 zeros (the zero polynomial is the empty tuple).  Only what the structure
 computations need lives here: characteristic polynomials via Hessenberg
-reduction (the char-p radical chain), and their roots in the base field
-with the division and gcd arithmetic that finds them (the eigenvalue at
-which the idempotent sweep takes a Fitting projection).  Over Q the roots
+reduction, and their roots in the base field with the division and gcd
+arithmetic that finds them (the eigenvalue at which the idempotent sweep
+takes a Fitting projection, and which certifies a local End).  Over Q the roots
 are found among the rational-root candidates; over F_p, for every p, by
 splitting gcd(f, x^p - x) into its linear factors.
 """

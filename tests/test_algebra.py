@@ -15,7 +15,6 @@ from tiltcell.algebra import (
     _fitting_projection,
     _idempotent_from_element,
     _indec_isomorphism,
-    _radical_candidate,
     _regular_homs,
     algebra_radical,
     direct_sum,
@@ -141,10 +140,11 @@ def test_radical_group_algebra_char_p():
             ents.append((i, j, (i + j) % 3, 1))
     alg = AlgebraPresentation.from_struct_consts(F3, 3, ents, [1, 0, 0], name="F3C3")
     assert algebra_radical(alg).dim == 2
-    # over F_5 the same algebra is semisimple
+    # over F_5 the same algebra is F_5 x F_25, semisimple but not split
     ents5 = [(i, j, (i + j) % 3, 1) for i in range(3) for j in range(3)]
     alg5 = AlgebraPresentation.from_struct_consts(F5, 3, ents5, [1, 0, 0], name="F5C3")
-    assert algebra_radical(alg5).dim == 0
+    with pytest.raises(NotSplit):
+        algebra_radical(alg5)
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -154,7 +154,7 @@ def test_radical_group_algebra_char_p():
 ], ids=["whole-algebra", "not-left-ideal", "not-right-ideal"])
 def test_certify_radical_rejects_bad_candidates(monkeypatch, rows, message):
     alg = a2_algebra()
-    monkeypatch.setattr(algebra_module, "_radical_candidate",
+    monkeypatch.setattr(algebra_module, "_radical_from_projectives",
                         lambda algebra: Subspace.from_rows(Q, 3, rows))
     with pytest.raises(NotComputable, match=message):
         algebra_radical(alg)
@@ -340,15 +340,18 @@ def test_end_algebra_structure():
 
 
 def charpoly_chain_reference(algebra):
-    """The char-p radical chain run from the full space, with a whole
-    characteristic polynomial per basis product at every step."""
+    """The radical of a split algebra by the Cohen-Ivanyos-Wales chain run
+    from the full space, with a whole characteristic polynomial per basis
+    product at every step: the kernels of a -> e_q(L_ab) at q = 1, p, p^2, ...
+    up to dim A.  Over Q the chain stops after its first step, the trace
+    form's kernel, which is the radical in characteristic 0."""
     F = algebra.field
     n = algebra.dim
     space = Subspace.full(F, n)
-    i = 0
-    while F.p ** i <= n and space.dim > 0:
+    q = 1
+    while q <= n and space.dim > 0:
         basis_elems = [tuple(r) for r in space.basis.entries]
-        rows = [[poly.charpoly(algebra.left_mult(algebra.multiply(a, b)))[n - F.p ** i]
+        rows = [[poly.charpoly(algebra.left_mult(algebra.multiply(a, b)))[n - q]
                  for a in basis_elems] for b in basis_elems]
         new_rows = []
         for kr in Matrix(F, rows).kernel().entries:
@@ -358,7 +361,7 @@ def charpoly_chain_reference(algebra):
                     vec[t] = F.add(vec[t], F.mul(c, b[t]))
             new_rows.append(vec)
         space = Subspace.from_rows(F, n, new_rows)
-        i += 1
+        q = n + 1 if F.p is None else q * F.p
     return space
 
 
@@ -370,7 +373,8 @@ def truncated_polynomials(field, d):
 
 def cyclic_group_algebra(field, n):
     ents = [(i, j, (i + j) % n, 1) for i in range(n) for j in range(n)]
-    return AlgebraPresentation.from_struct_consts(field, n, ents, [1] + [0] * (n - 1))
+    return AlgebraPresentation.from_struct_consts(field, n, ents, [1] + [0] * (n - 1),
+                                                  name=f"C{n}")
 
 
 def small_algebras(field):
@@ -387,15 +391,23 @@ def small_algebras(field):
     return out
 
 
+# F_p[C_3] is split exactly when x^2 + x + 1 has a root mod p, at p = 3 and
+# p = 1 mod 3; otherwise it is F_p x F_(p^2) and the radical raises NotSplit
 @pytest.mark.parametrize("p", [2, 3, 7, 17, 10007])
 def test_radical_candidate_matches_charpoly_chain(p):
     field = Field(p)
     continued = False
     for alg in small_algebras(field):
-        rad = _radical_candidate(alg)
+        if alg.name == "C3" and p % 3 == 2:
+            with pytest.raises(NotSplit):
+                algebra_radical(alg)
+            continue
+        rad = algebra_radical(alg)
         assert rad == charpoly_chain_reference(alg)
-        gram = Matrix(field, [[alg.left_mult(alg.table[i][j]).trace() for j in range(alg.dim)]
-                              for i in range(alg.dim)])
+        # the trace form tr(L_a L_b), the chain's first step
+        lm = alg.left_mult_basis()
+        gram = Matrix(field, [[sum((a @ b).entries[k][k] for k in range(alg.dim)) % p
+                               for b in lm] for a in lm])
         continued |= gram.kernel().rows > rad.dim
     # only the small primes need the chain past the trace-form step here
     assert continued == (p in (2, 3))
@@ -426,24 +438,24 @@ def test_regular_decomposition_matches_hom_space_route(make_algebra):
         basis = _regular_homs(alg, piece, incl, piece, proj)
         assert [f.matrix for f in basis] == [f.matrix for f in hom_space(piece, piece)]
         pieces.append(piece.dim)
-        return basis
+        return EndAlgebra(piece, basis)
 
     reg = alg.regular_module()
     summands = _decompose(reg, checked)
     reference = krull_schmidt(reg)
     # every split has two nonzero pieces, and every piece was checked
     assert pieces[0] == alg.dim and len(pieces) == 2 * len(summands) - 1
-    assert sum(s.dim for s, _, _ in summands) == alg.dim
+    assert sum(s.dim for s, *_ in summands) == alg.dim
 
     def content(summand):
-        mod, incl, proj = summand
+        mod, incl, proj = summand[:3]
         idem = (incl @ proj).matrix @ Matrix.column(alg.field, alg.unit)
         return ([a.entries for a in mod.action], incl.matrix.entries, proj.matrix.entries,
                 idem.entries)
 
     assert [content(x) for x in summands] == [content(x) for x in reference]
-    for source, incl, _ in summands:
-        for target, _, proj in summands:
+    for source, incl, *_ in summands:
+        for target, _, proj, _ in summands:
             assert ([f.matrix for f in _regular_homs(alg, source, incl, target, proj)]
                     == [f.matrix for f in hom_space(source, target)])
     # each simple's idempotent and projective is one of the reference summands
@@ -457,10 +469,14 @@ def test_regular_decomposition_matches_hom_space_route(make_algebra):
 
 
 def radical_first_splitting_idempotent(E):
-    """The hunt with dim rad End computed before any basis element is tried:
-    None as soon as End/rad is one-dimensional."""
-    if E.dim > 1 and E.dim - algebra_radical(E.presentation).dim == 1:
-        return None
+    """The hunt with rad End computed before any basis element is tried, by
+    the characteristic-polynomial chain: None, with that radical recorded,
+    as soon as End/rad is one-dimensional."""
+    if E.dim > 1:
+        rad = charpoly_chain_reference(E.presentation)
+        if E.dim - rad.dim == 1:
+            E.radical = rad
+            return None
     return find_splitting_idempotent(E)
 
 
@@ -510,14 +526,50 @@ def test_krull_schmidt_certifies_no_radical_of_the_whole_end(monkeypatch):
     monkeypatch.setattr(algebra_module, "algebra_radical",
                         lambda alg: sizes.append(alg.dim) or algebra_radical(alg))
     summands = krull_schmidt(T)
-    # End(T) is 14-dimensional and splits on a basis element
+    # End(T) is 14-dimensional and splits on a basis element; every local
+    # piece is certified by its own eigenvalues, with no radical computed
     assert len(hom_space(T, T)) == 14 and len(summands) > 1
-    assert 14 not in sizes
+    assert sizes == []
+
+
+def test_registry_takes_no_charpoly_of_the_whole_algebra(monkeypatch):
+    # the char-p chain took the characteristic polynomial of L_ab, a dim-14
+    # matrix, for pairs of basis elements; the radical from the projectives
+    # reads only the eigenvalues of the summands' endomorphisms
+    A = auslander_algebra(Field(2), 3)
+    fresh = AlgebraPresentation(A.field, A.dim, A.table, A.unit, check=False)
+    sizes = []
+    charpoly = poly.charpoly
+    monkeypatch.setattr(poly, "charpoly", lambda m: sizes.append(m.rows) or charpoly(m))
+    Registry(fresh, chain_poset(3))
+    assert sizes and max(sizes) < 14
+
+
+def test_opposite_has_its_own_projectives():
+    # A's split of its regular module is not A^op's, though the two share
+    # their radical: A^op's simples, taken after A's radical, are those of
+    # an unrelated presentation of A^op
+    alg = a2_algebra()
+    algebra_radical(alg)
+    op = alg.opposite()
+    got = simples_and_split_check(op)
+    assert algebra_radical(op) is algebra_radical(alg)
+    unrelated = AlgebraPresentation(Q, alg.dim, op.table, op.unit)
+    assert simple_entries(got) == simple_entries(simples_and_split_check(unrelated))
+    assert [sd.projective.dim for sd in got] == [1, 2]
+    assert [sd.projective.dim for sd in simples_and_split_check(alg)] == [2, 1]
+
+
+def test_radical_auslander4_char2():
+    # dim 30 over F_2, with four 1-dimensional simples
+    alg = auslander_algebra(Field(2), 4)
+    assert algebra_radical(alg).dim == 26
+    assert [sd.simple.dim for sd in simples_and_split_check(alg)] == [1, 1, 1, 1]
 
 
 def test_radical_too_small_fails_wedderburn_count(monkeypatch):
     # the zero subspace is a nilpotent ideal, so it passes certification
-    monkeypatch.setattr(algebra_module, "_radical_candidate",
+    monkeypatch.setattr(algebra_module, "_radical_from_projectives",
                         lambda alg: Subspace.zero(alg.field, alg.dim))
     with pytest.raises(TheoremViolation, match="Wedderburn count fails: .* = 3 .* 5"):
         simples_and_split_check(catalog_document("a2path").algebra)
@@ -732,8 +784,12 @@ def bare_endomorphism(mat: Matrix):
 @given(conjugated_jordan_forms())
 def test_eigenvalue_split_matches_coprime_reference(mat):
     E, phi = bare_endomorphism(mat)
-    e = _idempotent_from_element(E, phi)
+    e, chi = _idempotent_from_element(E, phi)
     assert (None if e is None else e.matrix) == reference_idempotent_from_element(phi)
+    # an eigenvalue is read only when nothing splits, and phi - chi.1 is nilpotent
+    if chi is not None:
+        n = mat.rows
+        assert e is None and (mat - Matrix.identity(mat.field, n).scale(chi)).power(n).is_zero()
 
 
 def recorded_sweep(monkeypatch, run):
@@ -742,7 +798,7 @@ def recorded_sweep(monkeypatch, run):
 
     def recording(E, phi):
         out = _idempotent_from_element(E, phi)
-        calls.append((E, phi, out))
+        calls.append((E, phi, out[0]))
         return out
 
     with monkeypatch.context() as patch:
@@ -756,7 +812,9 @@ def recorded_sweep(monkeypatch, run):
 def test_schur_sweep_candidates_match_coprime_reference(r, field, monkeypatch):
     alg, tensor, _, _ = schur_algebra(field, r)
     reg, tilt, _ = schur_pipeline(field, r)
-    stages = [recorded_sweep(monkeypatch, lambda: simples_and_split_check(alg)),
+    # a fresh copy of S(2, r): the cached one keeps the split its Registry made
+    fresh = AlgebraPresentation(field, alg.dim, alg.table, alg.unit, check=False)
+    stages = [recorded_sweep(monkeypatch, lambda: simples_and_split_check(fresh)),
               recorded_sweep(monkeypatch, lambda: tilting_support(tilt, tensor))]
     for calls in stages:
         for E, phi, out in calls:
@@ -1025,8 +1083,8 @@ def test_indec_isomorphism_matches_composite_search(make_groups):
 
 def test_radical_computed_once_per_presentation(monkeypatch):
     seen = []
-    candidate = algebra_module._radical_candidate
-    monkeypatch.setattr(algebra_module, "_radical_candidate",
+    candidate = algebra_module._radical_from_projectives
+    monkeypatch.setattr(algebra_module, "_radical_from_projectives",
                         lambda alg: seen.append(alg) or candidate(alg))
     doc = catalog_document("auslander-dualnumbers")
     reg = Registry(doc.algebra, doc.poset)
@@ -1053,7 +1111,7 @@ def test_idempotent_hunt_is_reproducible(field, monkeypatch):
 
     def sweep_fails(E, phi):
         if phi.matrix in sweep:
-            return None
+            return None, None
         probed.append(phi.matrix)
         return _idempotent_from_element(E, phi)
 

@@ -277,7 +277,7 @@ def test_radical_too_small_fails_graham_lehrer_count(pipelines, monkeypatch):
     _, datum = datum_for(reg, tilt)
     cd = CellData(datum)
     # the zero subspace is a nilpotent ideal, so it passes certification
-    monkeypatch.setattr(algebra_module, "_radical_candidate",
+    monkeypatch.setattr(algebra_module, "_radical_from_projectives",
                         lambda alg: Subspace.zero(alg.field, alg.dim))
     with pytest.raises(TheoremViolation, match="Graham-Lehrer count fails: .* = 3 .* 2"):
         is_semisimple_endalgebra(cd)
