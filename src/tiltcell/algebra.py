@@ -413,8 +413,9 @@ def algebra_radical(algebra: AlgebraPresentation) -> Subspace:
     characteristic read off the heads of its projective summands
     (`_radical_from_projectives`); raises NotSplit on a non-split algebra.
     The result is certified a nilpotent ideal; that it is not too small is
-    `wedderburn_count`'s check.  It is computed once per presentation and
-    shared with the opposite algebra, whose radical is the same subspace.
+    the Wedderburn count of `simples_and_split_check`.  It is computed once
+    per presentation and shared with the opposite algebra, whose radical is
+    the same subspace.
     """
     shared = algebra._invariants
     if "radical" not in shared:
@@ -763,12 +764,15 @@ def simples_and_split_check(algebra: AlgebraPresentation) -> list[SimpleDatum]:
     """Primitive idempotents, projectives and simples of a split algebra.
 
     One projective per class of `_regular_summands`, with its head through
-    A's certified radical (`algebra_radical`).  The grouping does not depend
-    on the radical, so `wedderburn_count` can check the radical against it.
-    Raises NotSplit when some simple has endomorphisms beyond scalars, and
-    TheoremViolation when the simples fail `wedderburn_count`.  Output order
-    is canonical: by the idempotent's first supported coordinate, then
-    lexicographically.
+    A's certified radical (`algebra_radical`).  Each head L has End(L) = K,
+    as the split certified End(P)/rad End(P) = K for its projective cover P
+    (`_local_radical`).  The grouping does not depend on the radical, so
+    Wedderburn's count can check the radical against it: dim A - dim rad A
+    is the sum of the squared simple dimensions, which a nilpotent ideal
+    smaller than the radical fails.  Raises NotSplit when the split fails
+    (`_regular_summands`), and TheoremViolation when the count fails.
+    Output order is canonical: by the idempotent's first supported
+    coordinate, then lexicographically.
     """
     def support_key(vec):
         first = next((i for i, x in enumerate(vec) if x), len(vec))
@@ -779,19 +783,10 @@ def simples_and_split_check(algebra: AlgebraPresentation) -> list[SimpleDatum]:
     out = []
     for (e_vec, p_mod, *_) in reps:
         head, head_proj = module_head(p_mod)
-        if len(hom_space(head, head)) != 1:
-            raise NotSplit(f"simple of dimension {head.dim} has endomorphism ring larger than K")
         out.append(SimpleDatum(e_vec, head, p_mod, head_proj))
-    wedderburn_count(algebra, [d.simple.dim for d in out], "Wedderburn")
-    return out
-
-
-def wedderburn_count(algebra: AlgebraPresentation, simple_dims, what: str):
-    """Raise TheoremViolation unless dim A - dim rad A is the sum of the
-    squared simple dimensions, as it is for a split algebra and its radical;
-    a nilpotent ideal smaller than the radical fails it."""
     quotient = algebra.dim - algebra_radical(algebra).dim
-    squares = sum(d * d for d in simple_dims)
+    squares = sum(d.simple.dim ** 2 for d in out)
     if quotient != squares:
-        raise TheoremViolation(f"{what} count fails: dim - dim rad = {quotient} but "
+        raise TheoremViolation(f"Wedderburn count fails: dim - dim rad = {quotient} but "
                                f"the simples' squared dimensions sum to {squares}")
+    return out

@@ -4,20 +4,17 @@ The left cell module at a label is the hom space from the standard module
 into T with End(T) acting by post-composition.  The pairing is read off
 Hom(Delta, Nabla) = K c, where c = pi . i is the composite through the
 indecomposable tilting module: F_j . G_k = beta(j, k) c, so no radical of
-End(T(label)) is needed.  Ranks of the pairings classify the simple
-End(T)-modules and are cross-checked against the Krull-Schmidt multiplicity
-of each indecomposable tilting summand, and against dim End(T)/rad.
+End(T(label)) is needed.  Ranks of the pairings are the dimensions of
+the simple End(T)-modules (Graham-Lehrer; Du-Rui for standard bases), so
+End(T) is semisimple exactly when their squares sum to dim End(T).  The
+ranks are cross-checked against the Krull-Schmidt multiplicity of each
+indecomposable tilting summand, and the semisimplicity verdict against T's
+module radical; no radical of End(T) is taken.
 """
 
 from __future__ import annotations
 
-from .algebra import (
-    AlgebraPresentation,
-    ModuleRep,
-    algebra_radical,
-    module_radical,
-    wedderburn_count,
-)
+from .algebra import AlgebraPresentation, ModuleRep, module_radical
 from .errors import LabelNotInSupport, TheoremViolation
 from .linalg import Matrix
 from .standard_basis import StandardBasisDatum, structure_coefficients
@@ -135,11 +132,10 @@ def classify_simples(cell_data: CellData, support_multiplicities=None):
 def is_semisimple_endalgebra(cell_data: CellData) -> bool:
     """Semisimplicity of End(T), computed two independent ways.
 
-    (a) the radical of the abstract endomorphism algebra vanishes;
-    (b) T itself is semisimple (zero module radical).  The two verdicts
-    must agree; disagreement is a hard error.  The radical in (a) is first
-    counted against Graham-Lehrer: the simples have the pairings' ranks as
-    dimensions.
+    (a) Wedderburn's count on the cells: the simples have the pairings'
+    ranks as dimensions, so End(T) is semisimple exactly when the squared
+    ranks sum to dim End(T); (b) T itself is semisimple (zero module
+    radical).  The two verdicts must agree; disagreement is a hard error.
 
     Agreement is a theorem whenever the standard and costandard
     multiplicities of T match at every label (any T when a duality
@@ -150,12 +146,10 @@ def is_semisimple_endalgebra(cell_data: CellData) -> bool:
     the standard module but none onto the costandard one.
     """
     datum = cell_data.datum
-    pres = end_presentation(datum)
-    wedderburn_count(pres, cell_data.gram_rank.values(), "Graham-Lehrer")
-    by_radical = algebra_radical(pres).dim == 0
+    by_cells = sum(r * r for r in cell_data.gram_rank.values()) == datum.dim()
     by_module = module_radical(datum.module).dim == 0
-    if by_radical != by_module:
+    if by_cells != by_module:
         raise TheoremViolation(
-            f"semisimplicity verdicts disagree: End radical zero = {by_radical}, "
+            f"semisimplicity verdicts disagree: squared ranks sum to dim End = {by_cells}, "
             f"module radical zero = {by_module}")
-    return by_radical
+    return by_cells

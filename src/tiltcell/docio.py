@@ -53,6 +53,11 @@ def _require_keys(obj, allowed, where):
         raise InputError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _is_int(x) -> bool:
+    """An integer, and not a JSON boolean, which Python reads as 0 or 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_document(raw, field_override: str | None = None) -> InputDocument:
     _require_keys(raw, {"field", "algebra", "poset", "anti_involution",
                         "tilting", "options", "name"}, "document")
@@ -64,14 +69,14 @@ def parse_document(raw, field_override: str | None = None) -> InputDocument:
     alg_raw = raw["algebra"]
     _require_keys(alg_raw, {"dim", "struct_consts", "unit", "name"}, "algebra")
     dim = alg_raw.get("dim")
-    if not isinstance(dim, int) or dim <= 0:
+    if not _is_int(dim) or dim <= 0:
         raise InputError("algebra.dim must be a positive integer")
     entries = []
     for ent in alg_raw.get("struct_consts", []):
         if not (isinstance(ent, (list, tuple)) and len(ent) == 4):
             raise InputError(f"structure constant entry {ent!r} must be [i, j, k, value]")
         i, j, k, val = ent
-        if not all(isinstance(x, int) for x in (i, j, k)):
+        if not all(_is_int(x) for x in (i, j, k)):
             raise InputError(f"structure constant indices in {ent!r} must be integers")
         entries.append((i, j, k, field.parse(val)))
     unit = alg_raw.get("unit")
@@ -108,7 +113,7 @@ def parse_document(raw, field_override: str | None = None) -> InputDocument:
             lab, mult = str(ent[0]), ent[1]
             if lab not in poset.labels:
                 raise InputError(f"tilting entry references unknown label {lab!r}")
-            if not isinstance(mult, int) or mult <= 0:
+            if not _is_int(mult) or mult <= 0:
                 raise InputError(f"tilting multiplicity in {ent!r} must be a positive integer")
             req.append((lab, mult))
         tilting_request = req
@@ -119,7 +124,7 @@ def parse_document(raw, field_override: str | None = None) -> InputDocument:
         for key in ("seed", "trials", "dim_bound"):
             if key in raw["options"]:
                 val = raw["options"][key]
-                if not isinstance(val, int) or val < 0:
+                if not _is_int(val) or val < 0:
                     raise InputError(f"options.{key} must be a nonnegative integer")
                 options[key] = val
     return InputDocument(field, algebra, poset, anti, tilting_request, options, name)

@@ -16,7 +16,7 @@ from tiltcell.docio import catalog_document
 from tiltcell.duality import AntiInvolution, build_cellular_basis
 from tiltcell.errors import LabelNotInSupport, TheoremViolation
 from tiltcell.highest_weight import Registry, verify_standard_category
-from tiltcell.linalg import Field, Matrix, Subspace, coordinates
+from tiltcell.linalg import Field, Matrix, coordinates
 from tiltcell.standard_basis import build_standard_basis
 from tiltcell.tilting import TiltingRegistry, tilting_support
 
@@ -138,6 +138,10 @@ def test_simple_dim_squares_bound(pipelines):
         semis = is_semisimple_endalgebra(cd)
         assert total <= datum.dim()
         assert (total == datum.dim()) == semis, name
+        # the reference: Graham-Lehrer's count against End(T)'s own radical
+        rad = algebra_radical(end_presentation(datum))
+        assert datum.dim() - rad.dim == total, name
+        assert semis == (rad.dim == 0), name
 
 
 def test_semisimplicity_values(pipelines):
@@ -272,12 +276,33 @@ def test_gram_checks_the_composite_against_c(pipelines, monkeypatch):
         gram_matrix(datum, "1")
 
 
-def test_radical_too_small_fails_graham_lehrer_count(pipelines, monkeypatch):
+def test_inflated_gram_ranks_make_the_verdicts_disagree(pipelines, monkeypatch):
+    # T(2) is simple with End = K; a rank inflated to 2 counts 4 != dim End = 1
+    # against T's zero module radical
     _, reg, tilt = pipelines["a2path"]
-    _, datum = datum_for(reg, tilt)
+    _, datum = datum_for(reg, tilt, labels=["2"])
     cd = CellData(datum)
-    # the zero subspace is a nilpotent ideal, so it passes certification
-    monkeypatch.setattr(algebra_module, "_radical_from_projectives",
-                        lambda alg: Subspace.zero(alg.field, alg.dim))
-    with pytest.raises(TheoremViolation, match="Graham-Lehrer count fails: .* = 3 .* 2"):
+    assert is_semisimple_endalgebra(cd)
+    monkeypatch.setitem(cd.gram_rank, "2", 2)
+    with pytest.raises(TheoremViolation, match="verdicts disagree: .* = False, module .* = True"):
         is_semisimple_endalgebra(cd)
+
+
+def test_no_radical_of_end_t_is_taken(pipelines, monkeypatch):
+    # only A and A^op, which share A's radical, are decomposed for a radical
+    seen = []
+    for fname in ("algebra_radical", "_regular_summands"):
+        fn = getattr(algebra_module, fname)
+        monkeypatch.setattr(algebra_module, fname,
+                            lambda alg, fn=fn: seen.append(alg.name) or fn(alg))
+    for _, reg, tilt in pipelines.values():
+        _, datum = datum_for(reg, tilt)
+        is_semisimple_endalgebra(CellData(datum))
+    assert "End(T)" not in seen
+    for name in GOOD_CATALOG:
+        doc = catalog_document(name)
+        seen.clear()
+        commands = ["cells"] + (["cellular"] if doc.anti_involution is not None else [])
+        for command in commands:
+            assert build_report(Pipeline(doc), command)[1] == 0, (name, command)
+        assert seen and set(seen) <= {doc.algebra.name, doc.algebra.name + "^op"}, (name, seen)

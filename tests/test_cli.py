@@ -205,6 +205,29 @@ def test_parse_document_rejections():
                         "tilting": [["nope", 1]]})
 
 
+@pytest.mark.parametrize("where, value", [
+    (("algebra", "dim"), True),
+    (("algebra", "struct_consts"), [[False, False, False, 1]]),
+    (("options", "seed"), True),
+    (("options", "trials"), True),
+    (("options", "dim_bound"), True),
+    (("tilting",), [["1", True]]),
+], ids=["dim", "struct-const-indices", "seed", "trials", "dim-bound", "multiplicity"])
+def test_parse_document_rejects_booleans_for_integers(where, value):
+    # JSON true and false are Python's 1 and 0, and must not pass for integers
+    doc = {"field": "Q", "options": {},
+           "algebra": {"dim": 1, "struct_consts": [[0, 0, 0, 1]], "unit": [1]},
+           "poset": {"labels": ["1"], "covers": []}}
+    parse_document(doc)
+    *path, key = where
+    target = doc
+    for step in path:
+        target = target[step]
+    target[key] = value
+    with pytest.raises(InputError, match="integer"):
+        parse_document(doc)
+
+
 def test_tilting_request_list(tmp_path):
     from tiltcell.docio import _CATALOG
 

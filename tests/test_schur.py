@@ -14,8 +14,8 @@ from math import comb
 
 import pytest
 
-from tiltcell.algebra import AlgebraPresentation, ModuleRep, hom_space
-from tiltcell.cells import CellData, classify_simples
+from tiltcell.algebra import AlgebraPresentation, ModuleRep, algebra_radical, hom_space
+from tiltcell.cells import CellData, classify_simples, end_presentation, is_semisimple_endalgebra
 from tiltcell.duality import AntiInvolution, build_cellular_basis
 from tiltcell.highest_weight import Registry, WeightPoset, verify_standard_category
 from tiltcell.linalg import Field, Matrix
@@ -95,6 +95,8 @@ CLOSED_FORMS = [
     # [[0,1,0],[1,0,1],[0,1,0]] on 2 and the zero 2x2 matrix on 0
     pytest.param(4, F2, {"0": (1, 1), "1": (3, 3), "2": (2, 2)}, {"0": 1, "1": 2, "2": 0},
                  id="r4-F2"),
+    pytest.param(5, F3, {"0": (1, 1), "1": (4, 4), "2": (5, 5)}, {"0": 1, "1": 4, "2": 1},
+                 id="r5-F3"),
 ]
 
 
@@ -116,6 +118,10 @@ def test_schur_closed_forms(r, field, fibers, gram_ranks):
         # End(T) has a simple at each label of nonzero rank
         assert (classify_simples(cd, tilting_support(tilt, tensor))
                 == {lam: rank for lam, rank in gram_ranks.items() if rank})
+        # the reference: Graham-Lehrer's count against End(T)'s own radical
+        rad = algebra_radical(end_presentation(datum))
+        assert datum.dim() - rad.dim == sum(k * k for k in gram_ranks.values())
+        assert is_semisimple_endalgebra(cd) == (rad.dim == 0)
 
 
 @pytest.mark.parametrize("r, field", [(3, Q), (3, F3), (4, Q), (4, F3)],
