@@ -42,7 +42,8 @@ from .errors import (
     NotSplit,
     TheoremViolation,
 )
-from .linalg import Field, Matrix, Subspace, block_diag, coordinates, linear_combination, vstack
+from .linalg import (Field, Matrix, Subspace, block_diag, coordinates, linear_combination,
+                     sparse_kernel, vstack)
 from .structure import first_nonassociative_pair, generating_set
 
 
@@ -329,8 +330,9 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[Morphism]:
     action of every word in the generators, of the unit, and so of all of A.
     The basis is the RREF basis of the solution space in row-major matrix
     coordinates, which depends on the space alone, so the output is
-    deterministic.  Equations with no nonzero coefficient are left out; they
-    do not change the solution space.
+    deterministic.  The equations are sparse rows; the unknowns that
+    one-unknown equations force to zero are dropped before elimination
+    (`linalg.sparse_kernel`), which leaves the basis unchanged.
     """
     if m.algebra is not n.algebra and m.algebra.table != n.algebra.table:
         raise AlgebraMismatch("hom between modules over different algebras")
@@ -339,7 +341,6 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[Morphism]:
     dm, dn = m.dim, n.dim
     if dm == 0 or dn == 0:
         return []
-    zero = F.zero()
     rows = []
     # unknown X is dn x dm, flattened row-major: index (r, c) -> r * dm + c
     for b in m.algebra.generators():
@@ -352,18 +353,17 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[Morphism]:
         for r in range(dn):
             an_r = an_rows[r]
             for c in range(dm):
-                am_c = am_cols[c]
-                if not am_c and not an_r:
-                    continue
-                row = [zero] * (dn * dm)
-                for k, x in am_c:
-                    row[r * dm + k] = x
+                row = {r * dm + k: x for k, x in am_cols[c]}
                 for k, x in an_r:
                     t = k * dm + c
-                    row[t] = row[t] - x if p is None else (row[t] - x) % p
-                if any(row):
+                    v = row.pop(t, 0) - x
+                    if p is not None:
+                        v %= p
+                    if v:
+                        row[t] = v
+                if row:
                     rows.append(row)
-    ker = Matrix(F, rows, cols=dn * dm).kernel()
+    ker = sparse_kernel(F, rows, dn * dm)
     out = []
     for vec in ker.entries:
         mat = Matrix(F, [vec[r * dm:(r + 1) * dm] for r in range(dn)])

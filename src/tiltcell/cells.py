@@ -17,7 +17,7 @@ from __future__ import annotations
 from .algebra import AlgebraPresentation, ModuleRep, module_radical
 from .errors import LabelNotInSupport, TheoremViolation
 from .linalg import Matrix
-from .standard_basis import StandardBasisDatum, structure_coefficients
+from .standard_basis import StandardBasisDatum
 
 
 class CellData:
@@ -93,9 +93,11 @@ def cell_module(datum: StandardBasisDatum, label) -> ModuleRep:
     """
     if label not in datum.order:
         raise LabelNotInSupport(f"label {label!r} has an empty fiber")
-    action = [structure_coefficients(datum, datum.cell(*key)).left[label]
+    F, G = datum.reg.algebra.field, datum.G[label]
+    g_coords = datum._fiber_coords[label][0]
+    action = [Matrix(F, [g_coords((datum.cell(*key) @ g).matrix.flat()) for g in G]).transpose()
               for key in datum.index()]
-    return ModuleRep(end_presentation(datum), len(datum.G[label]), action, check=True)
+    return ModuleRep(end_presentation(datum), len(G), action, check=True)
 
 
 def end_presentation(datum: StandardBasisDatum):

@@ -58,6 +58,13 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _label(x):
+    """x, refused unless a string: JSON `true` is no label "True"."""
+    if not isinstance(x, str):
+        raise InputError(f"weight label {x!r} must be a string")
+    return x
+
+
 def parse_document(raw, field_override: str | None = None) -> InputDocument:
     _require_keys(raw, {"field", "algebra", "poset", "anti_involution",
                         "tilting", "options", "name"}, "document")
@@ -92,7 +99,9 @@ def parse_document(raw, field_override: str | None = None) -> InputDocument:
     if not isinstance(labels, list) or not labels:
         raise InputError("poset.labels must be a nonempty list")
     covers = poset_raw.get("covers", [])
-    poset = WeightPoset(labels, [tuple(c) for c in covers])
+    if not (isinstance(covers, list) and all(isinstance(c, list) and len(c) == 2 for c in covers)):
+        raise InputError("poset.covers must be a list of [label, label] pairs")
+    poset = WeightPoset([_label(x) for x in labels], [(_label(a), _label(b)) for a, b in covers])
 
     anti = None
     if "anti_involution" in raw and raw["anti_involution"] is not None:
@@ -110,7 +119,7 @@ def parse_document(raw, field_override: str | None = None) -> InputDocument:
         for ent in tilting_request:
             if not (isinstance(ent, (list, tuple)) and len(ent) == 2):
                 raise InputError(f"tilting entry {ent!r} must be [label, multiplicity]")
-            lab, mult = str(ent[0]), ent[1]
+            lab, mult = _label(ent[0]), ent[1]
             if lab not in poset.labels:
                 raise InputError(f"tilting entry references unknown label {lab!r}")
             if not _is_int(mult) or mult <= 0:

@@ -426,6 +426,21 @@ def _null_space(F: Field, red: Matrix, pivots, cols: int) -> Matrix:
     return Matrix(F, vecs).rref()[0]
 
 
+def sparse_kernel(F: Field, rows, width: int) -> Matrix:
+    """Matrix.kernel() of the rows, {column: nonzero coefficient} dicts on
+    `width` unknowns.  The unknowns that one-unknown rows force to 0 leave
+    every row, repeatedly, and the dense kernel runs on the rest; zero
+    columns put back into its RREF basis keep it RREF."""
+    forced = set()
+    while single := {j for r in rows if len(r) == 1 for j in r}:
+        forced |= single
+        rows = [r for r in ({j: x for j, x in r.items() if j not in single} for r in rows) if r]
+    free = [j for j in range(width) if j not in forced]
+    ker = Matrix(F, [[r.get(j, 0) for j in free] for r in rows], cols=len(free)).kernel()
+    vecs = [dict(zip(free, v)) for v in ker.entries]
+    return Matrix(F, [[v.get(j, 0) for j in range(width)] for v in vecs], cols=width)
+
+
 # -- coordinates and linear combinations ---------------------------------------
 
 
@@ -553,8 +568,6 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, field: Field, ambient: int, rows) -> "Subspace":
-        if field.p is not None:
-            rows = [[field.of(x) if isinstance(x, int) else x for x in r] for r in rows]
         if not rows:
             return cls(ambient, Matrix(field, [], cols=ambient))
         red, _, rank = Matrix(field, rows).rref()

@@ -53,6 +53,26 @@ def test_bad_input_file_exit_two(tmp_path):
     assert b"unknown keys" in err
 
 
+@pytest.mark.parametrize("poset, tilting, message", [
+    ({"labels": [True]}, None, "must be a string"),
+    ({"labels": [1]}, None, "must be a string"),
+    ({"labels": ["1", "2"], "covers": [["1", 2]]}, None, "must be a string"),
+    ({"labels": ["1", "True"], "covers": [[True, "1"]]}, None, "must be a string"),
+    ({"labels": ["1"]}, [[1, 1]], "must be a string"),
+    ({"labels": ["1", "2"], "covers": [["1"]]}, None, "pairs"),
+], ids=["label-true", "label-int", "cover-int", "cover-true", "tilting-int", "cover-shape"])
+def test_non_string_labels_exit_two(poset, tilting, message, tmp_path, capsys):
+    # JSON true and 1 are not the labels "True" and "1"
+    doc = {"field": "Q", "poset": poset,
+           "algebra": {"dim": 1, "struct_consts": [[0, 0, 0, 1]], "unit": [1]}}
+    if tilting is not None:
+        doc["tilting"] = tilting
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--input", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_input_file_roundtrip(tmp_path):
     from tiltcell.docio import _CATALOG
 

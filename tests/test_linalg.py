@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +16,7 @@ from tiltcell.linalg import (
     coordinates,
     hstack,
     linear_combination,
+    sparse_kernel,
     vstack,
 )
 
@@ -486,6 +488,59 @@ def test_rref_matches_dense_reference(m):
     assert (red, pivots, rank) == (ref, ref_pivots, ref_rank)
     assert (red.rows, red.cols) == (m.rows, m.cols)
     assert printed(red) == printed(ref)
+
+
+@st.composite
+def presolve_systems(draw, field):
+    """(width, rows): {column: nonzero coefficient} rows as hom_space builds
+    them, summing terms and dropping the ones that cancel.  Chains of
+    one-unknown rows force further rows down to one unknown; a chain may run
+    through every unknown, and a system may have no row at all."""
+    width = draw(st.integers(0, 8))
+    scalar = sparse_scalars(field).filter(bool)
+    if field.p is None:
+        scalar = st.one_of(scalar, st.integers(-3, 3).filter(bool))
+    order = draw(st.permutations(range(width)))
+    chain = order[:draw(st.integers(0, width))]
+    terms = [[(j, draw(scalar))] + ([(chain[i - 1], draw(scalar))] if i else [])
+             for i, j in enumerate(chain)]
+    for _ in range(draw(st.integers(0, 5)) if width else 0):
+        cols = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=4))
+        terms.append([(j, draw(scalar)) for j in cols])
+        if draw(st.booleans()):  # a term and its negative
+            x = draw(scalar)
+            terms[-1] += [(cols[0], x), (cols[0], field.neg(x))]
+    rows = []
+    for t in draw(st.permutations(terms)):
+        row = {}
+        for j, x in t:
+            x = field.add(row.pop(j, field.zero()), x)
+            if x:
+                row[j] = x
+        if row:
+            rows.append(row)
+    return width, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_fields.flatmap(lambda F: presolve_systems(F).map(lambda s: (F, *s))))
+def test_sparse_kernel_matches_dense_kernel(case):
+    F, width, rows = case
+    dense = Matrix(F, [[r.get(j, F.zero()) for j in range(width)] for r in rows], cols=width)
+    reduced, kernel = [], Matrix.kernel
+    with mock.patch.object(Matrix, "kernel", lambda m: reduced.append(m) or kernel(m)):
+        got = sparse_kernel(F, rows, width)
+    want = dense.kernel()
+    assert got == want and (got.rows, got.cols) == (want.rows, want.cols)
+    assert printed(got) == printed(want)
+    # the dense kernel sees no forced unknown and no row with fewer than two
+    forced, left = set(), rows
+    while single := {j for r in left for j in r if len(r) == 1}:
+        forced |= single
+        left = [{j: x for j, x in r.items() if j not in forced} for r in left]
+    assert [(m.rows, m.cols) for m in reduced] == [
+        (sum(len(r) > 1 for r in left), width - len(forced))]
+    assert all(sum(map(bool, r)) > 1 for r in reduced[0].entries)
 
 
 def reference_inverse(m):

@@ -3,7 +3,9 @@ for an integral value or a Fraction, over F_p an int residue in [0, p).
 
 Every Matrix construction (`Matrix.__init__` and `Matrix._of`) is checked
 while the whole catalog and the dim-14 Auslander pipeline run, so a float
-or an unreduced residue reaching a matrix anywhere fails here."""
+or an unreduced residue reaching a matrix anywhere fails here.  Over F_p,
+`Subspace.from_rows` makes no reducing pass of its own, so every row that
+reaches it is checked to hold residues in [0, p) already."""
 
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ import pytest
 
 from tiltcell import cli
 from tiltcell.docio import catalog_names
-from tiltcell.linalg import Matrix
+from tiltcell.linalg import Matrix, Subspace
 
 from test_cli import report_bytes
 from test_stress import auslander3_pipeline
@@ -63,4 +65,39 @@ def test_auslander3_matrices_hold_field_scalars(checked_matrices):
     built, wrong = checked_matrices
     auslander3_pipeline("Q", 0)
     assert built[0] > 1000
+    assert wrong == []
+
+
+@pytest.fixture
+def checked_from_rows(monkeypatch):
+    """(number of from_rows calls, the scalars outside [0, p) passed) so far."""
+    calls, wrong = [0], []
+    from_rows = Subspace.from_rows.__func__
+
+    def checked(cls, field, ambient, rows):
+        calls[0] += 1
+        wrong.extend((field, x) for r in rows for x in r
+                     if type(x) is not int or not 0 <= x < field.p)
+        return from_rows(cls, field, ambient, rows)
+
+    monkeypatch.setattr(Subspace, "from_rows", classmethod(checked))
+    return calls, wrong
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 10007])
+def test_catalog_from_rows_gets_reduced_residues(p, checked_from_rows, monkeypatch):
+    calls, wrong = checked_from_rows
+    for name in catalog_names():
+        for command in cli.COMMANDS:
+            report_bytes([command, "--catalog", name, "--format", "json", "--field", f"Fp {p}"],
+                         monkeypatch)
+    assert calls[0] > 100
+    assert wrong == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007])
+def test_auslander3_from_rows_gets_reduced_residues(p, checked_from_rows):
+    calls, wrong = checked_from_rows
+    auslander3_pipeline(f"Fp {p}", 0)
+    assert calls[0] > 100
     assert wrong == []

@@ -162,17 +162,16 @@ def test_stress_table_matches_products_of_random_probes(field):
     assert_table_matches_products(build_standard_basis(tilt, T, seed=0), random.Random(7), 3)
 
 
-# the closed forms of the Auslander algebra of K[x]/x^n at n = 4 (dim 30)
-def test_auslander4_closed_forms():
-    n = 4
+def check_auslander_closed_forms(n):
+    """The closed forms of the Auslander algebra of K[x]/x^n over F_10007."""
     ks = range(1, n + 1)
     labels = [str(k) for k in ks]
     one_each = dict.fromkeys(labels, 1)
     A = auslander_algebra(F10007, n)
     reg = Registry(A, chain_poset(n))
     assert [reg.projective(l).dim for l in labels] == [
-        sum(min(j, k) for j in ks) for k in ks] == [4, 7, 9, 10]
-    assert [reg.standard(l).dim for l in labels] == [4, 3, 2, 1]
+        sum(min(j, k) for j in ks) for k in ks]
+    assert [reg.standard(l).dim for l in labels] == list(reversed(ks))
     assert verify_standard_category(reg).ok
 
     tilt = TiltingRegistry(reg)
@@ -181,13 +180,28 @@ def test_auslander4_closed_forms():
     T, _, _ = direct_sum([tilt.module(l) for l in labels])
     datum = build_standard_basis(tilt, T, seed=0)
     assert datum.fiber_sizes() == {str(k): (k, k) for k in ks}
-    assert datum.dim() == A.dim == n * (n + 1) * (2 * n + 1) // 6 == 30
+    assert datum.dim() == A.dim == n * (n + 1) * (2 * n + 1) // 6
     assert verify_standard_axioms(datum, trials=6)["ok"]
 
     cd = CellData(datum)
     assert cd.gram_rank == one_each
     assert classify_simples(cd, tilting_support(tilt, T)) == one_each
     assert not is_semisimple_endalgebra(cd)
+    return reg
+
+
+# n = 4: dim 30
+def test_auslander4_closed_forms():
+    reg = check_auslander_closed_forms(4)
+    assert [reg.projective(l).dim for l in "1234"] == [4, 7, 9, 10]
+    assert reg.algebra.dim == 30
+
+
+# n = 5: dim 55
+def test_auslander5_closed_forms():
+    reg = check_auslander_closed_forms(5)
+    assert [reg.projective(l).dim for l in "12345"] == [5, 9, 12, 14, 15]
+    assert reg.algebra.dim == 55
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
