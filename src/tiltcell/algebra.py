@@ -63,6 +63,7 @@ class AlgebraPresentation:
         self._left_mults = None
         self._invariants = {}   # generators and radical, shared with the opposite algebra
         self._summands = None   # the regular module's split (`_regular_summands`), not shared
+        self._homs = {}         # hom-space bases by module content (`hom_space`), not shared
         if len(self.table) != dim or any(len(r) != dim for r in self.table):
             raise InputError("structure constant table has wrong shape")
         if len(self.unit) != dim:
@@ -333,23 +334,38 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[Morphism]:
     deterministic.  The equations are sparse rows; the unknowns that
     one-unknown equations force to zero are dropped before elimination
     (`linalg.sparse_kernel`), which leaves the basis unchanged.
+
+    The basis depends only on the two modules' action matrices, so it is
+    solved once per presentation and content (m.action, n.action), kept on
+    m's presentation (A and A^op keep their own), and returned as fresh
+    morphisms on the caller's m and n.
     """
     if m.algebra is not n.algebra and m.algebra.table != n.algebra.table:
         raise AlgebraMismatch("hom between modules over different algebras")
+    if m.dim == 0 or n.dim == 0:
+        return []
+    key = (m.action, n.action)
+    memo = m.algebra._homs
+    if key not in memo:
+        memo[key] = _hom_basis(m, n)
+    return [Morphism(m, n, mat) for mat in memo[key]]
+
+
+def _hom_basis(m: ModuleRep, n: ModuleRep) -> tuple[Matrix, ...]:
+    """The matrices of `hom_space`'s canonical basis, solved."""
     F = m.algebra.field
     p = F.p
     dm, dn = m.dim, n.dim
-    if dm == 0 or dn == 0:
-        return []
     rows = []
     # unknown X is dn x dm, flattened row-major: index (r, c) -> r * dm + c
     for b in m.algebra.generators():
-        am = m.action[b].entries
-        an = n.action[b].entries
         # (X am)[r, c] = sum_k X[r, k] am[k, c]
-        am_cols = [[(k, am[k][c]) for k in range(dm) if am[k][c]] for c in range(dm)]
+        am_cols = [[] for _ in range(dm)]
+        for k, srow in enumerate(m.action[b].sparse_rows()):
+            for c, x in srow:
+                am_cols[c].append((k, x))
         # (an X)[r, c] = sum_k an[r, k] X[k, c]
-        an_rows = [[(k, x) for k, x in enumerate(an[r]) if x] for r in range(dn)]
+        an_rows = n.action[b].sparse_rows()
         for r in range(dn):
             an_r = an_rows[r]
             for c in range(dm):
@@ -364,11 +380,7 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[Morphism]:
                 if row:
                     rows.append(row)
     ker = sparse_kernel(F, rows, dn * dm)
-    out = []
-    for vec in ker.entries:
-        mat = Matrix(F, [vec[r * dm:(r + 1) * dm] for r in range(dn)])
-        out.append(Morphism(m, n, mat))
-    return out
+    return tuple(Matrix(F, [vec[r * dm:(r + 1) * dm] for r in range(dn)]) for vec in ker.entries)
 
 
 class EndAlgebra:

@@ -89,6 +89,9 @@ def parse_document(raw, field_override: str | None = None) -> InputDocument:
     unit = alg_raw.get("unit")
     if not isinstance(unit, list) or len(unit) != dim:
         raise InputError("algebra.unit must be a list of length dim")
+    for where, obj in (("name", raw), ("algebra.name", alg_raw)):
+        if not isinstance(obj.get("name", ""), str):
+            raise InputError(f"{where} {obj['name']!r} must be a string")
     name = raw.get("name", alg_raw.get("name", ""))
     algebra = AlgebraPresentation.from_struct_consts(
         field, dim, entries, [field.parse(u) for u in unit], name=name, check=True)

@@ -3,12 +3,15 @@
 Scalars over Q are Python ints for integral values and `fractions.Fraction`
 for the rest; over F_p they are int residues in [0, p).  A `Field` value
 mediates scalar arithmetic.  Matrices are stored dense, but the inner loops
-of elimination (`Matrix.rref`), products (`Matrix.__matmul__`), coordinate
-maps (`coordinates`) and subspace membership touch only nonzero entries and
-do their arithmetic inline (native int and `Fraction` operators over Q, one
-`% p` per update over F_p).  Their results are identical, entry by entry,
-to the dense loops that test and rewrite every entry; the tests keep those
-dense loops as the reference.  Matrices and subspaces are immutable.
+of elimination (`Matrix.rref`), products (`Matrix.__matmul__`), linear
+combinations, coordinate maps (`coordinates`) and subspace membership touch
+only nonzero entries and do their arithmetic inline (native int and
+`Fraction` operators over Q, one `% p` per update over F_p).  Their results
+are identical, entry by entry, to the dense loops that test and rewrite
+every entry; the tests keep those dense loops as the reference.  Matrices
+and subspaces are immutable, so a matrix lists its rows' nonzero entries
+(`Matrix.sparse_rows`) once, on first use, and every later product,
+combination or membership test that reads it reuses that list.
 
 Subspaces are stored with a reduced-row-echelon basis, so two subspaces
 are equal as sets exactly when their basis matrices compare equal entry by
@@ -20,6 +23,7 @@ randomness.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .errors import DependentFamily, DimensionMismatch, InconsistentSystem, InputError
@@ -160,15 +164,20 @@ class Field:
 
 
 class Matrix:
-    """Immutable dense matrix with entries in a fixed field."""
+    """Immutable dense matrix with entries in a fixed field.
 
-    __slots__ = ("field", "rows", "cols", "entries", "_hash")
+    Its hash and its sparse rows are computed on first use and kept; nothing
+    assigns to a matrix after its constructor, so both stay valid.
+    """
+
+    __slots__ = ("field", "rows", "cols", "entries", "_hash", "_sparse")
 
     def __init__(self, field: Field, entries, cols: int | None = None):
         self.field = field
         rows = tuple(tuple(r) for r in entries)
         self.entries = rows
         self._hash = None
+        self._sparse = None
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else (cols or 0)
         for r in rows:
@@ -185,6 +194,7 @@ class Matrix:
         m.rows = len(rows)
         m.cols = cols
         m._hash = None
+        m._sparse = None
         return m
 
     # -- constructors ----------------------------------------------------------
@@ -227,6 +237,13 @@ class Matrix:
             self._hash = hash((self.field, self.rows, self.cols, self.entries))
         return self._hash
 
+    def sparse_rows(self):
+        """Each row's nonzero (column, value) pairs in column order, listed
+        once per matrix and shared by every later reader."""
+        if self._sparse is None:
+            self._sparse = tuple([(j, x) for j, x in enumerate(r) if x] for r in self.entries)
+        return self._sparse
+
     def __repr__(self):
         body = "; ".join(" ".join(map(str, r)) for r in self.entries)
         return f"Matrix({self.rows}x{self.cols}: {body})"
@@ -264,8 +281,10 @@ class Matrix:
     def __matmul__(self, other):
         """Matrix product, touching only the nonzero entries of both factors.
 
-        The right factor's rows are made sparse once; each output row
-        accumulates a * b over nonzero a and nonzero b and is reduced mod p
+        Both factors are read through `sparse_rows`, formed once per matrix,
+        so a factor used in many products is scanned for its nonzero
+        entries once.  Each output row accumulates a * b over nonzero a and
+        nonzero b, in increasing column order of a, and is reduced mod p
         once.  The result equals the dense triple loop's entry by entry (the
         tests keep that loop as the reference).
         """
@@ -275,14 +294,13 @@ class Matrix:
         p = F.p
         zero = F.zero()
         ncols = other.cols
-        sparse = [[(j, b) for j, b in enumerate(r) if b] for r in other.entries]
+        sparse = other.sparse_rows()
         out = []
-        for ra in self.entries:
+        for srow_a in self.sparse_rows():
             row = [zero] * ncols
-            for a, srow in zip(ra, sparse):
-                if a:
-                    for j, b in srow:
-                        row[j] += a * b
+            for k, a in srow_a:
+                for j, b in sparse[k]:
+                    row[j] += a * b
             out.append(tuple(row) if p is None else tuple([x % p for x in row]))
         return Matrix._of(F, tuple(out), ncols)
 
@@ -295,7 +313,7 @@ class Matrix:
         return not any(a for r in self.entries for a in r)
 
     def flat(self):
-        return tuple(a for r in self.entries for a in r)
+        return tuple(itertools.chain.from_iterable(self.entries))
 
     def power(self, k: int):
         if self.rows != self.cols:
@@ -500,10 +518,9 @@ def linear_combination(field: Field, coeffs, mats, rows: int, cols: int) -> Matr
     acc = [[z] * cols for _ in range(rows)]
     for c, m in zip(coeffs, mats):
         if c:
-            for arow, mrow in zip(acc, m.entries):
-                for t, x in enumerate(mrow):
-                    if x:
-                        arow[t] += c * x
+            for arow, srow in zip(acc, m.sparse_rows()):
+                for t, x in srow:
+                    arow[t] += c * x
     if p is None:
         return Matrix._of(field, tuple(map(tuple, acc)), cols)
     return Matrix._of(field, tuple(tuple([x % p for x in r]) for r in acc), cols)
@@ -557,12 +574,11 @@ class Subspace:
     deduplication and equality checks trivial.
     """
 
-    __slots__ = ("ambient", "basis", "_sparse")
+    __slots__ = ("ambient", "basis")
 
     def __init__(self, ambient: int, basis: Matrix):
         self.ambient = ambient
         self.basis = basis
-        self._sparse = None
         if basis.cols not in (ambient, 0):
             raise DimensionMismatch("basis width differs from ambient dimension")
 
@@ -602,17 +618,12 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of K^{self.ambient})"
 
-    def _sparse_rows(self):
-        """The basis rows' nonzero (column, value) pairs, pivot first."""
-        if self._sparse is None:
-            self._sparse = [[(j, x) for j, x in enumerate(r) if x] for r in self.basis.entries]
-        return self._sparse
-
     def contains_vector(self, vec) -> bool:
         """Membership by reducing vec against the RREF basis.
 
-        Each basis row's pivot entry decides its multiple; only the rows'
-        nonzero entries are touched, and no elimination is run.
+        Each basis row's pivot entry (the first of its sparse row) decides
+        its multiple; only the rows' nonzero entries are touched, and no
+        elimination is run.
         """
         if self.dim == 0:
             return not any(vec)
@@ -620,7 +631,7 @@ class Subspace:
             raise DimensionMismatch("vector length differs from ambient dimension")
         p = self.field.p
         resid = list(vec)
-        for srow in self._sparse_rows():
+        for srow in self.basis.sparse_rows():
             d = resid[srow[0][0]]
             if d:
                 if p is None:
@@ -637,8 +648,8 @@ class Subspace:
         of m outside the subspace raises InconsistentSystem."""
         if not all(self.contains_vector(col) for col in m.transpose().entries):
             raise InconsistentSystem("column outside the subspace")
-        return Matrix._of(m.field, tuple(m.entries[srow[0][0]] for srow in self._sparse_rows()),
-                          m.cols)
+        return Matrix._of(m.field, tuple(m.entries[srow[0][0]]
+                                         for srow in self.basis.sparse_rows()), m.cols)
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(r) for r in other.basis.entries)
@@ -676,7 +687,7 @@ class Subspace:
         """
         F = self.field
         z, o = F.zero(), F.one()
-        sparse = self._sparse_rows()
+        sparse = self.basis.sparse_rows()
         free = sorted(set(range(self.ambient)).difference(srow[0][0] for srow in sparse))
         row_of = {c: fi for fi, c in enumerate(free)}
         # e_c reduced modulo the RREF basis: a basis row with entry x at the

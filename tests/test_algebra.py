@@ -958,21 +958,51 @@ def test_hom_space_matches_all_basis_equations(make_groups):
 
 
 def test_hom_space_imposes_generator_equations_only(monkeypatch):
-    alg = auslander_algebra(F10007, 3)
+    # a fresh presentation of the same table: the cached one may already
+    # hold Hom(A, A) from earlier tests
+    cached = auslander_algebra(F10007, 3)
+    alg = AlgebraPresentation(F10007, cached.dim, cached.table, cached.unit, check=False)
     A = alg.regular_module()
     shapes = []
     kernel = Matrix.kernel
     monkeypatch.setattr(Matrix, "kernel",
                         lambda self: shapes.append((self.rows, self.cols)) or kernel(self))
     homs = hom_space(A, A)
+    again = hom_space(A, A)
     monkeypatch.undo()
     gens = alg.generators()
     # 473 nonzero equations from the 6 generators, against 904 from all 14;
     # those with one unknown force 156 of the 196 unknowns to zero, and 29
-    # equations are left on the 40 free unknowns
+    # equations are left on the 40 free unknowns; the second call solves nothing
     assert len(gens) == 6 and len(homs) == 14
     assert shapes == [(29, 40)]
+    assert [f.matrix for f in again] == [f.matrix for f in homs]
     assert len(equation_rows(A, A, gens)) == 473 and len(equation_rows(A, A, range(14))) == 904
+
+
+def test_hom_space_is_solved_once_per_presentation_and_content(monkeypatch):
+    cached = auslander_algebra(Q, 3)
+    alg = AlgebraPresentation(Q, cached.dim, cached.table, cached.unit, check=False)
+    op = alg.opposite()
+    solved = []
+    kernel = algebra_module.sparse_kernel
+    monkeypatch.setattr(algebra_module, "sparse_kernel",
+                        lambda *args: solved.append(args[2]) or kernel(*args))
+    first = hom_space(alg.regular_module(), alg.regular_module())
+    assert solved == [14 * 14]
+    # fresh modules with equal actions: the same matrices, bound to them
+    m = ModuleRep(alg, alg.dim, [Matrix(Q, a.entries) for a in alg.left_mult_basis()],
+                  check=False)
+    n = ModuleRep(alg, alg.dim, list(m.action), check=False)
+    again = hom_space(m, n)
+    assert solved == [14 * 14]
+    assert [f.matrix for f in again] == [f.matrix for f in first]
+    assert all(f.source is m and f.target is n for f in again)
+    # A^op keeps its own memo: the same actions over A^op are solved again
+    op_m = ModuleRep(op, alg.dim, m.action, check=False)
+    assert [f.matrix for f in hom_space(op_m, op_m)] == [f.matrix for f in first]
+    assert solved == [14 * 14, 14 * 14]
+    assert op._homs is not alg._homs and list(op._homs) == list(alg._homs)
 
 
 GENERATOR_CASES = (

@@ -73,6 +73,25 @@ def test_non_string_labels_exit_two(poset, tilting, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@pytest.mark.parametrize("where", [(), ("algebra",)], ids=["name", "algebra-name"])
+@pytest.mark.parametrize("value", [5, ["x"], {"a": 1}], ids=["int", "list", "object"])
+def test_non_string_name_exit_two(value, where, command, fmt, tmp_path, capsys):
+    doc = {"field": "Q", "poset": {"labels": ["1"]},
+           "algebra": {"dim": 1, "struct_consts": [[0, 0, 0, 1]], "unit": [1]},
+           "anti_involution": [[1]]}
+    target = doc
+    for step in where:
+        target = target[step]
+    target["name"] = value
+    path = tmp_path / "name.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, "--input", str(path), "--format", fmt]) == 2
+    err = capsys.readouterr().err
+    assert f"name {value!r} must be a string" in err and "Traceback" not in err
+
+
 def test_input_file_roundtrip(tmp_path):
     from tiltcell.docio import _CATALOG
 

@@ -823,3 +823,89 @@ def test_mixed_int_fraction_entries_match_all_fraction_copy(case):
     assert got == ref
     assert shown(got) == shown(ref)
     assert scalar_types(got) <= {int, Fraction}
+
+
+# Every matrix lists its nonzero entries once (`Matrix.sparse_rows`) and every
+# product, combination and subspace test reads that list: a factor reused
+# across many of them must give what the dense references give each time.
+@st.composite
+def reused_factor_cases(draw):
+    """(field, shared, lefts, rights, others): a shared n x k matrix, left
+    factors m x n, right factors k x l and more n x k matrices; over Q the
+    entries mix ints, integral Fractions and proper Fractions."""
+    F = draw(kernel_fields)
+    scalar = mixed_scalars() if F.p is None else sparse_scalars(F)
+
+    def mat(rows, cols):
+        return Matrix(F, [[draw(scalar) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+    n, k = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    count = st.integers(1, 4)
+    return (F, mat(n, k), [mat(draw(st.integers(0, 5)), n) for _ in range(draw(count))],
+            [mat(k, draw(st.integers(0, 5))) for _ in range(draw(count))],
+            [mat(n, k) for _ in range(draw(count))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(reused_factor_cases())
+def test_sparse_rows_list_the_nonzero_entries_in_column_order(case):
+    _, shared, lefts, rights, _ = case
+    for m in [shared, *lefts, *rights]:
+        rows = m.sparse_rows()
+        assert len(rows) == m.rows
+        for srow, r in zip(rows, m.entries):
+            assert [j for j, _ in srow] == [j for j, x in enumerate(r) if x]
+            assert all(x is r[j] for j, x in srow)
+        assert m.sparse_rows() is rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(reused_factor_cases())
+def test_reused_factor_products_and_combinations_match_dense_references(case):
+    F, shared, lefts, rights, others = case
+    for _ in range(2):
+        for a in lefts:
+            got, ref = a @ shared, dense_matmul(a, shared)
+            assert got == ref and printed(got) == printed(ref)
+        for b in rights:
+            got, ref = shared @ b, dense_matmul(shared, b)
+            assert got == ref and printed(got) == printed(ref)
+        mats = [shared, *others, shared]
+        coeffs = [F.of(t - 1) for t in range(len(mats))]
+        got = linear_combination(F, coeffs, mats, shared.rows, shared.cols)
+        ref = looped_linear_combination(F, coeffs, mats, shared.rows, shared.cols)
+        assert got == ref and printed(got) == printed(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reused_factor_cases())
+def test_reused_subspace_basis_matches_dense_references(case):
+    F, shared, _, rights, others = case
+    k = shared.cols
+    space = Subspace.from_rows(F, k, shared.entries) if shared.rows else Subspace.zero(F, k)
+    incl = space.basis.transpose()
+    # rows of the shared matrix and of the others: inside and outside the span
+    vectors = [r for m in [shared, *others] for r in m.entries]
+    for _ in range(2):
+        for vec in vectors:
+            if space.dim:
+                expected = dense_rref(Matrix(F, list(space.basis.entries) + [vec]))[2] == space.dim
+            else:
+                expected = not any(vec)
+            assert space.contains_vector(vec) == expected
+        for m in rights:
+            try:
+                expected = incl.solve(m)
+            except InconsistentSystem:
+                with pytest.raises(InconsistentSystem):
+                    space.coordinates(m)
+            else:
+                got = space.coordinates(m)
+                assert got == expected and printed(got) == printed(expected)
+        inside = incl @ Matrix(F, [[F.of(t + i) for t in range(2)] for i in range(space.dim)],
+                               cols=2)
+        got = space.coordinates(inside)
+        assert got == incl.solve(inside) and printed(got) == printed(incl.solve(inside))
+        for a, b in zip(space.complement_projection(), reference_complement_projection(space)):
+            assert (a.rows, a.cols) == (b.rows, b.cols)
+            assert a == b and printed(a) == printed(b)
