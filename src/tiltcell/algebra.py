@@ -5,10 +5,12 @@ heads, Krull-Schmidt decomposition, isomorphism tests.
 Hom spaces impose the intertwining equations only for a generating set of
 A, found once per presentation: every module's action is an algebra
 homomorphism, so commuting with the generators is commuting with A.
+Hom out of a summand A.e of the regular module is not solved but read off
+e.N (Yoneda, `_yoneda_basis`): so the regular module is split and its
+summands are grouped by isomorphism, and so `hom_space` reads Hom out of
+each projective cover P(label) that the Registry's simples come with
+(`simples_and_split_check`).
 Associativity is checked on the nonzero entries of the structure table.
-The regular module is split and its summands are grouped by isomorphism
-from A's own multiplication: Hom_A(Ae, Af) is right multiplication by eAf,
-so neither step solves a hom system.
 An endomorphism splits a module in one step: it is an idempotent, or its
 Fitting projection onto im(phi^n) along ker(phi^n) is, at 0 or at one
 eigenvalue in the base field.  A local ring has no nontrivial idempotent,
@@ -64,6 +66,8 @@ class AlgebraPresentation:
         self._invariants = {}   # generators and radical, shared with the opposite algebra
         self._summands = None   # the regular module's split (`_regular_summands`), not shared
         self._homs = {}         # hom-space bases by module content (`hom_space`), not shared
+        self._projectives = {}  # content of P = A.e -> its inclusion into A, not shared
+        self._radicals = {}     # module radicals by module content (`module_radical`), not shared
         if len(self.table) != dim or any(len(r) != dim for r in self.table):
             raise InputError("structure constant table has wrong shape")
         if len(self.unit) != dim:
@@ -158,13 +162,25 @@ class AlgebraPresentation:
         return tuple(F.one() if t == i else F.zero() for t in range(self.dim))
 
 
+class _Content(tuple):
+    """A module's action matrices, hashed once: the memos keyed on module
+    content (hom spaces, radicals, syzygies, Ext groups) hash it per lookup."""
+
+    _hash = None
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = tuple.__hash__(self)
+        return self._hash
+
+
 class ModuleRep:
     """A finite-dimensional left module: one action matrix per algebra basis element."""
 
     def __init__(self, algebra: AlgebraPresentation, dim: int, action, check: bool = True):
         self.algebra = algebra
         self.dim = dim
-        self.action = tuple(action)
+        self.action = _Content(action)
         if len(self.action) != algebra.dim:
             raise InputError("need one action matrix per algebra basis element")
         for m in self.action:
@@ -335,8 +351,12 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[Morphism]:
     one-unknown equations force to zero are dropped before elimination
     (`linalg.sparse_kernel`), which leaves the basis unchanged.
 
+    Hom out of a projective cover P = A.e that `simples_and_split_check`
+    found (m's content in `_projectives`) is read off e.N instead
+    (`_yoneda_basis`), the same basis entry for entry, with no system solved.
+
     The basis depends only on the two modules' action matrices, so it is
-    solved once per presentation and content (m.action, n.action), kept on
+    found once per presentation and content (m.action, n.action), kept on
     m's presentation (A and A^op keep their own), and returned as fresh
     morphisms on the caller's m and n.
     """
@@ -347,8 +367,24 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[Morphism]:
     key = (m.action, n.action)
     memo = m.algebra._homs
     if key not in memo:
-        memo[key] = _hom_basis(m, n)
+        incl = m.algebra._projectives.get(m.action)
+        memo[key] = _hom_basis(m, n) if incl is None else _yoneda_basis(n, incl)
     return [Morphism(m, n, mat) for mat in memo[key]]
+
+
+def _yoneda_basis(n: ModuleRep, incl: Matrix) -> tuple[Matrix, ...]:
+    """The matrices of `hom_space`'s basis of Hom(P, n) for P = A.e, whose
+    basis vectors are the columns u_j of incl in A.  A map f: P -> n is
+    x -> x.f(e) (Yoneda), so the maps x -> x.d_t for n's basis vectors d_t
+    span Hom(P, n); column j of the t-th is u_j.d_t, column t of u_j's
+    action.  Their RREF in row-major coordinates is the basis `_hom_basis`
+    solves for, since that depends on the space alone."""
+    F = n.algebra.field
+    dn, dp = n.dim, incl.cols
+    acts = [n.act(u).entries for u in incl.transpose().entries]
+    maps = Matrix(F, [[acts[j][i][t] for i in range(dn) for j in range(dp)] for t in range(dn)])
+    red, _, rank = maps.rref()
+    return tuple(Matrix(F, [r[i * dp:(i + 1) * dp] for i in range(dn)]) for r in red.entries[:rank])
 
 
 def _hom_basis(m: ModuleRep, n: ModuleRep) -> tuple[Matrix, ...]:
@@ -484,13 +520,15 @@ def _ideal_defect(algebra: AlgebraPresentation, rad: Subspace) -> str | None:
 
 
 def module_radical(m: ModuleRep) -> Subspace:
-    """(rad A) M as a subspace of M."""
-    F = m.algebra.field
-    rows = []
-    for r in algebra_radical(m.algebra).basis.entries:
-        act = m.act(r)
-        rows.extend(act.transpose().entries)  # columns of act span r.M
-    return Subspace.from_rows(F, m.dim, rows)
+    """(rad A) M as a subspace of M, found once per presentation and module
+    content, as `hom_space` is."""
+    memo = m.algebra._radicals
+    if m.action not in memo:
+        rows = []
+        for r in algebra_radical(m.algebra).basis.entries:
+            rows.extend(m.act(r).transpose().entries)  # columns of r's action span r.M
+        memo[m.action] = Subspace.from_rows(m.algebra.field, m.dim, rows)
+    return memo[m.action]
 
 
 def module_socle(m: ModuleRep) -> Subspace:
@@ -651,23 +689,11 @@ def krull_schmidt(m: ModuleRep):
     return [leaf[:3] for leaf in _decompose(m, lambda piece, incl, proj: EndAlgebra(piece))]
 
 
-def _regular_homs(algebra: AlgebraPresentation, source: ModuleRep, incl: Morphism,
-                  target: ModuleRep, proj: Morphism) -> list[Morphism]:
-    """Hom(source, target) for pieces of A's regular module, with incl from
-    source into A and proj from A onto target: the span of proj.R.incl for
-    the right multiplications R: x -> x.b_j (End_A(A) = A^op), in the same
+def _regular_homs(source: ModuleRep, incl: Morphism, target: ModuleRep) -> list[Morphism]:
+    """Hom(source, target) for a summand source of A's regular module, with
+    incl from source into A, read off e.target (`_yoneda_basis`) in the same
     RREF basis as `hom_space`."""
-    F = algebra.field
-    d, t = source.dim, target.dim
-    # column b of proj.R_j.incl is proj(u_b.b_j), u_b = incl(basis vector b),
-    # and u_b.b_j is column j of left multiplication by u_b
-    prods = [(proj.matrix @ algebra.left_mult(u)).entries
-             for u in incl.matrix.transpose().entries]
-    flat = Matrix(F, [[prods[b][a][j] for a in range(t) for b in range(d)]
-                      for j in range(algebra.dim)])
-    red, _, rank = flat.rref()
-    return [Morphism(source, target, Matrix(F, [r[k * d:(k + 1) * d] for k in range(t)]))
-            for r in red.entries[:rank]]
+    return [Morphism(source, target, x) for x in _yoneda_basis(target, incl.matrix)]
 
 
 def _indec_isomorphism(m: ModuleRep, n: ModuleRep) -> Morphism | None:
@@ -750,7 +776,7 @@ def _regular_summands(algebra: AlgebraPresentation):
     F = algebra.field
     try:
         summands = _decompose(algebra.regular_module(), lambda piece, incl, proj:
-                              EndAlgebra(piece, _regular_homs(algebra, piece, incl, piece, proj)))
+                              EndAlgebra(piece, _regular_homs(piece, incl, piece)))
     except NotComputable as exc:
         # the regular module resisted splitting: a division endomorphism
         # algebra beyond K, i.e. a non-split input
@@ -761,9 +787,9 @@ def _regular_summands(algebra: AlgebraPresentation):
         e_vec = tuple(r[0] for r in ((incl @ proj).matrix @ unit_col).entries)
         ent = (e_vec, p_mod, incl, proj, E)
         for cls in classes:
-            _, q_mod, _, q_proj, _ = cls[0]
+            q_mod = cls[0][1]
             if p_mod.dim == q_mod.dim and any(
-                    f.is_invertible() for f in _regular_homs(algebra, p_mod, incl, q_mod, q_proj)):
+                    f.is_invertible() for f in _regular_homs(p_mod, incl, q_mod)):
                 cls.append(ent)
                 break
         else:
@@ -781,7 +807,9 @@ def simples_and_split_check(algebra: AlgebraPresentation) -> list[SimpleDatum]:
     (`_local_radical`).  The grouping does not depend on the radical, so
     Wedderburn's count can check the radical against it: dim A - dim rad A
     is the sum of the squared simple dimensions, which a nilpotent ideal
-    smaller than the radical fails.  Raises NotSplit when the split fails
+    smaller than the radical fails.  Each projective is kept on the
+    presentation with its inclusion into A, for `hom_space` to read Hom out
+    of it off e.N.  Raises NotSplit when the split fails
     (`_regular_summands`), and TheoremViolation when the count fails.
     Output order is canonical: by the idempotent's first supported
     coordinate, then lexicographically.
@@ -793,9 +821,10 @@ def simples_and_split_check(algebra: AlgebraPresentation) -> list[SimpleDatum]:
     reps = [min(cls, key=lambda ent: support_key(ent[0])) for cls in _regular_summands(algebra)]
     reps.sort(key=lambda ent: support_key(ent[0]))
     out = []
-    for (e_vec, p_mod, *_) in reps:
+    for (e_vec, p_mod, incl, *_) in reps:
         head, head_proj = module_head(p_mod)
         out.append(SimpleDatum(e_vec, head, p_mod, head_proj))
+        algebra._projectives[p_mod.action] = incl.matrix
     quotient = algebra.dim - algebra_radical(algebra).dim
     squares = sum(d.simple.dim ** 2 for d in out)
     if quotient != squares:

@@ -27,7 +27,7 @@ from .algebra import (
     submodule_generated,
     submodule_rep,
 )
-from .errors import AxiomViolation, InconsistentSystem, InputError
+from .errors import AxiomViolation, InconsistentSystem, InputError, TheoremViolation
 from .linalg import Matrix, Subspace
 
 
@@ -119,6 +119,10 @@ class Registry:
     Labels are matched to simples in the canonical discovery order of
     `simples_and_split_check` (idempotents sorted by first supported
     coordinate), so the i-th poset label names the i-th simple found.
+
+    `hom_space` reads Hom(P(label), N) off e_label.N, through P(label)'s
+    inclusion into A.  The covers of Delta(label) and L(label) by P(label)
+    are kept by content, with their kernels, for `syzygy` to read.
     """
 
     def __init__(self, algebra: AlgebraPresentation, poset: WeightPoset):
@@ -126,6 +130,7 @@ class Registry:
         self.poset = poset
         self._syzygies = {}   # action matrices of a module -> its syzygy data
         self._ext1 = {}       # action matrices of (m, n) -> Ext^1 cocycles, or None
+        self._covers = {}     # action matrices of Delta or L -> (label, cover, its kernel)
         simples = simples_and_split_check(algebra)
         if len(simples) != len(poset.labels):
             raise InputError(
@@ -161,18 +166,21 @@ class Registry:
         is a -> a.v for v = f(e_mu) in e_mu.N, and every v in e_mu.N gives
         one, so the images A.v of all such maps span A.e_mu.N.  P may be a
         projective of A or of A^op; the idempotents act through P's action.
+        Returns the quotient, the projection and the trace.
         """
         rad = module_radical(P).basis
         gens = [r for mu in self.poset.not_below(label)
                 for r in (rad @ P.act(self.data[mu].idempotent).transpose()).entries]
-        quot, proj_morph, _ = quotient_rep(P, submodule_generated(P, gens))
-        return quot, proj_morph
+        trace = submodule_generated(P, gens)
+        quot, proj_morph, _ = quotient_rep(P, trace)
+        return quot, proj_morph, trace
 
     def _build_standard_modules(self):
         for label in self.poset.labels:
-            delta, proj = self._standardize(self.data[label].projective, label)
-            self.data[label].standard = delta
-            self.data[label].standard_proj = proj
+            dat = self.data[label]
+            dat.standard, dat.standard_proj, trace = self._standardize(dat.projective, label)
+            self._covers[dat.simple.action] = (label, dat.head_proj, module_radical(dat.projective))
+            self._covers[dat.standard.action] = (label, dat.standard_proj, trace)
 
     def _build_costandard_modules(self):
         """Dualize standard modules of the opposite algebra.
@@ -189,7 +197,7 @@ class Registry:
             space = submodule_generated(reg_op, [self.data[label].idempotent])
             proj_op[label], _ = submodule_rep(reg_op, space)
         for label in self.poset.labels:
-            delta_op, proj_morph = self._standardize(proj_op[label], label)
+            delta_op, proj_morph, _ = self._standardize(proj_op[label], label)
             nabla = dualize_plain(self.algebra, delta_op)
             injective = dualize_plain(self.algebra, proj_op[label])
             incl = Morphism(nabla, injective, proj_morph.matrix.transpose())
@@ -230,7 +238,10 @@ def projective_cover(reg: Registry, m: ModuleRep):
     """Minimal projective cover (P0, epi P0 -> m, list of labels used).
 
     Chooses, per label, hom images P(label) -> m whose composites to the
-    head are independent, exactly covering the head's isotypic parts.
+    head are independent, exactly covering the head's isotypic parts; the
+    candidates are Hom(P(label), m)'s basis, read off e_label.m.  Raises
+    TheoremViolation unless the chosen maps cover the whole head, so that
+    the epimorphism is onto.
     """
     F = reg.algebra.field
     head, head_proj = module_head(m)
@@ -253,6 +264,10 @@ def projective_cover(reg: Registry, m: ModuleRep):
                 blocks.append((P, f))
                 labels_used.append(label)
                 taken += 1
+    if covered.dim != head.dim:
+        raise TheoremViolation(
+            f"projective cover of a module of dimension {m.dim} covers {covered.dim} of its "
+            f"{head.dim}-dimensional head (labels used: {labels_used})")
     if not blocks:
         zero_mod = ModuleRep(reg.algebra, 0, [Matrix.zeros(F, 0, 0)] * reg.algebra.dim, check=False)
         return zero_mod, Morphism(zero_mod, m, Matrix.zeros(F, m.dim, 0)), []
@@ -266,17 +281,41 @@ def projective_cover(reg: Registry, m: ModuleRep):
 
 def syzygy(reg: Registry, m: ModuleRep):
     """(Omega, inclusion Omega -> P0, P0, epi P0 -> m), computed once per
-    module content (the action matrices) in the registry: projective_cover
-    draws no randomness.  The epimorphism is returned onto m itself."""
-    key = m.action
-    if key not in reg._syzygies:
-        P0, pi, _ = projective_cover(reg, m)
-        omega, incl = submodule_rep(P0, pi.kernel())
-        reg._syzygies[key] = (omega, incl, P0, pi)
-    omega, incl, P0, pi = reg._syzygies[key]
+    module content (the action matrices) in the registry, with the
+    epimorphism returned onto m itself.
+
+    Delta(label) and L(label) are covered by P(label) as the Registry knows:
+    the kernel is the trace `_standardize` divided by, or rad P(label).
+    Both lie in rad P(label), so these are projective covers, and e_label.m
+    is one-dimensional for both (the trace holds e_label.rad P), so the
+    epimorphism, scaled to Hom(P(label), m)'s canonical element, is the one
+    `projective_cover` would choose.  Other modules are covered by
+    `projective_cover`, which draws no randomness.
+    """
+    omega, incl, P0, pi, _ = _syzygy_data(reg, m)
     if pi.target is not m:
         pi = Morphism(P0, m, pi.matrix)
     return omega, incl, P0, pi
+
+
+def _syzygy_data(reg: Registry, m: ModuleRep):
+    """`syzygy`'s data and the labels of P0's blocks, once per content."""
+    key = m.action
+    if key not in reg._syzygies:
+        known = reg._covers.get(key)
+        if known is None:
+            P0, pi, labels = projective_cover(reg, m)
+            kernel = pi.kernel()
+        else:
+            label, cover, kernel = known
+            P0, labels = reg.projective(label), [label]
+            if not module_radical(P0).contains(kernel):
+                raise TheoremViolation(f"the kernel of the cover at {label!r} is not in rad P")
+            first = next(x for row in cover.matrix.entries for x in row if x)
+            pi = Morphism(P0, m, cover.matrix.scale(reg.algebra.field.inv(first)))
+        omega, incl = submodule_rep(P0, kernel)
+        reg._syzygies[key] = (omega, incl, P0, pi, labels)
+    return reg._syzygies[key]
 
 
 def ext1_with_classes(reg: Registry, m: ModuleRep, n: ModuleRep):
@@ -305,16 +344,24 @@ def ext1_with_classes(reg: Registry, m: ModuleRep, n: ModuleRep):
 
 def _ext1_cocycles(reg: Registry, m: ModuleRep, n: ModuleRep):
     """The cocycles Omega(m) -> n chosen for Ext^1(m, n), or None when
-    Hom(Omega(m), n) = 0."""
+    Hom(Omega(m), n) = 0.  The coboundaries, whose span alone matters,
+    restrict Hom(P(label), n) through each block of P0, read off e_label.n:
+    Hom(P0, n) is never solved."""
     F = reg.algebra.field
-    omega, incl_omega, P0, _ = syzygy(reg, m)
+    omega, incl_omega, _, _, labels = _syzygy_data(reg, m)
     homs_omega = hom_space(omega, n)
     if not homs_omega:
         return None
-    restricted = [h @ incl_omega for h in hom_space(P0, n)]
+    restricted = []
+    offset = 0
+    for label in labels:
+        P = reg.projective(label)
+        block = Matrix(F, incl_omega.matrix.entries[offset:offset + P.dim], cols=omega.dim)
+        restricted.extend((h.matrix @ block).flat() for h in hom_space(P, n))
+        offset += P.dim
     # columns: the coboundaries, then the cocycles; a cocycle is chosen when
     # it leaves the span of every column before it, i.e. at a pivot column
-    vecs = [r.matrix.flat() for r in restricted] + [h.matrix.flat() for h in homs_omega]
+    vecs = restricted + [h.matrix.flat() for h in homs_omega]
     pivots = Matrix(F, vecs).transpose().rref()[1]
     return [homs_omega[c - len(restricted)] for c in pivots if c >= len(restricted)]
 

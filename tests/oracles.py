@@ -11,6 +11,7 @@ from __future__ import annotations
 from tiltcell.algebra import (
     ModuleRep,
     Morphism,
+    _hom_basis,
     hom_space,
     is_isomorphic,
     krull_schmidt,
@@ -21,7 +22,7 @@ from tiltcell.algebra import (
 )
 from tiltcell.cells import cell_module, gram_matrix
 from tiltcell.errors import TiltcellError
-from tiltcell.highest_weight import Registry, ext1_dim
+from tiltcell.highest_weight import Registry, ext1_dim, projective_cover
 from tiltcell.linalg import Matrix, Subspace, coordinates, hstack
 from tiltcell.standard_basis import StandardBasisDatum
 
@@ -69,6 +70,37 @@ def composition_multiplicity(m: ModuleRep, simple: ModuleRep) -> int:
         total += len(hom_space(simple, layer))
         current, _, _ = quotient_rep(current, soc)
     return total
+
+
+# -- hom spaces and extension groups, solved -----------------------------------
+
+
+def solved_homs(m: ModuleRep, n: ModuleRep) -> list[Matrix]:
+    """The canonical basis of Hom(m, n) solved from the intertwining
+    equations (`algebra._hom_basis`), with no memo read, even for a
+    registered projective m, whose Hom `hom_space` reads off e.N instead."""
+    return list(_hom_basis(m, n)) if m.dim and n.dim else []
+
+
+def cover_route_ext_dims(reg: Registry, m: ModuleRep, n: ModuleRep):
+    """(dim Ext^1(m, n), dim Ext^2(m, n)) from `projective_cover`'s
+    presentations and solved hom spaces: no cover read off the Registry and
+    no Hom out of a projective read off e.N.  Ext^1(x, n) is Hom(Omega x, n)
+    modulo the restrictions of Hom(P0, n), and Ext^2(m, n) = Ext^1(Omega m, n)."""
+    F = reg.algebra.field
+
+    def ext1(x):
+        P0, pi, _ = projective_cover(reg, x)
+        omega, incl = submodule_rep(P0, pi.kernel())
+        width = n.dim * omega.dim
+        cobound = Subspace.from_rows(F, width, [(g @ incl.matrix).flat()
+                                                for g in solved_homs(P0, n)])
+        both = cobound.plus(Subspace.from_rows(F, width, [h.flat()
+                                                          for h in solved_homs(omega, n)]))
+        return both.dim - cobound.dim, omega
+
+    e1, omega = ext1(m)
+    return e1, ext1(omega)[0] if omega.dim else 0
 
 
 # -- (co)standard filtrations and extension witnesses ------------------------

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from tiltcell import algebra as algebra_module
 from tiltcell import highest_weight
 from tiltcell.algebra import (
+    AlgebraPresentation,
     ModuleRep,
     direct_sum,
     hom_space,
@@ -15,7 +16,7 @@ from tiltcell.algebra import (
     submodule_rep,
 )
 from tiltcell.docio import catalog_document
-from tiltcell.errors import AxiomViolation, InputError
+from tiltcell.errors import AxiomViolation, InputError, TheoremViolation
 from tiltcell.highest_weight import (
     Registry,
     WeightPoset,
@@ -23,17 +24,21 @@ from tiltcell.highest_weight import (
     ext1_with_classes,
     ext2_dim,
     filtration_multiplicity,
+    projective_cover,
     syzygy,
     verify_standard_category,
 )
 from tiltcell.linalg import Subspace
+from tiltcell.tilting import TiltingRegistry
 
 from conftest import GOOD_CATALOG
 from oracles import (
     NoFiltration,
+    cover_route_ext_dims,
     delta_filtration,
     ext1_witness_factor,
     nabla_filtration,
+    solved_homs,
     subquotient,
 )
 from test_schur import F2, F3, schur_algebra
@@ -491,13 +496,15 @@ def test_injective_accessor_and_socle(pipelines):
 
 
 def test_syzygy_is_computed_once_per_module_content(monkeypatch):
+    # on the injectives: the Registry hands syzygy the covers of the
+    # standard and simple modules, and here Nabla(2) = L(2)
     _, reg = build("auslander-dualnumbers")
     calls = []
     cover = highest_weight.projective_cover
     monkeypatch.setattr(highest_weight, "projective_cover",
                         lambda r, m: calls.append(m) or cover(r, m))
     for lab in reg.poset.labels:
-        m = reg.costandard(lab)
+        m = reg.injective(lab)
         twin = ModuleRep(m.algebra, m.dim, list(m.action), check=False)
         calls.clear()
         first, second = syzygy(reg, m), syzygy(reg, twin)
@@ -510,3 +517,110 @@ def test_syzygy_is_computed_once_per_module_content(monkeypatch):
         omega, incl = submodule_rep(P0, pi.kernel())
         assert (first[0].action, first[1].matrix, first[2].action, first[3].matrix) == (
             omega.action, incl.matrix, P0.action, pi.matrix)
+
+
+# -- Hom out of projectives and the Registry's covers ------------------------------
+
+
+def fresh(algebra):
+    """The same table on a presentation with empty memos, so every hom space
+    out of a projective is found by the route under test."""
+    return AlgebraPresentation(algebra.field, algebra.dim, algebra.table, algebra.unit,
+                               name=algebra.name, check=False)
+
+
+REGISTRY_CASES = (
+    [pytest.param(lambda name=name: build(name)[1], id=name) for name in GOOD_CATALOG]
+    + [pytest.param(lambda field=field, n=n: Registry(fresh(auslander_algebra(field, n)),
+                                                      chain_poset(n)),
+                    id=f"auslander{n}-{field!r}")
+       for field in (Q, F2, F3, F10007) for n in (2, 3, 4)]
+    + [pytest.param(lambda field=field, r=r: Registry(fresh(schur_algebra(field, r)[0]),
+                                                      schur_algebra(field, r)[3]),
+                    id=f"S(2,{r})-{field!r}")
+       for r in (3, 4) for field in (Q, F3)])
+
+
+@pytest.mark.parametrize("make_registry", REGISTRY_CASES)
+def test_projective_homs_match_solved_reference(make_registry):
+    # Hom(P(label), N) read off e.N equals the solved basis entry for entry,
+    # for N over the simple, standard, costandard and tilting modules and
+    # their syzygies
+    reg = make_registry()
+    tilt = TiltingRegistry(reg)
+    targets = [mod for lab in reg.poset.labels for mod in (
+        reg.simple(lab), reg.standard(lab), reg.costandard(lab), tilt.module(lab))]
+    targets += [syzygy(reg, mod)[0] for mod in targets]
+    nonzero = 0
+    for lab in reg.poset.labels:
+        P = reg.projective(lab)
+        assert any(reg.algebra._projectives[P.action] is incl.matrix
+                   for cls in algebra_module._regular_summands(reg.algebra)
+                   for _, _, incl, *_ in cls)
+        for n in targets:
+            got = [f.matrix for f in hom_space(P, n)]
+            want = solved_homs(P, n)
+            assert got == want
+            assert [str(g) for g in got] == [str(g) for g in want]
+            nonzero += bool(got)
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("make_registry", REGISTRY_CASES)
+def test_registry_covers_match_projective_cover(make_registry):
+    # Hom(P(label), M) is one-dimensional for M = Delta(label) and L(label)
+    # (the trace Delta divides by holds e_label.rad P), so the syzygy read off
+    # the Registry is projective_cover's entry for entry
+    reg = make_registry()
+    for lab in reg.poset.labels:
+        P = reg.projective(lab)
+        for m in (reg.standard(lab), reg.simple(lab)):
+            assert len(hom_space(P, m)) == 1
+            omega, incl, P0, pi = syzygy(reg, m)
+            assert P0 is P
+            cover_P0, cover_pi, labels = projective_cover(reg, m)
+            cover_omega, cover_incl = submodule_rep(cover_P0, cover_pi.kernel())
+            assert labels == [lab]
+            assert (omega.action, incl.matrix, P0.action, pi.matrix) == (
+                cover_omega.action, cover_incl.matrix, cover_P0.action, cover_pi.matrix)
+
+
+@pytest.mark.parametrize("name", ["dualnumbers", "auslander-dualnumbers", "ut3"])
+def test_ext_dims_match_cover_route(name):
+    # dualnumbers is not quasi-hereditary: its one simple extends itself in
+    # degrees 1 and 2, and Delta(1) = Nabla(1) = L(1)
+    _, reg = build(name)
+    mods = [mod for lab in reg.poset.labels for mod in (
+        reg.simple(lab), reg.standard(lab), reg.costandard(lab), reg.projective(lab))]
+    nonzero = 0
+    for m in mods:
+        for n in mods:
+            got = (ext1_dim(reg, m, n), ext2_dim(reg, m, n))
+            assert got == cover_route_ext_dims(reg, m, n)
+            nonzero += any(got)
+    assert nonzero > 0
+    if name == "dualnumbers":
+        L = reg.simple("1")
+        assert cover_route_ext_dims(reg, L, L) == (1, 1)
+
+
+def test_projective_cover_refuses_an_uncovered_head(monkeypatch):
+    # a multiplicity that undercounts the head leaves pi short of onto
+    _, reg = build("a2path")
+    L = reg.simple("1")
+    m, _, _ = direct_sum([L, L])
+    mult = reg.mult
+    monkeypatch.setattr(reg, "mult", lambda mod, label: min(1, mult(mod, label)))
+    with pytest.raises(TheoremViolation, match=r"dimension 2 covers 1 of its "
+                       r"2-dimensional head \(labels used: \['1'\]\)"):
+        projective_cover(reg, m)
+
+
+def test_registry_cover_outside_the_radical_is_refused(monkeypatch):
+    _, reg = build("a2path")
+    delta = reg.standard("1")
+    label, cover, _ = reg._covers[delta.action]
+    full = Subspace.full(reg.algebra.field, reg.projective(label).dim)
+    monkeypatch.setitem(reg._covers, delta.action, (label, cover, full))
+    with pytest.raises(TheoremViolation, match="cover at '1' is not in rad P"):
+        syzygy(reg, delta)

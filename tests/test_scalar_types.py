@@ -5,18 +5,23 @@ Every Matrix construction (`Matrix.__init__` and `Matrix._of`) is checked
 while the whole catalog and the dim-14 Auslander pipeline run, so a float
 or an unreduced residue reaching a matrix anywhere fails here.  Over F_p,
 `Subspace.from_rows` makes no reducing pass of its own, so every row that
-reaches it is checked to hold residues in [0, p) already."""
+reaches it is checked to hold residues in [0, p) already, while the dim-14
+and the dim-30 Auslander pipelines run."""
 
 from fractions import Fraction
 
 import pytest
 
 from tiltcell import cli
+from tiltcell.algebra import direct_sum
 from tiltcell.docio import catalog_names
+from tiltcell.highest_weight import Registry, verify_standard_category
 from tiltcell.linalg import Matrix, Subspace
+from tiltcell.standard_basis import build_standard_basis, verify_standard_axioms
+from tiltcell.tilting import TiltingRegistry
 
 from test_cli import report_bytes
-from test_stress import auslander3_pipeline
+from test_stress import auslander3_pipeline, bench_auslander_document
 
 
 def wrong_scalars(m: Matrix) -> list:
@@ -95,9 +100,24 @@ def test_catalog_from_rows_gets_reduced_residues(p, checked_from_rows, monkeypat
     assert wrong == []
 
 
+def auslander4_pipeline(field_spec):
+    """Registry, verification, tilting modules, basis and axiom replay for
+    the Auslander algebra of K[x]/x^4 (dim 30), on a freshly parsed
+    document, so no memo of an earlier test is read."""
+    doc = bench_auslander_document(4, field_spec)
+    reg = Registry(doc.algebra, doc.poset)
+    assert verify_standard_category(reg).ok
+    tilt = TiltingRegistry(reg)
+    T, _, _ = direct_sum([tilt.module(lab) for lab in doc.poset.labels])
+    assert verify_standard_axioms(build_standard_basis(tilt, T, seed=0), trials=6)["ok"]
+
+
 @pytest.mark.parametrize("p", [2, 3, 10007])
 def test_auslander3_from_rows_gets_reduced_residues(p, checked_from_rows):
+    # the dim-14 pipeline and the dim-30 one: Hom out of a projective reads
+    # off e.N and forms no subspace, so dim 14 alone no longer passes 100
     calls, wrong = checked_from_rows
     auslander3_pipeline(f"Fp {p}", 0)
+    auslander4_pipeline(f"Fp {p}")
     assert calls[0] > 100
     assert wrong == []

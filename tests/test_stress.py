@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from tiltcell import algebra as algebra_module
+from tiltcell import highest_weight
 from tiltcell.algebra import (
     AlgebraPresentation,
     EndAlgebra,
@@ -254,3 +256,21 @@ def auslander3_pipeline(field_spec, seed):
 def test_auslander3_basis_matches_recorded_digest(workload, field_spec):
     recorded = json.loads((BENCH / "digests.json").read_text())[workload]["0"]["basis"]
     assert cell_digest(auslander3_pipeline(field_spec, 0)) == recorded
+
+
+def test_ext_layer_reads_projective_homs_and_covers_off_the_registry(monkeypatch):
+    # on the dim-14 pipeline no hom system is solved out of a registered
+    # projective, and no standard or simple module reaches projective_cover
+    solved_from, covered = [], []
+    hom_basis, cover = algebra_module._hom_basis, highest_weight.projective_cover
+    monkeypatch.setattr(algebra_module, "_hom_basis",
+                        lambda m, n: solved_from.append(m.action) or hom_basis(m, n))
+    monkeypatch.setattr(highest_weight, "projective_cover",
+                        lambda reg, m: covered.append(m.action) or cover(reg, m))
+    reg = auslander3_pipeline("Fp 10007", 0).reg
+    projectives = {reg.projective(lab).action for lab in reg.poset.labels}
+    seeded = {mod.action for lab in reg.poset.labels
+              for mod in (reg.standard(lab), reg.simple(lab))}
+    assert solved_from and covered
+    assert projectives.isdisjoint(solved_from)
+    assert seeded.isdisjoint(covered)
