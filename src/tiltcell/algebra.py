@@ -10,7 +10,9 @@ e.N (Yoneda, `_yoneda_basis`): so the regular module is split and its
 summands are grouped by isomorphism, and so `hom_space` reads Hom out of
 each projective cover P(label) that the Registry's simples come with
 (`simples_and_split_check`).
-Associativity is checked on the nonzero entries of the structure table.
+Associativity is checked on the nonzero entries of the structure table;
+it, the module axioms and intertwining take their first factor among the
+generators alone (the lemma in `structure`).
 An endomorphism splits a module in one step: it is an idempotent, or its
 Fitting projection onto im(phi^n) along ker(phi^n) is, at 0 or at one
 eigenvalue in the base field.  A local ring has no nontrivial idempotent,
@@ -193,7 +195,7 @@ class ModuleRep:
         F = self.algebra.field
         if self.act(self.algebra.unit) != Matrix.identity(F, self.dim):
             raise InputError("unit does not act as the identity")
-        for i in range(self.algebra.dim):
+        for i in self.algebra.generators():  # enough by `structure`'s lemma
             for j in range(self.algebra.dim):
                 if self.action[i] @ self.action[j] != self.act(self.algebra.table[i][j]):
                     raise InputError(f"module axiom fails at basis pair ({i},{j})")
@@ -222,7 +224,7 @@ class Morphism:
             self.check_intertwines()
 
     def check_intertwines(self):
-        for i in range(self.source.algebra.dim):
+        for i in self.source.algebra.generators():  # enough by `structure`'s lemma
             if self.matrix @ self.source.action[i] != self.target.action[i] @ self.matrix:
                 raise InputError(f"matrix does not intertwine basis element {i}")
 

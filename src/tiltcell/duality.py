@@ -45,7 +45,8 @@ class AntiInvolution:
     """An algebra anti-involution given by its matrix on the basis.
 
     Columns are images: tau(b_i) = sum_j matrix[j][i] b_j.  The constructor
-    verifies anti-multiplicativity, involutivity and unit preservation.
+    verifies involutivity, unit preservation and anti-multiplicativity, the
+    last on the generators (the lemma in `structure`).
     """
 
     def __init__(self, algebra: AlgebraPresentation, matrix: Matrix):
@@ -60,7 +61,7 @@ class AntiInvolution:
         unit_col = Matrix.column(F, algebra.unit)
         if matrix @ unit_col != unit_col:
             raise InputError("anti-involution does not fix the unit")
-        for i in range(n):
+        for i in algebra.generators():
             for j in range(n):
                 lhs = matrix @ Matrix.column(F, algebra.table[i][j])
                 rhs = algebra.multiply(self.apply_basis(j), self.apply_basis(i))

@@ -93,13 +93,6 @@ class WeightPoset:
     def position(self, a) -> int:
         return self._position[a]
 
-    def maximal_among(self, subset):
-        """Maximal elements of a label subset, tie-broken by latest position
-        in the linear extension."""
-        subset = list(subset)
-        maxima = [x for x in subset if not any(self.lt(x, y) for y in subset)]
-        return max(maxima, key=self.position)
-
 
 class StandardData:
     """Per-label bundle: simple, projective, injective, standard, costandard."""

@@ -663,21 +663,6 @@ class Subspace:
         rows = list(self.basis.entries) + list(other.basis.entries)
         return Subspace.from_rows(self.field, self.ambient, rows)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient)
-        # x in V cap W  <=>  x = a V = b W; solve [V^T | -W^T] null space.
-        F = self.field
-        vt = self.basis.transpose()
-        wt = other.basis.transpose()
-        ker = hstack([vt, -wt]).kernel()
-        rows = []
-        for kr in ker.entries:
-            coeffs = Matrix.row(F, kr[: self.dim])
-            rows.append((coeffs @ self.basis).entries[0])
-        return Subspace.from_rows(F, self.ambient, rows)
-
     def complement_projection(self):
         """Projection onto non-pivot coordinates and its section.
 

@@ -4,6 +4,18 @@ set that `hom_space` imposes its intertwining equations for.
 
 Neither forms a matrix.  A subalgebra is grown as the span of the words in
 its generators applied to the unit, kept in echelon form on sparse rows.
+
+Lemma: A's checks of a multiplicative identity may take the first factor
+among the generators only.  The a for which it holds against all other
+factors form a subspace V.  It contains 1 once 1 is checked to be a unit
+on both sides (and rho(1) = 1, t(1) = 1), and it is closed under left
+multiplication by each generator g in V (the last three by associativity):
+  associativity: ((gu)b)c = (g(ub))c = g((ub)c) = g(u(bc)) = (gu)(bc);
+  a module rho: rho(gu) rho(b) = rho(g) rho(ub) = rho(g(ub)) = rho((gu)b);
+  an anti-involution t: t((gu)b) = t(ub) t(g) = t(b) t(u) t(g) = t(b) t(gu);
+  an intertwiner X: the a with X rho(a) = rho'(a) X form a subalgebra.
+`_Closure` spans A by the right-normed words g_1 (g_2 (... (g_k . 1))), so
+V = A.
 """
 
 from __future__ import annotations
@@ -15,12 +27,13 @@ def sparse_table(algebra):
 
 
 def first_nonassociative_pair(algebra) -> tuple[int, int] | None:
-    """The first basis pair (i, j), row by row, with b_i (b_j b_k) != (b_i b_j) b_k
-    for some k (where L_i L_j and L_{b_i b_j} differ), or None.  Every triple is
-    checked exactly."""
+    """The first basis pair (i, j), i a generator (the lemma above), with
+    b_i (b_j b_k) != (b_i b_j) b_k for some k (where L_i L_j and L_{b_i b_j}
+    differ), or None.  Every such triple is checked exactly."""
     p = algebra.field.p
     sparse = sparse_table(algebra)
-    for i, row_i in enumerate(sparse):
+    for i in algebra.generators():
+        row_i = sparse[i]
         for j, ij in enumerate(row_i):
             row_j = sparse[j]
             for k in range(algebra.dim):

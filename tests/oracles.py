@@ -21,7 +21,7 @@ from tiltcell.algebra import (
     submodule_rep,
 )
 from tiltcell.cells import cell_module, gram_matrix
-from tiltcell.errors import TiltcellError
+from tiltcell.errors import DimensionMismatch, InputError, TiltcellError
 from tiltcell.highest_weight import Registry, ext1_dim, projective_cover
 from tiltcell.linalg import Matrix, Subspace, coordinates, hstack
 from tiltcell.standard_basis import StandardBasisDatum
@@ -40,6 +40,69 @@ class NoFiltration(TiltcellError):
     def __init__(self, label, detail=""):
         self.label = label
         super().__init__(f"no filtration, witness label {label!r} {detail}".rstrip())
+
+
+# -- subspaces and labels -----------------------------------------------------
+
+
+def intersect(v: Subspace, w: Subspace) -> Subspace:
+    """V cap W: x = a V = b W, read off the null space of [V^T | -W^T]."""
+    if v.ambient != w.ambient:
+        raise DimensionMismatch("subspaces live in different ambient spaces")
+    F = v.field
+    if v.dim == 0 or w.dim == 0:
+        return Subspace.zero(F, v.ambient)
+    ker = hstack([v.basis.transpose(), -w.basis.transpose()]).kernel()
+    return Subspace.from_rows(F, v.ambient, [
+        (Matrix.row(F, kr[:v.dim]) @ v.basis).entries[0] for kr in ker.entries])
+
+
+def maximal_among(poset, subset):
+    """A maximal element of a label subset, tie-broken by latest position in
+    the linear extension."""
+    subset = list(subset)
+    maxima = [x for x in subset if not any(poset.lt(x, y) for y in subset)]
+    return max(maxima, key=poset.position)
+
+
+# -- A's identities on every basis pair ----------------------------------------
+# The load checks take their first factor among A's generators only; these
+# take it over the whole basis, with the same messages.
+
+
+def module_axioms_all_pairs(m: ModuleRep):
+    F = m.algebra.field
+    if m.act(m.algebra.unit) != Matrix.identity(F, m.dim):
+        raise InputError("unit does not act as the identity")
+    for i in range(m.algebra.dim):
+        for j in range(m.algebra.dim):
+            if m.action[i] @ m.action[j] != m.act(m.algebra.table[i][j]):
+                raise InputError(f"module axiom fails at basis pair ({i},{j})")
+
+
+def intertwines_all_basis(f: Morphism):
+    for i in range(f.source.algebra.dim):
+        if f.matrix @ f.source.action[i] != f.target.action[i] @ f.matrix:
+            raise InputError(f"matrix does not intertwine basis element {i}")
+
+
+def anti_involution_all_pairs(algebra, matrix: Matrix):
+    """`AntiInvolution`'s checks: shape, involutivity, the unit, then
+    tau(b_i b_j) = tau(b_j) tau(b_i) for every basis pair."""
+    F, n = algebra.field, algebra.dim
+    if matrix.rows != n or matrix.cols != n:
+        raise InputError("anti-involution matrix has wrong shape")
+    if matrix @ matrix != Matrix.identity(F, n):
+        raise InputError("anti-involution does not square to the identity")
+    unit_col = Matrix.column(F, algebra.unit)
+    if matrix @ unit_col != unit_col:
+        raise InputError("anti-involution does not fix the unit")
+    tau = [tuple(row[i] for row in matrix.entries) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lhs = tuple(r[0] for r in (matrix @ Matrix.column(F, algebra.table[i][j])).entries)
+            if lhs != algebra.multiply(tau[j], tau[i]):
+                raise InputError(f"anti-multiplicativity fails at basis pair ({i},{j})")
 
 
 # -- composition multiplicities ----------------------------------------------
@@ -168,7 +231,7 @@ def _peel_candidates(poset, labels):
     """Label order for peeling: the maximal one first, then the rest by
     decreasing linear-extension position.  A peel at the smallest head label
     always succeeds on a filtered module, so the loop terminates."""
-    first = poset.maximal_among(labels)
+    first = maximal_among(poset, labels)
     rest = sorted((x for x in labels if x != first),
                   key=poset.position, reverse=True)
     return [first] + rest
@@ -193,7 +256,7 @@ def _delta_chain(reg: Registry, m: ModuleRep):
         if epi is not None:
             break
     if epi is None:
-        raise NoFiltration(reg.poset.maximal_among(reg.factor_labels(head)),
+        raise NoFiltration(maximal_among(reg.poset, reg.factor_labels(head)),
                            "(no epimorphism onto a standard module)")
     delta = reg.standard(lam)
     assert epi.is_surjective()
@@ -237,7 +300,7 @@ def _nabla_chain(reg: Registry, n: ModuleRep):
         if mono is not None:
             break
     if mono is None:
-        raise NoFiltration(reg.poset.maximal_among(reg.factor_labels(soc_mod)),
+        raise NoFiltration(maximal_among(reg.poset, reg.factor_labels(soc_mod)),
                            "(no monomorphism from a costandard module)")
     nabla = reg.costandard(lam)
     assert mono.is_injective()

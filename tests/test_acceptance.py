@@ -6,8 +6,6 @@ suite doubles as a checklist when run with -s.
 """
 
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -25,6 +23,7 @@ from tiltcell.standard_basis import (
 from tiltcell.tilting import tilting_support
 
 from oracles import ext1_witness_factor, hom_filtration_from_datum, hom_filtration_oracle
+from test_cli import run_cli
 
 GOOD = ["trivial", "semisimple2", "a2path", "auslander-dualnumbers", "ut3"]
 
@@ -170,12 +169,10 @@ def test_acceptance_7_oracle_equivalence(pipelines):
 
 def test_acceptance_8_determinism():
     def run():
-        proc = subprocess.run(
-            [sys.executable, "-m", "tiltcell.cli", "basis", "--catalog", "a2path",
-             "--seed", "5", "--trials", "10", "--format", "json"],
-            capture_output=True)
-        assert proc.returncode == 0
-        return proc.stdout
+        code, out, _ = run_cli("basis", "--catalog", "a2path",
+                               "--seed", "5", "--trials", "10", "--format", "json")
+        assert code == 0
+        return out
 
     first, second = run(), run()
     assert first == second

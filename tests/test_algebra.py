@@ -1,4 +1,5 @@
 import functools
+from collections import Counter
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -33,6 +34,7 @@ from tiltcell.algebra import (
 )
 from tiltcell.cells import cell_module, end_presentation
 from tiltcell.docio import catalog_document, catalog_names
+from tiltcell.duality import AntiInvolution
 from tiltcell.errors import (
     InconsistentSystem,
     InputError,
@@ -45,7 +47,14 @@ from tiltcell.linalg import Field, Matrix, Subspace, block_diag, vstack
 from tiltcell.standard_basis import build_standard_basis, structure_coefficients
 from tiltcell.tilting import TiltingRegistry, tilting_support
 
-from oracles import NotSimple, composition_multiplicity, is_simple
+from oracles import (
+    NotSimple,
+    anti_involution_all_pairs,
+    composition_multiplicity,
+    intertwines_all_basis,
+    is_simple,
+    module_axioms_all_pairs,
+)
 from test_schur import schur_algebra, schur_pipeline
 from test_standard_basis import auslander3_pipeline, char_tilting
 from test_stress import auslander_algebra, chain_poset
@@ -1189,6 +1198,16 @@ def check_error(run):
     return None
 
 
+def assert_names_nonassociative_pair(alg, msg):
+    """A pair (i, j) that msg names has i among the generators and
+    L_i L_j != L_{b_i b_j} on the dense left multiplications."""
+    if msg and " at basis pair " in msg:
+        i, j = map(int, msg.split("(")[1].rstrip(")").split(","))
+        lm = alg.left_mult_basis()
+        assert i in alg.generators()
+        assert lm[i] @ lm[j] != alg.left_mult(alg.table[i][j])
+
+
 @functools.cache
 def associative_bases(field):
     spec = "Q" if field.p is None else f"Fp {field.p}"
@@ -1221,9 +1240,154 @@ def tables(draw):
 @settings(max_examples=150, deadline=None)
 @given(tables())
 def test_associativity_check_matches_dense_products(case):
+    # the same verdict as the all-pairs dense check; the load check takes
+    # the first factor among the generators, so it may name another pair,
+    # but that pair is non-associative
     field, dim, table, unit = case
     got = check_error(lambda: AlgebraPresentation(field, dim, table, unit))
-    want = check_error(lambda: dense_check_axioms(
-        AlgebraPresentation(field, dim, table, unit, check=False)))
-    assert got == want
+    alg = AlgebraPresentation(field, dim, table, unit, check=False)
+    want = check_error(lambda: dense_check_axioms(alg))
+    assert (got and got.split(" at ")[0]) == (want and want.split(" at ")[0])
+    assert_names_nonassociative_pair(alg, got)
     event(got.split(" at ")[0] if got else "associative")
+
+
+# -- associativity, module axioms, intertwining and anti-involutions on the
+#    generators, against the all-pairs loops
+
+
+def assert_same_verdict(got, want):
+    """The same error text up to the witness indices at its end, or both None."""
+    strip = (lambda msg: msg and msg.rstrip("0123456789(),"))
+    assert strip(got) == strip(want), (got, want)
+
+
+def witness(msg):
+    """The indices an error message ends with, as ints."""
+    return tuple(map(int, msg.rsplit(" ", 1)[1].strip("()").split(",")))
+
+
+def bump(mat, r, c):
+    """mat with 1 added to its (r, c) entry."""
+    rows = [list(row) for row in mat.entries]
+    rows[r][c] = mat.field.add(rows[r][c], mat.field.one())
+    return Matrix(mat.field, rows, cols=mat.cols)
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=repr)
+def test_associativity_check_on_generators_matches_all_pairs(field):
+    # one structure constant changed, for each basis element as first factor
+    outcomes = Counter()
+    for base in associative_bases(field):
+        d = base.dim
+        for t in range(d):
+            table = [[list(v) for v in row] for row in base.table]
+            j, k = (5 * t + 1) % d, (3 * t + 2) % d
+            table[t][j][k] = field.add(table[t][j][k], field.one())
+            got = check_error(lambda: AlgebraPresentation(field, d, table, base.unit))
+            alg = AlgebraPresentation(field, d, table, base.unit, check=False)
+            assert_same_verdict(got, check_error(lambda: dense_check_axioms(alg)))
+            assert_names_nonassociative_pair(alg, got)
+            outcomes[t in alg.generators(), got.split(" at ")[0] if got else None] += 1
+    key = "multiplication not associative"
+    assert outcomes[True, key] and outcomes[False, key]
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=repr)
+def test_module_check_on_generators_matches_all_pairs(field):
+    # one entry of one action matrix of the regular module changed, for each
+    # basis element in turn
+    outcomes = Counter()
+    for alg in associative_bases(field):
+        d, gens = alg.dim, alg.generators()
+        regular = alg.regular_module()
+        assert check_error(lambda: ModuleRep(alg, d, regular.action)) is None
+        for t in range(d):
+            action = list(regular.action)
+            action[t] = bump(action[t], t % d, (3 * t + 1) % d)
+            got = check_error(lambda: ModuleRep(alg, d, action))
+            module = ModuleRep(alg, d, action, check=False)
+            assert_same_verdict(got, check_error(lambda: module_axioms_all_pairs(module)))
+            if got and "pair" in got:
+                i, j = witness(got)
+                assert i in gens
+                assert action[i] @ action[j] != module.act(alg.table[i][j])
+            outcomes[t in gens, got.split(" at ")[0] if got else None] += 1
+    # a generator's fault, and a non-generator's that only a product shows
+    assert outcomes[True, "module axiom fails"] and outcomes[False, "module axiom fails"]
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=repr)
+def test_intertwining_check_on_generators_matches_all_basis(field):
+    # each hom basis element of the regular module, and it with one entry changed
+    outcomes = Counter()
+    for alg in associative_bases(field):
+        m, gens = alg.regular_module(), alg.generators()
+        for t, f in enumerate(hom_space(m, m)):
+            for mat in (f.matrix, bump(f.matrix, t % m.dim, (2 * t + 1) % m.dim)):
+                got = check_error(lambda: Morphism(m, m, mat, check=True))
+                assert_same_verdict(got, check_error(
+                    lambda: intertwines_all_basis(Morphism(m, m, mat))))
+                if got:
+                    (i,) = witness(got)
+                    assert i in gens
+                    assert mat @ m.action[i] != m.action[i] @ mat
+                outcomes[mat is f.matrix, got is None] += 1
+    assert outcomes[True, False] == 0 and outcomes[True, True]
+    assert outcomes[False, False] and outcomes[False, True]
+
+
+def auslander_tau(field, n):
+    """The anti-involution b(j, k, s) -> b(k, j, s + j - k) of
+    `auslander_algebra(field, n)`, on its basis (listed as there): it reverses
+    composition, b(k, l, t) b(j, k, s) = b(j, l, s + t)."""
+    basis = [(k, k, 0) for k in range(1, n + 1)]
+    basis += [(j, k, s) for j in range(1, n + 1) for k in range(1, n + 1)
+              for s in range(max(0, k - j), k) if j != k or s]
+    index = {b: i for i, b in enumerate(basis)}
+    image = [index[(k, j, s + j - k)] for j, k, s in basis]
+    return Matrix(field, [[field.of(int(image[c] == r)) for c in range(len(basis))]
+                          for r in range(len(basis))])
+
+
+def perturbed_taus(alg, tau):
+    """tau, the identity, and tau conjugated by a sign change of one basis
+    element or a swap of two neighbours, each fixing the unit: all of them
+    square to the identity and fix the unit."""
+    F, n = alg.field, alg.dim
+    yield tau
+    yield Matrix.identity(F, n)
+    for i in range(n):
+        if not alg.unit[i]:
+            d = Matrix(F, [[F.of(-1 if r == c == i else int(r == c)) for c in range(n)]
+                           for r in range(n)])
+            yield d @ tau @ d
+    for i in range(n - 1):
+        if alg.unit[i] == alg.unit[i + 1]:
+            perm = [i + 1 if t == i else i if t == i + 1 else t for t in range(n)]
+            p = Matrix(F, [[F.of(int(perm[c] == r)) for c in range(n)] for r in range(n)])
+            yield p @ tau @ p
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=repr)
+def test_anti_involution_check_on_generators_matches_all_pairs(field):
+    spec = "Q" if field.p is None else f"Fp {field.p}"
+    cases = [(doc.algebra, doc.anti_involution)
+             for doc in (catalog_document(name, spec) for name in catalog_names())
+             if doc.anti_involution is not None]
+    cases.append((auslander_algebra(field, 3), auslander_tau(field, 3)))
+    outcomes = Counter()
+    for alg, tau in cases:
+        for mat in perturbed_taus(alg, tau):
+            got = check_error(lambda: AntiInvolution(alg, mat))
+            want = check_error(lambda: anti_involution_all_pairs(alg, mat))
+            assert_same_verdict(got, want)
+            if got:
+                i, j = witness(got)
+                assert i in alg.generators()
+                lhs = tuple(r[0] for r in (mat @ Matrix.column(field, alg.table[i][j])).entries)
+                tau_of = [tuple(row[t] for row in mat.entries) for t in range(alg.dim)]
+                assert lhs != alg.multiply(tau_of[j], tau_of[i])
+            outcomes[mat is tau, got is None] += 1
+    assert outcomes[True, True] == len(cases)
+    assert outcomes[False, False] and outcomes[False, True]

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +15,15 @@ from tiltcell.docio import catalog_document, catalog_names, parse_document
 from tiltcell.errors import InputError
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(*args):
+    """Run `python -m tiltcell.cli` in a child process that imports the
+    package from this checkout's src, installed or not."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "tiltcell.cli", *args],
-                          capture_output=True)
+                          capture_output=True, env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
 
 

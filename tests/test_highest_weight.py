@@ -37,6 +37,7 @@ from oracles import (
     cover_route_ext_dims,
     delta_filtration,
     ext1_witness_factor,
+    maximal_among,
     nabla_filtration,
     solved_homs,
     subquotient,
@@ -74,10 +75,10 @@ def test_poset_validation():
 def test_poset_transitive_closure_and_maximal():
     p = WeightPoset(["1", "2", "3"], [("1", "2"), ("2", "3")])
     assert p.lt("1", "3")
-    assert p.maximal_among(["1", "2", "3"]) == "3"
+    assert maximal_among(p, ["1", "2", "3"]) == "3"
     q = WeightPoset(["x", "y"], [])
     # incomparable: tie broken by linear extension position
-    assert q.maximal_among(["x", "y"]) == "y"
+    assert maximal_among(q, ["x", "y"]) == "y"
 
 
 def reference_below(labels, covers):

@@ -589,6 +589,27 @@ def test_replay_matches_reference_at_trial_counts(pipelines, trials):
     assert outcomes == {(True, True): 15, (False, False): 7}
 
 
+def test_axiom_check_draws_no_random_probe(pipelines, monkeypatch):
+    # the random probes are certified by bilinearity from the basis
+    # residuals: none is drawn, and only the counts depend on their number
+    datums = list(perturbed_datums(pipelines))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("Field.sample called")
+
+    monkeypatch.setattr(tiltcell.linalg.Field, "sample", no_draw)
+    violations = 0
+    for name, datum in datums:
+        got, _ = assert_replay_matches_reference(datum, 0, 0)
+        n = datum.dim()
+        for trials in (1, 100):
+            want = got if "ok" not in got else {
+                "probes": n + trials, "congruences_checked": 2 * (n + trials) * n, "ok": True}
+            assert outcome(lambda: verify_standard_axioms(datum, trials=trials)) == want, name
+        violations += "ok" not in got
+    assert violations == 7
+
+
 def reference_probe_residuals(datum, a):
     """Probe a's residual at every checked entry (at, side, pos), formed
     from the probe itself: its products and structure coefficients are
