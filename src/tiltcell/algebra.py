@@ -2,29 +2,27 @@
 morphisms, and the structural toolbox: hom spaces, radicals, socles and
 heads, Krull-Schmidt decomposition, isomorphism tests.
 
-Hom spaces impose the intertwining equations only for a generating set of
-A, found once per presentation: every module's action is an algebra
-homomorphism, so commuting with the generators is commuting with A.
-Hom out of a summand A.e of the regular module is not solved but read off
-e.N (Yoneda, `_yoneda_basis`): so the regular module is split and its
-summands are grouped by isomorphism, and so `hom_space` reads Hom out of
-each projective cover P(label) that the Registry's simples come with
-(`simples_and_split_check`).
-Associativity is checked on the nonzero entries of the structure table;
-it, the module axioms and intertwining take their first factor among the
-generators alone (the lemma in `structure`).
+Hom spaces impose the intertwining equations for a generating set of A
+alone, found once per presentation.  Hom out of a summand A.e of the
+regular module, such as the projective cover of each of the Registry's
+simples (`simples_and_split_check`), is read off e.N (`_yoneda_basis`).
+Products read the structure table's nonzero entries, listed once.
+Associativity, the module axioms, intertwining, a
+submodule's invariance and the radical's ideal test take their first factor
+among the generators alone (the lemma in `structure`); a submodule's other
+actions are read at its pivot rows, and a basis element acts by its stored
+matrix.
 An endomorphism splits a module in one step: it is an idempotent, or its
 Fitting projection onto im(phi^n) along ker(phi^n) is, at 0 or at one
 eigenvalue in the base field.  A local ring has no nontrivial idempotent,
 so a piece whose End basis does not split is certified local by those
 eigenvalues: the phi - chi(phi).1 span a nilpotent ideal of codimension 1.
 
-A's radical is read off the heads of its projective summands, in every
-characteristic, certified, computed once per presentation and shared with
-the opposite algebra, whose radical is the same subspace.  Isomorphism is
-decided without randomness: by an invertible element of a hom basis, which
-exists when the modules are isomorphic and indecomposable, or else by
-matching Krull-Schmidt summands.
+A's radical is read off the heads of its projective summands in every
+characteristic, certified, and shared with the opposite algebra, whose
+radical is the same subspace.  Isomorphism is decided without randomness:
+by an invertible element of a hom basis, or else by matching Krull-Schmidt
+summands.
 
 All arithmetic is exact.  The one randomized search, the idempotent hunt
 behind the deterministic sweep, seeds its own PRNG on every call, so a split
@@ -48,7 +46,7 @@ from .errors import (
 )
 from .linalg import (Field, Matrix, Subspace, block_diag, coordinates, linear_combination,
                      sparse_kernel, vstack)
-from .structure import first_nonassociative_pair, generating_set
+from .structure import first_nonassociative_pair, generating_set, sparse_table
 
 
 class AlgebraPresentation:
@@ -65,6 +63,7 @@ class AlgebraPresentation:
         self.unit = tuple(unit)
         self.name = name
         self._left_mults = None
+        self._sparse_table = None
         self._invariants = {}   # generators and radical, shared with the opposite algebra
         self._summands = None   # the regular module's split (`_regular_summands`), not shared
         self._homs = {}         # hom-space bases by module content (`hom_space`), not shared
@@ -94,49 +93,41 @@ class AlgebraPresentation:
     # -- multiplication -------------------------------------------------------
 
     def multiply(self, a, b):
-        """Product of two coefficient vectors."""
-        F = self.field
-        out = [F.zero()] * self.dim
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                c = F.mul(ai, bj)
-                for k, t in enumerate(self.table[i][j]):
-                    if t:
-                        out[k] = F.add(out[k], F.mul(c, t))
+        """Product of two coefficient vectors, read off `sparse_table`."""
+        p, sparse, acc = self.field.p, self.sparse_table(), {}
+        nz_b = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                row = sparse[i]
+                for j, y in nz_b:
+                    c = x * y
+                    for k, t in row[j]:
+                        acc[k] = acc.get(k, 0) + c * t
+        out = [0] * self.dim
+        for k, v in acc.items():
+            out[k] = v if p is None else v % p
         return tuple(out)
+
+    def sparse_table(self):
+        """`structure.sparse_table`, listed once."""
+        if self._sparse_table is None:
+            self._sparse_table = sparse_table(self)
+        return self._sparse_table
 
     def left_mult_basis(self):
         """Matrices of left multiplication by each basis element."""
-        if self._left_mults is None:
-            F = self.field
-            mats = []
-            for i in range(self.dim):
-                cols = []
-                for j in range(self.dim):
-                    cols.append(self.table[i][j])
-                # column j is b_i * b_j
-                mats.append(Matrix(F, list(zip(*cols))))
-            self._left_mults = tuple(mats)
+        if self._left_mults is None:  # column j of the i-th is b_i b_j
+            self._left_mults = tuple(Matrix(self.field, list(zip(*row))) for row in self.table)
         return self._left_mults
 
     def left_mult(self, a) -> Matrix:
         return linear_combination(self.field, a, self.left_mult_basis(), self.dim, self.dim)
 
     def _check_axioms(self):
-        F = self.field
-        unit_mat = self.left_mult(self.unit)
-        ident = Matrix.identity(F, self.dim)
-        if unit_mat != ident:
+        if self.left_mult(self.unit) != Matrix.identity(self.field, self.dim):
             raise InputError("unit is not a left identity")
-        # right identity: b_i * 1 = b_i
-        for i in range(self.dim):
-            e_i = self.basis_vector(i)
-            if self.multiply(e_i, self.unit) != e_i:
-                raise InputError("unit is not a right identity")
+        if any(self.multiply(e, self.unit) != e for e in map(self.basis_vector, range(self.dim))):
+            raise InputError("unit is not a right identity")
         pair = first_nonassociative_pair(self)
         if pair is not None:
             raise InputError("multiplication not associative at basis pair ({},{})".format(*pair))
@@ -150,8 +141,7 @@ class AlgebraPresentation:
         return self._invariants["generators"]
 
     def opposite(self) -> "AlgebraPresentation":
-        table = [[self.table[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        op = AlgebraPresentation(self.field, self.dim, table, self.unit,
+        op = AlgebraPresentation(self.field, self.dim, list(zip(*self.table)), self.unit,
                                  name=self.name + "^op", check=False)
         op._invariants = self._invariants
         return op
@@ -280,23 +270,26 @@ class Morphism:
 
 
 def submodule_rep(m: ModuleRep, space: Subspace):
-    """(module on the subspace, inclusion morphism).  space must be invariant."""
-    F = m.algebra.field
+    """(module on the subspace, inclusion morphism).  space must be invariant:
+    checked for the generators alone (`structure`'s lemma); the other
+    actions are read at its pivot rows."""
+    gens = m.algebra.generators()
     incl = space.basis.transpose()  # dim x r, columns are basis vectors
-    action = []
-    for a in m.action:
-        if space.dim == 0:
-            action.append(Matrix.zeros(F, 0, 0))
-            continue
-        action.append(space.coordinates(a @ incl))
+    pivots = [srow[0][0] for srow in space.basis.sparse_rows()]
+    action = [space.coordinates(a @ incl) if i in gens else
+              Matrix._of(a.field, tuple([a.entries[c] for c in pivots]), m.dim) @ incl
+              for i, a in enumerate(m.action)]
     sub = ModuleRep(m.algebra, space.dim, action, check=False)
     return sub, Morphism(sub, m, incl)
 
 
 def quotient_rep(m: ModuleRep, space: Subspace):
-    """(quotient module, projection morphism, section matrix) by an invariant subspace."""
+    """(quotient module, projection morphism, section matrix) by an invariant
+    subspace; each action is proj @ a at the free columns the section picks."""
     proj, section = space.complement_projection()
-    action = [proj @ a @ section for a in m.action]
+    free = [r for r, srow in enumerate(section.sparse_rows()) if srow]
+    action = [Matrix._of(a.field, tuple([tuple([r[c] for c in free]) for r in (proj @ a).entries]),
+                         len(free)) for a in m.action]
     quot = ModuleRep(m.algebra, m.dim - space.dim, action, check=False)
     return quot, Morphism(m, quot, proj), section
 
@@ -310,16 +303,12 @@ def direct_sum(mods):
     total = ModuleRep(alg, sum(m.dim for m in mods), action, check=False)
     incls, projs = [], []
     offset = 0
+    z, o = F.zero(), F.one()
     for m in mods:
-        inc = Matrix.zeros(F, total.dim, m.dim)
-        pr = Matrix.zeros(F, m.dim, total.dim)
-        inc_rows = [list(r) for r in inc.entries]
-        pr_rows = [list(r) for r in pr.entries]
-        for i in range(m.dim):
-            inc_rows[offset + i][i] = F.one()
-            pr_rows[i][offset + i] = F.one()
-        incls.append(Morphism(m, total, Matrix(F, inc_rows)))
-        projs.append(Morphism(total, m, Matrix(F, pr_rows)))
+        pr = Matrix(F, [[o if c == offset + i else z for c in range(total.dim)]
+                        for i in range(m.dim)], cols=total.dim)
+        incls.append(Morphism(m, total, pr.transpose()))
+        projs.append(Morphism(total, m, pr))
         offset += m.dim
     return total, incls, projs
 
@@ -499,15 +488,16 @@ def _radical_from_projectives(algebra: AlgebraPresentation) -> Subspace:
 
 
 def _ideal_defect(algebra: AlgebraPresentation, rad: Subspace) -> str | None:
-    """Why rad is not a nilpotent two-sided ideal of the algebra, or None."""
+    """Why rad is not a nilpotent two-sided ideal of the algebra, or None;
+    the ideal test takes g from the generators (`structure`'s lemma)."""
     F = algebra.field
     n = algebra.dim
-    for b in range(n):
-        e_b = algebra.basis_vector(b)
+    for g in algebra.generators():
+        e_g = algebra.basis_vector(g)
         for row in rad.basis.entries:
-            if not rad.contains_vector(algebra.multiply(e_b, row)):
+            if not rad.contains_vector(algebra.multiply(e_g, row)):
                 return "not a left ideal"
-            if not rad.contains_vector(algebra.multiply(row, e_b)):
+            if not rad.contains_vector(algebra.multiply(row, e_g)):
                 return "not a right ideal"
     # nilpotency: the powers R^k of an ideal are nested, so they reach zero
     # unless one step keeps the dimension, where they stay for good

@@ -512,31 +512,24 @@ def coordinates(field: Field, rows, width: int):
 
 def linear_combination(field: Field, coeffs, mats, rows: int, cols: int) -> Matrix:
     """sum c * M over the pairs with nonzero c, as a rows x cols matrix,
-    touching only nonzero entries; over F_p each entry is reduced once."""
+    touching only nonzero entries; over F_p each entry is reduced once.
+    One coefficient 1 among zeros returns its M itself."""
     p = field.p
     z = field.zero()
+    terms = [(c, m) for c, m in zip(coeffs, mats) if c]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
     acc = [[z] * cols for _ in range(rows)]
-    for c, m in zip(coeffs, mats):
-        if c:
-            for arow, srow in zip(acc, m.sparse_rows()):
-                for t, x in srow:
-                    arow[t] += c * x
+    for c, m in terms:
+        for arow, srow in zip(acc, m.sparse_rows()):
+            for t, x in srow:
+                arow[t] += c * x
     if p is None:
         return Matrix._of(field, tuple(map(tuple, acc)), cols)
     return Matrix._of(field, tuple(tuple([x % p for x in r]) for r in acc), cols)
 
 
 # -- block assembly ------------------------------------------------------------
-
-
-def hstack(mats):
-    mats = list(mats)
-    F = mats[0].field
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise DimensionMismatch("hstack: row counts differ")
-    return Matrix(F, [sum((list(m.entries[i]) for m in mats), []) for i in range(rows)],
-                  cols=sum(m.cols for m in mats))
 
 
 def vstack(mats):

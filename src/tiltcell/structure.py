@@ -13,7 +13,8 @@ multiplication by each generator g in V (the last three by associativity):
   associativity: ((gu)b)c = (g(ub))c = g((ub)c) = g(u(bc)) = (gu)(bc);
   a module rho: rho(gu) rho(b) = rho(g) rho(ub) = rho(g(ub)) = rho((gu)b);
   an anti-involution t: t((gu)b) = t(ub) t(g) = t(b) t(u) t(g) = t(b) t(gu);
-  an intertwiner X: the a with X rho(a) = rho'(a) X form a subalgebra.
+  an intertwiner X: the a with X rho(a) = rho'(a) X form a subalgebra;
+  a submodule S, an ideal N: so do the a with rho(a)S in S, aN in N, Na in N.
 `_Closure` spans A by the right-normed words g_1 (g_2 (... (g_k . 1))), so
 V = A.
 """
@@ -31,7 +32,7 @@ def first_nonassociative_pair(algebra) -> tuple[int, int] | None:
     b_i (b_j b_k) != (b_i b_j) b_k for some k (where L_i L_j and L_{b_i b_j}
     differ), or None.  Every such triple is checked exactly."""
     p = algebra.field.p
-    sparse = sparse_table(algebra)
+    sparse = algebra.sparse_table()
     for i in algebra.generators():
         row_i = sparse[i]
         for j, ij in enumerate(row_i):
@@ -60,7 +61,7 @@ def generating_set(algebra) -> tuple[int, ...]:
     closed under the product is closed under the opposite product, so A and
     A^op get the same indices.
     """
-    sparse = sparse_table(algebra)
+    sparse = algebra.sparse_table()
     closure = _Closure(algebra, sparse)
     gens = []
     for i in range(algebra.dim):

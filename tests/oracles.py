@@ -23,7 +23,7 @@ from tiltcell.algebra import (
 from tiltcell.cells import cell_module, gram_matrix
 from tiltcell.errors import DimensionMismatch, InputError, TiltcellError
 from tiltcell.highest_weight import Registry, ext1_dim, projective_cover
-from tiltcell.linalg import Matrix, Subspace, coordinates, hstack
+from tiltcell.linalg import Matrix, Subspace, coordinates
 from tiltcell.standard_basis import StandardBasisDatum
 
 
@@ -43,6 +43,17 @@ class NoFiltration(TiltcellError):
 
 
 # -- subspaces and labels -----------------------------------------------------
+
+
+def hstack(mats):
+    """The matrices side by side; their row counts must agree."""
+    mats = list(mats)
+    F = mats[0].field
+    rows = mats[0].rows
+    if any(m.rows != rows for m in mats):
+        raise DimensionMismatch("hstack: row counts differ")
+    return Matrix(F, [sum((list(m.entries[i]) for m in mats), []) for i in range(rows)],
+                  cols=sum(m.cols for m in mats))
 
 
 def intersect(v: Subspace, w: Subspace) -> Subspace:
@@ -103,6 +114,69 @@ def anti_involution_all_pairs(algebra, matrix: Matrix):
             lhs = tuple(r[0] for r in (matrix @ Matrix.column(F, algebra.table[i][j])).entries)
             if lhs != algebra.multiply(tau[j], tau[i]):
                 raise InputError(f"anti-multiplicativity fails at basis pair ({i},{j})")
+
+
+# -- the routes the structural shortcuts replaced -------------------------------
+# `submodule_rep`, `quotient_rep`, `AlgebraPresentation.multiply` and
+# `_ideal_defect` as they were before they read pivot rows, free columns, the
+# sparse table and A's generators; the tests compare them entry for entry.
+
+
+def submodule_rep_all_actions(m: ModuleRep, space: Subspace):
+    """`submodule_rep` reading every action's coordinates off a @ incl."""
+    F = m.algebra.field
+    incl = space.basis.transpose()
+    action = [space.coordinates(a @ incl) if space.dim else Matrix.zeros(F, 0, 0)
+              for a in m.action]
+    sub = ModuleRep(m.algebra, space.dim, action, check=False)
+    return sub, Morphism(sub, m, incl)
+
+
+def quotient_rep_two_products(m: ModuleRep, space: Subspace):
+    """`quotient_rep` forming proj @ a @ section for every action."""
+    proj, section = space.complement_projection()
+    quot = ModuleRep(m.algebra, m.dim - space.dim, [proj @ a @ section for a in m.action],
+                     check=False)
+    return quot, Morphism(m, quot, proj), section
+
+
+def multiply_dense(algebra, a, b):
+    """The product of two coefficient vectors through the field operations,
+    over every entry of the structure table."""
+    F = algebra.field
+    out = [F.zero()] * algebra.dim
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            if not bj:
+                continue
+            c = F.mul(ai, bj)
+            for k, t in enumerate(algebra.table[i][j]):
+                if t:
+                    out[k] = F.add(out[k], F.mul(c, t))
+    return tuple(out)
+
+
+def ideal_defect_all_basis(algebra, rad: Subspace) -> str | None:
+    """`_ideal_defect` with every basis element as the first factor of the
+    ideal test, in basis order, and dense products."""
+    F, n = algebra.field, algebra.dim
+    for b in range(n):
+        e_b = algebra.basis_vector(b)
+        for row in rad.basis.entries:
+            if not rad.contains_vector(multiply_dense(algebra, e_b, row)):
+                return "not a left ideal"
+            if not rad.contains_vector(multiply_dense(algebra, row, e_b)):
+                return "not a right ideal"
+    current = rad
+    while current.dim:
+        nxt = Subspace.from_rows(F, n, [multiply_dense(algebra, u, v) for u in current.basis.entries
+                                        for v in rad.basis.entries])
+        if nxt.dim == current.dim:
+            return "not nilpotent"
+        current = nxt
+    return None
 
 
 # -- composition multiplicities ----------------------------------------------

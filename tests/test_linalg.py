@@ -14,13 +14,12 @@ from tiltcell.linalg import (
     Subspace,
     block_diag,
     coordinates,
-    hstack,
     linear_combination,
     sparse_kernel,
     vstack,
 )
 
-from oracles import intersect
+from oracles import hstack, intersect
 from test_algebra import minpoly
 
 Q = Field()
@@ -742,6 +741,19 @@ def test_linear_combination_matches_looped_reference(case):
     ref = looped_linear_combination(F, coeffs, mats, rows, cols)
     assert got == ref and (got.rows, got.cols) == (rows, cols)
     assert printed(got) == printed(ref)
+
+
+def test_linear_combination_of_a_basis_vector_is_its_matrix():
+    # one coefficient 1 among zeros: the stored matrix itself, formed by no sum
+    for F in (Q, F5):
+        mats = [Matrix.from_int_rows(F, [[1, 2], [0, 3]]), Matrix.from_int_rows(F, [[0, 4], [7, 6]])]
+        for coeffs in ((1, 0), (0, 1)):
+            got = linear_combination(F, coeffs, mats, 2, 2)
+            assert got is mats[coeffs.index(1)]
+            assert got == looped_linear_combination(F, coeffs, mats, 2, 2)
+        for coeffs in ((2, 0), (1, 1)):
+            got = linear_combination(F, coeffs, mats, 2, 2)
+            assert got not in mats and got == looped_linear_combination(F, coeffs, mats, 2, 2)
 
 
 @settings(max_examples=120, deadline=None)

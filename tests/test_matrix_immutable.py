@@ -1,10 +1,13 @@
-"""No tiltcell module assigns to a Matrix's storage after construction.
+"""No tiltcell module assigns to a Matrix's storage after construction, or
+to a presentation's sparse table after its fill.
 
 `Matrix` caches its hash and its sparse rows on first use, which is only
 sound while `entries`, `rows`, `cols` and the two caches never change once
 a constructor has set them.  The one exception is each cache's own lazy
-fill.  A class other than Matrix may keep attributes of these names on its
-own `self`.
+fill.  `AlgebraPresentation` lists its structure table's nonzero entries
+once (`sparse_table`), and every product reads that list, so only its
+constructor and that fill may assign it.  A class other than the owner
+may keep attributes of these names on its own `self`.
 """
 
 import ast
@@ -14,22 +17,27 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tiltcell"
 
-GUARDED = {"entries", "rows", "cols", "_hash", "_sparse"}
+MATRIX_STORAGE = {"entries", "rows", "cols", "_hash", "_sparse"}
 
-# Matrix scope -> the guarded attributes it may assign
+# guarded attribute -> the class that owns it
+OWNER = {**dict.fromkeys(MATRIX_STORAGE, "Matrix"), "_sparse_table": "AlgebraPresentation"}
+
+# scope -> the guarded attributes it may assign
 ALLOWED = {
-    ("Matrix", "__init__"): GUARDED,
-    ("Matrix", "_of"): GUARDED,
+    ("Matrix", "__init__"): MATRIX_STORAGE,
+    ("Matrix", "_of"): MATRIX_STORAGE,
     ("Matrix", "__hash__"): {"_hash"},
     ("Matrix", "sparse_rows"): {"_sparse"},
+    ("AlgebraPresentation", "__init__"): {"_sparse_table"},
+    ("AlgebraPresentation", "sparse_table"): {"_sparse_table"},
 }
 
 
 def storage_writes(source: str) -> list[str]:
     """'scope:line:attribute' of every assignment, augmented assignment,
     deletion or setattr of a guarded attribute outside the scopes allowed
-    to write it; `self.<attr>` in a method of a class other than Matrix is
-    that class's own attribute and passes."""
+    to write it; `self.<attr>` in a method of a class other than the
+    attribute's owner is that class's own attribute and passes."""
     found = []
 
     def written(node):
@@ -60,9 +68,9 @@ def storage_writes(source: str) -> list[str]:
                 visit(child, scope + (child.name,))
                 continue
             for obj, attr in written(child):
-                if attr not in GUARDED or attr in ALLOWED.get(scope, ()):
+                if attr not in OWNER or attr in ALLOWED.get(scope, ()):
                     continue
-                own = (len(scope) >= 2 and scope[0] != "Matrix"
+                own = (len(scope) >= 2 and scope[0] != OWNER[attr]
                        and isinstance(obj, ast.Name) and obj.id == "self")
                 if not own:
                     found.append(f"{'.'.join(scope) or '<module>'}:{child.lineno}:{attr}")
@@ -97,6 +105,31 @@ def test_storage_writes_are_found():
         "Matrix.__hash__:7:_sparse", "Matrix.transpose:11:rows", "Closure.__init__:16:cols",
         "pad:19:cols", "pad:20:entries", "pad:20:rows", "pad:21:_hash", "pad:22:entries",
         "pad:23:_sparse"]
+
+
+def test_presentation_table_writes_are_found():
+    source = ("class AlgebraPresentation:\n"
+              "    def __init__(self, table):\n"
+              "        self.table, self._sparse_table = table, None\n\n"
+              "    def sparse_table(self):\n"
+              "        if self._sparse_table is None:\n"
+              "            self._sparse_table = [list(r) for r in self.table]\n"
+              "        return self._sparse_table\n\n"
+              "    def opposite(self):\n"
+              "        op = AlgebraPresentation(self.table)\n"
+              "        op._sparse_table = self._sparse_table\n"
+              "        self._sparse_table = None\n"
+              "        return op\n\n"
+              "class Closure:\n"
+              "    def __init__(self, algebra):\n"
+              "        self._sparse_table = algebra.sparse_table()\n\n"
+              "def share(a, b):\n"
+              "    b._sparse_table = a.sparse_table()\n"
+              "    setattr(b, '_sparse_table', None)\n")
+    assert storage_writes(source) == [
+        "AlgebraPresentation.opposite:12:_sparse_table",
+        "AlgebraPresentation.opposite:13:_sparse_table",
+        "share:21:_sparse_table", "share:22:_sparse_table"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
