@@ -303,10 +303,9 @@ def direct_sum(mods):
     total = ModuleRep(alg, sum(m.dim for m in mods), action, check=False)
     incls, projs = [], []
     offset = 0
-    z, o = F.zero(), F.one()
     for m in mods:
-        pr = Matrix(F, [[o if c == offset + i else z for c in range(total.dim)]
-                        for i in range(m.dim)], cols=total.dim)
+        pr = block_diag([Matrix.zeros(F, 0, offset), Matrix.identity(F, m.dim),
+                         Matrix.zeros(F, 0, total.dim - offset - m.dim)])
         incls.append(Morphism(m, total, pr.transpose()))
         projs.append(Morphism(total, m, pr))
         offset += m.dim

@@ -4,12 +4,14 @@ The left cell module at a label is the hom space from the standard module
 into T with End(T) acting by post-composition.  The pairing is read off
 Hom(Delta, Nabla) = K c, where c = pi . i is the composite through the
 indecomposable tilting module: F_j . G_k = beta(j, k) c, so no radical of
-End(T(label)) is needed.  Ranks of the pairings are the dimensions of
-the simple End(T)-modules (Graham-Lehrer; Du-Rui for standard bases), so
-End(T) is semisimple exactly when their squares sum to dim End(T).  The
-ranks are cross-checked against the Krull-Schmidt multiplicity of each
-indecomposable tilting summand, and the semisimplicity verdict against T's
-module radical; no radical of End(T) is taken.
+End(T(label)) is needed.  The product rule c_ij . c_kl = beta(j, k) c_il is
+the left rule for c_ij read with Fhat_j . G_k = beta(j, k) i.  Ranks of the
+pairings are the dimensions of the simple End(T)-modules (Graham-Lehrer;
+Du-Rui for standard bases), so End(T) is semisimple exactly when their
+squares sum to dim End(T).  The ranks are cross-checked against the
+Krull-Schmidt multiplicity of each indecomposable tilting summand, and the
+semisimplicity verdict against T's module radical; no radical of End(T) is
+taken.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from __future__ import annotations
 from .algebra import AlgebraPresentation, ModuleRep, module_radical
 from .errors import LabelNotInSupport, TheoremViolation
 from .linalg import Matrix
-from .standard_basis import StandardBasisDatum
+from .standard_basis import StandardBasisDatum, verify_standard_axioms
 
 
 class CellData:
-    """Gram matrices and simple-module data attached to a basis datum."""
+    """Gram matrices and simple-module data of a basis datum, its rules certified first."""
 
     def __init__(self, datum: StandardBasisDatum):
+        verify_standard_axioms(datum, trials=0)
         self.datum = datum
         self.gram = {}           # label -> |J| x |I| matrix
         self.gram_rank = {}
@@ -42,44 +45,29 @@ class CellData:
 
 def gram_matrix(datum: StandardBasisDatum, label) -> Matrix:
     """beta at `label`: entry (j, k) is the b with F_j . G_k = b c in
-    Hom(Delta, Nabla) = K c, c = pi . i, checked exactly.  As pi . Fhat_j = F_j
-    and Ghat_k . i = G_k, b is the scalar part of Fhat_j . Ghat_k in the local
-    ring End(T(label)), since pi . phi . i is the scalar part of phi times c.
-
-    Cross-checked by the product rule: c_ij . c_kl must equal
+    Hom(Delta, Nabla) = K c, c = pi . i, checked exactly, as is
+    Fhat_j . G_k = b i.  As pi . Fhat_j = F_j and Ghat_k . i = G_k, b is the
+    scalar part of Fhat_j . Ghat_k in the local ring End(T(label)), since
+    pi . phi . i is the scalar part of phi times c.  As c_ij . G_k = b G_i,
+    the left rule for c_ij is the product rule: c_ij . c_kl equals
     beta(j, k) c_il up to strictly lower fibers.
     """
     if label not in datum.order:
         raise LabelNotInSupport(f"label {label!r} has an empty fiber")
-    c = datum.tilt.triple(label).c.matrix
+    triple = datum.tilt.triple(label)
+    c, inc = triple.c.matrix, triple.i.matrix
     # c is normalized to 1 at its first nonzero entry (r, s); b is read there
     r, s = next((r, s) for r, row in enumerate(c.entries) for s, x in enumerate(row) if x)
     composites = [[(f @ g).matrix for g in datum.G[label]] for f in datum.F[label]]
     beta = Matrix(datum.reg.algebra.field, [[m.entries[r][s] for m in row] for row in composites],
                   cols=len(datum.G[label]))
-    for j, row in enumerate(composites):
-        for k, m in enumerate(row):
+    for j, (row, fhat) in enumerate(zip(composites, datum.Fhat[label])):
+        for k, (m, g) in enumerate(zip(row, datum.G[label])):
             if m != c.scale(beta.entries[j][k]):
                 raise TheoremViolation(f"F_{j} . G_{k} at {label!r} is not a multiple of pi . i")
-    _check_product_rule(datum, label, beta)
+            if (fhat @ g).matrix != inc.scale(beta.entries[j][k]):
+                raise TheoremViolation(f"Fhat_{j} . G_{k} at {label!r} is not beta({j},{k}) i")
     return beta
-
-
-def _check_product_rule(datum: StandardBasisDatum, label, beta: Matrix):
-    """c_ij . c_kl read from the datum's product table."""
-    table = datum.product_table()
-    pos = datum._pos
-    n_i = len(datum.G[label])
-    n_j = len(datum.F[label])
-    for i in range(n_i):
-        for j in range(n_j):
-            for k in range(n_i):
-                for l in range(n_j):
-                    prod = table[pos[(label, i, j)]][pos[(label, k, l)]]
-                    if not datum._congruent(label, prod, {pos[(label, i, l)]: beta.entries[j][k]}):
-                        raise TheoremViolation(
-                            f"product rule fails at {label!r} for (i,j,k,l)="
-                            f"({i},{j},{k},{l})")
 
 
 def cell_module(datum: StandardBasisDatum, label) -> ModuleRep:
@@ -102,11 +90,12 @@ def cell_module(datum: StandardBasisDatum, label) -> ModuleRep:
 
 def end_presentation(datum: StandardBasisDatum):
     """End(T) as an abstract algebra on the cell basis: its structure
-    constants are the datum's product table."""
+    constants are the coordinates of the products of the cells."""
     F = datum.reg.algebra.field
+    mats = [datum.cell(*key).matrix for key in datum.index()]
+    table = [[datum.coords(a @ b) for b in mats] for a in mats]
     unit = datum.coords(Matrix.identity(F, datum.module.dim))
-    return AlgebraPresentation(F, datum.dim(), datum.product_table(), unit,
-                               name="End(T)", check=False)
+    return AlgebraPresentation(F, datum.dim(), table, unit, name="End(T)", check=False)
 
 
 def classify_simples(cell_data: CellData, support_multiplicities=None):

@@ -545,19 +545,17 @@ def vstack(mats):
 
 
 def block_diag(mats):
+    """The block-diagonal matrix of `mats`, each row one tuple."""
     mats = list(mats)
     F = mats[0].field
-    total_r = sum(m.rows for m in mats)
+    z = F.zero()
     total_c = sum(m.cols for m in mats)
-    out = [[F.zero()] * total_c for _ in range(total_r)]
-    r0 = c0 = 0
+    rows, c0 = [], 0
     for m in mats:
-        for i, row in enumerate(m.entries):
-            for j, x in enumerate(row):
-                out[r0 + i][c0 + j] = x
-        r0 += m.rows
+        before, after = (z,) * c0, (z,) * (total_c - c0 - m.cols)
+        rows.extend(before + row + after for row in m.entries)
         c0 += m.cols
-    return Matrix(F, out)
+    return Matrix._of(F, tuple(rows), total_c)
 
 
 class Subspace:

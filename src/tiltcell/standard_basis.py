@@ -10,11 +10,10 @@ coefficients, and verifies the fibered-multiplication axioms exactly.
 Lifts work a fiber at a time: all the maps of one fiber share one lift
 space, which is solved once for all of them, and
 StandardBasisDatum.add_fiber assembles a fiber for both the standard and
-the cellular basis.  The products of the cells are formed once per datum,
-as a table of their coordinates in the cell basis; the axiom check reads
-the basis elements' residuals off it.  The axioms are linear in the probe,
-so a random endomorphism's residuals are the combination of those: it is
-certified with the basis, and none is drawn.
+the cellular basis.  The axiom check probes a generating set of cells: the
+endomorphisms that obey both fibered-multiplication rules form a unital
+subalgebra (the lemma in `structure.py`), so once the probes generate
+End(T), every endomorphism is certified.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .errors import (
 )
 from .highest_weight import Registry
 from .linalg import Matrix, coordinates, linear_combination
+from .structure import _Closure
 from .tilting import TiltingRegistry
 
 
@@ -106,8 +106,7 @@ class StandardBasisDatum:
     in the cell basis.  finalize_datum installs the coordinate maps of the
     whole basis and of each label's G and F bases, the position of every
     (label, i, j) in the basis, and for each label the positions whose
-    label is not strictly below it; it discards the product table, which
-    product_table() forms again on first use.
+    label is not strictly below it, and clears verify_standard_axioms' verdict.
     """
 
     def __init__(self, tilt: TiltingRegistry, module: ModuleRep, seed: int):
@@ -126,7 +125,7 @@ class StandardBasisDatum:
         self._pos = {}           # (label, i, j) -> position in the basis
         self._not_lower = {}     # label -> positions whose label is not strictly below
         self._fiber_coords = {}  # label -> (coordinate map of G, of F)
-        self._table = None       # table[a][b]: coordinates of cell_a . cell_b
+        self._certified = False  # the multiplication rules hold on these cells
 
     # -- assembly -------------------------------------------------------------
 
@@ -153,15 +152,6 @@ class StandardBasisDatum:
 
     def dim(self):
         return len(self._index)
-
-    def product_table(self):
-        """table[a][b]: the coordinates of cell_a . cell_b in the whole cell
-        basis, the structure constants of End(T) on the cells.  Formed on
-        first use, one product per pair; finalize_datum discards it."""
-        if self._table is None:
-            mats = [self.cell(*key).matrix for key in self._index]
-            self._table = [[self._coords((a @ b).flat()) for b in mats] for a in mats]
-        return self._table
 
     def in_lower_span(self, label, matrix: Matrix) -> bool:
         """Membership in the span of the fibers at labels strictly below,
@@ -225,7 +215,7 @@ def finalize_datum(datum: StandardBasisDatum):
     except DependentFamily:
         raise BasisFailure(datum.order[-1], "cell composites are linearly dependent") from None
     datum._pos = {key: pos for pos, key in enumerate(datum._index)}
-    datum._table = None
+    datum._certified = False
     for lam in datum.order:
         datum._not_lower[lam] = tuple(pos for pos, (mu, _, _) in enumerate(datum._index)
                                       if not reg.poset.lt(mu, lam))
@@ -267,45 +257,56 @@ def structure_coefficients(datum: StandardBasisDatum, phi: Morphism) -> Structur
     return StructureCoefficients(left, right)
 
 
-def basis_residuals(datum: StandardBasisDatum):
-    """{(at, side, pos): [(m, r), ...]} over the nonzero residuals r of the
-    basis probes phi = cell_m.  For c_ij = cell_at, side 0 is phi . c_ij -
-    sum_k left_ki c_kj and side 1 is c_ij . phi - sum_l right_lj c_il; r is
-    its coordinate at pos, a position whose label is not strictly below
-    c_ij's, read off table[m][at] resp. table[at][m]."""
-    F = datum.reg.algebra.field
-    table = datum.product_table()
-    index, pos = datum.index(), datum._pos
-    out = {}
-    for m, key in enumerate(index):
-        sc = structure_coefficients(datum, datum.cell(*key))
+def verify_standard_axioms(datum: StandardBasisDatum, trials: int = 100):
+    """Check the two fibered-multiplication congruences for every
+    endomorphism: residuals must lie in the span of strictly lower fibers.
+    The cells are walked from the top fiber down; one that 1 and the passed
+    probes generate obeys both (the lemma in `structure.py`) and is skipped,
+    any other is probed on both sides of every cell.  The summary counts
+    `trials` random endomorphisms, certified with the rest; the datum keeps
+    the verdict until finalize_datum.  On a failure AxiomViolation names the
+    least (cell, side) of the first failing cell in index order."""
+    n, index, pos = datum.dim(), datum.index(), datum._pos
+    summary = {"probes": n + trials, "congruences_checked": 2 * (n + trials) * n, "ok": True}
+    if datum._certified:
+        return summary
+    mats = [datum.cell(*key).matrix for key in index]
+    rows, cols = {}, {}  # probe m -> coordinates of cell_m . cell_b, of cell_a . cell_m
+
+    def probe(m):
+        """The least (at, side) at which cell_m breaks a rule, or None."""
+        if m not in rows:
+            rows[m] = [cols[b][m] if b in cols else datum.coords(mats[m] @ mats[b])
+                       for b in range(n)]
+            cols[m] = [rows[a][m] if a in rows else datum.coords(mats[a] @ mats[m])
+                       for a in range(n)]
+        sc = structure_coefficients(datum, datum.cell(*index[m]))
         for at, (lam, i, j) in enumerate(index):
             left, right = sc.left[lam].entries, sc.right[lam].entries
-            sides = ((table[m][at], {pos[(lam, k, j)]: left[k][i] for k in range(len(left))}),
-                     (table[at][m], {pos[(lam, i, l)]: right[l][j] for l in range(len(right))}))
-            for side, (v, expected) in enumerate(sides):
-                for q in datum._not_lower[lam]:
-                    r = F.sub(v[q], expected.get(q, 0))
-                    if r:
-                        out.setdefault((at, side, q), []).append((m, r))
-    return out
+            if not datum._congruent(lam, rows[m][at],
+                                    {pos[(lam, k, j)]: left[k][i] for k in range(len(left))}):
+                return at, 0
+            if not datum._congruent(lam, cols[m][at],
+                                    {pos[(lam, i, l)]: right[l][j] for l in range(len(right))}):
+                return at, 1
+        return None
 
-
-def verify_standard_axioms(datum: StandardBasisDatum, trials: int = 100):
-    """Check the two fibered-multiplication congruences on every basis
-    element and `trials` random endomorphisms: residuals must lie in the span
-    of strictly lower fibers.  A probe sum a_m cell_m has the residuals
-    sum a_m R_m (bilinearity), so basis_residuals' R_m certify every probe and
-    none is drawn.  Returns a summary dict; raises AxiomViolation at the
-    least (m, entry) with R_m != 0."""
-    residuals = basis_residuals(datum)
-    if residuals:
-        _, (at, side, _) = min((m, entry) for entry, terms in residuals.items() for m, _ in terms)
-        lam, i, j = datum.index()[at]
-        which = ("fibered_left_multiplication", "fibered_right_multiplication")[side]
-        raise AxiomViolation(lam, (i, j), which, "residual escapes the lower fiber span")
-    probes = datum.dim() + trials
-    return {"probes": probes, "congruences_checked": 2 * probes * datum.dim(), "ok": True}
+    F, left_rows = datum.reg.algebra.field, {}
+    closure = _Closure(F, n, datum.coords(Matrix.identity(F, datum.module.dim)), left_rows)
+    for m in reversed(range(n)):
+        if closure.full():
+            break
+        if closure.contains(m):
+            continue
+        if probe(m) is not None:
+            at, side = next(w for w in map(probe, range(n)) if w is not None)
+            which = ("fibered_left_multiplication", "fibered_right_multiplication")[side]
+            raise AxiomViolation(index[at][0], index[at][1:], which,
+                                 "residual escapes the lower fiber span")
+        left_rows[m] = [[(t, x) for t, x in enumerate(v) if x] for v in rows[m]]
+        closure.add_generator(m)
+    datum._certified = True
+    return summary
 
 
 def change_of_basis_unitriangular(datum_a: StandardBasisDatum,

@@ -17,6 +17,17 @@ multiplication by each generator g in V (the last three by associativity):
   a submodule S, an ideal N: so do the a with rho(a)S in S, aN in N, Na in N.
 `_Closure` spans A by the right-normed words g_1 (g_2 (... (g_k . 1))), so
 V = A.
+
+So do End(T)'s Du-Rui rules (`standard_basis.verify_standard_axioms`): the
+phi with phi c_ij = sum_k r(phi)_ki c_kj, c_ij phi = sum_l r'(phi)_lj c_il
+modulo End(<lam) at every cell c_ij of every label lam (r, r' its structure
+coefficients) form a subspace W holding 1; each g in W keeps End(<lam) on
+either side, and r(g phi) = r(g) r(phi), r'(g phi) = r'(phi) r'(g), so
+  (g phi) c_ij = g (sum_k r(phi)_ki c_kj + x) = sum_m (r(g) r(phi))_mi c_mj + g x
+for x in End(<lam), c_ij (g phi) likewise: W is a subalgebra.  The walk runs
+from the top fiber down, as the cells at and below a label span an ideal I
+and probes in I generate only K 1 + I: at the Auslander algebra of K[x]/x^3
+a bottom-up walk probes 13 of the 14 cells, the top-down one 6.
 """
 
 from __future__ import annotations
@@ -62,7 +73,7 @@ def generating_set(algebra) -> tuple[int, ...]:
     A^op get the same indices.
     """
     sparse = algebra.sparse_table()
-    closure = _Closure(algebra, sparse)
+    closure = _Closure(algebra.field, algebra.dim, algebra.unit, sparse)
     gens = []
     for i in range(algebra.dim):
         if not closure.full() and not closure.contains(i):
@@ -70,7 +81,7 @@ def generating_set(algebra) -> tuple[int, ...]:
             gens.append(i)
     for g in tuple(gens):
         rest = [h for h in gens if h != g]
-        closure = _Closure(algebra, sparse)
+        closure = _Closure(algebra.field, algebra.dim, algebra.unit, sparse)
         for h in rest:
             closure.add_generator(h)
         if closure.full():
@@ -83,15 +94,16 @@ class _Closure:
     the span of the words g_1 ... g_k . 1, kept closed under left multiplication
     by every generator as generators are added.  Rows are sparse dicts with a
     leading 1 at distinct leading columns, so a vector lies in the span exactly
-    when reducing it by leading column leaves nothing."""
+    when reducing it by leading column leaves nothing.  sparse[g][j] lists the
+    nonzero (k, c) of b_g b_j, read for the generators g only."""
 
-    def __init__(self, algebra, sparse):
-        self.field = algebra.field
-        self.dim = algebra.dim
+    def __init__(self, field, dim, unit, sparse):
+        self.field = field
+        self.dim = dim
         self.sparse = sparse
         self.rows = {}        # leading column -> row
         self.gens = []
-        self._insert({k: c for k, c in enumerate(algebra.unit) if c})
+        self._insert({k: c for k, c in enumerate(unit) if c})
 
     def full(self) -> bool:
         return len(self.rows) == self.dim

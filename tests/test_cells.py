@@ -2,6 +2,7 @@ import pytest
 from conftest import GOOD_CATALOG
 
 from tiltcell import algebra as algebra_module
+from tiltcell import cli
 from tiltcell.algebra import EndAlgebra, Morphism, algebra_radical, direct_sum, hom_space
 from tiltcell.cells import (
     CellData,
@@ -14,10 +15,10 @@ from tiltcell.cells import (
 from tiltcell.cli import Pipeline, build_report
 from tiltcell.docio import catalog_document
 from tiltcell.duality import AntiInvolution, build_cellular_basis
-from tiltcell.errors import LabelNotInSupport, TheoremViolation
+from tiltcell.errors import AxiomViolation, LabelNotInSupport, TheoremViolation
 from tiltcell.highest_weight import Registry, verify_standard_category
 from tiltcell.linalg import Field, Matrix, coordinates
-from tiltcell.standard_basis import build_standard_basis
+from tiltcell.standard_basis import build_standard_basis, finalize_datum
 from tiltcell.tilting import TiltingRegistry, tilting_support
 
 from oracles import cell_simple_module
@@ -56,6 +57,24 @@ def test_a2_gram_shapes(pipelines):
     assert (beta_low.rows, beta_low.cols) == (1, 2) and beta_low.rank() == 1
     beta_high = gram_matrix(datum, "1")
     assert (beta_high.rows, beta_high.cols) == (1, 1) and not beta_high.is_zero()
+
+
+def test_cell_data_certifies_the_multiplication_rules(pipelines, monkeypatch):
+    # on a2path with the lower cell moved by the upper one the rules fail at
+    # label 2; CellData finds it through the axiom check, and `cells`
+    # reports the AxiomViolation with exit 1
+    def perturbed(tilt, total, seed=0):
+        datum = build_standard_basis(tilt, total, seed=seed)
+        datum.cells["2"][0][0] = datum.cells["2"][0][0] + datum.cells["1"][0][0]
+        return finalize_datum(datum)
+
+    _, reg, tilt = pipelines["a2path"]
+    with pytest.raises(AxiomViolation) as exc:
+        CellData(perturbed(tilt, datum_for(reg, tilt)[0]))
+    assert (exc.value.label, exc.value.other) == ("2", (0, 0))
+    monkeypatch.setattr(cli, "build_standard_basis", perturbed)
+    report, code = build_report(Pipeline(catalog_document("a2path")), "cells")
+    assert code == 1 and report["error"]["type"] == "AxiomViolation"
 
 
 def test_gram_label_not_in_support(pipelines):

@@ -14,7 +14,6 @@ from tiltcell.errors import AxiomViolation, BasisFailure, NoLift
 from tiltcell.highest_weight import Registry, filtration_multiplicity, verify_standard_category
 from tiltcell.linalg import Matrix, Subspace, linear_combination
 from tiltcell.standard_basis import (
-    basis_residuals,
     build_standard_basis,
     change_of_basis_unitriangular,
     extend_through_tilting,
@@ -25,7 +24,14 @@ from tiltcell.standard_basis import (
 )
 from tiltcell.tilting import TiltingRegistry
 
-from oracles import hom_filtration_from_datum, hom_filtration_oracle, phi_weight
+from oracles import (
+    basis_residuals,
+    hom_filtration_from_datum,
+    hom_filtration_oracle,
+    phi_weight,
+    product_table,
+    table_replay,
+)
 from test_stress import F10007, Q, auslander_algebra, chain_poset
 
 
@@ -578,7 +584,7 @@ def test_replay_matches_reference_on_perturbed_datums(pipelines):
 @pytest.mark.parametrize("trials", [0, 1, 100])
 def test_replay_matches_reference_at_trial_counts(pipelines, trials):
     # certified datums at two seeds, and the perturbed ones, whose witnesses
-    # come from the basis probes
+    # come from the first failing cell in index order
     datums = [build_standard_basis(tilt, char_tilting(reg, tilt), seed=seed)
               for _, reg, tilt in pipelines.values() for seed in (0, 3)]
     datums += [datum for _, datum in perturbed_datums(pipelines)]
@@ -590,8 +596,9 @@ def test_replay_matches_reference_at_trial_counts(pipelines, trials):
 
 
 def test_axiom_check_draws_no_random_probe(pipelines, monkeypatch):
-    # the random probes are certified by bilinearity from the basis
-    # residuals: none is drawn, and only the counts depend on their number
+    # the random probes lie in End(T), which the walk certifies whole once
+    # its probes generate it: none is drawn, and only the counts depend on
+    # their number
     datums = list(perturbed_datums(pipelines))
 
     def no_draw(*args, **kwargs):
@@ -617,7 +624,7 @@ def reference_probe_residuals(datum, a):
     basis elements' structure coefficients."""
     F = datum.reg.algebra.field
     n = datum.dim()
-    table = datum.product_table()
+    table = product_table(datum)
     pos = datum._pos
     basis_sc = [structure_coefficients(datum, datum.cell(*key)) for key in datum.index()]
     prods = [linear_combination(F, a, [Matrix(F, rows, cols=n) for rows in mult], n, n).entries
@@ -661,9 +668,9 @@ def test_probe_residual_is_the_combination_of_basis_residuals(pipelines):
     assert violated == 7
 
 
-def test_replay_rereads_the_table_after_refinalizing(pipelines):
-    # the replay forms the product table; perturbing the cells and
-    # finalizing again must discard it, or the stale products pass
+def test_refinalizing_clears_the_certification_flag(pipelines):
+    # the datum records that its rules hold; perturbing the cells and
+    # finalizing again must clear that, or the stale verdict passes
     violations = 0
     for _, reg, tilt in pipelines.values():
         T = char_tilting(reg, tilt)
@@ -673,9 +680,10 @@ def test_replay_rereads_the_table_after_refinalizing(pipelines):
                 if low == high:
                     continue
                 datum = build_standard_basis(tilt, T, seed=0)
-                assert verify_standard_axioms(datum, trials=2)["ok"]
+                assert verify_standard_axioms(datum, trials=2)["ok"] and datum._certified
                 datum.cells[low][0][0] = datum.cells[low][0][0] + datum.cells[high][0][0]
                 finalize_datum(datum)
+                assert not datum._certified
                 got, _ = assert_replay_matches_reference(datum, 4, 4)
                 violations += "ok" not in got
     assert violations == 7
@@ -727,24 +735,67 @@ def test_random_probes_form_no_matrix_product(pipelines):
         assert combos[1] <= combos[0], name
 
 
+def walk_record(datum, run):
+    """(probes, products) of run(): the positions of the cells whose
+    structure coefficients it reads, in order (the probes of the axiom
+    check), and the products of two cells it forms, as (left, right)
+    positions."""
+    keys = datum.index()
+    cell_pos = {id(datum.cell(*key)): pos for pos, key in enumerate(keys)}
+    matrix_pos = {id(datum.cell(*key).matrix): pos for pos, key in enumerate(keys)}
+    probes = []
+    read = structure_coefficients
+
+    def spy(d, phi):
+        probes.append(cell_pos[id(phi)])
+        return read(d, phi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tiltcell.standard_basis, "structure_coefficients", spy)
+        calls = count_matmuls(run)
+    return probes, [(matrix_pos[a], matrix_pos[b]) for a, b in calls
+                    if a in matrix_pos and b in matrix_pos]
+
+
 def test_each_cell_product_is_formed_once(pipelines):
-    # the axiom replays, the product rule and the End(T) presentation all
-    # read one product table: every pair of cells is multiplied exactly once
+    # only the probes' rows and columns of products are formed, each product
+    # once, and CellData forms none on a datum the axiom check certified
     for name, (_, reg, tilt) in pipelines.items():
         T = char_tilting(reg, tilt)
         datum = build_standard_basis(tilt, T, seed=0)
-        cell_pos = {id(datum.cell(*key).matrix): pos for pos, key in enumerate(datum.index())}
-
-        def run():
-            verify_standard_axioms(datum, trials=10)
-            is_semisimple_endalgebra(CellData(datum))
-
-        pairs = Counter((cell_pos[a], cell_pos[b])
-                        for a, b in count_matmuls(run)
-                        if a in cell_pos and b in cell_pos)
+        probes, products = walk_record(datum, lambda: verify_standard_axioms(datum, trials=10))
+        pairs = Counter(products)
         n = datum.dim()
-        assert sorted(pairs) == [(a, b) for a in range(n) for b in range(n)], name
-        assert set(pairs.values()) == {1}, name
+        assert sorted(pairs) == sorted((a, b) for a in range(n) for b in range(n)
+                                       if a in probes or b in probes), name
+        assert set(pairs.values()) <= {1}, name
+        assert walk_record(datum, lambda: is_semisimple_endalgebra(CellData(datum))) == ([], []), name
+
+
+def test_walk_skips_cells_the_probes_generate(pipelines):
+    # the lemma behind the walk: a cell the passed probes generate obeys the
+    # rules, so it is not probed; adding a cell of another label to such a
+    # cell is still caught, with the witness of the replay that probes every
+    # cell
+    witnesses = []
+    for name, (_, reg, tilt) in pipelines.items():
+        T = char_tilting(reg, tilt)
+        datum = build_standard_basis(tilt, T, seed=0)
+        probes, _ = walk_record(datum, lambda: verify_standard_axioms(datum, trials=0))
+        skipped = [key for pos, key in enumerate(datum.index()) if pos not in probes]
+        assert len(probes) < datum.dim(), name
+        for lam, i, j in skipped:
+            for mu, k, l in datum.index():
+                if mu == lam:
+                    continue
+                datum = build_standard_basis(tilt, T, seed=0)
+                datum.cells[lam][i][j] = datum.cells[lam][i][j] + datum.cells[mu][k][l]
+                finalize_datum(datum)
+                want = outcome(lambda: table_replay(datum, trials=3))
+                assert "ok" not in want, name
+                assert outcome(lambda: verify_standard_axioms(datum, trials=3)) == want, name
+                witnesses.append(want)
+    assert len(witnesses) == 7
 
 
 def assert_table_matches_products(datum, rng, trials):
@@ -753,7 +804,7 @@ def assert_table_matches_products(datum, rng, trials):
     cell_pos . phi, read from the formed products."""
     F = datum.reg.algebra.field
     n = datum.module.dim
-    table = datum.product_table()
+    table = product_table(datum)
     cells = [datum.cell(*key).matrix for key in datum.index()]
     for _ in range(trials):
         a = [F.sample(rng) for _ in cells]

@@ -21,7 +21,7 @@ from tiltcell.algebra import (
     direct_sum,
     hom_space,
 )
-from tiltcell.cells import CellData, classify_simples, is_semisimple_endalgebra
+from tiltcell.cells import CellData, classify_simples, end_presentation, is_semisimple_endalgebra
 from tiltcell.docio import parse_document
 from tiltcell.highest_weight import Registry, WeightPoset, verify_standard_category
 from tiltcell.linalg import Field, Matrix
@@ -151,8 +151,9 @@ def test_stress_replay_matches_matrix_residual_reference(field):
         ("violation", "3", (0, 0), "opposite_right_multiplication"))
 
 
-# the bilinearity the replay rests on: seeded random probes read from the
-# product table against their formed products, on both sides of every cell
+# the bilinearity the reference replay (`oracles.table_replay`) rests on:
+# seeded random probes read from the product table against their formed
+# products, on both sides of every cell
 @pytest.mark.parametrize("field", [Q, F10007], ids=repr)
 def test_stress_table_matches_products_of_random_probes(field):
     from test_standard_basis import assert_table_matches_products
@@ -166,6 +167,8 @@ def test_stress_table_matches_products_of_random_probes(field):
 
 def check_auslander_closed_forms(n):
     """The closed forms of the Auslander algebra of K[x]/x^n over F_10007."""
+    from test_standard_basis import walk_record
+
     ks = range(1, n + 1)
     labels = [str(k) for k in ks]
     one_each = dict.fromkeys(labels, 1)
@@ -183,13 +186,26 @@ def check_auslander_closed_forms(n):
     datum = build_standard_basis(tilt, T, seed=0)
     assert datum.fiber_sizes() == {str(k): (k, k) for k in ks}
     assert datum.dim() == A.dim == n * (n + 1) * (2 * n + 1) // 6
-    assert verify_standard_axioms(datum, trials=6)["ok"]
+    probes, products = walk_record(datum, lambda: verify_standard_axioms(datum, trials=6))
+    assert datum._certified
+    # the walk probes a generating set of 3(n - 1) cells, as small as the
+    # pruned one, and forms each probe's row and column of products once
+    p = 3 * (n - 1)
+    assert len(probes) == len(set(probes)) == p
+    assert len(products) == len(set(products)) == p * (2 * datum.dim() - p)
+    assert len(end_presentation(datum).generators()) == p
 
     cd = CellData(datum)
     assert cd.gram_rank == one_each
     assert classify_simples(cd, tilting_support(tilt, T)) == one_each
     assert not is_semisimple_endalgebra(cd)
     return reg
+
+
+# n = 3: dim 14
+def test_auslander3_closed_forms():
+    reg = check_auslander_closed_forms(3)
+    assert reg.algebra.dim == 14
 
 
 # n = 4: dim 30
