@@ -90,12 +90,15 @@ def cell_module(datum: StandardBasisDatum, label) -> ModuleRep:
 
 def end_presentation(datum: StandardBasisDatum):
     """End(T) as an abstract algebra on the cell basis: its structure
-    constants are the coordinates of the products of the cells."""
-    F = datum.reg.algebra.field
-    mats = [datum.cell(*key).matrix for key in datum.index()]
-    table = [[datum.coords(a @ b) for b in mats] for a in mats]
-    unit = datum.coords(Matrix.identity(F, datum.module.dim))
-    return AlgebraPresentation(F, datum.dim(), table, unit, name="End(T)", check=False)
+    constants are the coordinates of the products of the cells.  Formed once
+    per datum; finalize_datum discards it."""
+    if datum._end is None:
+        F = datum.reg.algebra.field
+        mats = [datum.cell(*key).matrix for key in datum.index()]
+        table = [[datum.coords(a @ b) for b in mats] for a in mats]
+        unit = datum.coords(Matrix.identity(F, datum.module.dim))
+        datum._end = AlgebraPresentation(F, datum.dim(), table, unit, name="End(T)", check=False)
+    return datum._end
 
 
 def classify_simples(cell_data: CellData, support_multiplicities=None):

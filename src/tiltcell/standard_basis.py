@@ -106,7 +106,8 @@ class StandardBasisDatum:
     in the cell basis.  finalize_datum installs the coordinate maps of the
     whole basis and of each label's G and F bases, the position of every
     (label, i, j) in the basis, and for each label the positions whose
-    label is not strictly below it, and clears verify_standard_axioms' verdict.
+    label is not strictly below it, and clears verify_standard_axioms' verdict
+    and the End(T) presentation.
     """
 
     def __init__(self, tilt: TiltingRegistry, module: ModuleRep, seed: int):
@@ -126,6 +127,7 @@ class StandardBasisDatum:
         self._not_lower = {}     # label -> positions whose label is not strictly below
         self._fiber_coords = {}  # label -> (coordinate map of G, of F)
         self._certified = False  # the multiplication rules hold on these cells
+        self._end = None         # cells.end_presentation, formed on first use
 
     # -- assembly -------------------------------------------------------------
 
@@ -216,6 +218,7 @@ def finalize_datum(datum: StandardBasisDatum):
         raise BasisFailure(datum.order[-1], "cell composites are linearly dependent") from None
     datum._pos = {key: pos for pos, key in enumerate(datum._index)}
     datum._certified = False
+    datum._end = None
     for lam in datum.order:
         datum._not_lower[lam] = tuple(pos for pos, (mu, _, _) in enumerate(datum._index)
                                       if not reg.poset.lt(mu, lam))

@@ -70,7 +70,8 @@ def generating_set(algebra) -> tuple[int, ...]:
     then be dropped, since each kept one was needed by a superset of the
     rest.  The choice depends only on which sets generate, and a subspace
     closed under the product is closed under the opposite product, so A and
-    A^op get the same indices.
+    A^op get the same indices.  The pruning pass grows the closure of the
+    generators it has kept and tests each one on a copy of it.
     """
     sparse = algebra.sparse_table()
     closure = _Closure(algebra.field, algebra.dim, algebra.unit, sparse)
@@ -79,14 +80,11 @@ def generating_set(algebra) -> tuple[int, ...]:
         if not closure.full() and not closure.contains(i):
             closure.add_generator(i)
             gens.append(i)
-    for g in tuple(gens):
-        rest = [h for h in gens if h != g]
-        closure = _Closure(algebra.field, algebra.dim, algebra.unit, sparse)
-        for h in rest:
-            closure.add_generator(h)
-        if closure.full():
-            gens = rest
-    return tuple(gens)
+    kept = _Closure(algebra.field, algebra.dim, algebra.unit, sparse)
+    for k, g in enumerate(gens):
+        if not kept.extended(gens[k + 1:]).full():
+            kept.add_generator(g)
+    return tuple(kept.gens)
 
 
 class _Closure:
@@ -110,6 +108,15 @@ class _Closure:
 
     def contains(self, i: int) -> bool:
         return not self._reduce({i: self.field.one()})
+
+    def extended(self, gens) -> _Closure:
+        """A copy closed under gens as well.  A row never changes once
+        inserted, so the copy shares them."""
+        new = object.__new__(_Closure)
+        new.__dict__.update(vars(self), rows=dict(self.rows), gens=list(self.gens))
+        for g in gens:
+            new.add_generator(g)
+        return new
 
     def add_generator(self, g: int):
         """Close the span under g: every row owes a product by g, and every

@@ -8,6 +8,8 @@ an independent computation.
 
 from __future__ import annotations
 
+import argparse
+
 from tiltcell.algebra import (
     ModuleRep,
     Morphism,
@@ -21,10 +23,13 @@ from tiltcell.algebra import (
     submodule_rep,
 )
 from tiltcell.cells import cell_module, gram_matrix
+from tiltcell.cli import COMMANDS
+from tiltcell.docio import catalog_names
 from tiltcell.errors import AxiomViolation, DimensionMismatch, InputError, TiltcellError
 from tiltcell.highest_weight import Registry, ext1_dim, projective_cover
 from tiltcell.linalg import Matrix, Subspace, coordinates
 from tiltcell.standard_basis import StandardBasisDatum, structure_coefficients
+from tiltcell.structure import _Closure
 
 
 # -- errors ------------------------------------------------------------------
@@ -522,3 +527,53 @@ def table_replay(datum: StandardBasisDatum, trials: int = 100):
         raise AxiomViolation(lam, (i, j), which, "residual escapes the lower fiber span")
     probes = datum.dim() + trials
     return {"probes": probes, "congruences_checked": 2 * probes * datum.dim(), "ok": True}
+
+
+# -- the generating set, each pruning closure grown from scratch -----------------
+
+
+def generating_set_rebuilt(algebra) -> tuple[int, ...]:
+    """structure.generating_set with the pruning pass building every
+    closure anew from the unit: the greedy generators in basis order, then
+    each dropped when the others still generate."""
+    sparse = algebra.sparse_table()
+    closure = _Closure(algebra.field, algebra.dim, algebra.unit, sparse)
+    gens = []
+    for i in range(algebra.dim):
+        if not closure.full() and not closure.contains(i):
+            closure.add_generator(i)
+            gens.append(i)
+    for g in tuple(gens):
+        rest = [h for h in gens if h != g]
+        closure = _Closure(algebra.field, algebra.dim, algebra.unit, sparse)
+        for h in rest:
+            closure.add_generator(h)
+        if closure.full():
+            gens = rest
+    return tuple(gens)
+
+
+# -- the command line, parsed by argparse ---------------------------------------
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the command line had before `cli.parse_args`:
+    one parser, the subcommand its positional argument, each flag declared
+    once."""
+    parser = argparse.ArgumentParser(
+        prog="tiltcell",
+        description="standard and cellular bases of endomorphism algebras "
+                    "of tilting modules, with exact arithmetic")
+    parser.add_argument("command", choices=COMMANDS)
+    src = parser.add_mutually_exclusive_group(required=True)
+    src.add_argument("--input", help="path to a JSON input document")
+    src.add_argument("--catalog", choices=catalog_names(), help="built-in algebra by name")
+    parser.add_argument("--field", default=None,
+                        help='override the base field: "Q" or "Fp <p>"')
+    parser.add_argument("--seed", type=int, default=None, help="PRNG seed for lift choices")
+    parser.add_argument("--trials", type=int, default=None,
+                        help="random endomorphisms per axiom verification")
+    parser.add_argument("--dim-bound", type=int, default=None,
+                        help="abort tilting construction above this dimension")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    return parser

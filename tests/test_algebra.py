@@ -45,12 +45,14 @@ from tiltcell.errors import (
 from tiltcell.highest_weight import Registry
 from tiltcell.linalg import Field, Matrix, Subspace, block_diag, vstack
 from tiltcell.standard_basis import build_standard_basis, structure_coefficients
+from tiltcell.structure import generating_set
 from tiltcell.tilting import TiltingRegistry, tilting_support
 
 from oracles import (
     NotSimple,
     anti_involution_all_pairs,
     composition_multiplicity,
+    generating_set_rebuilt,
     intertwines_all_basis,
     is_simple,
     module_axioms_all_pairs,
@@ -1051,6 +1053,17 @@ def test_generator_counts():
         assert len(auslander_algebra(F10007, n).generators()) == size
     assert catalog_document("ut3").algebra.generators() == (0, 1, 3, 5)
     assert catalog_document("trivial").algebra.generators() == ()
+
+
+def test_generating_set_matches_closures_rebuilt_from_the_unit():
+    # the pruning pass grows one closure of the kept generators instead of
+    # building each candidate's closure anew; the indices are the same
+    algebras = [catalog_document(name, spec).algebra
+                for name in catalog_names() for spec in (None, "Fp 3")]
+    algebras += [auslander_algebra(F, n) for F in (Q, F10007) for n in range(2, 6)]
+    algebras += [schur_algebra(F, r)[0] for F in (Q, Field(3)) for r in (3, 4)]
+    for alg in algebras:
+        assert generating_set(alg) == generating_set_rebuilt(alg), alg.name
 
 
 # -- isomorphism from one hom basis, against the composite search ------------

@@ -24,6 +24,7 @@ from tiltcell.tilting import TiltingRegistry, tilting_support
 from oracles import cell_simple_module
 from test_algebra import cell_modules
 from test_schur import schur_algebra, schur_pipeline
+from test_standard_basis import auslander3_pipeline
 from test_stress import F10007, Q, auslander_algebra, chain_poset
 
 F2 = Field(2)
@@ -109,6 +110,30 @@ def test_cell_module_action_respects_composition(pipelines):
     a = E.basis_vector(0)
     b = E.basis_vector(1)
     assert cm.act(a) @ cm.act(b) == cm.act(E.multiply(a, b))
+
+
+def test_cell_modules_of_one_datum_share_one_end_presentation(monkeypatch):
+    # the three cell modules of the dim-14 Auslander datum multiply the
+    # cells pairwise once, not once per label
+    reg, tilt, T = auslander3_pipeline(F10007)
+    datum = build_standard_basis(tilt, T, seed=0)
+    cells = {id(datum.cell(*key).matrix) for key in datum.index()}
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counted(a, b):
+        if id(a) in cells and id(b) in cells:
+            products.append((id(a), id(b)))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    modules = [cell_module(datum, lab) for lab in datum.order]
+    assert len(modules) == 3 and datum.dim() == 14
+    assert len(products) == len(set(products)) == 196
+    assert all(m.algebra is end_presentation(datum) for m in modules)
+    finalize_datum(datum)
+    assert end_presentation(datum) is not modules[0].algebra
+    assert len(products) == 2 * 196
 
 
 def test_co_cell_module_dims(pipelines):

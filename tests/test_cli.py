@@ -5,12 +5,16 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import build_parser
 from tiltcell import cli, tilting
-from tiltcell.cli import build_parser
 from tiltcell.docio import catalog_document, catalog_names, parse_document
 from tiltcell.errors import InputError
 
@@ -155,9 +159,8 @@ def test_text_format_renders():
 
 
 def test_parser_rejects_missing_source():
-    parser = build_parser()
     with pytest.raises(SystemExit):
-        parser.parse_args(["verify"])
+        cli.parse_args(["verify"])
 
 
 def reference_parser():
@@ -178,19 +181,33 @@ def reference_parser():
     return parser
 
 
+def outcome(parse, argv):
+    """(exit code or None, parsed values or None, stdout, stderr) of one
+    parse, at 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out), redirect_stderr(err):
+        try:
+            values, code = vars(parse(argv)), None
+        except SystemExit as exc:
+            values, code = None, exc.code
+    return code, values, out.getvalue(), err.getvalue()
+
+
 FLAGS = [[], ["--field", "Fp 5"], ["--field", "Q"], ["--seed", "3"], ["--seed", "-1"],
          ["--trials", "0"], ["--dim-bound", "12"], ["--format", "json"], ["--format", "text"],
          ["--field", "Fp 7", "--seed", "4", "--trials", "9", "--dim-bound", "30",
-          "--format", "json"]]
+          "--format", "json"],
+         ["--seed=3"], ["--fi=Fp 5", "--dim", "12"], ["--se", "1", "--seed", "2"]]
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_parser_matches_five_subparser_reference(command):
-    new, ref = build_parser(), reference_parser()
+    one, five = build_parser(), reference_parser()
     for source in (["--input", "doc.json"], ["--catalog", "ut3"]):
         for flags in FLAGS:
             for argv in ([command, *source, *flags], [command, *flags, *source]):
-                assert vars(new.parse_args(argv)) == vars(ref.parse_args(argv)), argv
+                parsed = vars(cli.parse_args(argv))
+                assert parsed == vars(one.parse_args(argv)) == vars(five.parse_args(argv)), argv
 
 
 def exit_code(parser, argv):
@@ -211,28 +228,94 @@ def exit_code(parser, argv):
     (["cells", "--catalog", "ut3", "--seed", "three"], 2),
     (["cells", "--catalog", "ut3", "extra"], 2),
     ([], 2),
+    (["cells", "--catalog", "ut3", "--f", "json"], 2),                # ambiguous prefix
+    (["cells", "--catalog", "ut3", "--seed"], 2),                     # no value
+    (["cells", "--catalog", "ut3", "--seed", "-x"], 2),
+    (["cells", "--catalog", "ut3", "-x"], 2),                         # unknown flag
+    (["cells", "--catalog", "ut3", "--help=x"], 2),
+    (["cells", "--input", "doc.json", "--catalog", "nonsense"], 2),
+    (["cells", "--catalog", "ut3", "--", "extra"], 2),
+    (["cells", "--catalog", "ut3", "--"], 2),
+    (["--", "cells", "--catalog", "ut3"], 2),
+    (["cells", "--he"], 0),
 ])
-def test_parser_exit_codes_match_reference(argv, code, capsys):
-    assert exit_code(build_parser(), argv) == exit_code(reference_parser(), argv) == code
+def test_parser_exit_codes_match_reference(argv, code):
+    # the usage, the help and every error byte for byte as argparse wrote them
+    got = outcome(cli.parse_args, argv)
+    assert got == outcome(build_parser().parse_args, argv)
+    assert got[0] == exit_code(reference_parser(), argv) == code
+    assert (got[2] if code == 0 else got[3]).startswith("usage: tiltcell [-h]")
+
+
+# Command lines drawn from a fixed vocabulary: the commands, the flags and
+# their prefixes, with a value as the next word or after `=`, catalog names
+# and ints, `--`, -h and two words argparse rejects.  A value after `=` is
+# never `--`: argparse read `--seed=--` as the value [] and failed later,
+# where `cli.parse_args` rejects `--` as an int.
+VALUES_OF = {"--input": ["doc.json"], "--catalog": [*catalog_names(), "nonsense"],
+             "--field": ["Q", "Fp 5"], "--seed": ["0", "3", "-1", "three"],
+             "--trials": ["0", "12", "-3"], "--dim-bound": ["12"],
+             "--format": ["text", "json", "xml"]}
+PREFIXES = [flag[:k] for flag in ("--help", *VALUES_OF) for k in range(3, len(flag) + 1)]
+ANY_VALUE = [*cli.COMMANDS, *(v for values in VALUES_OF.values() for v in values)]
+NOISE = st.one_of(
+    st.sampled_from([*ANY_VALUE, *PREFIXES, "--", "-h", "-x", "extra"]),
+    st.builds("{}={}".format, st.sampled_from(PREFIXES), st.sampled_from(ANY_VALUE)))
+
+
+@st.composite
+def flag_words(draw, flags=tuple(VALUES_OF)):
+    flag = draw(st.sampled_from(flags))
+    name = flag[:draw(st.integers(3, len(flag)))]
+    value = draw(st.sampled_from(VALUES_OF[flag]))
+    return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+
+
+@st.composite
+def command_lines(draw):
+    """A command, a source and more flags in any order, with a few words
+    from the whole vocabulary inserted anywhere."""
+    parts = [[draw(st.sampled_from(list(cli.COMMANDS)))], draw(flag_words(cli.SOURCES)),
+             *draw(st.lists(flag_words(), max_size=3))]
+    argv = [word for part in draw(st.permutations(parts)) for word in part]
+    for at, word in draw(st.lists(st.tuples(st.integers(0, 12), NOISE), max_size=2)):
+        argv.insert(at % (len(argv) + 1), word)
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_parser_matches_argparse_on_drawn_command_lines(argv):
+    assert outcome(cli.parse_args, argv) == outcome(build_parser().parse_args, argv)
 
 
 def test_parser_declares_each_option_once():
-    def option_strings(parser):
-        for action in parser._actions:
-            yield from action.option_strings
-            if isinstance(action, argparse._SubParsersAction):
-                for p in action.choices.values():
-                    yield from option_strings(p)
+    flags = [flag for flag, *_ in cli.OPTIONS]
+    assert flags == ["--input", "--catalog", "--field", "--seed", "--trials", "--dim-bound",
+                     "--format"]
+    assert cli.SOURCES == ("--input", "--catalog")
+    assert dict((flag, choices) for flag, _, choices, _, _ in cli.OPTIONS)["--catalog"] == tuple(
+        catalog_names())
+    code, _, out, _ = outcome(cli.parse_args, ["-h"])
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("  -")]
+    assert code == 0 and listed == ["-h,", *flags]
+    # flags may come before the command as well
+    assert vars(cli.parse_args(["--seed", "2", "cells", "--catalog", "ut3"])) == vars(
+        cli.parse_args(["cells", "--catalog", "ut3", "--seed", "2"]))
 
-    parser = build_parser()
-    assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
-    strings = list(option_strings(parser))
-    assert len(strings) == len(set(strings))
-    assert {"--input", "--catalog", "--field", "--seed", "--trials", "--dim-bound",
-            "--format"} <= set(strings)
-    # flags may now come before the command as well
-    assert vars(parser.parse_args(["--seed", "2", "cells", "--catalog", "ut3"])) == vars(
-        parser.parse_args(["cells", "--catalog", "ut3", "--seed", "2"]))
+
+def test_cli_run_imports_no_argparse():
+    # argparse's parser looks up gettext catalogs, which imports locale
+    script = ("import io, sys\n"
+              "from tiltcell import cli\n"
+              "sys.stdout = io.TextIOWrapper(io.BytesIO())\n"
+              "code = cli.main(['verify', '--catalog', 'trivial', '--format', 'json'])\n"
+              "loaded = sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))\n"
+              "sys.stderr.write(repr((code, loaded)))\n")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.stderr.decode() == "(0, [])"
 
 
 def test_parse_document_rejections():
