@@ -411,7 +411,8 @@ def _hom_basis(m: ModuleRep, n: ModuleRep) -> tuple[Matrix, ...]:
 
 class EndAlgebra:
     """End(M) as an abstract algebra: `basis` is hom_space(M, M)'s canonical basis
-    unless passed in; coordinates and `presentation` are formed on first use;
+    unless passed in; coordinates and `presentation` are formed on first use,
+    and `product` reads the coordinates of a product of two basis elements;
     `find_splitting_idempotent` records `radical` when End(M) is local."""
 
     def __init__(self, module: ModuleRep, basis: list[Morphism] | None = None):
@@ -426,12 +427,16 @@ class EndAlgebra:
 
     @functools.cached_property
     def presentation(self) -> AlgebraPresentation:
-        table = [[self.coords((f @ g).matrix) for g in self.basis] for f in self.basis]
+        table = [[self.product(a, b) for b in range(self.dim)] for a in range(self.dim)]
         unit = self.coords(Matrix.identity(self.field, self.module.dim))
         return AlgebraPresentation(self.field, len(self.basis), table, unit, check=False)
 
     def coords(self, matrix: Matrix):
         return self._coords(matrix.flat())
+
+    def product(self, a: int, b: int):
+        """The coordinates of basis[a] . basis[b]."""
+        return self.coords(self.basis[a].matrix @ self.basis[b].matrix)
 
     def from_coords(self, coeffs) -> Morphism:
         n = self.module.dim
@@ -711,11 +716,8 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep) -> Morphism | None:
     the hom space is zero, both modules are decomposed and their
     indecomposable summands matched.
     """
-    if m.dim != n.dim:
-        return None
-    homs = hom_space(m, n)
-    w = next((f for f in homs if f.is_invertible()), None)
-    if w is not None or (m.dim and not homs):
+    w = _indec_isomorphism(m, n)
+    if w is not None or m.dim != n.dim or (m.dim and not hom_space(m, n)):
         return w
     dec_m = krull_schmidt(m)
     dec_n = krull_schmidt(n)

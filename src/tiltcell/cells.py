@@ -16,10 +16,10 @@ taken.
 
 from __future__ import annotations
 
-from .algebra import AlgebraPresentation, ModuleRep, module_radical
+from .algebra import ModuleRep, module_radical
 from .errors import LabelNotInSupport, TheoremViolation
 from .linalg import Matrix
-from .standard_basis import StandardBasisDatum, verify_standard_axioms
+from .standard_basis import StandardBasisDatum, structure_coefficients, verify_standard_axioms
 
 
 class CellData:
@@ -75,30 +75,15 @@ def cell_module(datum: StandardBasisDatum, label) -> ModuleRep:
     endomorphism algebra acting through its expansion coefficients.
 
     The action is a module structure over End(T) presented on the cell
-    basis; the module axioms (associativity against the presentation) are
+    basis (`datum.end.presentation`, shared by the cell modules of one
+    datum); the module axioms (associativity against the presentation) are
     checked on construction.  Each cell acts through its left structure
     coefficients at `label`.
     """
     if label not in datum.order:
         raise LabelNotInSupport(f"label {label!r} has an empty fiber")
-    F, G = datum.reg.algebra.field, datum.G[label]
-    g_coords = datum._fiber_coords[label][0]
-    action = [Matrix(F, [g_coords((datum.cell(*key) @ g).matrix.flat()) for g in G]).transpose()
-              for key in datum.index()]
-    return ModuleRep(end_presentation(datum), len(G), action, check=True)
-
-
-def end_presentation(datum: StandardBasisDatum):
-    """End(T) as an abstract algebra on the cell basis: its structure
-    constants are the coordinates of the products of the cells.  Formed once
-    per datum; finalize_datum discards it."""
-    if datum._end is None:
-        F = datum.reg.algebra.field
-        mats = [datum.cell(*key).matrix for key in datum.index()]
-        table = [[datum.coords(a @ b) for b in mats] for a in mats]
-        unit = datum.coords(Matrix.identity(F, datum.module.dim))
-        datum._end = AlgebraPresentation(F, datum.dim(), table, unit, name="End(T)", check=False)
-    return datum._end
+    action = [structure_coefficients(datum, cell).left[label] for cell in datum.end.basis]
+    return ModuleRep(datum.end.presentation, len(datum.G[label]), action, check=True)
 
 
 def classify_simples(cell_data: CellData, support_multiplicities=None):

@@ -159,8 +159,10 @@ def cmd_tilting(pipe: Pipeline, report: dict) -> bool:
         }
     report["tiltings"] = tiltings
     total, pieces = _requested_tilting(pipe, report)
-    support = tilting_support(tilt, total)
-    ok = support == {lab: m for lab, m in pieces}
+    support, request = tilting_support(tilt, total), {}
+    for lab, m in pieces:
+        request[lab] = request.get(lab, 0) + m
+    ok = support == request
     report["requested_tilting"].update(support=support, support_matches_request=ok)
     return ok
 

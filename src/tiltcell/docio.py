@@ -146,7 +146,7 @@ def load_document(path, field_override=None) -> InputDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, UTF-8 or int
         raise InputError(f"cannot read input document {path}: {exc}") from exc
     return parse_document(raw, field_override)
 

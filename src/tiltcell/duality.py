@@ -20,6 +20,7 @@ from .algebra import (
     AlgebraPresentation,
     ModuleRep,
     Morphism,
+    _indec_isomorphism,
     direct_sum,
     hom_space,
     is_isomorphic,
@@ -93,19 +94,21 @@ class DualityDatum:
 def check_standard_duality(reg: Registry, tilt: TiltingRegistry,
                            tau: AntiInvolution) -> DualityDatum:
     """Verify exchange of standard and costandard modules and self-duality of
-    every indecomposable tilting module; collect the witnesses.  The
-    self-duality witness is the isomorphism T(label) -> D(T(label)) that
-    fixed_point_data symmetrizes, so it is solved once per label."""
+    every indecomposable tilting module; collect the witnesses.  Delta(label)
+    and T(label) are indecomposable, so `_indec_isomorphism` decides both
+    exactly.  The self-duality witness is the isomorphism T(label) ->
+    D(T(label)) that fixed_point_data symmetrizes, so it is solved once per
+    label."""
     datum = DualityDatum(tau)
     for lam in reg.poset.labels:
         dual_nabla = dualize_module(tau, reg.costandard(lam))
-        w = is_isomorphic(dual_nabla, reg.standard(lam))
+        w = _indec_isomorphism(dual_nabla, reg.standard(lam))
         if w is None:
             raise NotStandardDuality(lam, "exchange",
                                      "(dual of costandard is not the standard module)")
         datum.exchange[lam] = w
         t_mod = tilt.module(lam)
-        psi = is_isomorphic(t_mod, dualize_module(tau, t_mod))
+        psi = _indec_isomorphism(t_mod, dualize_module(tau, t_mod))
         if psi is None:
             raise NotStandardDuality(lam, "tilting_self_dual",
                                      "(indecomposable tilting module is not self-dual)")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .algebra import ModuleRep, Morphism, hom_space
+from .algebra import EndAlgebra, ModuleRep, Morphism, hom_space
 from .errors import (
     AxiomViolation,
     BasisFailure,
@@ -102,12 +102,12 @@ class StandardBasisDatum:
     Per support label: G (Delta -> T basis), F (T -> Nabla basis), their
     lifts Ghat (T(label) -> T) and Fhat (T -> T(label)), and the cell
     matrix of composites c[i][j] = Ghat[i] . Fhat[j].  `order` lists the
-    support along the linear extension; coords() expresses any endomorphism
-    in the cell basis.  finalize_datum installs the coordinate maps of the
-    whole basis and of each label's G and F bases, the position of every
-    (label, i, j) in the basis, and for each label the positions whose
-    label is not strictly below it, and clears verify_standard_axioms' verdict
-    and the End(T) presentation.
+    support along the linear extension.  finalize_datum installs `end`,
+    End(T) as an EndAlgebra on the cells in index order (coords() expresses
+    any endomorphism in the cell basis through it), the coordinate maps of
+    each label's G and F bases, the position of every (label, i, j) in the
+    basis, and for each label the positions whose label is not strictly
+    below it, and clears verify_standard_axioms' verdict.
     """
 
     def __init__(self, tilt: TiltingRegistry, module: ModuleRep, seed: int):
@@ -122,12 +122,11 @@ class StandardBasisDatum:
         self.Fhat = {}
         self.cells = {}
         self._index = []        # ordered (label, i, j)
-        self._coords = None
+        self.end = None          # EndAlgebra on the cells, installed by finalize_datum
         self._pos = {}           # (label, i, j) -> position in the basis
         self._not_lower = {}     # label -> positions whose label is not strictly below
         self._fiber_coords = {}  # label -> (coordinate map of G, of F)
         self._certified = False  # the multiplication rules hold on these cells
-        self._end = None         # cells.end_presentation, formed on first use
 
     # -- assembly -------------------------------------------------------------
 
@@ -141,7 +140,7 @@ class StandardBasisDatum:
         self._index.extend((label, i, j) for i in range(len(G)) for j in range(len(Fs)))
 
     def coords(self, matrix: Matrix):
-        return self._coords(matrix.flat())
+        return self.end.coords(matrix)
 
     def index(self):
         return tuple(self._index)
@@ -160,7 +159,7 @@ class StandardBasisDatum:
         read from the matrix's coordinates in the whole cell basis; a matrix
         outside End(T) fails."""
         try:
-            v = self._coords(matrix.flat())
+            v = self.end.coords(matrix)
         except InconsistentSystem:
             return False
         return self._congruent(label, v, {})
@@ -210,15 +209,13 @@ def finalize_datum(datum: StandardBasisDatum):
     if len(datum._index) != end_dim:
         raise BasisFailure(datum.order[-1] if datum.order else "",
                            f"fiber count {len(datum._index)} != dim End = {end_dim}")
-    width = module.dim ** 2
+    datum.end = EndAlgebra(module, [datum.cell(*key) for key in datum._index])
     try:
-        datum._coords = coordinates(
-            F, [datum.cell(lam, i, j).matrix.flat() for (lam, i, j) in datum._index], width)
+        datum.end._coords  # the coordinate map, formed now to certify independence
     except DependentFamily:
         raise BasisFailure(datum.order[-1], "cell composites are linearly dependent") from None
     datum._pos = {key: pos for pos, key in enumerate(datum._index)}
     datum._certified = False
-    datum._end = None
     for lam in datum.order:
         datum._not_lower[lam] = tuple(pos for pos, (mu, _, _) in enumerate(datum._index)
                                       if not reg.poset.lt(mu, lam))
@@ -265,24 +262,23 @@ def verify_standard_axioms(datum: StandardBasisDatum, trials: int = 100):
     endomorphism: residuals must lie in the span of strictly lower fibers.
     The cells are walked from the top fiber down; one that 1 and the passed
     probes generate obeys both (the lemma in `structure.py`) and is skipped,
-    any other is probed on both sides of every cell.  The summary counts
-    `trials` random endomorphisms, certified with the rest; the datum keeps
-    the verdict until finalize_datum.  On a failure AxiomViolation names the
-    least (cell, side) of the first failing cell in index order."""
-    n, index, pos = datum.dim(), datum.index(), datum._pos
+    any other is probed on both sides of every cell.  `trials` draws no
+    endomorphism and checks nothing: it only adds to the summary's counts,
+    `probes` = n + trials and `congruences_checked` = 2 (n + trials) n for
+    the n cells.  The datum keeps the verdict until finalize_datum.  On a
+    failure AxiomViolation names the least (cell, side) of the first failing
+    cell in index order."""
+    n, index, pos, end = datum.dim(), datum.index(), datum._pos, datum.end
     summary = {"probes": n + trials, "congruences_checked": 2 * (n + trials) * n, "ok": True}
     if datum._certified:
         return summary
-    mats = [datum.cell(*key).matrix for key in index]
     rows, cols = {}, {}  # probe m -> coordinates of cell_m . cell_b, of cell_a . cell_m
 
     def probe(m):
         """The least (at, side) at which cell_m breaks a rule, or None."""
         if m not in rows:
-            rows[m] = [cols[b][m] if b in cols else datum.coords(mats[m] @ mats[b])
-                       for b in range(n)]
-            cols[m] = [rows[a][m] if a in rows else datum.coords(mats[a] @ mats[m])
-                       for a in range(n)]
+            rows[m] = [cols[b][m] if b in cols else end.product(m, b) for b in range(n)]
+            cols[m] = [rows[a][m] if a in rows else end.product(a, m) for a in range(n)]
         sc = structure_coefficients(datum, datum.cell(*index[m]))
         for at, (lam, i, j) in enumerate(index):
             left, right = sc.left[lam].entries, sc.right[lam].entries

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from .algebra import (
     ModuleRep,
+    _indec_isomorphism,
     hom_space,
-    is_isomorphic,
     krull_schmidt,
 )
 from .errors import (
@@ -138,13 +138,13 @@ class TiltingRegistry:
 
 def tilting_support(tilt: TiltingRegistry, t: ModuleRep):
     """Multiset {label: multiplicity of T(label) in t} via Krull-Schmidt,
-    once per module content in the registry, as `syzygy` is."""
+    once per module content in the registry, as `syzygy` is; each summand
+    is indecomposable, so `_indec_isomorphism` matches it exactly."""
     if t.action not in tilt._support:
         out = {}
         for (summand, _, _) in krull_schmidt(t):
             matched = next((lab for lab in tilt.base.poset.labels
-                            if summand.dim == tilt.module(lab).dim
-                            and is_isomorphic(summand, tilt.module(lab)) is not None), None)
+                            if _indec_isomorphism(summand, tilt.module(lab)) is not None), None)
             if matched is None:
                 raise UnidentifiedSummand(
                     f"summand of dimension {summand.dim} matches no indecomposable tilting module")

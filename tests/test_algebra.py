@@ -32,7 +32,7 @@ from tiltcell.algebra import (
     submodule_generated,
     submodule_rep,
 )
-from tiltcell.cells import cell_module, end_presentation
+from tiltcell.cells import cell_module
 from tiltcell.docio import catalog_document, catalog_names
 from tiltcell.duality import AntiInvolution
 from tiltcell.errors import (
@@ -901,7 +901,7 @@ def cell_modules(datum):
     """The cell modules over End(T), and over End(T)^op the co-cell modules:
     Hom(T, Nabla) with each cell acting through its right structure
     coefficients, the module axioms checked on construction."""
-    E_op = end_presentation(datum).opposite()
+    E_op = datum.end.presentation.opposite()
     coeffs = [structure_coefficients(datum, datum.cell(*key)) for key in datum.index()]
     return ([cell_module(datum, lab) for lab in datum.order],
             [ModuleRep(E_op, len(datum.F[lab]), [c.right[lab] for c in coeffs])
@@ -1024,7 +1024,7 @@ GENERATOR_CASES = (
     + [pytest.param(lambda n=n, p=p: auslander_algebra(Field(p), n), id=f"auslander{n}-{p or 'Q'}")
        for n, p in [(3, None), (3, 2), (3, 10007), (4, 10007)]]
     + [pytest.param(lambda: schur_algebra(Q, 3)[0], id="schur3-Q"),
-       pytest.param(lambda: end_presentation(schur_pipeline(Field(3), 3)[2]), id="schur3-F3-end")])
+       pytest.param(lambda: schur_pipeline(Field(3), 3)[2].end.presentation, id="schur3-F3-end")])
 
 
 @pytest.mark.parametrize("make_algebra", GENERATOR_CASES)

@@ -8,7 +8,6 @@ from tiltcell.cells import (
     CellData,
     cell_module,
     classify_simples,
-    end_presentation,
     gram_matrix,
     is_semisimple_endalgebra,
 )
@@ -94,7 +93,7 @@ def test_cell_module_dims_and_identity_action(pipelines):
     cm_high = cell_module(datum, "1")
     assert cm_high.dim == 1
     # the identity of End(T) acts as the identity matrix
-    E = end_presentation(datum)
+    E = datum.end.presentation
     F = E.field
     ident = cm_low.act(E.unit)
     assert ident == Matrix.identity(F, cm_low.dim)
@@ -105,7 +104,7 @@ def test_cell_module_action_respects_composition(pipelines):
     _, reg, tilt = pipelines["auslander-dualnumbers"]
     T, datum = datum_for(reg, tilt)
     cm = cell_module(datum, "2")
-    E = end_presentation(datum)
+    E = datum.end.presentation
     F = E.field
     a = E.basis_vector(0)
     b = E.basis_vector(1)
@@ -130,9 +129,9 @@ def test_cell_modules_of_one_datum_share_one_end_presentation(monkeypatch):
     modules = [cell_module(datum, lab) for lab in datum.order]
     assert len(modules) == 3 and datum.dim() == 14
     assert len(products) == len(set(products)) == 196
-    assert all(m.algebra is end_presentation(datum) for m in modules)
+    assert all(m.algebra is datum.end.presentation for m in modules)
     finalize_datum(datum)
-    assert end_presentation(datum) is not modules[0].algebra
+    assert datum.end.presentation is not modules[0].algebra
     assert len(products) == 2 * 196
 
 
@@ -183,7 +182,7 @@ def test_simple_dim_squares_bound(pipelines):
         assert total <= datum.dim()
         assert (total == datum.dim()) == semis, name
         # the reference: Graham-Lehrer's count against End(T)'s own radical
-        rad = algebra_radical(end_presentation(datum))
+        rad = algebra_radical(datum.end.presentation)
         assert datum.dim() - rad.dim == total, name
         assert semis == (rad.dim == 0), name
 
@@ -206,14 +205,14 @@ def test_end_radical_dimension_a2(pipelines):
     # dim End = 3 with two 1-dim simples leaves a 1-dim radical
     _, reg, tilt = pipelines["a2path"]
     T, datum = datum_for(reg, tilt)
-    pres = end_presentation(datum)
+    pres = datum.end.presentation
     assert algebra_radical(pres).dim == 1
 
 
 def test_end_presentation_is_end_algebra(pipelines):
     _, reg, tilt = pipelines["ut3"]
     T, datum = datum_for(reg, tilt)
-    pres = end_presentation(datum)
+    pres = datum.end.presentation
     assert pres.dim == len(hom_space(T, T))
     # associativity and unit hold exactly
     pres2 = type(pres)(pres.field, pres.dim, pres.table, pres.unit, check=True)
@@ -333,16 +332,18 @@ def test_inflated_gram_ranks_make_the_verdicts_disagree(pipelines, monkeypatch):
 
 
 def test_no_radical_of_end_t_is_taken(pipelines, monkeypatch):
-    # only A and A^op, which share A's radical, are decomposed for a radical
+    # only A and A^op, which share A's radical, are decomposed for a radical;
+    # End(T)'s presentation, like every EndAlgebra's, has no name
     seen = []
     for fname in ("algebra_radical", "_regular_summands"):
         fn = getattr(algebra_module, fname)
         monkeypatch.setattr(algebra_module, fname,
                             lambda alg, fn=fn: seen.append(alg.name) or fn(alg))
-    for _, reg, tilt in pipelines.values():
+    for doc, reg, tilt in pipelines.values():
+        seen.clear()
         _, datum = datum_for(reg, tilt)
         is_semisimple_endalgebra(CellData(datum))
-    assert "End(T)" not in seen
+        assert set(seen) <= {doc.algebra.name, doc.algebra.name + "^op"}, (doc.name, seen)
     for name in GOOD_CATALOG:
         doc = catalog_document(name)
         seen.clear()

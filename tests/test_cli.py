@@ -64,6 +64,19 @@ def test_bad_input_file_exit_two(tmp_path):
     assert b"unknown keys" in err
 
 
+@pytest.mark.parametrize("content", [
+    b'{"field": "Q", "name": "\xff"}',
+    b'{"field": "Q", "algebra": {"dim": ' + b"1" * 5000 + b"}}",
+    b"[" * 200000 + b"]" * 200000,
+], ids=["not-utf8", "long-int", "deep-array"])
+def test_unreadable_document_exit_two(content, tmp_path, capsys):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    assert cli.main(["verify", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cannot read input document") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("poset, tilting, message", [
     ({"labels": [True]}, None, "must be a string"),
     ({"labels": [1]}, None, "must be a string"),
@@ -370,6 +383,19 @@ def test_tilting_request_list(tmp_path):
     report = json.loads(out)
     assert report["requested_tilting"]["pieces"] == [["1", 2], ["2", 1]]
     assert report["simple_dims"] == {"1": 2, "2": 1}
+
+
+def test_tilting_request_repeating_a_label(tmp_path, capsys):
+    # [["1", 1], ["1", 2]] asks for T(1)^3, which is what the support finds
+    from tiltcell.docio import _CATALOG
+
+    doc = dict(_CATALOG["a2path"], tilting=[["1", 1], ["1", 2]])
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["tilting", "--input", str(path), "--format", "json"]) == 0
+    requested = json.loads(capsys.readouterr().out)["requested_tilting"]
+    assert requested["pieces"] == [["1", 1], ["1", 2]]
+    assert requested["support"] == {"1": 3} and requested["support_matches_request"]
 
 
 def test_semisimplicity_cross_check_boundary(tmp_path):

@@ -1,16 +1,17 @@
 """No tiltcell module assigns to a Matrix's storage after construction, to
 a presentation's sparse table after its fill, or to a basis datum's End(T)
-presentation outside its fill and its reset.
+outside its constructor and `finalize_datum`.
 
 `Matrix` caches its hash and its sparse rows on first use, which is only
 sound while `entries`, `rows`, `cols` and the two caches never change once
 a constructor has set them.  The one exception is each cache's own lazy
 fill.  `AlgebraPresentation` lists its structure table's nonzero entries
 once (`sparse_table`), and every product reads that list, so only its
-constructor and that fill may assign it.  `cells.end_presentation` forms
-a datum's End(T) presentation once and `finalize_datum` discards it, so
-the cell modules of one datum share it.  A class other than the owner may
-keep attributes of these names on its own `self`.
+constructor and that fill may assign it.  `finalize_datum` installs a
+datum's End(T), an `EndAlgebra` that forms its presentation once, so the
+cell modules of one datum share it until the datum is finalized again.
+A class other than the owner may keep attributes of these names on its
+own `self`.
 """
 
 import ast
@@ -24,7 +25,7 @@ MATRIX_STORAGE = {"entries", "rows", "cols", "_hash", "_sparse"}
 
 # guarded attribute -> the class that owns it
 OWNER = {**dict.fromkeys(MATRIX_STORAGE, "Matrix"), "_sparse_table": "AlgebraPresentation",
-         "_end": "StandardBasisDatum"}
+         "end": "StandardBasisDatum"}
 
 # scope -> the guarded attributes it may assign
 ALLOWED = {
@@ -34,9 +35,8 @@ ALLOWED = {
     ("Matrix", "sparse_rows"): {"_sparse"},
     ("AlgebraPresentation", "__init__"): {"_sparse_table"},
     ("AlgebraPresentation", "sparse_table"): {"_sparse_table"},
-    ("StandardBasisDatum", "__init__"): {"_end"},
-    ("end_presentation",): {"_end"},
-    ("finalize_datum",): {"_end"},
+    ("StandardBasisDatum", "__init__"): {"end"},
+    ("finalize_datum",): {"end"},
 }
 
 

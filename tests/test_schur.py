@@ -15,7 +15,7 @@ from math import comb
 import pytest
 
 from tiltcell.algebra import AlgebraPresentation, ModuleRep, algebra_radical, hom_space
-from tiltcell.cells import CellData, classify_simples, end_presentation, is_semisimple_endalgebra
+from tiltcell.cells import CellData, classify_simples, is_semisimple_endalgebra
 from tiltcell.duality import AntiInvolution, build_cellular_basis
 from tiltcell.highest_weight import Registry, WeightPoset, verify_standard_category
 from tiltcell.linalg import Field, Matrix
@@ -119,7 +119,7 @@ def test_schur_closed_forms(r, field, fibers, gram_ranks):
         assert (classify_simples(cd, tilting_support(tilt, tensor))
                 == {lam: rank for lam, rank in gram_ranks.items() if rank})
         # the reference: Graham-Lehrer's count against End(T)'s own radical
-        rad = algebra_radical(end_presentation(datum))
+        rad = algebra_radical(datum.end.presentation)
         assert datum.dim() - rad.dim == sum(k * k for k in gram_ranks.values())
         assert is_semisimple_endalgebra(cd) == (rad.dim == 0)
 

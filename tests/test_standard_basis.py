@@ -420,6 +420,19 @@ def test_rank_certificate_catches_a_zero_weight_the_samples_miss(pipelines):
     assert exc.value.label == "1"
 
 
+def test_dependent_cells_are_a_basis_failure(pipelines):
+    # a cell of the 2 x 2 fiber copied onto another makes the cells
+    # dependent: finalize_datum reports it as a BasisFailure at the last
+    # label, not as the bare DependentFamily of the coordinate map
+    _, reg, tilt = pipelines["auslander-dualnumbers"]
+    datum = build_standard_basis(tilt, char_tilting(reg, tilt), seed=0)
+    assert datum.fiber_sizes() == {"2": (2, 2), "1": (1, 1)}
+    datum.cells["2"][0][1] = datum.cells["2"][0][0]
+    with pytest.raises(BasisFailure, match="cell composites are linearly dependent") as exc:
+        finalize_datum(datum)
+    assert exc.value.label == "1"
+
+
 def add_higher_cell(datum, low, high):
     datum.cells[low][0][0] = datum.cells[low][0][0] + datum.cells[high][0][0]
 

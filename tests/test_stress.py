@@ -21,7 +21,7 @@ from tiltcell.algebra import (
     direct_sum,
     hom_space,
 )
-from tiltcell.cells import CellData, classify_simples, end_presentation, is_semisimple_endalgebra
+from tiltcell.cells import CellData, classify_simples, is_semisimple_endalgebra
 from tiltcell.docio import parse_document
 from tiltcell.highest_weight import Registry, WeightPoset, verify_standard_category
 from tiltcell.linalg import Field, Matrix
@@ -193,7 +193,7 @@ def check_auslander_closed_forms(n):
     p = 3 * (n - 1)
     assert len(probes) == len(set(probes)) == p
     assert len(products) == len(set(products)) == p * (2 * datum.dim() - p)
-    assert len(end_presentation(datum).generators()) == p
+    assert len(datum.end.presentation.generators()) == p
 
     cd = CellData(datum)
     assert cd.gram_rank == one_each
