@@ -8,8 +8,8 @@ regular module, such as the projective cover of each of the Registry's
 simples (`simples_and_split_check`), is read off e.N (`_yoneda_basis`).
 Products read the structure table's nonzero entries, listed once.
 Associativity, the module axioms, intertwining, a
-submodule's invariance and the radical's ideal test take their first factor
-among the generators alone (the lemma in `structure`); a submodule's other
+submodule's invariance and the radical's right-ideal test take their first
+factor among the generators alone (the lemma in `structure`); a submodule's other
 actions are read at its pivot rows, and a basis element acts by its stored
 matrix.
 An endomorphism splits a module in one step: it is an idempotent, or its
@@ -46,7 +46,7 @@ from .errors import (
 )
 from .linalg import (Field, Matrix, Subspace, block_diag, coordinates, linear_combination,
                      sparse_kernel, vstack)
-from .structure import first_nonassociative_pair, generating_set, sparse_table
+from .structure import _Closure, first_nonassociative_pair, generating_set, sparse_table
 
 
 class AlgebraPresentation:
@@ -320,8 +320,9 @@ def submodule_generated(m: ModuleRep, vectors) -> Subspace:
     space = Subspace.from_rows(F, m.dim, vectors)
     if space.dim == 0:
         return space
+    incl = space.basis.transpose()
     return Subspace.from_rows(F, m.dim, [r for a in m.action
-                                         for r in (space.basis @ a.transpose()).entries])
+                                         for r in (a @ incl).transpose().entries])
 
 
 # -- hom spaces ------------------------------------------------------------------
@@ -492,23 +493,29 @@ def _radical_from_projectives(algebra: AlgebraPresentation) -> Subspace:
 
 
 def _ideal_defect(algebra: AlgebraPresentation, rad: Subspace) -> str | None:
-    """Why rad is not a nilpotent two-sided ideal of the algebra, or None;
-    the ideal test takes g from the generators (`structure`'s lemma)."""
+    """Why rad is not a nilpotent two-sided ideal of the algebra, or None.
+    The right-ideal test takes g from the generators (`structure`'s lemma);
+    rad is a left ideal exactly when A.{v_i} = rad for its pivot rows v_i
+    outside the left ideal of the earlier ones."""
     F = algebra.field
     n = algebra.dim
     for g in algebra.generators():
         e_g = algebra.basis_vector(g)
-        for row in rad.basis.entries:
-            if not rad.contains_vector(algebra.multiply(e_g, row)):
-                return "not a left ideal"
-            if not rad.contains_vector(algebra.multiply(row, e_g)):
-                return "not a right ideal"
-    # nilpotency: the powers R^k of an ideal are nested, so they reach zero
-    # unless one step keeps the dimension, where they stay for good
+        if not all(rad.contains_vector(algebra.multiply(v, e_g)) for v in rad.basis.entries):
+            return "not a right ideal"
+    ideal = _Closure(F, n, (), algebra.sparse_table())
+    for g in algebra.generators():
+        ideal.add_generator(g)
+    gens = [v for v in rad.basis.entries if ideal.add_vector(v)]
+    if submodule_generated(algebra.regular_module(), gens) != rad:
+        return "not a left ideal"
+    # nilpotency: R^{k+1} = R^k.A.{v_i} is spanned by the u.v_i.  The powers
+    # of an ideal are nested, so they reach zero unless one step keeps the
+    # dimension, where they stay for good
     current = rad
     while current.dim:
         nxt = Subspace.from_rows(F, n, [algebra.multiply(u, v) for u in current.basis.entries
-                                        for v in rad.basis.entries])
+                                        for v in gens])
         if nxt.dim == current.dim:
             return "not nilpotent"
         current = nxt

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .algebra import ModuleRep, module_radical
 from .errors import LabelNotInSupport, TheoremViolation
 from .linalg import Matrix
-from .standard_basis import StandardBasisDatum, structure_coefficients, verify_standard_axioms
+from .standard_basis import StandardBasisDatum, left_coefficients, verify_standard_axioms
 
 
 class CellData:
@@ -82,7 +82,7 @@ def cell_module(datum: StandardBasisDatum, label) -> ModuleRep:
     """
     if label not in datum.order:
         raise LabelNotInSupport(f"label {label!r} has an empty fiber")
-    action = [structure_coefficients(datum, cell).left[label] for cell in datum.end.basis]
+    action = [left_coefficients(datum, cell, label) for cell in datum.end.basis]
     return ModuleRep(datum.end.presentation, len(datum.G[label]), action, check=True)
 
 

@@ -11,7 +11,9 @@ are identical, entry by entry, to the dense loops that test and rewrite
 every entry; the tests keep those dense loops as the reference.  Matrices
 and subspaces are immutable, so a matrix lists its rows' nonzero entries
 (`Matrix.sparse_rows`) once, on first use, and every later product,
-combination or membership test that reads it reuses that list.
+combination or membership test that reads it reuses that list.  Zero rows
+are skipped after one `any()`; in products and combinations they are one
+`(zero,) * ncols` tuple.
 
 Subspaces are stored with a reduced-row-echelon basis, so two subspaces
 are equal as sets exactly when their basis matrices compare equal entry by
@@ -241,7 +243,8 @@ class Matrix:
         """Each row's nonzero (column, value) pairs in column order, listed
         once per matrix and shared by every later reader."""
         if self._sparse is None:
-            self._sparse = tuple([(j, x) for j, x in enumerate(r) if x] for r in self.entries)
+            self._sparse = tuple([(j, x) for j, x in enumerate(r) if x] if any(r) else []
+                                 for r in self.entries)
         return self._sparse
 
     def __repr__(self):
@@ -295,8 +298,12 @@ class Matrix:
         zero = F.zero()
         ncols = other.cols
         sparse = other.sparse_rows()
+        zero_row = (zero,) * ncols
         out = []
         for srow_a in self.sparse_rows():
+            if not srow_a:
+                out.append(zero_row)
+                continue
             row = [zero] * ncols
             for k, a in srow_a:
                 for j, b in sparse[k]:
@@ -342,8 +349,8 @@ class Matrix:
         F = self.field
         p = F.p
         zero, one = F.zero(), F.one()
-        m = [list(r) for r in self.entries]
-        nrows, ncols = self.rows, self.cols
+        m = [list(r) for r in self.entries if any(r)]
+        nrows, ncols = len(m), self.cols
         pivots = []
         prow = 0
         for col in range(ncols):
@@ -379,7 +386,8 @@ class Matrix:
             prow += 1
             if prow == nrows:
                 break
-        return Matrix._of(F, tuple(map(tuple, m)), ncols), tuple(pivots), len(pivots)
+        zero_rows = ((zero,) * ncols,) * (self.rows - nrows)
+        return Matrix._of(F, tuple(map(tuple, m)) + zero_rows, ncols), tuple(pivots), len(pivots)
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -519,14 +527,16 @@ def linear_combination(field: Field, coeffs, mats, rows: int, cols: int) -> Matr
     terms = [(c, m) for c, m in zip(coeffs, mats) if c]
     if len(terms) == 1 and terms[0][0] == 1:
         return terms[0][1]
-    acc = [[z] * cols for _ in range(rows)]
+    acc = [None] * rows
     for c, m in terms:
-        for arow, srow in zip(acc, m.sparse_rows()):
-            for t, x in srow:
-                arow[t] += c * x
-    if p is None:
-        return Matrix._of(field, tuple(map(tuple, acc)), cols)
-    return Matrix._of(field, tuple(tuple([x % p for x in r]) for r in acc), cols)
+        for i, srow in enumerate(m.sparse_rows()):
+            if srow:
+                arow = acc[i] = acc[i] or [z] * cols
+                for t, x in srow:
+                    arow[t] += c * x
+    zero_row = (z,) * cols
+    return Matrix._of(field, tuple(zero_row if r is None else tuple(r) if p is None
+                                   else tuple([x % p for x in r]) for r in acc), cols)
 
 
 # -- block assembly ------------------------------------------------------------
@@ -575,8 +585,9 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, field: Field, ambient: int, rows) -> "Subspace":
+        rows = [r for r in rows if any(r)]
         if not rows:
-            return cls(ambient, Matrix(field, [], cols=ambient))
+            return cls.zero(field, ambient)
         red, _, rank = Matrix(field, rows).rref()
         return cls(ambient, Matrix(field, red.entries[:rank], cols=ambient))
 
@@ -620,6 +631,8 @@ class Subspace:
             return not any(vec)
         if len(vec) != self.ambient:
             raise DimensionMismatch("vector length differs from ambient dimension")
+        if not any(vec):
+            return True
         p = self.field.p
         resid = list(vec)
         for srow in self.basis.sparse_rows():

@@ -248,13 +248,20 @@ StructureCoefficients = namedtuple("StructureCoefficients", "left right")
 
 
 def structure_coefficients(datum: StandardBasisDatum, phi: Morphism) -> StructureCoefficients:
-    F = datum.reg.algebra.field
-    left, right = {}, {}
-    for lam in datum.order:
-        g_coords, f_coords = datum._fiber_coords[lam]
-        left[lam] = Matrix(F, [g_coords((phi @ g).matrix.flat()) for g in datum.G[lam]]).transpose()
-        right[lam] = Matrix(F, [f_coords((f @ phi).matrix.flat()) for f in datum.F[lam]]).transpose()
-    return StructureCoefficients(left, right)
+    return StructureCoefficients(
+        {lam: left_coefficients(datum, phi, lam) for lam in datum.order},
+        {lam: _expansion(datum._fiber_coords[lam][1], [f @ phi for f in datum.F[lam]])
+         for lam in datum.order})
+
+
+def left_coefficients(datum: StandardBasisDatum, phi: Morphism, label) -> Matrix:
+    """structure_coefficients(datum, phi).left[label] alone."""
+    return _expansion(datum._fiber_coords[label][0], [phi @ g for g in datum.G[label]])
+
+
+def _expansion(coords, morphisms) -> Matrix:
+    return Matrix(morphisms[0].matrix.field,
+                  [coords(m.matrix.flat()) for m in morphisms]).transpose()
 
 
 def verify_standard_axioms(datum: StandardBasisDatum, trials: int = 100):

@@ -90,7 +90,8 @@ def generating_set(algebra) -> tuple[int, ...]:
 class _Closure:
     """The subalgebra generated by the unit and a growing set of basis elements:
     the span of the words g_1 ... g_k . 1, kept closed under left multiplication
-    by every generator as generators are added.  Rows are sparse dicts with a
+    by every generator as generators are added; on an empty unit, the left
+    ideal of the vectors added (`add_vector`).  Rows are sparse dicts with a
     leading 1 at distinct leading columns, so a vector lies in the span exactly
     when reducing it by leading column leaves nothing.  sparse[g][j] lists the
     nonzero (k, c) of b_g b_j, read for the generators g only."""
@@ -122,7 +123,15 @@ class _Closure:
         """Close the span under g: every row owes a product by g, and every
         new row a product by each generator."""
         self.gens.append(g)
-        work = [(g, row) for row in self.rows.values()]
+        self._close([(g, row) for row in self.rows.values()])
+
+    def add_vector(self, v) -> bool:
+        """Add v and close again; False if v lay in the span."""
+        row = self._insert({k: c for k, c in enumerate(v) if c})
+        self._close([(g, row) for g in self.gens] if row else [])
+        return bool(row)
+
+    def _close(self, work):
         while work and not self.full():
             h, v = work.pop()
             row = self._insert(self._left_mult(h, v))

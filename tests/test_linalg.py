@@ -922,3 +922,74 @@ def test_reused_subspace_basis_matches_dense_references(case):
         for a, b in zip(space.complement_projection(), reference_complement_projection(space)):
             assert (a.rows, a.cols) == (b.rows, b.cols)
             assert a == b and printed(a) == printed(b)
+
+
+# An all-zero row costs one `any()` in every kernel: products and
+# combinations give it the shared (zero,) * ncols tuple, elimination moves it
+# below the rows it reduces, and Subspace.from_rows drops it.  The results
+# must still be the dense references' entry for entry, whatever the shape.
+def zero_scalars(field):
+    """Zero as the kernels meet it: over Q also a Fraction that cancelled."""
+    if field.p is None:
+        return st.one_of(st.just(0), st.just(Fraction(0)),
+                         st.tuples(st.integers(-3, 3), st.integers(1, 3)).map(
+                             lambda t: Fraction(*t) - Fraction(*t)))
+    return st.just(0)
+
+
+@st.composite
+def zero_row_matrices(draw, field, rows, cols):
+    """rows x cols, all zero or with each row zero at even odds."""
+    all_zero = draw(st.booleans())
+    ent = [[draw(zero_scalars(field) if all_zero or zero_row else sparse_scalars(field))
+            for _ in range(cols)] for zero_row in (draw(st.booleans()) for _ in range(rows))]
+    return Matrix(field, ent, cols=cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_fields.flatmap(lambda F: st.tuples(
+    st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)).flatmap(lambda s: st.tuples(
+        zero_row_matrices(F, s[0], s[1]), zero_row_matrices(F, s[1], s[2]),
+        zero_row_matrices(F, s[0], s[1]), st.lists(sparse_scalars(F), min_size=2, max_size=2)))))
+def test_zero_row_kernels_match_dense_references(case):
+    a, b, c, coeffs = case
+    F = a.field
+
+    def same(got, ref):
+        assert got == ref and hash(got) == hash(ref) and printed(got) == printed(ref)
+        assert (got.rows, got.cols) == (ref.rows, ref.cols)
+
+    same(a @ b, dense_matmul(a, b))
+    red, pivots, rank = a.rref()
+    ref, ref_pivots, ref_rank = dense_rref(a)
+    same(red, ref)
+    assert (pivots, rank) == (ref_pivots, ref_rank)
+    same(linear_combination(F, coeffs, [a, c], a.rows, a.cols),
+         looped_linear_combination(F, coeffs, [a, c], a.rows, a.cols))
+    space = Subspace.from_rows(F, a.cols, a.entries)
+    assert (space.ambient, space.dim) == (a.cols, ref_rank)
+    same(space.basis, Matrix(F, ref.entries[:ref_rank], cols=a.cols))
+    for m in (a, b, c):
+        assert m.sparse_rows() == tuple([(j, x) for j, x in enumerate(r) if x] for r in m.entries)
+
+
+def test_zero_rows_keep_their_place_in_shapes_and_ranks():
+    for F in (Q, F5, F10007):
+        z = F.zero()
+        # interleaved zero rows: RREF keeps the row count, pivots and rank
+        m = Matrix.from_int_rows(F, [[0, 0, 0], [1, 2, 3], [0, 0, 0], [2, 4, 7], [0, 0, 0]])
+        red, pivots, rank = m.rref()
+        assert (red.rows, red.cols, pivots, rank) == (5, 3, (0, 2), 2)
+        assert red == dense_rref(m)[0] and red.entries[2:] == ((z,) * 3,) * 3
+        # a product's zero rows are (zero,) * ncols tuples
+        prod = Matrix.from_int_rows(F, [[0, 0], [1, 2], [0, 0]]) @ Matrix.from_int_rows(
+            F, [[1, 0, 3], [4, 5, 6]])
+        for r in (prod.entries[0], prod.entries[2]):
+            assert type(r) is tuple and r == (z,) * 3 and all(type(x) is int for x in r)
+        assert prod.entries[1] == (F.of(9), F.of(10), F.of(15))
+        # only zero rows span the zero subspace of the given ambient dimension
+        space = Subspace.from_rows(F, 4, [[z] * 4, [z] * 4])
+        assert space == Subspace.zero(F, 4)
+        assert (space.ambient, space.dim, space.basis.cols) == (4, 0, 4)
+    cancelled = [Fraction(1, 3) - Fraction(1, 3)] * 2
+    assert Subspace.from_rows(Q, 2, [cancelled]) == Subspace.zero(Q, 2)

@@ -4,9 +4,10 @@ replaced (`oracles`), entry for entry, and spies on what each one forms.
 `submodule_rep` checks invariance for the generators' actions alone and
 reads every other action at the subspace's pivot rows; `quotient_rep` forms
 one product per action and reads it at the free columns; `multiply` reads
-the presentation's sparse table; `_ideal_defect` takes its first factor
-from the generators; `linear_combination` returns a basis vector's matrix
-itself.  All of them must give the old outputs on the same inputs.
+the presentation's sparse table; `_ideal_defect` takes its right factor
+from the generators and tests the left side on the left-ideal generators it
+picks; `linear_combination` returns a basis vector's matrix itself.  All of
+them must give the old outputs on the same inputs.
 """
 
 import pytest
@@ -162,6 +163,32 @@ def test_ideal_defect_matches_the_all_basis_test(make_algebra):
     commutative = all(algebra.table[i][j] == algebra.table[j][i]
                       for i in range(n) for j in range(n))
     assert commutative or {"not a left ideal", "not a right ideal"} <= set(verdicts[:2 * n])
+
+
+@pytest.mark.parametrize("make_algebra", ALGEBRAS)
+def test_ideal_defect_refuses_non_nilpotent_ideals_and_non_ideals(make_algebra):
+    # nilpotency multiplies by the candidate's left-ideal generators alone,
+    # and A.{generators} = candidate is the left-ideal test: the two-sided
+    # ideals rad + A.b_i.A, not nilpotent once b_i is outside rad, and the
+    # right ideals b_i.A, some no left ideal, keep the all-basis verdicts
+    algebra = make_algebra()
+    n = algebra.dim
+    rad = algebra_radical(algebra)
+    left_mod, right_mod = algebra.regular_module(), algebra.opposite().regular_module()
+    ideals = [submodule_generated(left_mod, submodule_generated(
+        right_mod, [*rad.basis.entries, algebra.basis_vector(i)]).basis.entries)
+        for i in range(n)]
+    verdicts = [_ideal_defect(algebra, space) for space in ideals]
+    assert verdicts == [ideal_defect_all_basis(algebra, space) for space in ideals]
+    assert verdicts == [None if rad.contains_vector(algebra.basis_vector(i)) else "not nilpotent"
+                        for i in range(n)]
+    right_ideals = [submodule_generated(right_mod, [algebra.basis_vector(i)]) for i in range(n)]
+    verdicts = [_ideal_defect(algebra, space) for space in right_ideals]
+    assert verdicts == [ideal_defect_all_basis(algebra, space) for space in right_ideals]
+    assert "not a right ideal" not in verdicts
+    commutative = all(algebra.table[i][j] == algebra.table[j][i]
+                      for i in range(n) for j in range(n))
+    assert commutative or "not a left ideal" in verdicts
 
 
 def catalog_pipeline(name):
