@@ -3,30 +3,22 @@ morphisms, and the structural toolbox: hom spaces, radicals, socles and
 heads, Krull-Schmidt decomposition, isomorphism tests.
 
 Hom spaces impose the intertwining equations for a generating set of A
-alone, found once per presentation.  Hom out of a summand A.e of the
-regular module, such as the projective cover of each of the Registry's
-simples (`simples_and_split_check`), is read off e.N (`_yoneda_basis`).
-Products read the structure table's nonzero entries, listed once.
-Associativity, the module axioms, intertwining, a
-submodule's invariance and the radical's right-ideal test take their first
-factor among the generators alone (the lemma in `structure`); a submodule's other
-actions are read at its pivot rows, and a basis element acts by its stored
-matrix.
-An endomorphism splits a module in one step: it is an idempotent, or its
-Fitting projection onto im(phi^n) along ker(phi^n) is, at 0 or at one
-eigenvalue in the base field.  A local ring has no nontrivial idempotent,
-so a piece whose End basis does not split is certified local by those
-eigenvalues: the phi - chi(phi).1 span a nilpotent ideal of codimension 1.
+alone; Hom out of a projective cover A.e is read off e.N, and Hom into or
+out of a `direct_sum` block by block.  Associativity, the module axioms,
+intertwining, a submodule's invariance and the radical's right-ideal test
+take their first factor among the generators alone (the lemma in
+`structure`).  An endomorphism phi splits a module in one step: it is an
+idempotent, or its Fitting projection is, at 0 or at an eigenvalue in K,
+read off the trace when it is phi's only one.  A local ring has no
+nontrivial idempotent, so a piece whose End basis does not split is
+certified local by those eigenvalues: the phi - chi(phi).1 span a
+nilpotent ideal of codimension 1.
 
-A's radical is read off the heads of its projective summands in every
-characteristic, certified, and shared with the opposite algebra, whose
-radical is the same subspace.  Isomorphism is decided without randomness:
-by an invertible element of a hom basis, or else by matching Krull-Schmidt
-summands.
-
-All arithmetic is exact.  The one randomized search, the idempotent hunt
-behind the deterministic sweep, seeds its own PRNG on every call, so a split
-depends on nothing computed before it.
+A's radical is read off the heads of its projective summands, certified,
+and shared with the opposite algebra.  Isomorphism is decided without
+randomness: by an invertible element of a hom basis, or else by matching
+Krull-Schmidt summands.  All arithmetic is exact, and the idempotent hunt
+seeds its own PRNG on every call.
 """
 
 from __future__ import annotations
@@ -45,7 +37,7 @@ from .errors import (
     TheoremViolation,
 )
 from .linalg import (Field, Matrix, Subspace, block_diag, coordinates, linear_combination,
-                     sparse_kernel, vstack)
+                     sole_eigenvalue, sparse_kernel, sum_basis, unflatten, vstack)
 from .structure import _Closure, first_nonassociative_pair, generating_set, sparse_table
 
 
@@ -156,9 +148,11 @@ class AlgebraPresentation:
 
 class _Content(tuple):
     """A module's action matrices, hashed once: the memos keyed on module
-    content (hom spaces, radicals, syzygies, Ext groups) hash it per lookup."""
+    content (hom spaces, radicals, syzygies, Ext groups) hash it per lookup.
+    A `direct_sum`'s content lists its summands in `parts`, for `hom_space`."""
 
     _hash = None
+    parts = ()
 
     def __hash__(self):
         if self._hash is None:
@@ -295,12 +289,15 @@ def quotient_rep(m: ModuleRep, space: Subspace):
 
 
 def direct_sum(mods):
-    """(sum module, inclusions, projections)."""
+    """(sum module, inclusions, projections); the content of a sum of two or
+    more nonzero modules lists them (`_Content.parts`)."""
     mods = list(mods)
     alg = mods[0].algebra
     F = alg.field
     action = [block_diag([m.action[i] for m in mods]) for i in range(alg.dim)]
     total = ModuleRep(alg, sum(m.dim for m in mods), action, check=False)
+    if sum(m.dim > 0 for m in mods) > 1:
+        total.action.parts = mods
     incls, projs = [], []
     offset = 0
     for m in mods:
@@ -329,27 +326,14 @@ def submodule_generated(m: ModuleRep, vectors) -> Subspace:
 
 
 def hom_space(m: ModuleRep, n: ModuleRep) -> list[Morphism]:
-    """Canonical basis of the space of intertwiners m -> n.
-
-    Solves X a_M(g) = a_N(g) X for the generators g of the algebra
-    (`AlgebraPresentation.generators`).  That suffices because every module
-    that reaches here was checked on load or built from A's own operations,
-    so its action is a unital algebra homomorphism: X then commutes with the
-    action of every word in the generators, of the unit, and so of all of A.
-    The basis is the RREF basis of the solution space in row-major matrix
-    coordinates, which depends on the space alone, so the output is
-    deterministic.  The equations are sparse rows; the unknowns that
-    one-unknown equations force to zero are dropped before elimination
-    (`linalg.sparse_kernel`), which leaves the basis unchanged.
-
-    Hom out of a projective cover P = A.e that `simples_and_split_check`
-    found (m's content in `_projectives`) is read off e.N instead
-    (`_yoneda_basis`), the same basis entry for entry, with no system solved.
-
-    The basis depends only on the two modules' action matrices, so it is
-    found once per presentation and content (m.action, n.action), kept on
-    m's presentation (A and A^op keep their own), and returned as fresh
-    morphisms on the caller's m and n.
+    """Canonical basis of the space of intertwiners m -> n: the RREF basis
+    in row-major matrix coordinates, which depends on the space alone.  It
+    is found once per presentation and content (m.action, n.action), kept
+    on m's presentation (A and A^op keep their own), and returned on the
+    caller's m and n.  Hom out of a projective cover P = A.e that
+    `simples_and_split_check` found is read off e.N (`_yoneda_basis`), Hom
+    into or out of a `direct_sum` off its blocks (`linalg.sum_basis`), and
+    any other is solved (`_hom_basis`): the same basis entry for entry.
     """
     if m.algebra is not n.algebra and m.algebra.table != n.algebra.table:
         raise AlgebraMismatch("hom between modules over different algebras")
@@ -358,8 +342,17 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[Morphism]:
     key = (m.action, n.action)
     memo = m.algebra._homs
     if key not in memo:
-        incl = m.algebra._projectives.get(m.action)
-        memo[key] = _hom_basis(m, n) if incl is None else _yoneda_basis(n, incl)
+        incl, F = m.algebra._projectives.get(m.action), m.algebra.field
+        if incl is not None:
+            memo[key] = _yoneda_basis(n, incl)
+        elif n.action.parts:
+            memo[key] = sum_basis(F, [(x.dim, [f.matrix for f in hom_space(m, x)])
+                                      for x in n.action.parts], m.dim, True)
+        elif m.action.parts:
+            memo[key] = sum_basis(F, [(x.dim, [f.matrix for f in hom_space(x, n)])
+                                      for x in m.action.parts], n.dim, False)
+        else:
+            memo[key] = _hom_basis(m, n)
     return [Morphism(m, n, mat) for mat in memo[key]]
 
 
@@ -368,18 +361,19 @@ def _yoneda_basis(n: ModuleRep, incl: Matrix) -> tuple[Matrix, ...]:
     basis vectors are the columns u_j of incl in A.  A map f: P -> n is
     x -> x.f(e) (Yoneda), so the maps x -> x.d_t for n's basis vectors d_t
     span Hom(P, n); column j of the t-th is u_j.d_t, column t of u_j's
-    action.  Their RREF in row-major coordinates is the basis `_hom_basis`
-    solves for, since that depends on the space alone."""
+    action."""
     F = n.algebra.field
     dn, dp = n.dim, incl.cols
     acts = [n.act(u).entries for u in incl.transpose().entries]
     maps = Matrix(F, [[acts[j][i][t] for i in range(dn) for j in range(dp)] for t in range(dn)])
     red, _, rank = maps.rref()
-    return tuple(Matrix(F, [r[i * dp:(i + 1) * dp] for i in range(dn)]) for r in red.entries[:rank])
+    return unflatten(F, red.entries[:rank], dp)
 
 
 def _hom_basis(m: ModuleRep, n: ModuleRep) -> tuple[Matrix, ...]:
-    """The matrices of `hom_space`'s canonical basis, solved."""
+    """`hom_space`'s basis solved from X a_M(g) = a_N(g) X for A's
+    generators g, enough as every module's action is a unital algebra
+    homomorphism (checked on load or built from A's operations)."""
     F = m.algebra.field
     p = F.p
     dm, dn = m.dim, n.dim
@@ -406,8 +400,7 @@ def _hom_basis(m: ModuleRep, n: ModuleRep) -> tuple[Matrix, ...]:
                         row[t] = v
                 if row:
                     rows.append(row)
-    ker = sparse_kernel(F, rows, dn * dm)
-    return tuple(Matrix(F, [vec[r * dm:(r + 1) * dm] for r in range(dn)]) for vec in ker.entries)
+    return unflatten(F, sparse_kernel(F, rows, dn * dm).entries, dm)
 
 
 class EndAlgebra:
@@ -436,8 +429,14 @@ class EndAlgebra:
         return self._coords(matrix.flat())
 
     def product(self, a: int, b: int):
-        """The coordinates of basis[a] . basis[b]."""
-        return self.coords(self.basis[a].matrix @ self.basis[b].matrix)
+        """The coordinates of basis[a] . basis[b], read at the pivots
+        (`linalg.coordinates`) with no product formed and no membership
+        check.  In its stead: each basis element is an intertwiner (a
+        `hom_space` solution, or a composite of linear combinations of such,
+        as a cell is), so the product lies in End(M); and the basis spans
+        End(M), being the whole hom basis, or cells that `finalize_datum`
+        certified by count and independence."""
+        return self._coords.of_product(self.basis[a].matrix, self.basis[b].matrix)
 
     def from_coords(self, coeffs) -> Morphism:
         n = self.module.dim
@@ -586,6 +585,9 @@ def _idempotent_from_element(E: EndAlgebra, phi: Morphism):
     proj = _fitting_projection(phi.matrix)
     if proj is not None:
         return Morphism(phi.source, phi.source, proj), None
+    r = sole_eigenvalue(phi.matrix)
+    if r is not None:
+        return None, r
     roots = poly.linear_roots(F, poly.charpoly(phi.matrix))[0]
     if not roots:
         return None, None
@@ -692,13 +694,6 @@ def krull_schmidt(m: ModuleRep):
     return [leaf[:3] for leaf in _decompose(m, lambda piece, incl, proj: EndAlgebra(piece))]
 
 
-def _regular_homs(source: ModuleRep, incl: Morphism, target: ModuleRep) -> list[Morphism]:
-    """Hom(source, target) for a summand source of A's regular module, with
-    incl from source into A, read off e.target (`_yoneda_basis`) in the same
-    RREF basis as `hom_space`."""
-    return [Morphism(source, target, x) for x in _yoneda_basis(target, incl.matrix)]
-
-
 def _indec_isomorphism(m: ModuleRep, n: ModuleRep) -> Morphism | None:
     """The first invertible element of hom_space(m, n), or None.  When m or
     n is indecomposable, one exists exactly when m and n are isomorphic.
@@ -775,8 +770,8 @@ def _regular_summands(algebra: AlgebraPresentation):
         return algebra._summands
     F = algebra.field
     try:
-        summands = _decompose(algebra.regular_module(), lambda piece, incl, proj:
-                              EndAlgebra(piece, _regular_homs(piece, incl, piece)))
+        summands = _decompose(algebra.regular_module(), lambda piece, incl, proj: EndAlgebra(
+            piece, [Morphism(piece, piece, x) for x in _yoneda_basis(piece, incl.matrix)]))
     except NotComputable as exc:
         # the regular module resisted splitting: a division endomorphism
         # algebra beyond K, i.e. a non-split input
@@ -789,7 +784,7 @@ def _regular_summands(algebra: AlgebraPresentation):
         for cls in classes:
             q_mod = cls[0][1]
             if p_mod.dim == q_mod.dim and any(
-                    f.is_invertible() for f in _regular_homs(p_mod, incl, q_mod)):
+                    x.is_invertible() for x in _yoneda_basis(q_mod, incl.matrix)):
                 cls.append(ent)
                 break
         else:

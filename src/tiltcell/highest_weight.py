@@ -285,30 +285,24 @@ def syzygy(reg: Registry, m: ModuleRep):
     `projective_cover` would choose.  Other modules are covered by
     `projective_cover`, which draws no randomness.
     """
-    omega, incl, P0, pi, _ = _syzygy_data(reg, m)
-    if pi.target is not m:
-        pi = Morphism(P0, m, pi.matrix)
-    return omega, incl, P0, pi
-
-
-def _syzygy_data(reg: Registry, m: ModuleRep):
-    """`syzygy`'s data and the labels of P0's blocks, once per content."""
     key = m.action
     if key not in reg._syzygies:
         known = reg._covers.get(key)
         if known is None:
-            P0, pi, labels = projective_cover(reg, m)
+            P0, pi, _ = projective_cover(reg, m)
             kernel = pi.kernel()
         else:
             label, cover, kernel = known
-            P0, labels = reg.projective(label), [label]
+            P0 = reg.projective(label)
             if not module_radical(P0).contains(kernel):
                 raise TheoremViolation(f"the kernel of the cover at {label!r} is not in rad P")
             first = next(x for row in cover.matrix.entries for x in row if x)
             pi = Morphism(P0, m, cover.matrix.scale(reg.algebra.field.inv(first)))
-        omega, incl = submodule_rep(P0, kernel)
-        reg._syzygies[key] = (omega, incl, P0, pi, labels)
-    return reg._syzygies[key]
+        reg._syzygies[key] = (*submodule_rep(P0, kernel), P0, pi)
+    omega, incl, P0, pi = reg._syzygies[key]
+    if pi.target is not m:
+        pi = Morphism(P0, m, pi.matrix)
+    return omega, incl, P0, pi
 
 
 def ext1_with_classes(reg: Registry, m: ModuleRep, n: ModuleRep):
@@ -338,20 +332,14 @@ def ext1_with_classes(reg: Registry, m: ModuleRep, n: ModuleRep):
 def _ext1_cocycles(reg: Registry, m: ModuleRep, n: ModuleRep):
     """The cocycles Omega(m) -> n chosen for Ext^1(m, n), or None when
     Hom(Omega(m), n) = 0.  The coboundaries, whose span alone matters,
-    restrict Hom(P(label), n) through each block of P0, read off e_label.n:
-    Hom(P0, n) is never solved."""
+    restrict Hom(P0, n), which `hom_space` reads block by block off the
+    e_label.n: P0 is a direct sum of projective covers."""
     F = reg.algebra.field
-    omega, incl_omega, _, _, labels = _syzygy_data(reg, m)
+    omega, incl_omega, P0, _ = syzygy(reg, m)
     homs_omega = hom_space(omega, n)
     if not homs_omega:
         return None
-    restricted = []
-    offset = 0
-    for label in labels:
-        P = reg.projective(label)
-        block = Matrix(F, incl_omega.matrix.entries[offset:offset + P.dim], cols=omega.dim)
-        restricted.extend((h.matrix @ block).flat() for h in hom_space(P, n))
-        offset += P.dim
+    restricted = [(h.matrix @ incl_omega.matrix).flat() for h in hom_space(P0, n)]
     # columns: the coboundaries, then the cocycles; a cocycle is chosen when
     # it leaves the span of every column before it, i.e. at a pivot column
     vecs = restricted + [h.matrix.flat() for h in homs_omega]

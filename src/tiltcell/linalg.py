@@ -2,25 +2,22 @@
 
 Scalars over Q are Python ints for integral values and `fractions.Fraction`
 for the rest; over F_p they are int residues in [0, p).  A `Field` value
-mediates scalar arithmetic.  Matrices are stored dense, but the inner loops
-of elimination (`Matrix.rref`), products (`Matrix.__matmul__`), linear
-combinations, coordinate maps (`coordinates`) and subspace membership touch
-only nonzero entries and do their arithmetic inline (native int and
-`Fraction` operators over Q, one `% p` per update over F_p).  Their results
-are identical, entry by entry, to the dense loops that test and rewrite
-every entry; the tests keep those dense loops as the reference.  Matrices
-and subspaces are immutable, so a matrix lists its rows' nonzero entries
-(`Matrix.sparse_rows`) once, on first use, and every later product,
-combination or membership test that reads it reuses that list.  Zero rows
-are skipped after one `any()`; in products and combinations they are one
-`(zero,) * ncols` tuple.
+mediates scalar arithmetic.  Matrices are stored dense, but elimination,
+products, linear combinations, coordinate maps and subspace membership
+touch only nonzero entries and do their arithmetic inline (native
+operators over Q, one `% p` per update over F_p), with results identical,
+entry by entry, to the dense loops the tests keep as the reference.
+Matrices and subspaces are immutable, so a matrix lists its rows' nonzero
+entries (`Matrix.sparse_rows`) once, on first use, for every later reader.
+Zero rows are skipped after one `any()`; in products and combinations
+they are one `(zero,) * ncols` tuple.
 
 Subspaces are stored with a reduced-row-echelon basis, so two subspaces
 are equal as sets exactly when their basis matrices compare equal entry by
-entry.  `coordinates` row-reduces an independent family once and then
-reads the coordinates of any vector in its span, refusing vectors outside
-it.  Everything is deterministic: no floats, no hashing order, no
-randomness.
+entry.  `coordinates` row-reduces an independent family once and then reads
+the coordinates of a vector in its span at its pivots, refusing vectors
+outside it, or of a product known to lie there without forming it.
+Everything is deterministic: no floats, no hashing order, no randomness.
 """
 
 from __future__ import annotations
@@ -473,15 +470,15 @@ def sparse_kernel(F: Field, rows, width: int) -> Matrix:
 def coordinates(field: Field, rows, width: int):
     """Coordinate map of an independent family of vectors in K^width.
 
-    Row-reduces the family beside an identity block once and keeps the
-    reduced rows' free-column entries and the transform rows sparse.  The
-    returned map reads a vector's pivot entries, checks exactly that the
-    vector is that combination of the reduced rows, and accumulates its
-    coordinates in the family through the transform; both touch only
-    nonzero entries, with native operators over Q and one `% p` per
-    update (per coordinate for the transform) over F_p.  A vector outside
-    the span raises InconsistentSystem; a dependent family raises
-    DependentFamily.
+    Row-reduces the family beside an identity block once.  A vector's
+    coefficient on reduced row i is its entry at that row's pivot, and the
+    transform rows take these to its coordinates.  The returned map checks
+    exactly that the vector is that combination of the reduced rows
+    (InconsistentSystem if not); its pivot reader `of_product(a, b)` reads
+    a @ b, flattened row-major, of one shape at every call and known to lie
+    in the span, at the pivots alone: entry (r, c) is row r of a times
+    column c of b, whose columns are listed once per b.  A dependent family
+    raises DependentFamily.
     """
     F = field
     p = F.p
@@ -492,14 +489,21 @@ def coordinates(field: Field, rows, width: int):
     if pivots and pivots[-1] >= width:
         raise DependentFamily(f"family of {k} vectors in K^{width} is linearly dependent")
     free = sorted(set(range(width)).difference(pivots))
-    steps = [(pc, [(c, r[c]) for c in free if r[c]],
-              [(t, x) for t, x in enumerate(r[width:]) if x])
-             for pc, r in zip(pivots, red.entries)]
+    steps = [(pc, [(c, r[c]) for c in free if r[c]]) for pc, r in zip(pivots, red.entries)]
+    trows = [[(t, x) for t, x in enumerate(r[width:]) if x] for r in red.entries]
+    columns, places = {}, []
+
+    def read(values):
+        out = [z] * k
+        for d, trow in zip(values, trows):
+            if d:
+                for t, x in trow:
+                    out[t] += d * x
+        return tuple(out) if p is None else tuple([x % p for x in out])
 
     def coords(vec):
         resid = list(vec)
-        out = [z] * k
-        for pc, srow, trow in steps:
+        for pc, srow in steps:
             d = resid[pc]
             if d:
                 resid[pc] = z
@@ -509,13 +513,31 @@ def coordinates(field: Field, rows, width: int):
                 else:
                     for c, x in srow:
                         resid[c] = (resid[c] - d * x) % p
-                for t, x in trow:
-                    out[t] += d * x
         if any(resid):
             raise InconsistentSystem("vector outside the span of the family")
-        return tuple(out) if p is None else tuple([x % p for x in out])
+        return read([vec[pc] for pc in pivots])
 
+    def of_product(a: Matrix, b: Matrix):
+        if not places:
+            places.extend(divmod(pc, b.cols) for pc in pivots)
+        if b not in columns:
+            columns[b] = [dict(c) for c in b.transpose().sparse_rows()]
+        cols, arows = columns[b], a.sparse_rows()
+        return read([sum([x * cols[c][j] for j, x in arows[r] if j in cols[c]]) if arows[r] else 0
+                     for r, c in places])
+
+    coords.of_product = of_product
     return coords
+
+
+def sole_eigenvalue(m: Matrix):
+    """r when m - r.1 is nilpotent, so that r is m's one eigenvalue and
+    tr(m) = n.r for m n x n; else None, as it is when char K divides n."""
+    F, n = m.field, m.rows
+    if F.p is not None and n % F.p == 0:
+        return None
+    r = _rational(F.mul(sum(row[i] for i, row in enumerate(m.entries)), F.inv(F.of(n))))
+    return r if (m - Matrix.identity(F, n).scale(r)).power(n).is_zero() else None
 
 
 def linear_combination(field: Field, coeffs, mats, rows: int, cols: int) -> Matrix:
@@ -566,6 +588,31 @@ def block_diag(mats):
         rows.extend(before + row + after for row in m.entries)
         c0 += m.cols
     return Matrix._of(F, tuple(rows), total_c)
+
+
+def sum_basis(field: Field, blocks, width: int, by_rows: bool) -> tuple:
+    """The RREF basis, in row-major coordinates, of a direct sum of spaces
+    of matrices: `blocks` lists (size, RREF basis), each matrix size x width
+    set in its row block (by_rows) or width x size in its column block.
+    The blocks' supports are disjoint and each matrix keeps its pivot where
+    it is set, so the family ordered by pivot is already reduced."""
+    z = field.zero()
+    total = sum(size for size, _ in blocks)
+    out, off = [], 0
+    for size, basis in blocks:
+        left, right = (z,) * off, (z,) * (total - off - size)
+        out += [left * width + m.flat() + right * width if by_rows else
+                tuple(itertools.chain.from_iterable(left + r + right for r in m.entries))
+                for m in basis]
+        off += size
+    out.sort(key=lambda v: next(i for i, x in enumerate(v) if x))
+    return unflatten(field, out, width if by_rows else total)
+
+
+def unflatten(field: Field, vecs, cols: int) -> tuple:
+    """The matrices, `cols` columns wide, of row-major flat tuples."""
+    return tuple(Matrix._of(field, tuple([v[i:i + cols] for i in range(0, len(v), cols)]), cols)
+                 for v in vecs)
 
 
 class Subspace:

@@ -209,11 +209,12 @@ def finalize_datum(datum: StandardBasisDatum):
     if len(datum._index) != end_dim:
         raise BasisFailure(datum.order[-1] if datum.order else "",
                            f"fiber count {len(datum._index)} != dim End = {end_dim}")
-    datum.end = EndAlgebra(module, [datum.cell(*key) for key in datum._index])
+    end = EndAlgebra(module, [datum.cell(*key) for key in datum._index])
     try:
-        datum.end._coords  # the coordinate map, formed now to certify independence
+        end._coords  # the coordinate map, formed now to certify independence
     except DependentFamily:
         raise BasisFailure(datum.order[-1], "cell composites are linearly dependent") from None
+    datum.end = end
     datum._pos = {key: pos for pos, key in enumerate(datum._index)}
     datum._certified = False
     for lam in datum.order:

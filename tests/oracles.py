@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import argparse
 
+from tiltcell import poly
 from tiltcell.algebra import (
+    EndAlgebra,
     ModuleRep,
     Morphism,
+    _fitting_projection,
     _hom_basis,
     hom_space,
     is_isomorphic,
@@ -527,6 +530,37 @@ def table_replay(datum: StandardBasisDatum, trials: int = 100):
         raise AxiomViolation(lam, (i, j), which, "residual escapes the lower fiber span")
     probes = datum.dim() + trials
     return {"probes": probes, "congruences_checked": 2 * probes * datum.dim(), "ok": True}
+
+
+# -- End(M)'s products formed whole, and eigenvalues off the charpoly -------------
+
+
+def full_product_coords(E: EndAlgebra, a: int, b: int):
+    """`EndAlgebra.product` formed whole: basis[a] . basis[b] as a matrix,
+    its coordinates read with the exact membership check."""
+    return E.coords(E.basis[a].matrix @ E.basis[b].matrix)
+
+
+def charpoly_idempotent_from_element(E: EndAlgebra, phi: Morphism):
+    """`algebra._idempotent_from_element` with no trace step: an eigenvalue
+    is always the str-least linear root of phi's characteristic
+    polynomial."""
+    F = E.field
+    n = phi.matrix.rows
+    ident = Matrix.identity(F, n)
+    if phi.matrix == ident:
+        return None, F.one()
+    if (phi @ phi).matrix == phi.matrix and not phi.matrix.is_zero():
+        return phi, None
+    proj = _fitting_projection(phi.matrix)
+    if proj is not None:
+        return Morphism(phi.source, phi.source, proj), None
+    roots = poly.linear_roots(F, poly.charpoly(phi.matrix))[0]
+    if not roots:
+        return None, None
+    root = min(roots, key=str)
+    proj = _fitting_projection(phi.matrix - ident.scale(root))
+    return (None, root) if proj is None else (Morphism(phi.source, phi.source, proj), None)
 
 
 # -- the generating set, each pruning closure grown from scratch -----------------

@@ -112,19 +112,24 @@ def test_cell_module_action_respects_composition(pipelines):
 
 
 def test_cell_modules_of_one_datum_share_one_end_presentation(monkeypatch):
-    # the three cell modules of the dim-14 Auslander datum multiply the
-    # cells pairwise once, not once per label
+    # the three cell modules of the dim-14 Auslander datum read the cells'
+    # pairwise products once, not once per label, and form none of them
     reg, tilt, T = auslander3_pipeline(F10007)
     datum = build_standard_basis(tilt, T, seed=0)
     cells = {id(datum.cell(*key).matrix) for key in datum.index()}
-    products = []
-    matmul = Matrix.__matmul__
+    products, formed = [], []
+    product, matmul = EndAlgebra.product, Matrix.__matmul__
+
+    def read(end, a, b):
+        products.append((id(end), a, b))
+        return product(end, a, b)
 
     def counted(a, b):
         if id(a) in cells and id(b) in cells:
-            products.append((id(a), id(b)))
+            formed.append((id(a), id(b)))
         return matmul(a, b)
 
+    monkeypatch.setattr(EndAlgebra, "product", read)
     monkeypatch.setattr(Matrix, "__matmul__", counted)
     modules = [cell_module(datum, lab) for lab in datum.order]
     assert len(modules) == 3 and datum.dim() == 14
@@ -132,7 +137,8 @@ def test_cell_modules_of_one_datum_share_one_end_presentation(monkeypatch):
     assert all(m.algebra is datum.end.presentation for m in modules)
     finalize_datum(datum)
     assert datum.end.presentation is not modules[0].algebra
-    assert len(products) == 2 * 196
+    assert len(products) == len(set(products)) == 2 * 196
+    assert formed == []
 
 
 def test_co_cell_module_dims(pipelines):

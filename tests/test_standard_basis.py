@@ -7,7 +7,7 @@ import pytest
 
 import tiltcell.linalg
 import tiltcell.standard_basis
-from tiltcell.algebra import Morphism, direct_sum, hom_space
+from tiltcell.algebra import EndAlgebra, Morphism, direct_sum, hom_space
 from tiltcell.cells import CellData, is_semisimple_endalgebra
 from tiltcell.docio import catalog_document
 from tiltcell.errors import AxiomViolation, BasisFailure, NoLift
@@ -751,28 +751,35 @@ def test_random_probes_form_no_matrix_product(pipelines):
 def walk_record(datum, run):
     """(probes, products) of run(): the positions of the cells whose
     structure coefficients it reads, in order (the probes of the axiom
-    check), and the products of two cells it forms, as (left, right)
-    positions."""
+    check), and the products of two cells whose coordinates it reads from
+    `datum.end.product`, as (left, right) positions.  run() must form no
+    product of two cells as a matrix: the coordinates are read at pivots."""
     keys = datum.index()
     cell_pos = {id(datum.cell(*key)): pos for pos, key in enumerate(keys)}
-    matrix_pos = {id(datum.cell(*key).matrix): pos for pos, key in enumerate(keys)}
-    probes = []
-    read = structure_coefficients
+    matrix_ids = {id(datum.cell(*key).matrix) for key in keys}
+    probes, products = [], []
+    read, product = structure_coefficients, EndAlgebra.product
 
     def spy(d, phi):
         probes.append(cell_pos[id(phi)])
         return read(d, phi)
 
+    def read_product(end, a, b):
+        if end is datum.end:
+            products.append((a, b))
+        return product(end, a, b)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tiltcell.standard_basis, "structure_coefficients", spy)
+        mp.setattr(EndAlgebra, "product", read_product)
         calls = count_matmuls(run)
-    return probes, [(matrix_pos[a], matrix_pos[b]) for a, b in calls
-                    if a in matrix_pos and b in matrix_pos]
+    assert not [c for c in calls if set(c) <= matrix_ids], "a product of two cells was formed"
+    return probes, products
 
 
 def test_each_cell_product_is_formed_once(pipelines):
-    # only the probes' rows and columns of products are formed, each product
-    # once, and CellData forms none on a datum the axiom check certified
+    # only the probes' rows and columns of products are read, each product
+    # once, and CellData reads none on a datum the axiom check certified
     for name, (_, reg, tilt) in pipelines.items():
         T = char_tilting(reg, tilt)
         datum = build_standard_basis(tilt, T, seed=0)

@@ -189,7 +189,8 @@ def check_auslander_closed_forms(n):
     probes, products = walk_record(datum, lambda: verify_standard_axioms(datum, trials=6))
     assert datum._certified
     # the walk probes a generating set of 3(n - 1) cells, as small as the
-    # pruned one, and forms each probe's row and column of products once
+    # pruned one, and reads each probe's row and column of products once,
+    # forming none of them
     p = 3 * (n - 1)
     assert len(probes) == len(set(probes)) == p
     assert len(products) == len(set(products)) == p * (2 * datum.dim() - p)
