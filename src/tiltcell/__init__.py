@@ -9,7 +9,6 @@ from .algebra import (
     algebra_radical,
     direct_sum,
     hom_space,
-    is_isomorphic,
     krull_schmidt,
     module_head,
     module_radical,
@@ -29,6 +28,7 @@ from .tilting import (
     TiltingRegistry,
     TiltingTriple,
     indecomposable_tilting,
+    tilting_summands,
     tilting_support,
     universal_extension,
 )

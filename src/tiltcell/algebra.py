@@ -1,6 +1,6 @@
 """Finite-dimensional algebras by structure constants, their modules and
 morphisms, and the structural toolbox: hom spaces, radicals, socles and
-heads, Krull-Schmidt decomposition, isomorphism tests.
+heads, Krull-Schmidt decomposition, isomorphism of indecomposables.
 
 Hom spaces impose the intertwining equations for a generating set of A
 alone; Hom out of a projective cover A.e is read off e.N, and Hom into or
@@ -15,10 +15,10 @@ certified local by those eigenvalues: the phi - chi(phi).1 span a
 nilpotent ideal of codimension 1.
 
 A's radical is read off the heads of its projective summands, certified,
-and shared with the opposite algebra.  Isomorphism is decided without
-randomness: by an invertible element of a hom basis, or else by matching
-Krull-Schmidt summands.  All arithmetic is exact, and the idempotent hunt
-seeds its own PRNG on every call.
+and shared with the opposite algebra.  Indecomposables are matched
+without randomness, by an invertible element of a hom basis.  All
+arithmetic is exact, and the idempotent hunt seeds its own PRNG on every
+call.
 """
 
 from __future__ import annotations
@@ -240,10 +240,6 @@ class Morphism:
 
     def inverse(self) -> "Morphism":
         return Morphism(self.target, self.source, self.matrix.inverse())
-
-    def image(self) -> Subspace:
-        return Subspace.from_rows(self.matrix.field, self.target.dim,
-                                  self.matrix.transpose().entries)
 
     def kernel(self) -> Subspace:
         return Subspace(self.source.dim, self.matrix.kernel())
@@ -708,40 +704,6 @@ def _indec_isomorphism(m: ModuleRep, n: ModuleRep) -> Morphism | None:
     if m.dim != n.dim:
         return None
     return next((f for f in hom_space(m, n) if f.is_invertible()), None)
-
-
-def is_isomorphic(m: ModuleRep, n: ModuleRep) -> Morphism | None:
-    """An invertible intertwiner m -> n, or None.
-
-    An invertible element of the hom basis is returned when there is one,
-    which there always is for isomorphic indecomposables; otherwise, unless
-    the hom space is zero, both modules are decomposed and their
-    indecomposable summands matched.
-    """
-    w = _indec_isomorphism(m, n)
-    if w is not None or m.dim != n.dim or (m.dim and not hom_space(m, n)):
-        return w
-    dec_m = krull_schmidt(m)
-    dec_n = krull_schmidt(n)
-    if len(dec_m) != len(dec_n):
-        return None
-    total = Matrix.zeros(m.algebra.field, n.dim, m.dim)
-    used = [False] * len(dec_n)
-    for (sm, incl_m, proj_m) in dec_m:
-        found = False
-        for idx, (sn, incl_n, proj_n) in enumerate(dec_n):
-            if used[idx]:
-                continue
-            w = _indec_isomorphism(sm, sn)
-            if w is not None:
-                used[idx] = True
-                total = total + (incl_n @ w @ proj_m).matrix
-                found = True
-                break
-        if not found:
-            return None
-    cand = Morphism(m, n, total)
-    return cand if cand.is_invertible() else None
 
 
 # -- simples of the algebra ------------------------------------------------------

@@ -9,7 +9,9 @@ once, when the duality is checked, and symmetrized afterwards.  Fixed
 points make the induced anti-automorphism of End(T) an involution, and
 choosing the projection-side basis as the dual of the embedding-side basis
 makes the standard basis cellular: the involution transposes each fiber
-and the Gram matrices come out symmetric.
+and the Gram matrices come out symmetric.  The fixed-point form on any
+tilting module is the block form of its T(label) pulled back along the
+summand projections of `tilting_summands`.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from .algebra import (
     ModuleRep,
     Morphism,
     _indec_isomorphism,
-    direct_sum,
     hom_space,
-    is_isomorphic,
 )
 from .errors import (
     CellularityFailure,
@@ -32,14 +32,14 @@ from .errors import (
     NotStandardDuality,
     SymmetrizationDegenerate,
 )
-from .linalg import Matrix, block_diag
+from .linalg import Matrix, block_diag, vstack
 from .highest_weight import Registry
 from .standard_basis import (
     StandardBasisDatum,
     extend_through_tilting,
     finalize_datum,
 )
-from .tilting import TiltingRegistry, tilting_support
+from .tilting import TiltingRegistry, tilting_summands
 
 
 class AntiInvolution:
@@ -170,21 +170,13 @@ def _certify_fixed_point(label, phi: Morphism, psi_sym: Morphism):
 def fixed_point_for_tilting(reg: Registry, tilt: TiltingRegistry,
                             tau: AntiInvolution, datum: DualityDatum,
                             t: ModuleRep) -> Morphism:
-    """Symmetric invertible form on an arbitrary tilting module, transported
-    from the block-diagonal form on its canonical summand decomposition."""
-    support = tilting_support(tilt, t)
-    pieces = [lam for lam in reg.poset.labels for _ in range(support.get(lam, 0))]
-    canonical, _, _ = direct_sum([tilt.module(lam) for lam in pieces])
-    block = block_diag([datum.fixed_forms[lam].matrix for lam in pieces])
-    if canonical.action == t.action:
-        theta_mat = Matrix.identity(reg.algebra.field, t.dim)
-    else:
-        theta = is_isomorphic(canonical, t)
-        if theta is None:
-            raise NotStandardDuality("?", "transport", "(module is not the expected sum)")
-        theta_mat = theta.matrix
-    theta_inv = theta_mat.inverse()
-    sym = theta_inv.transpose() @ block @ theta_inv
+    """Symmetric invertible form on an arbitrary tilting module: with Q the
+    stacked projections of `tilting_summands`, an isomorphism of t onto the
+    sum of its T(label), the form is Q^T . block_diag(Psi_label) . Q."""
+    summands = tilting_summands(tilt, t)
+    q = vstack([proj.matrix for _, proj in summands])
+    block = block_diag([datum.fixed_forms[lam].matrix for lam, _ in summands])
+    sym = q.transpose() @ block @ q
     out = Morphism(t, dualize_module(tau, t), sym, check=True)
     if not sym.is_invertible():
         raise SymmetrizationDegenerate("transported form is singular")

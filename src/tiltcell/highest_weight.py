@@ -53,7 +53,6 @@ class WeightPoset:
         for a, b in self.covers:                  # a < b
             adj[a].add(b)
         self.linear_extension = self._smallest_topological_sort(adj)
-        self._position = {x: i for i, x in enumerate(self.linear_extension)}
         # strictly smaller labels, complete for a before it is pushed up its covers
         below = {x: set() for x in self.labels}
         for a in self.linear_extension:
@@ -90,16 +89,12 @@ class WeightPoset:
         """Labels mu with mu < b false (including b itself)."""
         return [x for x in self.labels if not self.lt(x, b)]
 
-    def position(self, a) -> int:
-        return self._position[a]
-
 
 class StandardData:
-    """Per-label bundle: simple, projective, injective, standard, costandard."""
+    """Per-label bundle: simple, projective, standard, costandard."""
 
     __slots__ = ("label", "idempotent", "simple", "projective", "head_proj",
-                 "injective", "standard", "standard_proj", "costandard",
-                 "costandard_incl")
+                 "standard", "standard_proj", "costandard")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -183,20 +178,11 @@ class Registry:
         once for both), and the primitive idempotents; P^op(label) is
         generated by the same idempotent.
         """
-        op = self.opposite
-        reg_op = op.regular_module()
-        proj_op = {}
+        reg_op = self.opposite.regular_module()
         for label in self.poset.labels:
             space = submodule_generated(reg_op, [self.data[label].idempotent])
-            proj_op[label], _ = submodule_rep(reg_op, space)
-        for label in self.poset.labels:
-            delta_op, proj_morph, _ = self._standardize(proj_op[label], label)
-            nabla = dualize_plain(self.algebra, delta_op)
-            injective = dualize_plain(self.algebra, proj_op[label])
-            incl = Morphism(nabla, injective, proj_morph.matrix.transpose())
-            self.data[label].injective = injective
-            self.data[label].costandard = nabla
-            self.data[label].costandard_incl = incl
+            delta_op = self._standardize(submodule_rep(reg_op, space)[0], label)[0]
+            self.data[label].costandard = dualize_plain(self.algebra, delta_op)
 
     # -- simple accessors ----------------------------------------------------------
 
@@ -211,9 +197,6 @@ class Registry:
 
     def projective(self, label):
         return self.data[label].projective
-
-    def injective(self, label):
-        return self.data[label].injective
 
 
 def dualize_plain(algebra: AlgebraPresentation, m_op: ModuleRep) -> ModuleRep:

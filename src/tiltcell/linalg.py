@@ -212,14 +212,6 @@ class Matrix:
     def column(cls, field, vec):
         return cls(field, [[v] for v in vec])
 
-    @classmethod
-    def row(cls, field, vec):
-        return cls(field, [list(vec)])
-
-    @classmethod
-    def from_int_rows(cls, field, rows):
-        return cls(field, [[field.of(x) for x in r] for r in rows])
-
     # -- identity / hashing ------------------------------------------------------
 
     def __eq__(self, other):

@@ -6,12 +6,17 @@ space; the result is filtered on both sides and the summand containing the
 top composition factor is the indecomposable tilting module.  Each triple
 stores the embedding of the standard module, the projection onto the
 costandard module, and their normalized composite.
+
+Any other tilting module is split into its T(label) once per content: a
+`direct_sum` through its parts, a module with some T(label)'s content as
+that T(label), and only any other module by Krull-Schmidt.
 """
 
 from __future__ import annotations
 
 from .algebra import (
     ModuleRep,
+    Morphism,
     _indec_isomorphism,
     hom_space,
     krull_schmidt,
@@ -23,6 +28,7 @@ from .errors import (
     UnidentifiedSummand,
 )
 from .highest_weight import Registry, ext1_dim, ext1_with_classes
+from .linalg import Matrix, block_diag
 
 
 class TiltingTriple:
@@ -125,7 +131,7 @@ class TiltingRegistry:
     def __init__(self, reg: Registry, dim_bound: int | None = None):
         self.base = reg
         self.triples = {}
-        self._support = {}   # action matrices of a module -> tilting_support
+        self._summands = {}  # action matrices of a module -> [(label, q matrix)]
         for label in reg.poset.linear_extension:
             self.triples[label] = indecomposable_tilting(reg, label, dim_bound)
 
@@ -136,18 +142,53 @@ class TiltingRegistry:
         return self.triples[label].module
 
 
+def tilting_summands(tilt: TiltingRegistry, t: ModuleRep):
+    """[(label, q)] with each q: t ->> T(label) a projection, the q's stacked
+    an isomorphism of t onto the sum of the T(label), found once per module
+    content in the registry, as `syzygy` is.
+
+    A `direct_sum` is read off its parts, each q a part's projection
+    composed with the block projection onto it; a module with T(label)'s
+    content is T(label), q = 1; any other module is split by Krull-Schmidt,
+    and each summand, being indecomposable, is matched exactly by
+    `_indec_isomorphism` w, q = w . proj.
+    """
+    if t.action not in tilt._summands:
+        tilt._summands[t.action] = _split_tilting(tilt, t)
+    return [(lab, Morphism(t, tilt.module(lab), q)) for lab, q in tilt._summands[t.action]]
+
+
+def _split_tilting(tilt: TiltingRegistry, t: ModuleRep):
+    F = t.algebra.field
+    if t.action.parts:
+        out, offset = [], 0
+        for part in t.action.parts:
+            rest = t.dim - offset - part.dim
+            out += [(lab, block_diag([Matrix.zeros(F, 0, offset), q.matrix,
+                                      Matrix.zeros(F, 0, rest)]))
+                    for lab, q in tilting_summands(tilt, part)]
+            offset += part.dim
+        return out
+    for lab in tilt.base.poset.labels:
+        if tilt.module(lab).action == t.action:
+            return [(lab, Matrix.identity(F, t.dim))]
+    out = []
+    for (summand, _, proj) in krull_schmidt(t):
+        for lab in tilt.base.poset.labels:
+            w = _indec_isomorphism(summand, tilt.module(lab))
+            if w is not None:
+                out.append((lab, (w @ proj).matrix))
+                break
+        else:
+            raise UnidentifiedSummand(
+                f"summand of dimension {summand.dim} matches no indecomposable tilting module")
+    return out
+
+
 def tilting_support(tilt: TiltingRegistry, t: ModuleRep):
-    """Multiset {label: multiplicity of T(label) in t} via Krull-Schmidt,
-    once per module content in the registry, as `syzygy` is; each summand
-    is indecomposable, so `_indec_isomorphism` matches it exactly."""
-    if t.action not in tilt._support:
-        out = {}
-        for (summand, _, _) in krull_schmidt(t):
-            matched = next((lab for lab in tilt.base.poset.labels
-                            if _indec_isomorphism(summand, tilt.module(lab)) is not None), None)
-            if matched is None:
-                raise UnidentifiedSummand(
-                    f"summand of dimension {summand.dim} matches no indecomposable tilting module")
-            out[matched] = out.get(matched, 0) + 1
-        tilt._support[t.action] = out
-    return dict(tilt._support[t.action])
+    """Multiset {label: multiplicity of T(label) in t}, counted off
+    `tilting_summands` in first-occurrence order."""
+    out = {}
+    for lab, _ in tilting_summands(tilt, t):
+        out[lab] = out.get(lab, 0) + 1
+    return out

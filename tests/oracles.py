@@ -17,22 +17,24 @@ from tiltcell.algebra import (
     Morphism,
     _fitting_projection,
     _hom_basis,
+    _indec_isomorphism,
     hom_space,
-    is_isomorphic,
     krull_schmidt,
     module_head,
     module_socle,
     quotient_rep,
+    submodule_generated,
     submodule_rep,
 )
 from tiltcell.cells import cell_module, gram_matrix
 from tiltcell.cli import COMMANDS
 from tiltcell.docio import catalog_names
 from tiltcell.errors import AxiomViolation, DimensionMismatch, InputError, TiltcellError
-from tiltcell.highest_weight import Registry, ext1_dim, projective_cover
+from tiltcell.highest_weight import Registry, dualize_plain, ext1_dim, projective_cover
 from tiltcell.linalg import Matrix, Subspace, coordinates
 from tiltcell.standard_basis import StandardBasisDatum, structure_coefficients
 from tiltcell.structure import _Closure
+from tiltcell.tilting import TiltingRegistry
 
 
 # -- errors ------------------------------------------------------------------
@@ -50,7 +52,17 @@ class NoFiltration(TiltcellError):
         super().__init__(f"no filtration, witness label {label!r} {detail}".rstrip())
 
 
-# -- subspaces and labels -----------------------------------------------------
+# -- matrices, subspaces and labels ---------------------------------------------
+
+
+def from_int_rows(field, rows) -> Matrix:
+    """A matrix of integer entries, each read into the field."""
+    return Matrix(field, [[field.of(x) for x in r] for r in rows])
+
+
+def image(f: Morphism) -> Subspace:
+    """The image of f as a subspace of its target."""
+    return Subspace.from_rows(f.matrix.field, f.target.dim, f.matrix.transpose().entries)
 
 
 def hstack(mats):
@@ -73,7 +85,7 @@ def intersect(v: Subspace, w: Subspace) -> Subspace:
         return Subspace.zero(F, v.ambient)
     ker = hstack([v.basis.transpose(), -w.basis.transpose()]).kernel()
     return Subspace.from_rows(F, v.ambient, [
-        (Matrix.row(F, kr[:v.dim]) @ v.basis).entries[0] for kr in ker.entries])
+        (Matrix(F, [kr[:v.dim]]) @ v.basis).entries[0] for kr in ker.entries])
 
 
 def maximal_among(poset, subset):
@@ -81,7 +93,7 @@ def maximal_among(poset, subset):
     the linear extension."""
     subset = list(subset)
     maxima = [x for x in subset if not any(poset.lt(x, y) for y in subset)]
-    return max(maxima, key=poset.position)
+    return max(maxima, key=poset.linear_extension.index)
 
 
 # -- A's identities on every basis pair ----------------------------------------
@@ -248,6 +260,78 @@ def cover_route_ext_dims(reg: Registry, m: ModuleRep, n: ModuleRep):
     return e1, ext1(omega)[0] if omega.dim else 0
 
 
+# -- injectives ----------------------------------------------------------------
+
+
+def opposite_projective(reg: Registry, label: str) -> ModuleRep:
+    """P^op(label), generated by label's idempotent in the opposite algebra."""
+    reg_op = reg.opposite.regular_module()
+    space = submodule_generated(reg_op, [reg.data[label].idempotent])
+    return submodule_rep(reg_op, space)[0]
+
+
+def injective(reg: Registry, label: str) -> ModuleRep:
+    """I(label), the dual of P^op(label)."""
+    return dualize_plain(reg.algebra, opposite_projective(reg, label))
+
+
+def costandard_incl(reg: Registry, label: str) -> Morphism:
+    """Nabla(label) -> I(label), the dual of the projection of P^op(label)
+    onto the opposite algebra's standard module at label."""
+    proj_op = opposite_projective(reg, label)
+    proj = reg._standardize(proj_op, label)[1]
+    return Morphism(reg.costandard(label), dualize_plain(reg.algebra, proj_op),
+                    proj.matrix.transpose())
+
+
+# -- isomorphism by matching Krull-Schmidt summands ------------------------------
+
+
+def is_isomorphic(m: ModuleRep, n: ModuleRep) -> Morphism | None:
+    """An invertible intertwiner m -> n, or None.
+
+    An invertible element of the hom basis is returned when there is one,
+    which there always is for isomorphic indecomposables; otherwise, unless
+    the hom space is zero, both modules are decomposed and their
+    indecomposable summands matched.
+    """
+    w = _indec_isomorphism(m, n)
+    if w is not None or m.dim != n.dim or (m.dim and not hom_space(m, n)):
+        return w
+    dec_m = krull_schmidt(m)
+    dec_n = krull_schmidt(n)
+    if len(dec_m) != len(dec_n):
+        return None
+    total = Matrix.zeros(m.algebra.field, n.dim, m.dim)
+    used = [False] * len(dec_n)
+    for (sm, incl_m, proj_m) in dec_m:
+        found = False
+        for idx, (sn, incl_n, proj_n) in enumerate(dec_n):
+            if used[idx]:
+                continue
+            w = _indec_isomorphism(sm, sn)
+            if w is not None:
+                used[idx] = True
+                total = total + (incl_n @ w @ proj_m).matrix
+                found = True
+                break
+        if not found:
+            return None
+    cand = Morphism(m, n, total)
+    return cand if cand.is_invertible() else None
+
+
+def ks_tilting_support(tilt: TiltingRegistry, t: ModuleRep) -> dict:
+    """{label: multiplicity of T(label) in t} by splitting t with
+    Krull-Schmidt, whatever its content, and matching each summand."""
+    out = {}
+    for (summand, _, _) in krull_schmidt(t):
+        matched = next(lab for lab in tilt.base.poset.labels
+                       if _indec_isomorphism(summand, tilt.module(lab)) is not None)
+        out[matched] = out.get(matched, 0) + 1
+    return out
+
+
 # -- (co)standard filtrations and extension witnesses ------------------------
 
 
@@ -315,7 +399,7 @@ def _peel_candidates(poset, labels):
     always succeeds on a filtered module, so the loop terminates."""
     first = maximal_among(poset, labels)
     rest = sorted((x for x in labels if x != first),
-                  key=poset.position, reverse=True)
+                  key=poset.linear_extension.index, reverse=True)
     return [first] + rest
 
 
@@ -386,7 +470,7 @@ def _nabla_chain(reg: Registry, n: ModuleRep):
                            "(no monomorphism from a costandard module)")
     nabla = reg.costandard(lam)
     assert mono.is_injective()
-    img = mono.image()
+    img = image(mono)
     quot, qproj, _ = quotient_rep(n, img)
     sub_chain, sub_labels = _nabla_chain(reg, quot)
     chain = [img] + [_preimage(F, qproj.matrix, s) for s in sub_chain]

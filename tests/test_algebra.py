@@ -22,7 +22,6 @@ from tiltcell.algebra import (
     direct_sum,
     find_splitting_idempotent,
     hom_space,
-    is_isomorphic,
     krull_schmidt,
     module_head,
     module_radical,
@@ -52,10 +51,15 @@ from oracles import (
     NotSimple,
     anti_involution_all_pairs,
     composition_multiplicity,
+    from_int_rows,
     generating_set_rebuilt,
+    image,
+    injective,
     intertwines_all_basis,
+    is_isomorphic,
     is_simple,
     module_axioms_all_pairs,
+    opposite_projective,
 )
 from test_schur import schur_algebra, schur_pipeline
 from test_standard_basis import auslander3_pipeline, char_tilting
@@ -234,15 +238,15 @@ def test_image_kernel_cokernel():
     P1 = simples[0].projective
     head, proj = module_head(P1)
     assert proj.kernel().dim == 1
-    assert proj.image().dim == 1
+    assert image(proj).dim == 1
     zero = Morphism.zero(P1, P1)
-    assert zero.image().dim == 0
+    assert image(zero).dim == 0
     ident = Morphism.identity(P1)
     assert ident.kernel().dim == 0
-    coker, cproj, _ = quotient_rep(proj.target, proj.image())
+    coker, cproj, _ = quotient_rep(proj.target, image(proj))
     assert coker.dim == 0
     zero = Morphism.zero(head, P1)
-    coker2, cproj2, _ = quotient_rep(zero.target, zero.image())
+    coker2, cproj2, _ = quotient_rep(zero.target, image(zero))
     assert coker2.dim == P1.dim and cproj2.is_surjective()
 
 
@@ -250,7 +254,7 @@ def test_is_isomorphic_conjugated_presentation():
     alg = a2_algebra()
     simples = simples_and_split_check(alg)
     P1 = simples[0].projective
-    g = Matrix.from_int_rows(Q, [[1, 2], [1, 3]])
+    g = from_int_rows(Q, [[1, 2], [1, 3]])
     conj = ModuleRep(alg, 2, [g @ a @ g.inverse() for a in P1.action])
     w = is_isomorphic(P1, conj)
     assert w is not None and w.is_invertible()
@@ -688,12 +692,12 @@ def minpoly(m: Matrix):
     if n == 0:
         return (F.one(),)
     powers = [Matrix.identity(F, n)]
-    rows = [Matrix.row(F, powers[0].flat())]
+    rows = [Matrix(F, [powers[0].flat()])]
     k = 1
     while True:
         powers.append(powers[-1] @ m)
         stacked = vstack(rows)
-        target = Matrix.row(F, powers[-1].flat())
+        target = Matrix(F, [powers[-1].flat()])
         try:
             sol = stacked.transpose().solve(target.transpose())
         except InconsistentSystem:
@@ -757,7 +761,7 @@ def jordan_block(field, ev, size):
 
 def companion(field, q):
     c, b, _ = q
-    return Matrix.from_int_rows(field, [[0, -c], [1, -b]])
+    return from_int_rows(field, [[0, -c], [1, -b]])
 
 
 @st.composite
@@ -884,16 +888,15 @@ def generated_subalgebra(alg, gens):
 
 def registry_modules(reg, tilt):
     """Simples, projectives, (co)standards, injectives and indecomposable tiltings."""
-    return [getattr(reg.data[lab], key) for lab in reg.poset.labels
-            for key in ("simple", "projective", "standard", "costandard", "injective")
+    return [m for lab in reg.poset.labels
+            for m in (reg.simple(lab), reg.projective(lab), reg.standard(lab),
+                      reg.costandard(lab), injective(reg, lab))
             ] + [tilt.module(lab) for lab in reg.poset.labels]
 
 
 def opposite_modules(reg):
     """Modules over A^op: its projectives."""
-    reg_op = reg.opposite.regular_module()
-    return [submodule_rep(reg_op, submodule_generated(reg_op, [reg.data[lab].idempotent]))[0]
-            for lab in reg.poset.labels]
+    return [opposite_projective(reg, lab) for lab in reg.poset.labels]
 
 
 def cell_modules(datum):
@@ -1083,8 +1086,9 @@ def composite_search_isomorphism(m, n):
 
 def indecomposable_modules(reg, tilt):
     """Projectives, standards, costandards, injectives and tiltings."""
-    return [getattr(reg.data[lab], key) for lab in reg.poset.labels
-            for key in ("projective", "standard", "costandard", "injective")
+    return [m for lab in reg.poset.labels
+            for m in (reg.projective(lab), reg.standard(lab), reg.costandard(lab),
+                      injective(reg, lab))
             ] + [tilt.module(lab) for lab in reg.poset.labels]
 
 

@@ -505,9 +505,29 @@ def test_basis_report_depends_on_trials_only_through_the_probe_counts(monkeypatc
     assert reports[0][3]["ok"]
 
 
-def test_cellular_decomposes_the_requested_tilting_once(monkeypatch):
+@pytest.mark.parametrize("command", ["tilting", "cells", "cellular"])
+def test_permuted_request_passes(command, tmp_path, capsys):
+    # a request out of label order, with a repeated piece, is split along
+    # its own pieces, and every check that reads its summands passes
+    from tiltcell.docio import _CATALOG
+
+    path = tmp_path / "permuted.json"
+    path.write_text(json.dumps({**_CATALOG["auslander-dualnumbers"],
+                                "tilting": [["2", 1], ["1", 2]]}))
+    assert cli.main([command, "--input", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True
+    if command == "tilting":
+        assert report["requested_tilting"]["support"] == {"2": 1, "1": 2}
+        assert report["requested_tilting"]["support_matches_request"] is True
+    if command == "cellular":
+        assert all(v is True for k, v in report["cellularity"].items() if k != "simple_dims")
+
+
+def test_cellular_splits_the_requested_tilting_without_krull_schmidt(monkeypatch):
     # fixed_point_for_tilting and the simple dimensions both need the
-    # tilting support of the requested module; it is decomposed once
+    # summands of the requested module, a direct sum of the T(label): they
+    # are read off its parts, and no Krull-Schmidt split is made
     pipe = cli.Pipeline(catalog_document("auslander-dualnumbers"))
     pipe.tiltings()
     calls = []
@@ -515,4 +535,4 @@ def test_cellular_decomposes_the_requested_tilting_once(monkeypatch):
     monkeypatch.setattr(tilting, "krull_schmidt", lambda m: calls.append(m) or decompose(m))
     report, code = cli.build_report(pipe, "cellular")
     assert code == 0 and report["ok"]
-    assert len(calls) == 1
+    assert calls == []

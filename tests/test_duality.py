@@ -28,6 +28,8 @@ from tiltcell.errors import (
 from tiltcell.linalg import Field, Matrix
 from tiltcell.standard_basis import verify_standard_axioms
 
+from oracles import from_int_rows
+
 Q = Field()
 
 
@@ -41,11 +43,11 @@ def test_anti_involution_validation(pipelines):
     with pytest.raises(InputError):
         AntiInvolution(doc.algebra, Matrix.identity(Q, 3))
     # swapping the vertex idempotents and fixing the arrow works
-    swap = Matrix.from_int_rows(Q, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    swap = from_int_rows(Q, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     AntiInvolution(doc.algebra, swap)
     # a non-involutive matrix is rejected
     with pytest.raises(InputError):
-        AntiInvolution(doc.algebra, Matrix.from_int_rows(Q, [[0, 1, 0], [1, 0, 0], [0, 0, 2]]))
+        AntiInvolution(doc.algebra, from_int_rows(Q, [[0, 1, 0], [1, 0, 0], [0, 0, 2]]))
 
 
 def test_dualize_dimensions_and_double_dual(pipelines):
@@ -104,7 +106,7 @@ def test_exchange_on_auslander(pipelines):
 
 def test_exchange_fails_on_a2_swap(pipelines):
     doc, reg, tilt = pipelines["a2path"]
-    swap = AntiInvolution(doc.algebra, Matrix.from_int_rows(Q, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    swap = AntiInvolution(doc.algebra, from_int_rows(Q, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
     with pytest.raises(NotStandardDuality) as exc:
         check_standard_duality(reg, tilt, swap)
     assert exc.value.which == "exchange"
@@ -122,7 +124,7 @@ def test_fixed_point_simple(pipelines):
     doc, reg, tilt = pipelines["trivial"]
     tau = AntiInvolution(doc.algebra, Matrix.identity(Q, 1))
     L = reg.simple("1")
-    psi = Morphism(L, dualize_module(tau, L), Matrix.from_int_rows(Q, [[3]]))
+    psi = Morphism(L, dualize_module(tau, L), from_int_rows(Q, [[3]]))
     sym = fixed_point_iso(tau, L, psi)
     # symmetrization doubles an already-symmetric form
     assert sym.matrix == psi.matrix.scale(Q.of(2))
@@ -145,7 +147,7 @@ def test_symmetrization_degenerate_on_skew_form():
     alg = AlgebraPresentation.from_struct_consts(Q, 1, [(0, 0, 0, 1)], [1], name="K")
     tau = AntiInvolution(alg, Matrix.identity(Q, 1))
     x = ModuleRep(alg, 2, [Matrix.identity(Q, 2)])
-    skew = Morphism(x, dualize_module(tau, x), Matrix.from_int_rows(Q, [[0, 1], [-1, 0]]))
+    skew = Morphism(x, dualize_module(tau, x), from_int_rows(Q, [[0, 1], [-1, 0]]))
     with pytest.raises(SymmetrizationDegenerate) as exc:
         fixed_point_iso(tau, x, skew)
     assert "skew: True" in str(exc.value)

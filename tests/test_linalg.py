@@ -19,7 +19,7 @@ from tiltcell.linalg import (
     vstack,
 )
 
-from oracles import hstack, intersect
+from oracles import from_int_rows, hstack, intersect
 from test_algebra import minpoly
 
 Q = Field()
@@ -56,14 +56,14 @@ def test_rref_zero():
 
 
 def test_rref_rank_one():
-    m = Matrix.from_int_rows(Q, [[2, 4], [1, 2]])
+    m = from_int_rows(Q, [[2, 4], [1, 2]])
     red, _, rank = m.rref()
-    assert red == Matrix.from_int_rows(Q, [[1, 2], [0, 0]])
+    assert red == from_int_rows(Q, [[1, 2], [0, 0]])
     assert rank == 1
 
 
 def test_solve_identity():
-    b = Matrix.from_int_rows(Q, [[3], [7]])
+    b = from_int_rows(Q, [[3], [7]])
     part = Matrix.identity(Q, 2).solve(b)
     assert part == b and Matrix.identity(Q, 2).kernel().rows == 0
 
@@ -76,8 +76,8 @@ def test_solve_zero_full_nullspace():
 
 def test_solve_f5_matches_enumeration():
     # oracle: enumerate all 25 vectors over F_5
-    a = Matrix.from_int_rows(F5, [[1, 1]])
-    b = Matrix.from_int_rows(F5, [[2]])
+    a = from_int_rows(F5, [[1, 1]])
+    b = from_int_rows(F5, [[2]])
     solutions = {(x, y) for x in range(5) for y in range(5) if (x + y) % 5 == 2}
     part = a.solve(b)
     assert (part.entries[0][0], part.entries[1][0]) in solutions
@@ -92,9 +92,9 @@ def test_solve_f5_matches_enumeration():
 
 
 def test_solve_inconsistent():
-    a = Matrix.from_int_rows(Q, [[1], [1]])
+    a = from_int_rows(Q, [[1], [1]])
     with pytest.raises(InconsistentSystem):
-        a.solve(Matrix.from_int_rows(Q, [[1], [2]]))
+        a.solve(from_int_rows(Q, [[1], [2]]))
 
 
 def test_subspace_lattice_q3():
@@ -151,7 +151,7 @@ small_entries = st.integers(min_value=-4, max_value=4)
 def matrices(field, rows, cols):
     return st.lists(st.lists(small_entries, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows).map(
-        lambda ent: Matrix.from_int_rows(field, ent))
+        lambda ent: from_int_rows(field, ent))
 
 
 def reference_complement_projection(s):
@@ -226,7 +226,7 @@ def test_coordinates_in_independent_family(case):
     fam = Matrix(F, square.entries[:k])
     assume(fam.rank() == k)
     c = c_row.entries[0][:k]
-    vec = (Matrix.row(F, c) @ fam).entries[0]
+    vec = (Matrix(F, [c]) @ fam).entries[0]
     coords = coordinates(F, fam.entries, n)
     assert coords(vec) == tuple(c)
     assert coords(vec) == tuple(r[0] for r in fam.transpose().solve(Matrix.column(F, vec)).entries)
@@ -254,7 +254,7 @@ def test_coordinates_of_empty_family():
 
 def test_block_helpers():
     a = Matrix.identity(Q, 2)
-    b = Matrix.from_int_rows(Q, [[5]])
+    b = from_int_rows(Q, [[5]])
     d = block_diag([a, b])
     assert d.rows == 3 and d.entries[2][2] == 5
     assert hstack([a, a]).cols == 4
@@ -264,11 +264,11 @@ def test_block_helpers():
 # -- polynomial layer ---------------------------------------------------------
 
 def test_charpoly_and_minpoly():
-    m = Matrix.from_int_rows(Q, [[2, 1], [0, 3]])
+    m = from_int_rows(Q, [[2, 1], [0, 3]])
     assert poly.charpoly(m) == (Fraction(6), Fraction(-5), Fraction(1))
     assert minpoly(m) == (Fraction(6), Fraction(-5), Fraction(1))
     # nilpotent Jordan block: charpoly x^3, minpoly x^3
-    n = Matrix.from_int_rows(Q, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    n = from_int_rows(Q, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert poly.charpoly(n) == (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
     assert minpoly(n) == (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
     # the identity: charpoly (x - 1)^2, minpoly x - 1
@@ -295,7 +295,7 @@ def test_linear_roots_with_multiplicity():
 def test_charpoly_matches_eigenvalue_product_f5():
     rnd = random.Random(7)
     for _ in range(10):
-        m = Matrix.from_int_rows(F5, [[rnd.randrange(5) for _ in range(3)] for _ in range(3)])
+        m = from_int_rows(F5, [[rnd.randrange(5) for _ in range(3)] for _ in range(3)])
         cp = poly.charpoly(m)
         # det(xI - m) at x = t equals evaluated charpoly
         for t in range(5):
@@ -615,7 +615,7 @@ def test_contains_vector_matches_rank_test(case):
     vec = list(noise.entries[0])
     if in_span and space.dim:
         coeffs = [F.of(t - 1) for t in range(space.dim)]
-        vec = list((Matrix.row(F, coeffs) @ space.basis).entries[0])
+        vec = list((Matrix(F, [coeffs]) @ space.basis).entries[0])
     if space.dim:
         expected = dense_rref(Matrix(F, list(space.basis.entries) + [vec]))[2] == space.dim
     else:
@@ -746,7 +746,7 @@ def test_linear_combination_matches_looped_reference(case):
 def test_linear_combination_of_a_basis_vector_is_its_matrix():
     # one coefficient 1 among zeros: the stored matrix itself, formed by no sum
     for F in (Q, F5):
-        mats = [Matrix.from_int_rows(F, [[1, 2], [0, 3]]), Matrix.from_int_rows(F, [[0, 4], [7, 6]])]
+        mats = [from_int_rows(F, [[1, 2], [0, 3]]), from_int_rows(F, [[0, 4], [7, 6]])]
         for coeffs in ((1, 0), (0, 1)):
             got = linear_combination(F, coeffs, mats, 2, 2)
             assert got is mats[coeffs.index(1)]
@@ -794,7 +794,7 @@ def kernel_results(a, b, rhs, c):
     red, pivots, rank = a.rref()
     fam = list(red.entries[:rank])
     coeffs = c.entries[0][:rank]
-    inside = linear_combination(Q, coeffs, [Matrix.row(Q, r) for r in fam], 1, a.cols)
+    inside = linear_combination(Q, coeffs, [Matrix(Q, [r]) for r in fam], 1, a.cols)
     coords = coordinates(Q, fam, a.cols)
     out = [red, pivots, rank, a @ b, a.kernel(), a.solve(a @ b),
            read_coords(coords, inside.entries[0]),
@@ -977,12 +977,12 @@ def test_zero_rows_keep_their_place_in_shapes_and_ranks():
     for F in (Q, F5, F10007):
         z = F.zero()
         # interleaved zero rows: RREF keeps the row count, pivots and rank
-        m = Matrix.from_int_rows(F, [[0, 0, 0], [1, 2, 3], [0, 0, 0], [2, 4, 7], [0, 0, 0]])
+        m = from_int_rows(F, [[0, 0, 0], [1, 2, 3], [0, 0, 0], [2, 4, 7], [0, 0, 0]])
         red, pivots, rank = m.rref()
         assert (red.rows, red.cols, pivots, rank) == (5, 3, (0, 2), 2)
         assert red == dense_rref(m)[0] and red.entries[2:] == ((z,) * 3,) * 3
         # a product's zero rows are (zero,) * ncols tuples
-        prod = Matrix.from_int_rows(F, [[0, 0], [1, 2], [0, 0]]) @ Matrix.from_int_rows(
+        prod = from_int_rows(F, [[0, 0], [1, 2], [0, 0]]) @ from_int_rows(
             F, [[1, 0, 3], [4, 5, 6]])
         for r in (prod.entries[0], prod.entries[2]):
             assert type(r) is tuple and r == (z,) * 3 and all(type(x) is int for x in r)

@@ -1,5 +1,6 @@
 """Every module-level private function or class in tiltcell has a caller,
-and every name the package exports has a use or is documented.
+every method of a tiltcell class is read, and every name the package
+exports has a use or is documented.
 
 A private name is one with a leading underscore (dunder names are left
 out).  It counts as used when its name is read, as a name, an attribute or
@@ -7,7 +8,9 @@ an imported name, anywhere in the package outside its own definition; a
 helper that only calls itself is an orphan.  An exported name, one that
 `__init__.py` imports, counts as used in the same way (the import in
 `__init__.py` itself does not count), or when README's "Library entry
-points" block lists it.
+points" block lists it.  A method counts as read in the same way, by its
+name anywhere in the package outside its own definition, or when the
+benchmark tracer's `TARGETS` (`bench/tracer.py`) names it as a span.
 """
 
 import ast
@@ -68,6 +71,63 @@ def test_orphans_are_found():
 def test_every_private_helper_has_a_caller():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert orphans(sources) == []
+
+
+def methods(tree: ast.Module):
+    """(class name, method) of each method of a module-level class, dunder
+    methods left out."""
+    return [(cls.name, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def traced(tracer: str) -> set[str]:
+    """'module:attribute path' of each target in the tracer's TARGETS."""
+    node = next(node for node in ast.parse(tracer).body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    return {f"{module.rsplit('.', 1)[-1]}:{path}"
+            for module, path, _ in ast.literal_eval(node.value)}
+
+
+def orphan_methods(sources: dict[str, str], exempt=()) -> list[str]:
+    """'module:Class.method' of each method that no module of `sources`
+    reads outside its own definition and that is not in `exempt`."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    found = []
+    for module, tree in trees.items():
+        for cls, node in methods(tree):
+            name = f"{module}:{cls}.{node.name}"
+            if name not in exempt and not any(
+                    node.name in names_read(other, skip=node) for other in trees.values()):
+                found.append(name)
+    return found
+
+
+def test_orphan_methods_are_found():
+    sources = {
+        "a": ("class Shape:\n"
+              "    def __init__(self):\n        self.size = self.measure()\n\n"
+              "    def measure(self):\n        return 1\n\n"
+              "    def lonely(self):\n        return 2\n\n"
+              "    def recursive(self, n):\n        return self.recursive(n - 1) if n else 0\n\n"
+              "    def traced(self):\n        return 3\n\n"
+              "    @property\n    def area(self):\n        return 4\n\n"
+              "    @classmethod\n    def unit(cls):\n        return cls()\n\n"
+              "def helper():\n    return 5\n"),
+        "b": ("from .a import Shape\n\n"
+              "def f():\n    return Shape.unit().area\n"),
+    }
+    tracer = ('TARGETS = (\n    ("pkg.a", "Shape.traced", "a.Shape.traced"),\n'
+              '    ("pkg.a", "helper", "a.helper"),\n)\n')
+    assert traced(tracer) == {"a:Shape.traced", "a:helper"}
+    assert orphan_methods(sources, traced(tracer)) == ["a:Shape.lonely", "a:Shape.recursive"]
+    assert orphan_methods(sources) == ["a:Shape.lonely", "a:Shape.recursive", "a:Shape.traced"]
+
+
+def test_every_method_is_read_or_traced():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    exempt = traced((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    assert orphan_methods(sources, exempt) == []
 
 
 def imported_names(source: str) -> list[str]:

@@ -18,9 +18,11 @@ from tiltcell.algebra import AlgebraPresentation, ModuleRep, algebra_radical, ho
 from tiltcell.cells import CellData, classify_simples, is_semisimple_endalgebra
 from tiltcell.duality import AntiInvolution, build_cellular_basis
 from tiltcell.highest_weight import Registry, WeightPoset, verify_standard_category
-from tiltcell.linalg import Field, Matrix
+from tiltcell.linalg import Field
 from tiltcell.standard_basis import build_standard_basis, verify_standard_axioms
 from tiltcell.tilting import TiltingRegistry, tilting_support
+
+from oracles import from_int_rows
 
 Q = Field()
 F2 = Field(2)
@@ -61,11 +63,11 @@ def schur_algebra(field, r):
             for c, x in enumerate(table[a][b]) if x]
     unit = [int(not (c[1] or c[2])) for c in orbits]
     algebra = AlgebraPresentation.from_struct_consts(field, n, ents, unit, name=f"S(2,{r})")
-    action = [Matrix.from_int_rows(field, [[int(x == a) for x in row] for row in orb])
+    action = [from_int_rows(field, [[int(x == a) for x in row] for row in orb])
               for a in range(n)]
     tensor = ModuleRep(algebra, len(seqs), action)
     transpose = [index[(c[0], c[2], c[1], c[3])] for c in orbits]
-    tau = AntiInvolution(algebra, Matrix.from_int_rows(
+    tau = AntiInvolution(algebra, from_int_rows(
         field, [[int(transpose[b] == a) for b in range(n)] for a in range(n)]))
     poset = WeightPoset([str(k) for k in range(r // 2 + 1)],
                         [(str(k + 1), str(k)) for k in range(r // 2)])

@@ -241,7 +241,8 @@ def test_blockwise_hom_matches_the_solver(name, field):
                                                ("auslander", Q, 4)])
 def test_basis_and_support_solve_no_hom_system_on_the_sum(kind, field, size, monkeypatch):
     # End(T), the lift spaces and Hom(Delta, T), Hom(T, Nabla) are read off
-    # T's summands: no system is solved with T's content on either side
+    # T's summands, and T's support off its parts: no system is solved with
+    # T's content on either side
     solved = []
     hom_basis = algebra_module._hom_basis
     monkeypatch.setattr(algebra_module, "_hom_basis",
@@ -251,7 +252,17 @@ def test_basis_and_support_solve_no_hom_system_on_the_sum(kind, field, size, mon
     datum = build_standard_basis(tilt, T, seed=0)
     assert tilting_support(tilt, T) == dict.fromkeys(reg.poset.labels, 1)
     assert datum.dim() == len(hom_space(T, T))
-    assert solved and not [pair for pair in solved if T.action in pair]
+    assert not [pair for pair in solved if T.action in pair]
+    # the spy sees a solve: a conjugate of the largest summand has content
+    # of its own, so Hom out of it is solved, on a pair without T's content
+    big = max((tilt.module(lab) for lab in reg.poset.labels), key=lambda m: m.dim)
+    g = Matrix(field, [[field.one() if c >= r else field.zero() for c in range(big.dim)]
+                       for r in range(big.dim)])
+    twin = ModuleRep(reg.algebra, big.dim, [g @ a @ g.inverse() for a in big.action])
+    ends = len(hom_space(big, big))
+    solved.clear()
+    assert len(hom_space(twin, big)) == ends
+    assert solved == [(twin.action, big.action)] and T.action not in solved[0]
 
 
 def test_a_sum_of_one_module_is_not_recorded():

@@ -1,7 +1,15 @@
 import pytest
 
-from tiltcell.algebra import direct_sum, hom_space, is_isomorphic
+from tiltcell import tilting
+from tiltcell.algebra import Morphism, direct_sum, hom_space
 from tiltcell.docio import catalog_document
+from tiltcell.duality import (
+    AntiInvolution,
+    build_cellular_basis,
+    check_standard_duality,
+    fixed_point_data,
+    fixed_point_for_tilting,
+)
 from tiltcell.errors import ConstructionDiverged, NothingToDo, UnidentifiedSummand
 from tiltcell.highest_weight import (
     Registry,
@@ -9,13 +17,23 @@ from tiltcell.highest_weight import (
     ext1_dim,
     filtration_multiplicity,
 )
+from tiltcell.linalg import vstack
 from tiltcell.tilting import (
+    TiltingRegistry,
     indecomposable_tilting,
+    tilting_summands,
     tilting_support,
     universal_extension,
 )
 
-from oracles import delta_filtration, is_tilting, nabla_filtration
+from oracles import (
+    delta_filtration,
+    is_isomorphic,
+    is_tilting,
+    ks_tilting_support,
+    nabla_filtration,
+)
+from test_schur import F3, Q, schur_algebra, schur_pipeline
 
 
 EXPECTED_DIMS = {
@@ -185,3 +203,76 @@ def test_universal_extension_multiple_classes_at_once():
     # the result is standard-filtered with the expected factor multiset
     w = delta_filtration(reg, bigger)
     assert sorted(w.factor_labels) == ["1", "1", "2", "2"]
+
+
+# -- a tilting module split into its T(label) -----------------------------------
+
+
+def sums_of_tiltings(tilt, labels):
+    """Permuted, repeated and nested direct sums of the T(label)."""
+    mods = [tilt.module(lab) for lab in labels]
+    twice = direct_sum(mods[:1] * 2)[0]
+    return {"permuted": direct_sum(mods[::-1])[0],
+            "repeated": direct_sum(mods + mods[:1])[0],
+            "nested": direct_sum([twice, direct_sum(mods[::-1])[0], mods[-1]])[0]}
+
+
+def tilting_cases(pipelines):
+    for name, (_, reg, tilt) in pipelines.items():
+        for kind, t in sums_of_tiltings(tilt, reg.poset.labels).items():
+            yield f"{name}-{kind}", tilt, t
+    for r, field in [(3, Q), (3, F3), (4, Q), (4, F3)]:
+        yield f"S(2,{r})-{field!r}", schur_pipeline(field, r)[1], schur_algebra(field, r)[1]
+
+
+def test_summands_match_the_krull_schmidt_support(pipelines):
+    # the parts of a sum, or a Krull-Schmidt split of V^{⊗r}, give the
+    # support a split of the whole module gives; each q is an epimorphism
+    # onto its T(label) and the q's stacked are invertible
+    for case, tilt, t in tilting_cases(pipelines):
+        summands = tilting_summands(tilt, t)
+        assert tilting_support(tilt, t) == ks_tilting_support(tilt, t), case
+        for lab, q in summands:
+            Morphism(t, tilt.module(lab), q.matrix, check=True)
+            assert q.target is tilt.module(lab) and q.is_surjective(), case
+        assert vstack([q.matrix for _, q in summands]).is_invertible(), case
+
+
+def test_summands_of_a_sum_make_no_krull_schmidt_split(pipelines, monkeypatch):
+    # a sum is read off its parts and a T(label) is itself, q = 1; fresh
+    # registries, so that no split an earlier test made is remembered
+    tilts = {name: TiltingRegistry(reg) for name, (_, reg, _) in pipelines.items()}
+    calls = []
+    monkeypatch.setattr(tilting, "krull_schmidt", lambda m: calls.append(m) or [])
+    for name, tilt in tilts.items():
+        labels = tilt.base.poset.labels
+        for kind, t in sums_of_tiltings(tilt, labels).items():
+            assert tilting_support(tilt, t) == ks_tilting_support(pipelines[name][2], t)
+        for lab in labels:
+            [(got, q)] = tilting_summands(tilt, tilt.module(lab))
+            assert got == lab and q.matrix == Morphism.identity(tilt.module(lab)).matrix
+    assert calls == []
+
+
+def fixed_point_form(tilt, tau, t):
+    reg = tilt.base
+    duality = fixed_point_data(reg, tilt, tau, check_standard_duality(reg, tilt, tau))
+    return fixed_point_for_tilting(reg, tilt, tau, duality, t)
+
+
+def test_fixed_point_form_on_a_permuted_sum(pipelines):
+    doc, reg, tilt = pipelines["auslander-dualnumbers"]
+    tau = AntiInvolution(doc.algebra, doc.anti_involution)
+    t = sums_of_tiltings(tilt, reg.poset.labels)["permuted"]
+    psi = fixed_point_form(tilt, tau, t)
+    assert psi.matrix == psi.matrix.transpose() and psi.matrix.is_invertible()
+    assert all(build_cellular_basis(tilt, t, tau)[3].values())
+
+
+@pytest.mark.parametrize("r, field", [(3, Q), (3, F3)], ids=["r3-Q", "r3-F3"])
+def test_fixed_point_form_on_the_tensor_power(r, field):
+    _, tensor, tau, _ = schur_algebra(field, r)
+    tilt = schur_pipeline(field, r)[1]
+    psi = fixed_point_form(tilt, tau, tensor)
+    assert psi.matrix == psi.matrix.transpose() and psi.matrix.is_invertible()
+    assert all(build_cellular_basis(tilt, tensor, tau)[3].values())
