@@ -666,11 +666,11 @@ def split_by_idempotent(m: ModuleRep, e: Morphism):
 
 def _decompose(m: ModuleRep, endomorphisms):
     """Split m by idempotents until every piece has a local End, where
-    endomorphisms(piece, incl into m, proj from m) gives End(piece) as an
-    `EndAlgebra` on its canonical basis.  Each leaf is (piece, incl, proj,
-    End(piece)), its End carrying the radical that certified it local."""
+    endomorphisms(piece, incl into m) gives End(piece) as an `EndAlgebra` on
+    its canonical basis.  Each leaf is (piece, incl, proj, End(piece)), its
+    End carrying the radical that certified it local."""
     def split(piece, incl, proj):
-        E = endomorphisms(piece, incl, proj)
+        E = endomorphisms(piece, incl)
         e = find_splitting_idempotent(E)
         if e is None:
             return [(piece, incl, proj, E)]
@@ -687,7 +687,7 @@ def krull_schmidt(m: ModuleRep):
     carries the local-endomorphism-ring certificate.  Inclusions and
     projections compose to idempotents of m summing to 1.
     """
-    return [leaf[:3] for leaf in _decompose(m, lambda piece, incl, proj: EndAlgebra(piece))]
+    return [leaf[:3] for leaf in _decompose(m, lambda piece, _incl: EndAlgebra(piece))]
 
 
 def _indec_isomorphism(m: ModuleRep, n: ModuleRep) -> Morphism | None:
@@ -732,7 +732,7 @@ def _regular_summands(algebra: AlgebraPresentation):
         return algebra._summands
     F = algebra.field
     try:
-        summands = _decompose(algebra.regular_module(), lambda piece, incl, proj: EndAlgebra(
+        summands = _decompose(algebra.regular_module(), lambda piece, incl: EndAlgebra(
             piece, [Morphism(piece, piece, x) for x in _yoneda_basis(piece, incl.matrix)]))
     except NotComputable as exc:
         # the regular module resisted splitting: a division endomorphism

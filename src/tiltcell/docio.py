@@ -78,6 +78,8 @@ def parse_document(raw, field_override: str | None = None) -> InputDocument:
     dim = alg_raw.get("dim")
     if not _is_int(dim) or dim <= 0:
         raise InputError("algebra.dim must be a positive integer")
+    if not isinstance(alg_raw.get("struct_consts", []), list):
+        raise InputError("algebra.struct_consts must be a list of [i, j, k, value]")
     entries = []
     for ent in alg_raw.get("struct_consts", []):
         if not (isinstance(ent, (list, tuple)) and len(ent) == 4):
@@ -116,8 +118,8 @@ def parse_document(raw, field_override: str | None = None) -> InputDocument:
 
     tilting_request = raw.get("tilting", "characteristic")
     if tilting_request != "characteristic":
-        if not isinstance(tilting_request, list):
-            raise InputError('tilting must be "characteristic" or a list of [label, mult]')
+        if not (isinstance(tilting_request, list) and tilting_request):
+            raise InputError('tilting must be "characteristic" or a nonempty list of [label, mult]')
         req = []
         for ent in tilting_request:
             if not (isinstance(ent, (list, tuple)) and len(ent) == 2):

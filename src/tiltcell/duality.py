@@ -2,16 +2,17 @@
 
 The duality twists the vector-space dual by an algebra anti-involution; on
 matrices it transposes actions and morphisms, and the double-dual
-identification is the identity in coordinates.  A self-dual indecomposable
-becomes a fixed point by symmetrizing its associative bilinear form (away
-from characteristic 2): the isomorphism T(label) -> D(T(label)) is solved
-once, when the duality is checked, and symmetrized afterwards.  Fixed
-points make the induced anti-automorphism of End(T) an involution, and
-choosing the projection-side basis as the dual of the embedding-side basis
-makes the standard basis cellular: the involution transposes each fiber
-and the Gram matrices come out symmetric.  The fixed-point form on any
-tilting module is the block form of its T(label) pulled back along the
-summand projections of `tilting_summands`.
+identification is the identity in coordinates.  A `DualityDatum` carries
+the tilting registry and the anti-involution: check_standard_duality(tilt,
+tau) solves each isomorphism T(label) -> D(T(label)) once, in any
+characteristic; fixed_point_data(datum) symmetrizes them (away from
+characteristic 2), making each self-dual indecomposable a fixed point; and
+fixed_point_for_tilting(datum, t) pulls their block form back along the
+summand projections of `tilting_summands`.  Fixed points make the induced
+anti-automorphism of End(T) an involution, and choosing the projection-side
+basis as the dual of the embedding-side basis makes the standard basis
+cellular: the involution transposes each fiber and the Gram matrices come
+out symmetric.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .errors import (
     SymmetrizationDegenerate,
 )
 from .linalg import Matrix, block_diag, vstack
-from .highest_weight import Registry
 from .standard_basis import (
     StandardBasisDatum,
     extend_through_tilting,
@@ -81,9 +81,10 @@ def dualize_module(tau: AntiInvolution, m: ModuleRep) -> ModuleRep:
 
 
 class DualityDatum:
-    """Exchange witnesses and fixed-point isomorphisms for one duality."""
+    """Exchange witnesses and fixed-point forms of the duality tau on tilt."""
 
-    def __init__(self, tau: AntiInvolution):
+    def __init__(self, tilt: TiltingRegistry, tau: AntiInvolution):
+        self.tilt = tilt
         self.tau = tau
         self.exchange = {}        # label -> iso D(Nabla(label)) -> Delta(label)
         self.tilting_self_dual = {}   # label -> iso psi: T(label) -> D(T(label))
@@ -91,15 +92,15 @@ class DualityDatum:
         self.phi = {}             # label -> Phi = Psi'^{-1} (D(T(label)) -> T(label))
 
 
-def check_standard_duality(reg: Registry, tilt: TiltingRegistry,
-                           tau: AntiInvolution) -> DualityDatum:
+def check_standard_duality(tilt: TiltingRegistry, tau: AntiInvolution) -> DualityDatum:
     """Verify exchange of standard and costandard modules and self-duality of
     every indecomposable tilting module; collect the witnesses.  Delta(label)
     and T(label) are indecomposable, so `_indec_isomorphism` decides both
     exactly.  The self-duality witness is the isomorphism T(label) ->
     D(T(label)) that fixed_point_data symmetrizes, so it is solved once per
     label."""
-    datum = DualityDatum(tau)
+    reg = tilt.base
+    datum = DualityDatum(tilt, tau)
     for lam in reg.poset.labels:
         dual_nabla = dualize_module(tau, reg.costandard(lam))
         w = _indec_isomorphism(dual_nabla, reg.standard(lam))
@@ -116,7 +117,7 @@ def check_standard_duality(reg: Registry, tilt: TiltingRegistry,
     return datum
 
 
-def fixed_point_iso(tau: AntiInvolution, x: ModuleRep, psi: Morphism) -> Morphism:
+def fixed_point_iso(psi: Morphism) -> Morphism:
     """Symmetrize a self-duality of an indecomposable module.
 
     psi: x -> D(x) encodes an associative bilinear form; the symmetrized
@@ -125,7 +126,7 @@ def fixed_point_iso(tau: AntiInvolution, x: ModuleRep, psi: Morphism) -> Morphis
     point.  Requires characteristic != 2; raises SymmetrizationDegenerate
     with skewness diagnostics when the symmetrization is nilpotent.
     """
-    F = x.algebra.field
+    F = psi.source.algebra.field
     if F.characteristic == 2:
         raise InputError("fixed-point symmetrization needs characteristic != 2")
     p = psi.matrix
@@ -133,7 +134,7 @@ def fixed_point_iso(tau: AntiInvolution, x: ModuleRep, psi: Morphism) -> Morphis
     psi_sym = Morphism(psi.source, psi.target, sym, check=True)
     if not sym.is_invertible():
         comp = psi.matrix.inverse() @ sym
-        if comp.power(x.dim).is_zero():
+        if comp.power(psi.source.dim).is_zero():
             skew = (p.transpose() == -p)
             raise SymmetrizationDegenerate(
                 f"symmetrized form is nilpotent (form is skew: {skew})")
@@ -142,50 +143,40 @@ def fixed_point_iso(tau: AntiInvolution, x: ModuleRep, psi: Morphism) -> Morphis
     return psi_sym
 
 
-def fixed_point_data(reg: Registry, tilt: TiltingRegistry,
-                     tau: AntiInvolution, datum: DualityDatum):
+def fixed_point_data(datum: DualityDatum) -> DualityDatum:
     """Fill in fixed-point isomorphisms for every indecomposable tilting
     module by symmetrizing the self-duality check_standard_duality stored,
     certifying the fixed-point equation exactly."""
-    for lam in reg.poset.labels:
-        t_mod = tilt.module(lam)
-        psi_sym = fixed_point_iso(tau, t_mod, datum.tilting_self_dual[lam])
+    for lam in datum.tilt.base.poset.labels:
+        t_mod = datum.tilt.module(lam)
+        psi_sym = fixed_point_iso(datum.tilting_self_dual[lam])
         datum.fixed_forms[lam] = psi_sym
-        phi = Morphism(dualize_module(tau, t_mod), t_mod, psi_sym.matrix.inverse())
-        _certify_fixed_point(lam, phi, psi_sym)
+        phi = Morphism(dualize_module(datum.tau, t_mod), t_mod, psi_sym.matrix.inverse())
+        # Phi . D(Phi^{-1}) . xi = id for Phi = Psi^{-1}: P^T cancels P^{-1}
+        if phi.matrix @ psi_sym.matrix.transpose() != Matrix.identity(phi.matrix.field, t_mod.dim):
+            raise NotStandardDuality(lam, "fixed_point",
+                                     "(symmetrized iso fails the fixed-point equation)")
         datum.phi[lam] = phi
     return datum
 
 
-def _certify_fixed_point(label, phi: Morphism, psi_sym: Morphism):
-    """Phi . D(Phi^{-1}) . xi = id for Phi = Psi^{-1}; in coordinates:
-    P^T cancels P^{-1}, where P is Psi's matrix."""
-    p_inv = phi.matrix          # matrix of Phi: D(X) -> X
-    check = p_inv @ psi_sym.matrix.transpose()
-    if check != Matrix.identity(p_inv.field, p_inv.rows):
-        raise NotStandardDuality(label, "fixed_point",
-                                 "(symmetrized iso fails the fixed-point equation)")
-
-
-def fixed_point_for_tilting(reg: Registry, tilt: TiltingRegistry,
-                            tau: AntiInvolution, datum: DualityDatum,
-                            t: ModuleRep) -> Morphism:
+def fixed_point_for_tilting(datum: DualityDatum, t: ModuleRep) -> Morphism:
     """Symmetric invertible form on an arbitrary tilting module: with Q the
     stacked projections of `tilting_summands`, an isomorphism of t onto the
     sum of its T(label), the form is Q^T . block_diag(Psi_label) . Q."""
-    summands = tilting_summands(tilt, t)
+    summands = tilting_summands(datum.tilt, t)
     q = vstack([proj.matrix for _, proj in summands])
     block = block_diag([datum.fixed_forms[lam].matrix for lam, _ in summands])
     sym = q.transpose() @ block @ q
-    out = Morphism(t, dualize_module(tau, t), sym, check=True)
+    out = Morphism(t, dualize_module(datum.tau, t), sym, check=True)
     if not sym.is_invertible():
         raise SymmetrizationDegenerate("transported form is singular")
     return out
 
 
-def induced_involution(tau: AntiInvolution, t: ModuleRep, psi_sym: Morphism):
+def induced_involution(psi_sym: Morphism):
     """The anti-automorphism of End(t) induced by the duality and a chosen
-    self-duality form: phi -> Psi^{-1} . D(phi) . Psi.
+    self-duality form psi_sym: t -> D(t): phi -> Psi^{-1} . D(phi) . Psi.
 
     Returns (alpha, a) where alpha maps endomorphism matrices and a is the
     obstruction element Phi . D(Phi^{-1}) . xi; a = identity exactly when the
@@ -199,21 +190,10 @@ def induced_involution(tau: AntiInvolution, t: ModuleRep, psi_sym: Morphism):
         return P_inv @ mat.transpose() @ P
 
     a_elem = P_inv @ P.transpose()
-    for probe in hom_space(t, t):
+    for probe in hom_space(psi_sym.source, psi_sym.source):
         if alpha(alpha(probe.matrix)) != probe.matrix:
             raise NotInvolutive(a_elem, "(the chosen form is not a fixed point)")
     return alpha, a_elem
-
-
-def induced_bar_map(reg: Registry, tilt: TiltingRegistry, tau: AntiInvolution,
-                    datum: DualityDatum, label) -> Matrix:
-    """The isomorphism D(Delta(label)) -> Nabla(label) determined by the
-    commuting square pi . Phi = bar . D(i): solve it from the surjection."""
-    triple = tilt.triple(label)
-    phi = datum.phi[label]
-    lhs = triple.pi.matrix @ phi.matrix                 # D(T) -> Nabla
-    # bar @ D(i) = lhs with D(i) = i^T of full row rank: solve i @ bar^T = lhs^T
-    return triple.i.matrix.solve(lhs.transpose()).transpose()
 
 
 def build_cellular_basis(tilt: TiltingRegistry, t: ModuleRep, tau: AntiInvolution,
@@ -225,11 +205,9 @@ def build_cellular_basis(tilt: TiltingRegistry, t: ModuleRep, tau: AntiInvolutio
     Returns (datum, duality_datum, alpha, certificate dict).
     """
     reg = tilt.base
-    F = reg.algebra.field
-    duality = check_standard_duality(reg, tilt, tau)
-    fixed_point_data(reg, tilt, tau, duality)
-    psi_t = fixed_point_for_tilting(reg, tilt, tau, duality, t)
-    alpha, a_elem = induced_involution(tau, t, psi_t)
+    duality = fixed_point_data(check_standard_duality(tilt, tau))
+    psi_t = fixed_point_for_tilting(duality, t)
+    alpha, a_elem = induced_involution(psi_t)
     rng = None if seed == 0 else random.Random(seed)
     datum = StandardBasisDatum(tilt, t, seed)
     for lam in reg.poset.linear_extension:
@@ -238,13 +216,13 @@ def build_cellular_basis(tilt: TiltingRegistry, t: ModuleRep, tau: AntiInvolutio
         G = hom_space(reg.standard(lam), t)
         if not G:
             continue
-        bar = induced_bar_map(reg, tilt, tau, duality, lam)
-        Ghat = extend_through_tilting(reg, tilt, G, lam, rng)
-        triple = tilt.triple(lam)
+        triple, phi = tilt.triple(lam), duality.phi[lam].matrix
+        # bar: D(Delta) -> Nabla with pi . Phi = bar . D(i), D(i) = i^T of full row rank
+        bar = triple.i.matrix.solve((triple.pi.matrix @ phi).transpose()).transpose()
+        Ghat = extend_through_tilting(tilt, G, lam, rng)
         Fs = [Morphism(t, reg.costandard(lam), bar @ g.matrix.transpose() @ psi_t.matrix)
               for g in G]
-        Fhat = [Morphism(t, triple.module,
-                         duality.phi[lam].matrix @ gh.matrix.transpose() @ psi_t.matrix)
+        Fhat = [Morphism(t, triple.module, phi @ gh.matrix.transpose() @ psi_t.matrix)
                 for gh in Ghat]
         for f, fh in zip(Fs, Fhat):
             if (triple.pi.matrix @ fh.matrix) != f.matrix:
@@ -258,6 +236,6 @@ def build_cellular_basis(tilt: TiltingRegistry, t: ModuleRep, tau: AntiInvolutio
     cert = {
         "fibers_square": all(len(datum.G[lam]) == len(datum.F[lam]) for lam in datum.order),
         "alpha_involutive": True,
-        "a_element_is_identity": a_elem == Matrix.identity(F, t.dim),
+        "a_element_is_identity": a_elem == Matrix.identity(t.algebra.field, t.dim),
     }
     return datum, duality, alpha, cert

@@ -304,10 +304,10 @@ def ext1_with_classes(reg: Registry, m: ModuleRep, n: ModuleRep):
     if chosen is None:
         return 0, [], None
     chosen = [c if c.target is n else Morphism(c.source, n, c.matrix) for c in chosen]
-    omega, incl_omega, P0, pi = syzygy(reg, m)
+    _, incl_omega, P0, pi = syzygy(reg, m)
 
     def build(cocycles):
-        return _extension_middle(reg, m, n, omega, incl_omega, P0, pi, cocycles)
+        return _extension_middle(reg, m, n, incl_omega, P0, pi, cocycles)
 
     return len(chosen), chosen, build
 
@@ -341,7 +341,7 @@ def ext2_dim(reg: Registry, m: ModuleRep, n: ModuleRep) -> int:
     return ext1_dim(reg, omega, n)
 
 
-def _extension_middle(reg, m, n, omega, incl_omega, P0, pi, cocycles):
+def _extension_middle(reg, m, n, incl_omega, P0, pi, cocycles):
     """Middle term of 0 -> n -> E -> m^d -> 0 realizing the given cocycles,
     glued as a pushout of (Omega)^d -> P0^d along (psi_1, ..., psi_d)."""
     F = reg.algebra.field

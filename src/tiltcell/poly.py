@@ -18,7 +18,7 @@ import random
 from .linalg import Field, Matrix
 
 
-def normalize(field, coeffs):
+def normalize(coeffs):
     cs = list(coeffs)
     while cs and not cs[-1]:
         cs.pop()
@@ -33,11 +33,11 @@ def add(field, f, g):
     n = max(len(f), len(g))
     fz = list(f) + [field.zero()] * (n - len(f))
     gz = list(g) + [field.zero()] * (n - len(g))
-    return normalize(field, [field.add(a, b) for a, b in zip(fz, gz)])
+    return normalize([field.add(a, b) for a, b in zip(fz, gz)])
 
 
 def scale(field, c, f):
-    return normalize(field, [field.mul(c, a) for a in f])
+    return normalize([field.mul(c, a) for a in f])
 
 
 def mul(field, f, g):
@@ -49,7 +49,7 @@ def mul(field, f, g):
             continue
         for j, b in enumerate(g):
             out[i + j] = field.add(out[i + j], field.mul(a, b))
-    return normalize(field, out)
+    return normalize(out)
 
 
 def divmod_poly(field, f, g):
@@ -58,8 +58,8 @@ def divmod_poly(field, f, g):
     f = list(f)
     q = [field.zero()] * max(0, len(f) - len(g) + 1)
     inv_lead = field.inv(g[-1])
-    while len(f) >= len(g) and normalize(field, f):
-        f = list(normalize(field, f))
+    while len(f) >= len(g) and normalize(f):
+        f = list(normalize(f))
         if len(f) < len(g):
             break
         shift = len(f) - len(g)
@@ -67,7 +67,7 @@ def divmod_poly(field, f, g):
         q[shift] = c
         for i, b in enumerate(g):
             f[shift + i] = field.sub(f[shift + i], field.mul(c, b))
-    return normalize(field, q), normalize(field, f)
+    return normalize(q), normalize(f)
 
 
 def monic(field, f):
@@ -205,7 +205,7 @@ def _split_linear(field, f, rng):
 
 def linear_roots(field, f):
     """(roots with multiplicity, non-split leftover factor) of f over the field."""
-    f = normalize(field, f)
+    f = normalize(f)
     if not f or degree(f) == 0:
         return [], f
     if field.p is None:

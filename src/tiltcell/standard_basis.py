@@ -30,7 +30,6 @@ from .errors import (
     NoLift,
     TheoremViolation,
 )
-from .highest_weight import Registry
 from .linalg import Matrix, coordinates, linear_combination
 from .structure import _Closure
 from .tilting import TiltingRegistry
@@ -74,25 +73,25 @@ def _lift_fiber(F, source, target, compose_to, fiber, rng, what):
     return out
 
 
-def lift_through_tilting(reg: Registry, tilt: TiltingRegistry, fs: list[Morphism],
-                         label: str, rng: random.Random | None = None) -> list[Morphism]:
+def lift_through_tilting(tilt: TiltingRegistry, fs: list[Morphism], label: str,
+                         rng: random.Random | None = None) -> list[Morphism]:
     """f-hat: M -> T(label) with pi . f-hat = f, for each f: M -> Nabla(label)
     of a fiber with the one source M."""
     if not fs:
         return []
     triple = tilt.triple(label)
-    return _lift_fiber(reg.algebra.field, fs[0].source, triple.module,
+    return _lift_fiber(tilt.base.algebra.field, fs[0].source, triple.module,
                        lambda m: triple.pi.matrix @ m, fs, rng, "lift")
 
 
-def extend_through_tilting(reg: Registry, tilt: TiltingRegistry, gs: list[Morphism],
-                           label: str, rng: random.Random | None = None) -> list[Morphism]:
+def extend_through_tilting(tilt: TiltingRegistry, gs: list[Morphism], label: str,
+                           rng: random.Random | None = None) -> list[Morphism]:
     """g-hat: T(label) -> N with g-hat . i = g, for each g: Delta(label) -> N
     of a fiber with the one target N."""
     if not gs:
         return []
     triple = tilt.triple(label)
-    return _lift_fiber(reg.algebra.field, triple.module, gs[0].target,
+    return _lift_fiber(tilt.base.algebra.field, triple.module, gs[0].target,
                        lambda m: m @ triple.i.matrix, gs, rng, "extension")
 
 
@@ -189,8 +188,8 @@ def build_standard_basis(tilt: TiltingRegistry, module: ModuleRep,
         Fs = hom_space(module, reg.costandard(lam))
         if not G or not Fs:
             continue
-        Ghat = extend_through_tilting(reg, tilt, G, lam, rng)  # the G side draws first
-        datum.add_fiber(lam, G, Fs, Ghat, lift_through_tilting(reg, tilt, Fs, lam, rng))
+        Ghat = extend_through_tilting(tilt, G, lam, rng)  # the G side draws first
+        datum.add_fiber(lam, G, Fs, Ghat, lift_through_tilting(tilt, Fs, lam, rng))
     finalize_datum(datum)
     return datum
 

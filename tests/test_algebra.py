@@ -450,7 +450,7 @@ def test_regular_decomposition_matches_hom_space_route(make_algebra):
     alg = make_algebra()
     pieces = []
 
-    def checked(piece, incl, proj):
+    def checked(piece, incl):
         basis = [Morphism(piece, piece, x) for x in _yoneda_basis(piece, incl.matrix)]
         assert [f.matrix for f in basis] == list(_hom_basis(piece, piece))
         pieces.append(piece.dim)
@@ -644,7 +644,7 @@ def eval_matrix(field, f, m: Matrix) -> Matrix:
 
 
 def derivative(field, f):
-    return poly.normalize(field, [field.mul(field.of(i), c) for i, c in enumerate(f)][1:])
+    return poly.normalize([field.mul(field.of(i), c) for i, c in enumerate(f)][1:])
 
 
 def _coprime_pair(field, f):
@@ -673,7 +673,7 @@ def _coprime_pair(field, f):
                 return coprime_part, poly.divmod_poly(field, f, coprime_part)[0]
     elif field.p is not None and poly.degree(f) >= field.p:
         # f' = 0 over F_p means f = r(x)^p with r sharing f's coefficients
-        r = poly.normalize(field, [f[i] for i in range(0, len(f), field.p)])
+        r = poly.normalize([f[i] for i in range(0, len(f), field.p)])
         sub = _coprime_pair(field, r)
         if sub is not None:
             g = sub[0]
@@ -707,7 +707,7 @@ def minpoly(m: Matrix):
                 raise RuntimeError("minimal polynomial search failed") from None
             continue
         coeffs = [F.neg(sol.entries[i][0]) for i in range(k)] + [F.one()]
-        return poly.normalize(F, coeffs)
+        return poly.normalize(coeffs)
 
 
 def coprime_split_idempotent(field, f):

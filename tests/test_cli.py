@@ -347,6 +347,41 @@ def test_parse_document_rejections():
                         "tilting": [["nope", 1]]})
 
 
+@pytest.mark.parametrize("value", [5, None, 1.5, True], ids=["int", "null", "float", "bool"])
+def test_parse_document_rejects_struct_consts_not_a_list(value):
+    doc = {"field": "Q", "algebra": {"dim": 1, "struct_consts": value, "unit": [1]},
+           "poset": {"labels": ["1"], "covers": []}}
+    with pytest.raises(InputError, match="struct_consts must be a list"):
+        parse_document(doc)
+
+
+def test_parse_document_rejects_an_empty_tilting_list():
+    doc = {"field": "Q", "algebra": {"dim": 1, "struct_consts": [[0, 0, 0, 1]], "unit": [1]},
+           "poset": {"labels": ["1"], "covers": []}, "tilting": []}
+    with pytest.raises(InputError, match="nonempty list"):
+        parse_document(doc)
+
+
+@pytest.mark.parametrize("command, where, value", [
+    ("verify", ("algebra", "struct_consts"), 5),
+    ("cellular", ("tilting",), []),
+], ids=["struct-consts-int", "tilting-empty"])
+def test_malformed_document_exits_two_with_empty_stdout(command, where, value, tmp_path):
+    from tiltcell.docio import _CATALOG
+
+    doc = json.loads(json.dumps(_CATALOG["auslander-dualnumbers"]))
+    *steps, key = where
+    target = doc
+    for step in steps:
+        target = target[step]
+    target[key] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(command, "--input", str(path), "--format", "json")
+    assert code == 2 and out == b""
+    assert err.startswith(b"input error: ") and b"Traceback" not in err
+
+
 @pytest.mark.parametrize("where, value", [
     (("algebra", "dim"), True),
     (("algebra", "struct_consts"), [[False, False, False, 1]]),

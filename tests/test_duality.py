@@ -94,7 +94,7 @@ def test_duality_preserves_multiplicities(pipelines):
 def test_exchange_on_auslander(pipelines):
     doc, reg, tilt = pipelines["auslander-dualnumbers"]
     tau = auslander_tau(doc)
-    datum = check_standard_duality(reg, tilt, tau)
+    datum = check_standard_duality(tilt, tau)
     for lab in reg.poset.labels:
         assert datum.exchange[lab].is_invertible()
         assert datum.tilting_self_dual[lab].is_invertible()
@@ -108,15 +108,15 @@ def test_exchange_fails_on_a2_swap(pipelines):
     doc, reg, tilt = pipelines["a2path"]
     swap = AntiInvolution(doc.algebra, from_int_rows(Q, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
     with pytest.raises(NotStandardDuality) as exc:
-        check_standard_duality(reg, tilt, swap)
+        check_standard_duality(tilt, swap)
     assert exc.value.which == "exchange"
 
 
 def test_exchange_on_semisimple_identity(pipelines):
     doc, reg, tilt = pipelines["semisimple2"]
     tau = AntiInvolution(doc.algebra, Matrix.identity(Q, 2))
-    datum = check_standard_duality(reg, tilt, tau)
-    fixed_point_data(reg, tilt, tau, datum)
+    datum = check_standard_duality(tilt, tau)
+    fixed_point_data(datum)
     assert sorted(datum.phi) == ["1", "2"]
 
 
@@ -125,7 +125,7 @@ def test_fixed_point_simple(pipelines):
     tau = AntiInvolution(doc.algebra, Matrix.identity(Q, 1))
     L = reg.simple("1")
     psi = Morphism(L, dualize_module(tau, L), from_int_rows(Q, [[3]]))
-    sym = fixed_point_iso(tau, L, psi)
+    sym = fixed_point_iso(psi)
     # symmetrization doubles an already-symmetric form
     assert sym.matrix == psi.matrix.scale(Q.of(2))
 
@@ -133,8 +133,8 @@ def test_fixed_point_simple(pipelines):
 def test_fixed_point_equation_on_tiltings(pipelines):
     doc, reg, tilt = pipelines["auslander-dualnumbers"]
     tau = auslander_tau(doc)
-    datum = check_standard_duality(reg, tilt, tau)
-    fixed_point_data(reg, tilt, tau, datum)
+    datum = check_standard_duality(tilt, tau)
+    fixed_point_data(datum)
     for lab in reg.poset.labels:
         phi = datum.phi[lab]
         p = phi.matrix
@@ -149,7 +149,7 @@ def test_symmetrization_degenerate_on_skew_form():
     x = ModuleRep(alg, 2, [Matrix.identity(Q, 2)])
     skew = Morphism(x, dualize_module(tau, x), from_int_rows(Q, [[0, 1], [-1, 0]]))
     with pytest.raises(SymmetrizationDegenerate) as exc:
-        fixed_point_iso(tau, x, skew)
+        fixed_point_iso(skew)
     assert "skew: True" in str(exc.value)
 
 
@@ -160,17 +160,17 @@ def test_characteristic_two_rejected():
     x = ModuleRep(alg, 1, [Matrix.identity(F2, 1)])
     psi = Morphism(x, dualize_module(tau, x), Matrix.identity(F2, 1))
     with pytest.raises(InputError):
-        fixed_point_iso(tau, x, psi)
+        fixed_point_iso(psi)
 
 
 def test_induced_involution_properties(pipelines, rng):
     doc, reg, tilt = pipelines["auslander-dualnumbers"]
     tau = auslander_tau(doc)
-    duality = check_standard_duality(reg, tilt, tau)
-    fixed_point_data(reg, tilt, tau, duality)
+    duality = check_standard_duality(tilt, tau)
+    fixed_point_data(duality)
     T, _, _ = direct_sum([tilt.module(lab) for lab in reg.poset.labels])
-    psi_t = fixed_point_for_tilting(reg, tilt, tau, duality, T)
-    alpha, a_elem = induced_involution(tau, T, psi_t)
+    psi_t = fixed_point_for_tilting(duality, T)
+    alpha, a_elem = induced_involution(psi_t)
     assert a_elem == Matrix.identity(Q, T.dim)
     homs = hom_space(T, T)
     F = Q
@@ -185,10 +185,10 @@ def test_induced_involution_properties(pipelines, rng):
 def test_non_fixed_point_reports_obstruction(pipelines, rng):
     doc, reg, tilt = pipelines["auslander-dualnumbers"]
     tau = auslander_tau(doc)
-    duality = check_standard_duality(reg, tilt, tau)
-    fixed_point_data(reg, tilt, tau, duality)
+    duality = check_standard_duality(tilt, tau)
+    fixed_point_data(duality)
     T, _, _ = direct_sum([tilt.module("1")] * 2)
-    psi_good = fixed_point_for_tilting(reg, tilt, tau, duality, T)
+    psi_good = fixed_point_for_tilting(duality, T)
     # twist by a non-central invertible endomorphism: still a self-duality,
     # no longer symmetric
     homs = hom_space(T, T)
@@ -209,7 +209,7 @@ def test_non_fixed_point_reports_obstruction(pipelines, rng):
     assert twist is not None
     psi_bad = Morphism(T, psi_good.target, psi_good.matrix @ twist.matrix)
     with pytest.raises(NotInvolutive) as exc:
-        induced_involution(tau, T, psi_bad)
+        induced_involution(psi_bad)
     a = exc.value.a_element
     assert a != Matrix.identity(Q, T.dim)
     # the square of the inverse involution is conjugation by the obstruction
@@ -264,11 +264,11 @@ def test_cellular_trivial_and_semisimple(pipelines):
 def test_alpha_identity_on_simple_tilting(pipelines):
     doc, reg, tilt = pipelines["trivial"]
     tau = AntiInvolution(doc.algebra, doc.anti_involution)
-    duality = check_standard_duality(reg, tilt, tau)
-    fixed_point_data(reg, tilt, tau, duality)
+    duality = check_standard_duality(tilt, tau)
+    fixed_point_data(duality)
     T = tilt.module("1")
-    psi = fixed_point_for_tilting(reg, tilt, tau, duality, T)
-    alpha, _ = induced_involution(tau, T, psi)
+    psi = fixed_point_for_tilting(duality, T)
+    alpha, _ = induced_involution(psi)
     ident = Matrix.identity(Q, 1)
     assert alpha(ident) == ident
 

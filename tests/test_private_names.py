@@ -1,6 +1,6 @@
 """Every module-level private function or class in tiltcell has a caller,
-every method of a tiltcell class is read, and every name the package
-exports has a use or is documented.
+every method of a tiltcell class is read, every parameter is read, and
+every name the package exports has a use or is documented.
 
 A private name is one with a leading underscore (dunder names are left
 out).  It counts as used when its name is read, as a name, an attribute or
@@ -10,7 +10,10 @@ helper that only calls itself is an orphan.  An exported name, one that
 `__init__.py` itself does not count), or when README's "Library entry
 points" block lists it.  A method counts as read in the same way, by its
 name anywhere in the package outside its own definition, or when the
-benchmark tracer's `TARGETS` (`bench/tracer.py`) names it as a span.
+benchmark tracer's `TARGETS` (`bench/tracer.py`) names it as a span.  A
+parameter of a function or lambda counts as read when its body reads it as
+a name; a leading underscore declares it unused on purpose, and a method's
+receiver (`self`, `cls`) is exempt.
 """
 
 import ast
@@ -178,3 +181,44 @@ def test_every_export_is_used_or_documented():
     exports = imported_names((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     documented = entry_points((ROOT / "README.md").read_text(encoding="utf-8"))
     assert unused_exports(exports, sources, documented) == []
+
+
+def unread_parameters(sources: dict[str, str]) -> list[str]:
+    """'module:function(parameter)' of each parameter of a function or lambda
+    of `sources` that its body never reads as a name, leaving out names with
+    a leading underscore and the receivers `self` and `cls`."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a]
+            body = [node.body] if isinstance(node, ast.Lambda) else node.body
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            found += [f"{module}:{name}({a.arg})" for a in params
+                      if a.arg not in read and a.arg not in ("self", "cls")
+                      and not a.arg.startswith("_")]
+    return found
+
+
+def test_unread_parameters_are_found():
+    sources = {
+        "a": ("def used(x, y=1, *args, z, **kw):\n    return x + y + z + len(args) + len(kw)\n\n"
+              "def lonely(x, ignored, _declared):\n    return x\n\n"
+              "def outer(x):\n    def inner(y):\n        return x\n    return inner\n\n"
+              "class Shape:\n    def size(self, attr):\n        return self.attr\n\n"
+              "    @classmethod\n    def unit(cls):\n        return 1\n\n"
+              "f = lambda piece, incl: piece\n"
+              "g = lambda piece, _incl: piece\n"),
+    }
+    assert sorted(unread_parameters(sources)) == [
+        "a:<lambda>(incl)", "a:inner(y)", "a:lonely(ignored)", "a:size(attr)"]
+
+
+def test_every_parameter_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_parameters(sources) == []

@@ -83,7 +83,7 @@ def test_phi_weight_additive_lemma(pipelines, rng):
 def test_lift_of_projection_is_identity_choice(pipelines):
     _, reg, tilt = pipelines["a2path"]
     tr = tilt.triple("1")
-    [lifted] = lift_through_tilting(reg, tilt, [tr.pi], "1")
+    [lifted] = lift_through_tilting(tilt, [tr.pi], "1")
     assert (tr.pi @ lifted).matrix == tr.pi.matrix
 
 
@@ -91,7 +91,7 @@ def test_lift_zero_is_zero(pipelines):
     _, reg, tilt = pipelines["a2path"]
     T = char_tilting(reg, tilt)
     zero = Morphism.zero(T, reg.costandard("2"))
-    [lifted] = lift_through_tilting(reg, tilt, [zero], "2")
+    [lifted] = lift_through_tilting(tilt, [zero], "2")
     assert lifted.is_zero()
 
 
@@ -103,10 +103,10 @@ def test_lift_equations_hold_for_all_seeds(pipelines):
             for lab in reg.poset.labels:
                 tr = tilt.triple(lab)
                 for f in hom_space(T, reg.costandard(lab)):
-                    [fh] = lift_through_tilting(reg, tilt, [f], lab, rng)
+                    [fh] = lift_through_tilting(tilt, [f], lab, rng)
                     assert (tr.pi @ fh).matrix == f.matrix
                 for g in hom_space(reg.standard(lab), T):
-                    [gh] = extend_through_tilting(reg, tilt, [g], lab, rng)
+                    [gh] = extend_through_tilting(tilt, [g], lab, rng)
                     assert (gh @ tr.i).matrix == g.matrix
 
 
@@ -170,8 +170,8 @@ def test_fiber_lifts_match_per_morphism_reference(pipelines, field):
                 Fs = hom_space(T, reg.costandard(lab))
                 want = [reference_extend(reg, tilt, g, lab, ref_rng) for g in G]
                 want += [reference_lift(reg, tilt, f, lab, ref_rng) for f in Fs]
-                got = extend_through_tilting(reg, tilt, G, lab, rng)
-                got += lift_through_tilting(reg, tilt, Fs, lab, rng)
+                got = extend_through_tilting(tilt, G, lab, rng)
+                got += lift_through_tilting(tilt, Fs, lab, rng)
                 assert len(got) == len(want)
                 for a, b in zip(got, want):
                     assert_same_entries(a.matrix, b)
@@ -179,8 +179,8 @@ def test_fiber_lifts_match_per_morphism_reference(pipelines, field):
 
 def test_empty_fiber_lifts_to_empty_list(pipelines):
     _, reg, tilt = pipelines["a2path"]
-    assert lift_through_tilting(reg, tilt, [], "1") == []
-    assert extend_through_tilting(reg, tilt, [], "1", random.Random(3)) == []
+    assert lift_through_tilting(tilt, [], "1") == []
+    assert extend_through_tilting(tilt, [], "1", random.Random(3)) == []
 
 
 @pytest.mark.parametrize("field", [Q, F10007], ids=repr)

@@ -255,9 +255,8 @@ def test_summands_of_a_sum_make_no_krull_schmidt_split(pipelines, monkeypatch):
 
 
 def fixed_point_form(tilt, tau, t):
-    reg = tilt.base
-    duality = fixed_point_data(reg, tilt, tau, check_standard_duality(reg, tilt, tau))
-    return fixed_point_for_tilting(reg, tilt, tau, duality, t)
+    duality = fixed_point_data(check_standard_duality(tilt, tau))
+    return fixed_point_for_tilting(duality, t)
 
 
 def test_fixed_point_form_on_a_permuted_sum(pipelines):
