@@ -59,8 +59,8 @@ def gram_matrix(datum: StandardBasisDatum, label) -> Matrix:
     # c is normalized to 1 at its first nonzero entry (r, s); b is read there
     r, s = next((r, s) for r, row in enumerate(c.entries) for s, x in enumerate(row) if x)
     composites = [[(f @ g).matrix for g in datum.G[label]] for f in datum.F[label]]
-    beta = Matrix(datum.reg.algebra.field, [[m.entries[r][s] for m in row] for row in composites],
-                  cols=len(datum.G[label]))
+    beta = Matrix(datum.tilt.base.algebra.field,
+                  [[m.entries[r][s] for m in row] for row in composites], cols=len(datum.G[label]))
     for j, (row, fhat) in enumerate(zip(composites, datum.Fhat[label])):
         for k, (m, g) in enumerate(zip(row, datum.G[label])):
             if m != c.scale(beta.entries[j][k]):

@@ -7,15 +7,10 @@ computes Gram matrices and the simple modules of End(T), and `cellular`
 runs the duality pipeline to a cellular basis.  Exit codes: 0 all
 certificates pass, 1 an axiom or theorem check failed, 2 input error.
 
-`parse_args` is the package's own parser, one for every subcommand, and
-reads a command line as the argparse parser it replaced did.  The flags,
-which all subcommands share, are declared once in `OPTIONS`, which drives
-the parsing and the help.  The subcommand is the one positional argument,
-so the flags may also come before it; a unique prefix abbreviates a flag
-and `--flag=value` works.  `-h` prints argparse's help text at 80 columns,
-and a usage error prints the usage and `tiltcell: error: ...` to stderr and
-exits 2.  Not importing argparse spares every run its start-up: gettext
-catalog lookups (which import locale) and cold regex compiles.
+`parse_args` reads a canonical command line (the command once, each flag
+at most once as `--flag value`, one source) directly and hands every other
+line to argparse, so a run of the usual form never imports argparse.  The
+flags, which all subcommands share, are declared once in `OPTIONS`.
 
 `build_report` frames every report: the meta, the verification section
 and its gate, the verdict in `ok` with the exit code, and the capture of a
@@ -301,194 +296,70 @@ OPTIONS = (
 SOURCES = (OPTIONS[0][0], OPTIONS[1][0])
 DESCRIPTION = ("standard and cellular bases of endomorphism algebras of tilting "
                "modules, with exact arithmetic")
-WIDTH = 78  # argparse's text width at 80 columns
 
 
-def _braced(choices) -> str:
-    return "{" + ",".join(choices) + "}"
+def _canonical(args):
+    """The values of a canonical command line, or None.
 
-
-def _headers() -> dict:
-    """flag -> its header in the usage and the help, as `--seed SEED`."""
-    return {flag: f"{flag} {_braced(choices) if choices else flag[2:].upper().replace('-', '_')}"
-            for flag, _, choices, _, _ in OPTIONS}
-
-
-def _usage() -> str:
-    """argparse's usage, the flags wrapped at WIDTH under the first one and
-    the command on a line of its own."""
-    heads = _headers()
-    words = ["tiltcell", "[-h]", "(" + " | ".join(heads[flag] for flag in SOURCES) + ")"]
-    words += [f"[{head}]" for flag, head in heads.items() if flag not in SOURCES]
-    indent = " " * len("usage: tiltcell ")
-
-    def wrap(words, length):
-        lines, line = [], []
-        for word in words:
-            if length + 1 + len(word) > WIDTH and line:
-                lines.append(indent + " ".join(line))
-                line, length = [], len(indent) - 1
-            line.append(word)
-            length += len(word) + 1
-        return lines + [indent + " ".join(line)]
-
-    lines = wrap(words, len("usage:")) + wrap([_braced(COMMANDS)], len(indent) - 1)
-    return "usage: " + "\n".join(lines)[len(indent):] + "\n"
-
-
-def _help() -> str:
-    """argparse's help text at 80 columns."""
-    import textwrap  # only -h wraps text
-
-    options = [("-h, --help", "show this help message and exit")]
-    options += [(head, text) for head, (*_, text) in zip(_headers().values(), OPTIONS)]
-    commands = _braced(COMMANDS)
-    position = min(max(len(head) for head, _ in options + [(commands, None)]) + 4, 24)
-
-    def item(head, text):
-        if not text:
-            return f"  {head}\n"
-        first = (f"  {head:<{position - 4}}  " if len(head) <= position - 4
-                 else f"  {head}\n" + " " * position)
-        return first + ("\n" + " " * position).join(textwrap.wrap(text, WIDTH - position)) + "\n"
-
-    return (_usage() + "\n" + textwrap.fill(DESCRIPTION, WIDTH) + "\n\npositional arguments:\n"
-            + item(commands, None) + "\noptions:\n" + "".join(item(*o) for o in options))
-
-
-class _UsageError(Exception):
-    pass
-
-
-def _negative_number(arg: str) -> bool:
-    """Whether `-1`, `-.5` or `-1.5`: a value, not an option, to argparse."""
-    head, dot, tail = arg[1:].partition(".")
-    return tail.isdecimal() and (not head or head.isdecimal()) if dot else head.isdecimal()
-
-
-def _option(arg: str, flags):
-    """How argparse reads one argument before `--`: None for a value, else
-    (flag, option string, explicit value or None), with flag None for an
-    unknown option.  A unique prefix of a long flag stands for it, and an
-    ambiguous one is an error."""
-    if not arg.startswith("-") or arg == "-":
-        return None
-    if arg in flags or arg == "-h":
-        return "--help" if arg == "-h" else arg, arg, None
-    name, eq, value = arg.partition("=")
-    if eq and (name in flags or name == "-h"):
-        return "--help" if name == "-h" else name, name, value
-    if arg[1] == "-":
-        matches = [flag for flag in flags if flag.startswith(name)]
-        if len(matches) > 1:
-            raise _UsageError(f"ambiguous option: {arg} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], matches[0], value if eq else None
-    elif arg[1] == "h":
-        return "--help", "-h", arg[2:]
-    if _negative_number(arg) or " " in arg:
-        return None
-    return None, arg, None
-
-
-def _help_value_error(option: str, value: str) -> str | None:
-    """The error of a value given to -h or --help, or None where argparse
-    reads it as more -h (`-hh`)."""
-    while option == "-h" and value[:1] == "h":
-        value = value[1:]
-        if not value:
+    Canonical is the command once and each flag of OPTIONS at most once as
+    `--flag value`, the value not starting with `-`, converting by the
+    flag's type and passing its choices, with exactly one source.  argparse
+    reads such a line the same way.
+    """
+    flags = {flag: (flag[2:].replace("-", "_"), kind, choices)
+             for flag, kind, choices, _, _ in OPTIONS}
+    values = {"command": None} | {flags[flag][0]: default for flag, _, _, default, _ in OPTIONS}
+    seen, words = set(), iter(args)
+    for arg in words:
+        if arg in COMMANDS and values["command"] is None:
+            values["command"] = arg
+            continue
+        raw = next(words, "-")
+        if arg not in flags or arg in seen or raw.startswith("-"):
             return None
-    return f"argument -h/--help: ignored explicit argument {value!r}"
+        dest, kind, choices = flags[arg]
+        try:
+            values[dest] = kind(raw)
+        except ValueError:
+            return None
+        if choices is not None and values[dest] not in choices:
+            return None
+        seen.add(arg)
+    if values["command"] is None or len(seen & set(SOURCES)) != 1:
+        return None
+    return values
 
 
-def parse_args(argv=None) -> SimpleNamespace:
-    """The subcommand and the flags of one command line, read as argparse
-    read them.
+def _parser():
+    """The argparse parser of every command line that is not canonical."""
+    import argparse  # only a non-canonical line pays for its start-up
 
-    The subcommand is the one positional argument and may come anywhere
-    among the flags; `--flag value` and `--flag=value` both work, a unique
-    prefix abbreviates a flag, `--` ends the flags and a repeated flag keeps
-    its last value.  -h prints the help and exits 0; a usage error prints
-    the usage and the error to stderr and exits 2.
+    parser = argparse.ArgumentParser(prog="tiltcell", description=DESCRIPTION)
+    parser.add_argument("command", choices=COMMANDS)
+    sources = parser.add_mutually_exclusive_group(required=True)
+    for flag, kind, choices, default, text in OPTIONS:
+        (sources if flag in SOURCES else parser).add_argument(
+            flag, type=kind, choices=choices, default=default, help=text)
+    return parser
+
+
+def parse_args(argv=None):
+    """The subcommand and the flags of one command line.
+
+    A canonical line (`_canonical`) is read directly; every other one goes
+    to argparse, which writes the help, the usage and each usage error.
     """
     args = sys.argv[1:] if argv is None else list(argv)
-    table = {flag: (flag[2:].replace("-", "_"), kind, choices, default)
-             for flag, kind, choices, default, _ in OPTIONS}
-    values = {"command": None} | {dest: default for dest, _, _, default in table.values()}
-    seen, extras = set(), []
-
-    def take(flag, raw):
-        dest, kind, choices, _ = table[flag]
-        try:
-            value = kind(raw)
-        except ValueError:
-            raise _UsageError(f"argument {flag}: invalid {kind.__name__} value: {raw!r}") from None
-        if choices is not None and value not in choices:
-            raise _UsageError(f"argument {flag}: invalid choice: {value!r} "
-                              f"(choose from {', '.join(map(repr, choices))})")
-        seen.add(flag)
-        if flag in SOURCES and set(SOURCES) <= seen:
-            other, = set(SOURCES) - {flag}
-            raise _UsageError(f"argument {flag}: not allowed with argument {other}")
-        values[dest] = value
-
-    def take_command(raw):
-        if raw not in COMMANDS:
-            raise _UsageError(f"argument command: invalid choice: {raw!r} "
-                              f"(choose from {', '.join(map(repr, COMMANDS))})")
-        values["command"] = raw
-
-    try:
-        # each argument is an option (a tuple from _option), a value "A" or
-        # the "-" of `--`, after which every argument is a value
-        kinds = []
-        for at, arg in enumerate(args):
-            if arg == "--":
-                kinds += ["-"] + ["A"] * (len(args) - at - 1)
-                break
-            kinds.append(_option(arg, ("--help", *table)) or "A")
-        i = 0
-        for at in [at for at, kind in enumerate(kinds) if isinstance(kind, tuple)]:
-            if i < at:  # values before this option: the first may be the command
-                if values["command"] is None:
-                    take_command(args[i])
-                    i += 1
-                extras += args[i:at]
-            flag, option, explicit = kinds[at]
-            i = at + 1
-            if flag is None:
-                extras.append(args[at])
-            elif flag == "--help":
-                if explicit is not None and (error := _help_value_error(option, explicit)):
-                    raise _UsageError(error)
-                sys.stdout.write(_help())
-                sys.exit(0)
-            elif explicit is not None:
-                take(flag, explicit)
-            elif kinds[i:i + 1] == ["A"]:
-                take(flag, args[i])
-                i += 1
-            else:
-                raise _UsageError(f"argument {flag}: expected one argument")
-        if values["command"] is None:
-            # after the last option the command takes the next value, with
-            # a `--` just before or just after it
-            rest = "".join(kinds[i:])
-            before = rest.startswith("-A")
-            if rest[before:before + 1] == "A":
-                take_command(args[i + before])
-                i += before + 1 + (rest[before + 1:before + 2] == "-")
-        extras += args[i:]
-        if values["command"] is None:
-            raise _UsageError("the following arguments are required: command")
-        if not seen & set(SOURCES):
-            raise _UsageError(f"one of the arguments {' '.join(SOURCES)} is required")
-        if extras:
-            raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
-    except _UsageError as exc:
-        sys.stderr.write(f"{_usage()}tiltcell: error: {exc}\n")
-        sys.exit(2)
-    return SimpleNamespace(**values)
+    values = _canonical(args)
+    if values is not None:
+        return SimpleNamespace(**values)
+    parser = _parser()
+    parsed = parser.parse_args(args)
+    for flag, *_ in OPTIONS:
+        # argparse reads `--flag=--` as the value []
+        if getattr(parsed, flag[2:].replace("-", "_")) == []:
+            parser.error(f"argument {flag}: expected one argument")
+    return parsed
 
 
 def run(args) -> int:

@@ -151,6 +151,8 @@ class Field:
             raise InputError(f"zero denominator in {s!r}")
         if self.p is None:
             return _rational(Fraction(num, den))
+        if den % self.p == 0:
+            raise InputError(f"denominator of {s!r} is zero in {self!r}")
         return self.mul(self.of(num), self.inv(self.of(den)))
 
     # -- sampling (for seeded randomized searches) ----------------------------

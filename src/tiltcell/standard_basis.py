@@ -111,7 +111,6 @@ class StandardBasisDatum:
 
     def __init__(self, tilt: TiltingRegistry, module: ModuleRep, seed: int):
         self.tilt = tilt
-        self.reg = tilt.base
         self.module = module
         self.seed = seed
         self.order: list[str] = []
@@ -201,7 +200,7 @@ def finalize_datum(datum: StandardBasisDatum):
     composites, and the image-weight property of every fiber: each nonzero
     element of its span has nonzero weight at its label, one rank apiece.
     """
-    reg = datum.reg
+    reg = datum.tilt.base
     F = reg.algebra.field
     module = datum.module
     end_dim = len(hom_space(module, module))
@@ -231,7 +230,7 @@ def _certify_fiber_weights(datum: StandardBasisDatum):
     multiplicity at the fiber's own label.  The weight of x is the rank of
     e_label . x, so this holds exactly when the e_label . c over the fiber's
     cells c are linearly independent, the cells themselves being so."""
-    reg = datum.reg
+    reg = datum.tilt.base
     for lam in datum.order:
         e_act = datum.module.act(reg.data[lam].idempotent)
         rows = [(e_act @ c.matrix).flat() for row in datum.cells[lam] for c in row]
@@ -297,7 +296,7 @@ def verify_standard_axioms(datum: StandardBasisDatum, trials: int = 100):
                 return at, 1
         return None
 
-    F, left_rows = datum.reg.algebra.field, {}
+    F, left_rows = datum.tilt.base.algebra.field, {}
     closure = _Closure(F, n, datum.coords(Matrix.identity(F, datum.module.dim)), left_rows)
     for m in reversed(range(n)):
         if closure.full():

@@ -548,7 +548,7 @@ def hom_filtration_from_datum(datum: StandardBasisDatum, label: str,
                               homs: list[Morphism]) -> Subspace:
     """Hom^{<= label} as the span of fibers at labels <= label, expressed in
     the coordinates of the given hom basis."""
-    reg = datum.reg
+    reg = datum.tilt.base
     F = reg.algebra.field
     coords = coordinates(F, [f.matrix.flat() for f in homs], datum.module.dim ** 2)
     rows = [coords(datum.cell(mu, i, j).matrix.flat())
@@ -584,7 +584,7 @@ def basis_residuals(datum: StandardBasisDatum):
     sum_k left_ki c_kj and side 1 is c_ij . phi - sum_l right_lj c_il; r is
     its coordinate at pos, a position whose label is not strictly below
     c_ij's, read off table[m][at] resp. table[at][m]."""
-    F = datum.reg.algebra.field
+    F = datum.tilt.base.algebra.field
     table = product_table(datum)
     index, pos = datum.index(), datum._pos
     out = {}

@@ -265,7 +265,7 @@ def reference_scalar_part(tilt, label):
 def reference_gram(datum, label):
     """Entry (j, k): the scalar part of Fhat_j . Ghat_k in End(T(label))."""
     scalar = reference_scalar_part(datum.tilt, label)
-    return Matrix(datum.reg.algebra.field,
+    return Matrix(datum.tilt.base.algebra.field,
                   [[scalar((fh @ gh).matrix) for gh in datum.Ghat[label]]
                    for fh in datum.Fhat[label]], cols=len(datum.G[label]))
 

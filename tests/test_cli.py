@@ -263,8 +263,9 @@ def test_parser_exit_codes_match_reference(argv, code):
 # Command lines drawn from a fixed vocabulary: the commands, the flags and
 # their prefixes, with a value as the next word or after `=`, catalog names
 # and ints, `--`, -h and two words argparse rejects.  A value after `=` is
-# never `--`: argparse read `--seed=--` as the value [] and failed later,
-# where `cli.parse_args` rejects `--` as an int.
+# never `--`: argparse reads `--seed=--` as the value [], which
+# `cli.parse_args` rejects after argparse and the reference does not
+# (`test_flag_equals_double_dash_exits_two`).
 VALUES_OF = {"--input": ["doc.json"], "--catalog": [*catalog_names(), "nonsense"],
              "--field": ["Q", "Fp 5"], "--seed": ["0", "3", "-1", "three"],
              "--trials": ["0", "12", "-3"], "--dim-bound": ["12"],
@@ -300,6 +301,39 @@ def command_lines(draw):
 @given(command_lines())
 def test_parser_matches_argparse_on_drawn_command_lines(argv):
     assert outcome(cli.parse_args, argv) == outcome(build_parser().parse_args, argv)
+
+
+@st.composite
+def canonical_lines(draw):
+    """A command and a source, then other flags at most once each, in any
+    order, each as `--flag value` with a valid value."""
+    values = {"--input": st.just("doc.json"), "--catalog": st.sampled_from(catalog_names()),
+              "--field": st.sampled_from(["Q", "Fp 2", "Fp 5", "Fp 10007"]),
+              "--format": st.sampled_from(["text", "json"])}
+    source = draw(st.sampled_from(cli.SOURCES))
+    others = draw(st.lists(st.sampled_from([flag for flag, *_ in cli.OPTIONS[2:]]),
+                           unique=True))
+    parts = [[draw(st.sampled_from(list(cli.COMMANDS)))]]
+    for flag in (source, *others):
+        parts.append([flag, draw(values.get(flag, st.integers(0, 10**6).map(str)))])
+    return [word for part in draw(st.permutations(parts)) for word in part]
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_lines())
+def test_canonical_lines_are_read_as_argparse_reads_them(argv):
+    values = cli._canonical(argv)
+    assert values is not None
+    assert values == vars(build_parser().parse_args(argv))
+    assert vars(cli.parse_args(argv)) == values
+
+
+@pytest.mark.parametrize("flag", [flag for flag, *_ in cli.OPTIONS])
+def test_flag_equals_double_dash_exits_two(flag):
+    # argparse reads `--flag=--` as the value [], which no flag can take
+    code, out, err = run_cli("cells", "--catalog", "ut3", f"{flag}=--")
+    assert code == 2 and out == b""
+    assert err.startswith(b"usage: tiltcell") and b"Traceback" not in err
 
 
 def test_parser_declares_each_option_once():
@@ -380,6 +414,31 @@ def test_malformed_document_exits_two_with_empty_stdout(command, where, value, t
     code, out, err = run_cli(command, "--input", str(path), "--format", "json")
     assert code == 2 and out == b""
     assert err.startswith(b"input error: ") and b"Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [("Fp 5", "1/5"), ("Fp 3", "2/6"), ("Fp 7", "0/14")])
+def test_parse_document_rejects_a_denominator_divisible_by_p(field, value):
+    # over F_p, b = 0 has no inverse; `Field.inv(0)` would read it as 0
+    doc = {"field": field, "algebra": {"dim": 1, "struct_consts": [[0, 0, 0, value]],
+                                       "unit": [1]},
+           "poset": {"labels": ["1"], "covers": []}}
+    with pytest.raises(InputError, match="denominator"):
+        parse_document(doc)
+    with pytest.raises(InputError, match="denominator"):
+        parse_document({**doc, "field": "Q"}, field)
+
+
+def test_fraction_over_q_overridden_by_its_denominators_prime_exits_two(tmp_path):
+    from tiltcell.docio import _CATALOG
+
+    doc = json.loads(json.dumps(_CATALOG["auslander-dualnumbers"]))
+    doc["algebra"]["struct_consts"][0][3] = "3/3"
+    path = tmp_path / "thirds.json"
+    path.write_text(json.dumps(doc))
+    assert parse_document(doc).algebra.dim == 5  # 3/3 is 1 over Q
+    code, out, err = run_cli("verify", "--input", str(path), "--field", "Fp 3")
+    assert code == 2 and out == b""
+    assert err.startswith(b"input error: ") and b"denominator" in err
 
 
 @pytest.mark.parametrize("where, value", [

@@ -41,6 +41,12 @@ def test_parse_scalars():
         Q.parse(1.5)
     with pytest.raises(InputError):
         Q.parse("1/0")
+    # a denominator divisible by p is 0 in F_p, not invertible
+    assert Q.parse("1/5") == Fraction(1, 5)
+    for text in ("1/5", "2/10", "0/-5"):
+        with pytest.raises(InputError, match="denominator"):
+            F5.parse(text)
+    assert F5.parse("1/6") == 1
 
 
 def test_rref_identity():

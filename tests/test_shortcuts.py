@@ -117,8 +117,9 @@ def test_multiply_matches_the_dense_product(make_algebra):
     algebra = make_algebra()
     F, n = algebra.field, algebra.dim
     vectors = [algebra.basis_vector(i) for i in range(n)]
+    # (i+1)/(i+2) where i+2 is invertible in F, else 0
     vectors += [algebra.unit, tuple(F.of(3 * i - 2) for i in range(n)),
-                tuple(F.parse(f"{i + 1}/{i + 2}") for i in range(n))]
+                tuple(F.parse(f"{i + 1}/{i + 2}") if F.of(i + 2) else F.zero() for i in range(n))]
     for a in vectors:
         for b in vectors:
             got, want = algebra.multiply(a, b), multiply_dense(algebra, a, b)

@@ -279,7 +279,7 @@ def coordinatewise_unitriangular(datum_a, datum_b):
             if pos2 == pos:
                 if coeff != 1:
                     return False
-            elif coeff and not datum_a.reg.poset.lt(idx[pos2][0], lam):
+            elif coeff and not datum_a.tilt.base.poset.lt(idx[pos2][0], lam):
                 return False
     return True
 
@@ -360,7 +360,7 @@ def sampled_weight_check(datum, rng):
     """The sampled certificate the rank check replaced: each cell of a fiber
     and 8 seeded random span elements must have nonzero weight at the
     fiber's label.  Returns the first failing label, or None."""
-    reg = datum.reg
+    reg = datum.tilt.base
     F = reg.algebra.field
     n = datum.module.dim
     for lam in datum.order:
@@ -376,7 +376,7 @@ def sampled_weight_check(datum, rng):
 def enumerated_weight_check(datum):
     """The first label whose fiber span holds a nonzero element of zero
     weight at that label, by enumerating every span element over F_p."""
-    reg = datum.reg
+    reg = datum.tilt.base
     F = reg.algebra.field
     n = datum.module.dim
     for lam in datum.order:
@@ -472,11 +472,11 @@ def matrix_residual_replay(datum, trials, rng, names, swap):
     """The replay as it was before cell coordinates: each residual is built
     as a matrix, phi . c_ij minus the scaled cells, and tested for
     membership in the span of the fibers strictly below."""
-    F = datum.reg.algebra.field
+    F = datum.tilt.base.algebra.field
     n = datum.module.dim
     lower = {lam: Subspace.from_rows(F, n * n, [
         datum.cell(mu, i, j).matrix.flat() for (mu, i, j) in datum.index()
-        if datum.reg.poset.lt(mu, lam)]) for lam in datum.order}
+        if datum.tilt.base.poset.lt(mu, lam)]) for lam in datum.order}
     probes = [datum.cell(lam, i, j) for (lam, i, j) in datum.index()]
     mats = [c.matrix for c in probes]
     for _ in range(trials):
@@ -635,7 +635,7 @@ def reference_probe_residuals(datum, a):
     from the probe itself: its products and structure coefficients are
     linear combinations over the table rows, the table columns and the
     basis elements' structure coefficients."""
-    F = datum.reg.algebra.field
+    F = datum.tilt.base.algebra.field
     n = datum.dim()
     table = product_table(datum)
     pos = datum._pos
@@ -664,7 +664,7 @@ def test_probe_residual_is_the_combination_of_basis_residuals(pipelines):
     rng = random.Random(11)
     violated = 0
     for name, datum in perturbed_datums(pipelines):
-        F = datum.reg.algebra.field
+        F = datum.tilt.base.algebra.field
         n = datum.dim()
         residuals = basis_residuals(datum)
         violated += bool(residuals)
@@ -822,7 +822,7 @@ def assert_table_matches_products(datum, rng, trials):
     """For seeded random probes phi = sum a_m cell_m: sum a_m table[m][pos]
     and sum a_m table[pos][m] are the coordinates of phi . cell_pos and of
     cell_pos . phi, read from the formed products."""
-    F = datum.reg.algebra.field
+    F = datum.tilt.base.algebra.field
     n = datum.module.dim
     table = product_table(datum)
     cells = [datum.cell(*key).matrix for key in datum.index()]

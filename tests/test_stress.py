@@ -284,7 +284,7 @@ def test_ext_layer_reads_projective_homs_and_covers_off_the_registry(monkeypatch
                         lambda m, n: solved_from.append(m.action) or hom_basis(m, n))
     monkeypatch.setattr(highest_weight, "projective_cover",
                         lambda reg, m: covered.append(m.action) or cover(reg, m))
-    reg = auslander3_pipeline("Fp 10007", 0).reg
+    reg = auslander3_pipeline("Fp 10007", 0).tilt.base
     projectives = {reg.projective(lab).action for lab in reg.poset.labels}
     seeded = {mod.action for lab in reg.poset.labels
               for mod in (reg.standard(lab), reg.simple(lab))}
