@@ -490,8 +490,8 @@ def _radical_from_projectives(algebra: AlgebraPresentation) -> Subspace:
 def _ideal_defect(algebra: AlgebraPresentation, rad: Subspace) -> str | None:
     """Why rad is not a nilpotent two-sided ideal of the algebra, or None.
     The right-ideal test takes g from the generators (`structure`'s lemma);
-    rad is a left ideal exactly when A.{v_i} = rad for its pivot rows v_i
-    outside the left ideal of the earlier ones."""
+    A.rad = A.{v_i} for its rows v_i outside the left ideal of the earlier
+    ones holds rad, so rad is a left ideal when the two have one dimension."""
     F = algebra.field
     n = algebra.dim
     for g in algebra.generators():
@@ -502,7 +502,7 @@ def _ideal_defect(algebra: AlgebraPresentation, rad: Subspace) -> str | None:
     for g in algebra.generators():
         ideal.add_generator(g)
     gens = [v for v in rad.basis.entries if ideal.add_vector(v)]
-    if submodule_generated(algebra.regular_module(), gens) != rad:
+    if len(ideal.rows) != rad.dim:
         return "not a left ideal"
     # nilpotency: R^{k+1} = R^k.A.{v_i} is spanned by the u.v_i.  The powers
     # of an ideal are nested, so they reach zero unless one step keeps the

@@ -363,7 +363,7 @@ def parse_args(argv=None):
 
 
 def run(args) -> int:
-    doc = (load_document(args.input, args.field) if args.input
+    doc = (load_document(args.input, args.field) if args.input is not None
            else catalog_document(args.catalog, args.field))
     for key, val in (("seed", args.seed), ("trials", args.trials),
                      ("dim_bound", args.dim_bound)):

@@ -93,7 +93,7 @@ class WeightPoset:
 class StandardData:
     """Per-label bundle: simple, projective, standard, costandard."""
 
-    __slots__ = ("label", "idempotent", "simple", "projective", "head_proj",
+    __slots__ = ("idempotent", "simple", "projective", "head_proj",
                  "standard", "standard_proj", "costandard")
 
     def __init__(self, **kw):
@@ -128,7 +128,7 @@ class Registry:
         self.data: dict[str, StandardData] = {}
         for label, sd in zip(poset.labels, simples):
             self.data[label] = StandardData(
-                label=label, idempotent=sd.idempotent, simple=sd.simple,
+                idempotent=sd.idempotent, simple=sd.simple,
                 projective=sd.projective, head_proj=sd.head_proj)
         self._build_standard_modules()
         self._build_costandard_modules()
@@ -213,46 +213,33 @@ def dualize_plain(algebra: AlgebraPresentation, m_op: ModuleRep) -> ModuleRep:
 def projective_cover(reg: Registry, m: ModuleRep):
     """Minimal projective cover (P0, epi P0 -> m, list of labels used).
 
-    Chooses, per label, hom images P(label) -> m whose composites to the
-    head are independent, exactly covering the head's isotypic parts; the
-    candidates are Hom(P(label), m)'s basis, read off e_label.m.  Raises
-    TheoremViolation unless the chosen maps cover the whole head, so that
-    the epimorphism is onto.
+    The candidates are the bases of Hom(P(label), m) in label order, read
+    off e_label.m.  The image of P(label) in the semisimple head is 0 or
+    L(label), so a map is chosen when its block of columns holds a pivot of
+    one elimination of all the candidates' head images, as in
+    `_ext1_cocycles`.  Raises TheoremViolation unless the chosen maps cover
+    the whole head, so that the epimorphism is onto.
     """
     F = reg.algebra.field
     head, head_proj = module_head(m)
-    blocks = []
-    labels_used = []
-    covered = Subspace.zero(F, head.dim)
-    for label in reg.poset.labels:
-        want = reg.mult(head, label)
-        if want == 0:
-            continue
-        P = reg.data[label].projective
-        taken = 0
-        for f in hom_space(P, m):
-            if taken == want:
-                break
-            to_head = head_proj.matrix @ f.matrix
-            candidate = covered.plus(Subspace.from_rows(F, head.dim, to_head.transpose().entries))
-            if candidate.dim > covered.dim:
-                covered = candidate
-                blocks.append((P, f))
-                labels_used.append(label)
-                taken += 1
-    if covered.dim != head.dim:
+    maps = [(label, f) for label in reg.poset.labels
+            for f in hom_space(reg.data[label].projective, m)]
+    images = [(k, col) for k, (_, f) in enumerate(maps)
+              for col in (head_proj.matrix @ f.matrix).transpose().entries]
+    pivots = Matrix(F, [col for _, col in images], cols=head.dim).transpose().rref()[1]
+    chosen = [maps[k] for k in dict.fromkeys(images[c][0] for c in pivots)]
+    labels_used = [label for label, _ in chosen]
+    if len(pivots) != head.dim:
         raise TheoremViolation(
-            f"projective cover of a module of dimension {m.dim} covers {covered.dim} of its "
+            f"projective cover of a module of dimension {m.dim} covers {len(pivots)} of its "
             f"{head.dim}-dimensional head (labels used: {labels_used})")
-    if not blocks:
+    if not chosen:
         zero_mod = ModuleRep(reg.algebra, 0, [Matrix.zeros(F, 0, 0)] * reg.algebra.dim, check=False)
         return zero_mod, Morphism(zero_mod, m, Matrix.zeros(F, m.dim, 0)), []
-    P0, _, projs = direct_sum([b[0] for b in blocks])
-    total = Matrix.zeros(F, m.dim, P0.dim)
-    for (_, f), pr in zip(blocks, projs):
-        total = total + f.matrix @ pr.matrix
-    pi = Morphism(P0, m, total)
-    return P0, pi, labels_used
+    P0 = direct_sum([f.source for _, f in chosen])[0]
+    pi = Matrix(F, [sum((f.matrix.entries[i] for _, f in chosen), ()) for i in range(m.dim)],
+                cols=P0.dim)
+    return P0, Morphism(P0, m, pi), labels_used
 
 
 def syzygy(reg: Registry, m: ModuleRep):

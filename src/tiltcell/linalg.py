@@ -12,11 +12,14 @@ entries (`Matrix.sparse_rows`) once, on first use, for every later reader.
 Zero rows are skipped after one `any()`; in products and combinations
 they are one `(zero,) * ncols` tuple.
 
-Subspaces are stored with a reduced-row-echelon basis, so two subspaces
-are equal as sets exactly when their basis matrices compare equal entry by
-entry.  `coordinates` row-reduces an independent family once and then reads
-the coordinates of a vector in its span at its pivots, refusing vectors
-outside it, or of a product known to lie there without forming it.
+Every span is kept in reduced row echelon form (RREF: each row has a
+leading 1, its pivot, where every other row is 0), so equal subspaces have
+equal basis matrices, and one pass over the pivots a vector holds
+(`reduce_by_pivots`) reduces it against a span, for subspaces, coordinate
+maps and `structure`'s closures alike.  `coordinates` row-reduces an
+independent family once and then reads the coordinates of a vector in its
+span at its pivots, refusing vectors outside it, or of a product known to
+lie there without forming it.
 Everything is deterministic: no floats, no hashing order, no randomness.
 """
 
@@ -461,6 +464,25 @@ def sparse_kernel(F: Field, rows, width: int) -> Matrix:
 # -- coordinates and linear combinations ---------------------------------------
 
 
+def reduce_by_pivots(p, v: dict, rows: dict) -> dict:
+    """v minus its multiples of RREF rows, in place: v and each row are
+    {column: nonzero value} dicts, rows keyed by their pivots (entry 1), p
+    the characteristic or None.  A row is 0 at every other pivot, so v's
+    entry at each pivot it holds is its multiple of that row, and one pass
+    over those pivots leaves what lies outside the span."""
+    for c in [c for c in v if c in rows]:
+        d = v[c]
+        for t, x in rows[c].items():
+            y = v.get(t, 0) - d * x
+            if p is not None:
+                y %= p
+            if y:
+                v[t] = y
+            else:
+                del v[t]
+    return v
+
+
 def coordinates(field: Field, rows, width: int):
     """Coordinate map of an independent family of vectors in K^width.
 
@@ -482,8 +504,8 @@ def coordinates(field: Field, rows, width: int):
                                 for i, r in enumerate(rows)], cols=width + k).rref()
     if pivots and pivots[-1] >= width:
         raise DependentFamily(f"family of {k} vectors in K^{width} is linearly dependent")
-    free = sorted(set(range(width)).difference(pivots))
-    steps = [(pc, [(c, r[c]) for c in free if r[c]]) for pc, r in zip(pivots, red.entries)]
+    prows = {pc: {c: x for c, x in enumerate(r[:width]) if x}
+             for pc, r in zip(pivots, red.entries)}
     trows = [[(t, x) for t, x in enumerate(r[width:]) if x] for r in red.entries]
     columns, places = {}, []
 
@@ -496,18 +518,7 @@ def coordinates(field: Field, rows, width: int):
         return tuple(out) if p is None else tuple([x % p for x in out])
 
     def coords(vec):
-        resid = list(vec)
-        for pc, srow in steps:
-            d = resid[pc]
-            if d:
-                resid[pc] = z
-                if p is None:
-                    for c, x in srow:
-                        resid[c] -= d * x
-                else:
-                    for c, x in srow:
-                        resid[c] = (resid[c] - d * x) % p
-        if any(resid):
+        if reduce_by_pivots(p, {c: x for c, x in enumerate(vec) if x}, prows):
             raise InconsistentSystem("vector outside the span of the family")
         return read([vec[pc] for pc in pivots])
 
@@ -616,11 +627,12 @@ class Subspace:
     deduplication and equality checks trivial.
     """
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "basis", "_pivot_rows")
 
     def __init__(self, ambient: int, basis: Matrix):
         self.ambient = ambient
         self.basis = basis
+        self._pivot_rows = None
         if basis.cols not in (ambient, 0):
             raise DimensionMismatch("basis width differs from ambient dimension")
 
@@ -662,30 +674,16 @@ class Subspace:
         return f"Subspace(dim {self.dim} of K^{self.ambient})"
 
     def contains_vector(self, vec) -> bool:
-        """Membership by reducing vec against the RREF basis.
-
-        Each basis row's pivot entry (the first of its sparse row) decides
-        its multiple; only the rows' nonzero entries are touched, and no
-        elimination is run.
-        """
-        if self.dim == 0:
-            return not any(vec)
-        if len(vec) != self.ambient:
+        """Membership by reducing vec against the RREF basis, whose rows are
+        listed by pivot once per subspace; no elimination is run."""
+        if self.dim and len(vec) != self.ambient:
             raise DimensionMismatch("vector length differs from ambient dimension")
         if not any(vec):
             return True
-        p = self.field.p
-        resid = list(vec)
-        for srow in self.basis.sparse_rows():
-            d = resid[srow[0][0]]
-            if d:
-                if p is None:
-                    for j, x in srow:
-                        resid[j] -= d * x
-                else:
-                    for j, x in srow:
-                        resid[j] = (resid[j] - d * x) % p
-        return not any(resid)
+        if self._pivot_rows is None:
+            self._pivot_rows = {srow[0][0]: dict(srow) for srow in self.basis.sparse_rows()}
+        return not reduce_by_pivots(self.field.p, {j: x for j, x in enumerate(vec) if x},
+                                    self._pivot_rows)
 
     def coordinates(self, m: Matrix) -> Matrix:
         """X with basis^T @ X = m: an RREF basis row is the only one nonzero
@@ -698,15 +696,6 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(r) for r in other.basis.entries)
-
-    def _check_ambient(self, other):
-        if self.ambient != other.ambient:
-            raise DimensionMismatch("subspaces live in different ambient spaces")
-
-    def plus(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        rows = list(self.basis.entries) + list(other.basis.entries)
-        return Subspace.from_rows(self.field, self.ambient, rows)
 
     def complement_projection(self):
         """Projection onto non-pivot coordinates and its section.

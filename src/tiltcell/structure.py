@@ -3,7 +3,9 @@ associativity check run when a presentation is loaded, and the generating
 set that `hom_space` imposes its intertwining equations for.
 
 Neither forms a matrix.  A subalgebra is grown as the span of the words in
-its generators applied to the unit, kept in echelon form on sparse rows.
+its generators applied to the unit, kept in reduced row echelon form on
+sparse rows, so a vector is reduced against it in one pass over the pivots
+it holds (`linalg.reduce_by_pivots`).
 
 Lemma: A's checks of a multiplicative identity may take the first factor
 among the generators only.  The a for which it holds against all other
@@ -31,6 +33,8 @@ a bottom-up walk probes 13 of the 14 cells, the top-down one 6.
 """
 
 from __future__ import annotations
+
+from .linalg import reduce_by_pivots
 
 
 def sparse_table(algebra):
@@ -91,16 +95,18 @@ class _Closure:
     """The subalgebra generated by the unit and a growing set of basis elements:
     the span of the words g_1 ... g_k . 1, kept closed under left multiplication
     by every generator as generators are added; on an empty unit, the left
-    ideal of the vectors added (`add_vector`).  Rows are sparse dicts with a
-    leading 1 at distinct leading columns, so a vector lies in the span exactly
-    when reducing it by leading column leaves nothing.  sparse[g][j] lists the
-    nonzero (k, c) of b_g b_j, read for the generators g only."""
+    ideal of the vectors added (`add_vector`).  Rows are sparse dicts in
+    reduced row echelon form, keyed by their pivots (leading 1s), so a vector
+    lies in the span exactly when reducing it at its pivots leaves nothing.
+    A new row is cleared from the others at its pivot by replacing them, never
+    by changing a row in place, so `extended` copies share rows.  sparse[g][j]
+    lists the nonzero (k, c) of b_g b_j, read for the generators g only."""
 
     def __init__(self, field, dim, unit, sparse):
         self.field = field
         self.dim = dim
         self.sparse = sparse
-        self.rows = {}        # leading column -> row
+        self.rows = {}        # pivot -> row
         self.gens = []
         self._insert({k: c for k, c in enumerate(unit) if c})
 
@@ -108,11 +114,10 @@ class _Closure:
         return len(self.rows) == self.dim
 
     def contains(self, i: int) -> bool:
-        return not self._reduce({i: self.field.one()})
+        return not reduce_by_pivots(self.field.p, {i: self.field.one()}, self.rows)
 
     def extended(self, gens) -> _Closure:
-        """A copy closed under gens as well.  A row never changes once
-        inserted, so the copy shares them."""
+        """A copy closed under gens as well, sharing the rows."""
         new = object.__new__(_Closure)
         new.__dict__.update(vars(self), rows=dict(self.rows), gens=list(self.gens))
         for g in gens:
@@ -139,33 +144,19 @@ class _Closure:
                 work.extend((k, row) for k in self.gens)
 
     def _insert(self, v: dict) -> dict | None:
-        """Reduce v; a remainder joins the rows, scaled to a leading 1."""
-        p = self.field.p
-        v = self._reduce(v)
-        if not v:
+        """Reduce v; a remainder joins the rows, scaled to a leading 1 and
+        cleared from the other rows at its pivot."""
+        p, rows = self.field.p, self.rows
+        if not v or not reduce_by_pivots(p, v, rows):
             return None
         lead = min(v)
         s = self.field.inv(v[lead])
-        row = self.rows[lead] = {t: x * s if p is None else x * s % p for t, x in v.items()}
+        row = {t: x * s if p is None else x * s % p for t, x in v.items()}
+        new = {lead: row}
+        for c in [c for c, r in rows.items() if lead in r]:
+            rows[c] = reduce_by_pivots(p, dict(rows[c]), new)
+        rows[lead] = row
         return row
-
-    def _reduce(self, v: dict) -> dict:
-        p, rows = self.field.p, self.rows
-        while v:
-            lead = min(v)
-            row = rows.get(lead)
-            if row is None:
-                return v
-            d = v[lead]
-            for t, x in row.items():
-                y = v.get(t, 0) - d * x
-                if p is not None:
-                    y %= p
-                if y:
-                    v[t] = y
-                else:
-                    del v[t]
-        return v
 
     def _left_mult(self, g: int, v: dict) -> dict:
         p, row = self.field.p, self.sparse[g]

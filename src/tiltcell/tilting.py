@@ -38,10 +38,9 @@ class TiltingTriple:
     scalar is absorbed into pi.
     """
 
-    __slots__ = ("label", "module", "i", "pi", "c")
+    __slots__ = ("module", "i", "pi", "c")
 
-    def __init__(self, label, module, i, pi, c):
-        self.label = label
+    def __init__(self, module, i, pi, c):
         self.module = module
         self.i = i
         self.pi = pi
@@ -122,7 +121,7 @@ def _make_triple(reg: Registry, label: str, t_mod: ModuleRep) -> TiltingTriple:
     for mu in reg.factor_labels(t_mod):
         if not reg.poset.leq(mu, label):
             raise TheoremViolation(f"factor {mu!r} above the tilting label {label!r}")
-    return TiltingTriple(label, t_mod, i, pi, c)
+    return TiltingTriple(t_mod, i, pi, c)
 
 
 class TiltingRegistry:

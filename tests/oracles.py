@@ -18,6 +18,7 @@ from tiltcell.algebra import (
     _fitting_projection,
     _hom_basis,
     _indec_isomorphism,
+    direct_sum,
     hom_space,
     krull_schmidt,
     module_head,
@@ -29,7 +30,13 @@ from tiltcell.algebra import (
 from tiltcell.cells import cell_module, gram_matrix
 from tiltcell.cli import COMMANDS
 from tiltcell.docio import catalog_names
-from tiltcell.errors import AxiomViolation, DimensionMismatch, InputError, TiltcellError
+from tiltcell.errors import (
+    AxiomViolation,
+    DimensionMismatch,
+    InputError,
+    TheoremViolation,
+    TiltcellError,
+)
 from tiltcell.highest_weight import Registry, dualize_plain, ext1_dim, projective_cover
 from tiltcell.linalg import Matrix, Subspace, coordinates
 from tiltcell.standard_basis import StandardBasisDatum, structure_coefficients
@@ -58,6 +65,13 @@ class NoFiltration(TiltcellError):
 def from_int_rows(field, rows) -> Matrix:
     """A matrix of integer entries, each read into the field."""
     return Matrix(field, [[field.of(x) for x in r] for r in rows])
+
+
+def span_sum(v: Subspace, w: Subspace) -> Subspace:
+    """V + W, from the rows of both bases."""
+    if v.ambient != w.ambient:
+        raise DimensionMismatch("subspaces live in different ambient spaces")
+    return Subspace.from_rows(v.field, v.ambient, v.basis.entries + w.basis.entries)
 
 
 def image(f: Morphism) -> Subspace:
@@ -239,6 +253,46 @@ def solved_homs(m: ModuleRep, n: ModuleRep) -> list[Matrix]:
     return list(_hom_basis(m, n)) if m.dim and n.dim else []
 
 
+def projective_cover_greedy(reg: Registry, m: ModuleRep):
+    """`projective_cover` as it was before one elimination: per label, up to
+    [head : L(label)] maps of Hom(P(label), m) whose head images enlarge the
+    span covered so far, each tested by a subspace sum, and pi summed from
+    the maps composed with the projections of P0."""
+    F = reg.algebra.field
+    head, head_proj = module_head(m)
+    blocks, labels_used = [], []
+    covered = Subspace.zero(F, head.dim)
+    for label in reg.poset.labels:
+        want = reg.mult(head, label)
+        if want == 0:
+            continue
+        P = reg.data[label].projective
+        taken = 0
+        for f in hom_space(P, m):
+            if taken == want:
+                break
+            to_head = head_proj.matrix @ f.matrix
+            candidate = span_sum(covered, Subspace.from_rows(F, head.dim,
+                                                             to_head.transpose().entries))
+            if candidate.dim > covered.dim:
+                covered = candidate
+                blocks.append((P, f))
+                labels_used.append(label)
+                taken += 1
+    if covered.dim != head.dim:
+        raise TheoremViolation(
+            f"projective cover of a module of dimension {m.dim} covers {covered.dim} of its "
+            f"{head.dim}-dimensional head (labels used: {labels_used})")
+    if not blocks:
+        zero_mod = ModuleRep(reg.algebra, 0, [Matrix.zeros(F, 0, 0)] * reg.algebra.dim, check=False)
+        return zero_mod, Morphism(zero_mod, m, Matrix.zeros(F, m.dim, 0)), []
+    P0, _, projs = direct_sum([b[0] for b in blocks])
+    total = Matrix.zeros(F, m.dim, P0.dim)
+    for (_, f), pr in zip(blocks, projs):
+        total = total + f.matrix @ pr.matrix
+    return P0, Morphism(P0, m, total), labels_used
+
+
 def cover_route_ext_dims(reg: Registry, m: ModuleRep, n: ModuleRep):
     """(dim Ext^1(m, n), dim Ext^2(m, n)) from `projective_cover`'s
     presentations and solved hom spaces: no cover read off the Registry and
@@ -252,8 +306,8 @@ def cover_route_ext_dims(reg: Registry, m: ModuleRep, n: ModuleRep):
         width = n.dim * omega.dim
         cobound = Subspace.from_rows(F, width, [(g @ incl.matrix).flat()
                                                 for g in solved_homs(P0, n)])
-        both = cobound.plus(Subspace.from_rows(F, width, [h.flat()
-                                                          for h in solved_homs(omega, n)]))
+        both = span_sum(cobound, Subspace.from_rows(F, width, [h.flat()
+                                                               for h in solved_homs(omega, n)]))
         return both.dim - cobound.dim, omega
 
     e1, omega = ext1(m)

@@ -62,7 +62,7 @@ from oracles import (
     opposite_projective,
 )
 from test_schur import schur_algebra, schur_pipeline
-from test_standard_basis import auslander3_pipeline, char_tilting
+from test_standard_basis import auslander3_pipeline, char_tilting, check_closures_reduced
 from test_stress import auslander_algebra, chain_poset
 
 Q = Field()
@@ -1066,6 +1066,22 @@ def test_generating_set_matches_closures_rebuilt_from_the_unit():
     algebras += [schur_algebra(F, r)[0] for F in (Q, Field(3)) for r in (3, 4)]
     for alg in algebras:
         assert generating_set(alg) == generating_set_rebuilt(alg), alg.name
+
+
+@pytest.mark.parametrize("make_algebra", [
+    pytest.param(lambda name=name: catalog_document(name).algebra, id=name)
+    for name in catalog_names()]
+    + [pytest.param(lambda n=n, p=p: auslander_algebra(Field(p), n), id=f"auslander{n}-{p or 'Q'}")
+       for p in (None, 2, 10007) for n in (2, 3, 4)]
+    + [pytest.param(lambda r=r: schur_algebra(Q, r)[0], id=f"schur{r}-Q") for r in (2, 3, 4)])
+def test_closures_stay_reduced(make_algebra, monkeypatch):
+    # the generating set's closures and the radical's left ideal keep their
+    # rows in reduced row echelon form after every step
+    checked = check_closures_reduced(monkeypatch)
+    algebra = make_algebra()
+    assert generating_set(algebra) == algebra.generators()
+    algebra_radical(algebra)
+    assert checked or algebra.dim == 1
 
 
 # -- isomorphism from one hom basis, against the composite search ------------

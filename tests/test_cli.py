@@ -77,6 +77,14 @@ def test_unreadable_document_exit_two(content, tmp_path, capsys):
     assert err.startswith("input error: cannot read input document") and "Traceback" not in err
 
 
+def test_empty_input_path_names_the_unreadable_path():
+    # an empty --input is a path to read, not an absent source
+    code, out, err = run_cli("cells", "--input", "")
+    assert code == 2
+    assert b"cannot read input document" in err
+    assert out == b""
+
+
 @pytest.mark.parametrize("poset, tilting, message", [
     ({"labels": [True]}, None, "must be a string"),
     ({"labels": [1]}, None, "must be a string"),

@@ -14,7 +14,7 @@ from tiltcell.algebra import (
     submodule_generated,
     submodule_rep,
 )
-from tiltcell.docio import catalog_document
+from tiltcell.docio import catalog_document, catalog_names
 from tiltcell.errors import AxiomViolation, InputError, TheoremViolation
 from tiltcell.highest_weight import (
     Registry,
@@ -43,7 +43,9 @@ from oracles import (
     maximal_among,
     nabla_filtration,
     opposite_projective,
+    projective_cover_greedy,
     solved_homs,
+    span_sum,
     subquotient,
 )
 from test_schur import F2, F3, schur_algebra
@@ -336,7 +338,7 @@ def reference_cocycles(reg, m, n):
                                          for h in hom_space(P0, n)])
     chosen = []
     for h in homs_omega:
-        cand = span.plus(Subspace.from_rows(F, width, [h.matrix.flat()]))
+        cand = span_sum(span, Subspace.from_rows(F, width, [h.matrix.flat()]))
         if cand.dim > span.dim:
             span = cand
             chosen.append(h)
@@ -607,15 +609,40 @@ def test_ext_dims_match_cover_route(name):
 
 
 def test_projective_cover_refuses_an_uncovered_head(monkeypatch):
-    # a multiplicity that undercounts the head leaves pi short of onto
+    # a hom space one map short leaves pi short of onto
     _, reg = build("a2path")
     L = reg.simple("1")
     m, _, _ = direct_sum([L, L])
-    mult = reg.mult
-    monkeypatch.setattr(reg, "mult", lambda mod, label: min(1, mult(mod, label)))
+    homs = highest_weight.hom_space
+    monkeypatch.setattr(highest_weight, "hom_space",
+                        lambda src, dst: homs(src, dst)[:-1] if dst is m else homs(src, dst))
     with pytest.raises(TheoremViolation, match=r"dimension 2 covers 1 of its "
                        r"2-dimensional head \(labels used: \['1'\]\)"):
         projective_cover(reg, m)
+
+
+COVER_CASES = (
+    [pytest.param(lambda name=name: build(name)[1], id=name) for name in catalog_names()]
+    + [pytest.param(lambda field=field, n=n: Registry(auslander_algebra(field, n), chain_poset(n)),
+                    id=f"auslander{n}-{field!r}")
+       for field in (Q, F2) for n in (2, 3, 4)]
+    + [pytest.param(lambda: Registry(*schur_algebra(Q, 3)[::3]), id="S(2,3)-Q")])
+
+
+@pytest.mark.parametrize("make_registry", COVER_CASES)
+def test_projective_cover_matches_greedy_reference(make_registry):
+    # one elimination of all the head images chooses the maps the per-label
+    # greedy sums chose, on the simples, standards, costandards and their
+    # syzygies
+    reg = make_registry()
+    mods = [mod for lab in reg.poset.labels for mod in (
+        reg.simple(lab), reg.standard(lab), reg.costandard(lab))]
+    mods += [syzygy(reg, mod)[0] for mod in mods]
+    for m in mods:
+        P0, pi, labels = projective_cover(reg, m)
+        ref_P0, ref_pi, ref_labels = projective_cover_greedy(reg, m)
+        assert (P0.action, pi.matrix, labels) == (ref_P0.action, ref_pi.matrix, ref_labels)
+        assert str(pi.matrix) == str(ref_pi.matrix)
 
 
 def test_registry_cover_outside_the_radical_is_refused(monkeypatch):

@@ -19,7 +19,7 @@ from tiltcell.linalg import (
     vstack,
 )
 
-from oracles import from_int_rows, hstack, intersect
+from oracles import from_int_rows, hstack, intersect, span_sum
 from test_algebra import minpoly
 
 Q = Field()
@@ -110,8 +110,8 @@ def test_subspace_lattice_q3():
     assert inter == Subspace.from_rows(Q, 3, [[0, 1, 0]])
     assert intersect(v12, v12) == v12
     zero = Subspace.zero(Q, 3)
-    assert v12.plus(zero) == v12
-    assert v12.plus(v23).dim == 3
+    assert span_sum(v12, zero) == v12
+    assert span_sum(v12, v23).dim == 3
 
 
 def test_subspace_canonical_equality():
@@ -217,7 +217,7 @@ def test_dim_formula_intersection_sum(pair):
     ma, mb = pair
     v = Subspace.from_rows(F5, 4, ma.entries)
     w = Subspace.from_rows(F5, 4, mb.entries)
-    assert intersect(v, w).dim + v.plus(w).dim == v.dim + w.dim
+    assert intersect(v, w).dim + span_sum(v, w).dim == v.dim + w.dim
 
 
 @settings(max_examples=60, deadline=None)

@@ -222,3 +222,40 @@ def test_unread_parameters_are_found():
 def test_every_parameter_is_read():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_parameters(sources) == []
+
+
+def unread_slots(sources: dict[str, str]) -> list[str]:
+    """'module:Class.slot' of each `__slots__` name of a module-level class
+    of `sources` that no module loads as an attribute."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.Assign) and any(
+                        getattr(t, "id", None) == "__slots__" for t in node.targets):
+                    found += [f"{module}:{cls.name}.{slot}"
+                              for slot in ast.literal_eval(node.value) if slot not in loaded]
+    return found
+
+
+def test_unread_slots_are_found():
+    sources = {
+        "a": ("class Shape:\n"
+              "    __slots__ = ('size', 'label', 'colour')\n\n"
+              "    def __init__(self, size, label, colour):\n"
+              "        self.size = size\n        self.label = label\n"
+              "        setattr(self, 'colour', colour)\n\n"
+              "    def area(self):\n        return self.size ** 2\n"),
+        "b": ("def paint(shape):\n    return shape.colour\n"),
+    }
+    assert unread_slots(sources) == ["a:Shape.label"]
+
+
+def test_every_slot_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_slots(sources) == []

@@ -35,6 +35,7 @@ from oracles import (
     ideal_defect_all_basis,
     multiply_dense,
     quotient_rep_two_products,
+    span_sum,
     submodule_rep_all_actions,
 )
 from test_schur import schur_algebra
@@ -146,7 +147,7 @@ def test_ideal_defect_matches_the_all_basis_test(make_algebra):
                  for mod in (left_mod, right_mod) for i in range(n)]
     perturbed = [rad, Subspace.zero(F, n), Subspace.full(F, n)]
     for i in range(n):
-        perturbed += [rad.plus(Subspace.from_rows(F, n, [algebra.basis_vector(i)])),
+        perturbed += [span_sum(rad, Subspace.from_rows(F, n, [algebra.basis_vector(i)])),
                       Subspace.from_rows(F, n, [r for k, r in enumerate(rad.basis.entries)
                                                 if k != i])]
     verdicts = []

@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,7 @@ from tiltcell.standard_basis import (
     structure_coefficients,
     verify_standard_axioms,
 )
+from tiltcell.structure import _Closure
 from tiltcell.tilting import TiltingRegistry
 
 from oracles import (
@@ -38,6 +40,25 @@ from test_stress import F10007, Q, auslander_algebra, chain_poset
 def char_tilting(reg, tilt):
     total, _, _ = direct_sum([tilt.module(lab) for lab in reg.poset.labels])
     return total
+
+
+def check_closures_reduced(monkeypatch):
+    """From now on, check after every `_Closure.add_generator` and
+    `add_vector` that the closure's rows, as dense vectors sorted by pivot,
+    are the RREF basis `Subspace.from_rows` gives their span, each keyed by
+    its leading column.  Returns the list of checked row sets."""
+    checked = []
+    for name in ("add_generator", "add_vector"):
+        def step(self, arg, method=getattr(_Closure, name)):
+            out = method(self, arg)
+            assert all(min(row) == c for c, row in self.rows.items())
+            dense = tuple(tuple(row.get(j, 0) for j in range(self.dim))
+                          for _, row in sorted(self.rows.items()))
+            assert Subspace.from_rows(self.field, self.dim, dense).basis.entries == dense
+            checked.append(dense)
+            return out
+        monkeypatch.setattr(_Closure, name, step)
+    return checked
 
 
 # -- image weights -----------------------------------------------------------------
@@ -937,3 +958,34 @@ def test_hom_filtration_object(pipelines):
     assert by_oracle == by_fibers
     # monotone in the order
     assert by_oracle["1"].contains(by_oracle["2"])
+
+
+# -- the axiom walk's closure --------------------------------------------------------
+
+
+def test_axiom_walk_closures_stay_reduced(pipelines, monkeypatch):
+    # seeded lifts make the probed cells' coordinates dense
+    checked = check_closures_reduced(monkeypatch)
+    for _, reg, tilt in pipelines.values():
+        for seed in (0, 3):
+            verify_standard_axioms(build_standard_basis(tilt, char_tilting(reg, tilt), seed=seed))
+    assert checked
+
+
+def test_axiom_walk_closure_entries_stay_small(monkeypatch):
+    # an echelon form that is not reduced let the rows' entries grow to
+    # 6258 bits here; the reduced rows' entries stay at 11 bits or less
+    reg = Registry(auslander_algebra(Q, 4), chain_poset(4))
+    tilt = TiltingRegistry(reg)
+    datum = build_standard_basis(tilt, char_tilting(reg, tilt), seed=3)
+    bits = []
+
+    class Spy(_Closure):
+        def add_generator(self, g):
+            super().add_generator(g)
+            bits.extend(max(Fraction(x).numerator.bit_length(), Fraction(x).denominator.bit_length())
+                        for row in self.rows.values() for x in row.values())
+
+    monkeypatch.setattr(tiltcell.standard_basis, "_Closure", Spy)
+    verify_standard_axioms(datum)
+    assert bits and max(bits) < 256
