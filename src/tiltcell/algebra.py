@@ -369,7 +369,9 @@ def _yoneda_basis(n: ModuleRep, incl: Matrix) -> tuple[Matrix, ...]:
 def _hom_basis(m: ModuleRep, n: ModuleRep) -> tuple[Matrix, ...]:
     """`hom_space`'s basis solved from X a_M(g) = a_N(g) X for A's
     generators g, enough as every module's action is a unital algebra
-    homomorphism (checked on load or built from A's operations)."""
+    homomorphism (checked on load or built from A's operations).  Entry
+    (r, c) of an equation reads 0 = 0 unless row r of a_N(g) or column c of
+    a_M(g) is nonzero, and only those entries are formed."""
     F = m.algebra.field
     p = F.p
     dm, dn = m.dim, n.dim
@@ -381,11 +383,12 @@ def _hom_basis(m: ModuleRep, n: ModuleRep) -> tuple[Matrix, ...]:
         for k, srow in enumerate(m.action[b].sparse_rows()):
             for c, x in srow:
                 am_cols[c].append((k, x))
+        live = [c for c in range(dm) if am_cols[c]]
         # (an X)[r, c] = sum_k an[r, k] X[k, c]
         an_rows = n.action[b].sparse_rows()
         for r in range(dn):
             an_r = an_rows[r]
-            for c in range(dm):
+            for c in range(dm) if an_r else live:
                 row = {r * dm + k: x for k, x in am_cols[c]}
                 for k, x in an_r:
                     t = k * dm + c

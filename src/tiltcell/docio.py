@@ -40,7 +40,7 @@ def parse_field(spec) -> Field:
         return Field()
     if text.startswith("Fp"):
         rest = text[2:].strip()
-        if rest.isdigit():
+        if rest.isascii() and rest.isdigit():
             return Field(int(rest))
     raise InputError(f'field spec must be "Q" or "Fp <p>", got {spec!r}')
 

@@ -10,7 +10,8 @@ entry by entry, to the dense loops the tests keep as the reference.
 Matrices and subspaces are immutable, so a matrix lists its rows' nonzero
 entries (`Matrix.sparse_rows`) once, on first use, for every later reader.
 Zero rows are skipped after one `any()`; in products and combinations
-they are one `(zero,) * ncols` tuple.
+they are one `(zero,) * ncols` tuple, and a product's left row with one
+nonzero entry is a row of the right factor, shared when the entry is 1.
 
 Every span is kept in reduced row echelon form (RREF: each row has a
 leading 1, its pivot, where every other row is 0), so equal subspaces have
@@ -178,15 +179,16 @@ class Matrix:
 
     def __init__(self, field: Field, entries, cols: int | None = None):
         self.field = field
-        rows = tuple(tuple(r) for r in entries)
+        rows = tuple(map(tuple, entries))
         self.entries = rows
         self._hash = None
         self._sparse = None
         self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else (cols or 0)
-        for r in rows:
-            if len(r) != self.cols:
-                raise DimensionMismatch("ragged matrix rows")
+        self.cols = width = len(rows[0]) if rows else (cols or 0)
+        if cols is not None and cols != width:
+            raise DimensionMismatch(f"rows of width {width}, declared width {cols}")
+        if any(len(r) != width for r in rows):
+            raise DimensionMismatch("ragged matrix rows")
 
     @classmethod
     def _of(cls, field: Field, rows: tuple, cols: int) -> "Matrix":
@@ -220,12 +222,13 @@ class Matrix:
     # -- identity / hashing ------------------------------------------------------
 
     def __eq__(self, other):
-        return (
+        """The same matrix at once; else width and rows, then the
+        characteristic, read directly rather than through `Field.__eq__`."""
+        return other is self or (
             isinstance(other, Matrix)
-            and self.field == other.field
-            and self.rows == other.rows
             and self.cols == other.cols
             and self.entries == other.entries
+            and self.field.p == other.field.p
         )
 
     def __hash__(self):
@@ -237,8 +240,8 @@ class Matrix:
         """Each row's nonzero (column, value) pairs in column order, listed
         once per matrix and shared by every later reader."""
         if self._sparse is None:
-            self._sparse = tuple([(j, x) for j, x in enumerate(r) if x] if any(r) else []
-                                 for r in self.entries)
+            self._sparse = tuple([[(j, x) for j, x in enumerate(r) if x] if any(r) else []
+                                  for r in self.entries])
         return self._sparse
 
     def __repr__(self):
@@ -280,10 +283,13 @@ class Matrix:
 
         Both factors are read through `sparse_rows`, formed once per matrix,
         so a factor used in many products is scanned for its nonzero
-        entries once.  Each output row accumulates a * b over nonzero a and
+        entries once.  A left row with one nonzero entry a, at k, gives row
+        k of the right factor: that row itself when a = 1, else its nonzero
+        entries times a.  Any other row accumulates a * b over nonzero a and
         nonzero b, in increasing column order of a, and is reduced mod p
-        once.  The result equals the dense triple loop's entry by entry (the
-        tests keep that loop as the reference).
+        once.  Zero rows are one shared tuple.  The result equals the dense
+        triple loop's entry by entry (the tests keep that loop as the
+        reference).
         """
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
@@ -291,12 +297,24 @@ class Matrix:
         p = F.p
         zero = F.zero()
         ncols = other.cols
-        sparse = other.sparse_rows()
+        sparse, brows = other.sparse_rows(), other.entries
         zero_row = (zero,) * ncols
         out = []
         for srow_a in self.sparse_rows():
             if not srow_a:
                 out.append(zero_row)
+                continue
+            if len(srow_a) == 1:
+                k, a = srow_a[0]
+                if not sparse[k]:
+                    out.append(zero_row)
+                elif a == 1:
+                    out.append(brows[k])
+                else:
+                    row = [zero] * ncols
+                    for j, b in sparse[k]:
+                        row[j] = a * b if p is None else a * b % p
+                    out.append(tuple(row))
                 continue
             row = [zero] * ncols
             for k, a in srow_a:
@@ -348,8 +366,10 @@ class Matrix:
         pivots = []
         prow = 0
         for col in range(ncols):
-            sel = next((r for r in range(prow, nrows) if m[r][col]), None)
-            if sel is None:
+            for sel in range(prow, nrows):
+                if m[sel][col]:
+                    break
+            else:
                 continue
             m[prow], m[sel] = m[sel], m[prow]
             pivot_row = m[prow]

@@ -100,12 +100,15 @@ class _Closure:
     lies in the span exactly when reducing it at its pivots leaves nothing.
     A new row is cleared from the others at its pivot by replacing them, never
     by changing a row in place, so `extended` copies share rows.  sparse[g][j]
-    lists the nonzero (k, c) of b_g b_j, read for the generators g only."""
+    lists the nonzero (k, c) of b_g b_j, read for the generators g only, when
+    g is first used; a row whose support misses every j with b_g b_j != 0 is
+    not multiplied by g."""
 
     def __init__(self, field, dim, unit, sparse):
         self.field = field
         self.dim = dim
         self.sparse = sparse
+        self.support = {}     # generator g -> the j with b_g b_j != 0
         self.rows = {}        # pivot -> row
         self.gens = []
         self._insert({k: c for k, c in enumerate(unit) if c})
@@ -137,8 +140,13 @@ class _Closure:
         return bool(row)
 
     def _close(self, work):
+        support = self.support
         while work and not self.full():
             h, v = work.pop()
+            if h not in support:
+                support[h] = frozenset(j for j, r in enumerate(self.sparse[h]) if r)
+            if support[h].isdisjoint(v):
+                continue
             row = self._insert(self._left_mult(h, v))
             if row is not None:
                 work.extend((k, row) for k in self.gens)

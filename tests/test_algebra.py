@@ -971,6 +971,41 @@ def test_hom_space_matches_all_basis_equations(make_groups):
     assert nonzero > 0
 
 
+def radical_layers(m):
+    """m, its radical and its head, and the same of the radical, down the
+    radical series: modules whose actions have zero rows and columns."""
+    layers = []
+    while m.dim:
+        rad = module_radical(m)
+        layers += [m, quotient_rep(m, rad)[0]]
+        m = submodule_rep(m, rad)[0]
+    return layers
+
+
+@pytest.mark.parametrize("make_algebra", [
+    pytest.param(lambda: catalog_document("ut3", "Q").algebra, id="ut3-Q"),
+    pytest.param(lambda: auslander_algebra(Q, 3), id="auslander3-Q"),
+    pytest.param(lambda: auslander_algebra(Field(2), 3), id="auslander3-2"),
+    pytest.param(lambda: auslander_algebra(F10007, 3), id="auslander3-10007")])
+def test_hom_basis_matches_all_basis_equations_on_sparse_actions(make_algebra):
+    # _hom_basis forms only the entries of its equations that can be nonzero;
+    # on simples and radical layers most rows and columns of the actions are 0
+    alg = make_algebra()
+    simples = simples_and_split_check(alg)
+    mods = [sd.simple for sd in simples] + [x for sd in simples for x in radical_layers(sd.projective)]
+    gens = alg.generators()
+    assert any(not any(r) for m in mods for g in gens for r in m.action[g].entries)
+    assert any(not any(c) for m in mods for g in gens for c in m.action[g].transpose().entries)
+    nonzero = 0
+    for m in mods:
+        for n in mods:
+            got, want = list(_hom_basis(m, n)), hom_space_reference(m, n)
+            assert got == want
+            assert [str(g) for g in got] == [str(g) for g in want]
+            nonzero += bool(got)
+    assert nonzero > len(mods)
+
+
 def test_hom_space_imposes_generator_equations_only(monkeypatch):
     # a fresh presentation of the same table: the cached one may already
     # hold Hom(A, A) from earlier tests

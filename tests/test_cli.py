@@ -141,6 +141,14 @@ def test_field_override_prime():
     assert report["input"]["field"] == "F5"
 
 
+@pytest.mark.parametrize("spec", ["Fp \u00b2", "Fp \u0663"], ids=["superscript-2", "arabic-indic-3"])
+def test_field_spec_with_non_ascii_digits_rejected(spec):
+    # str.isdigit accepts both; the first then crashed int(), the second read as F_3
+    code, out, err = run_cli("verify", "--catalog", "trivial", "--field", spec)
+    assert (code, out) == (2, b"")
+    assert err.startswith(b"input error: field spec") and b"Traceback" not in err
+
+
 def test_cellular_requires_anti_involution():
     code, _, err = run_cli("cellular", "--catalog", "a2path")
     assert code == 2

@@ -136,6 +136,32 @@ def test_equal_matrices_hash_equal_however_built(field):
     assert hash(Matrix(field, rows).transpose()) == hash(Matrix(field, list(zip(*rows))))
 
 
+def test_matrix_equality_contract():
+    m = Matrix(Q, [[1, 0], [Fraction(1, 2), 3]])
+    assert m == m
+    for p in (None, 5):
+        x, y = Matrix(Field(p), [[1, 0, 2]]), Matrix(Field(p), [[1, 0, 2]])
+        assert x.field is not y.field
+        assert x == y and hash(x) == hash(y)
+    assert Matrix(Q, [[1, 0, 2]]) != Matrix(F5, [[1, 0, 2]])
+    assert Matrix.identity(Q, 2) != Matrix.identity(F5, 2)
+    assert Matrix(Q, [], cols=3) != Matrix(Q, [], cols=4)
+    assert Matrix.zeros(Q, 3, 0) != Matrix.zeros(Q, 4, 0)
+    assert Matrix.zeros(Q, 3, 0) == Matrix(Q, [[], [], []])
+    assert hash(Matrix.zeros(Q, 3, 0)) == hash(Matrix(Q, [[], [], []]))
+    assert m != m.entries
+
+
+def test_declared_width_binds():
+    assert Matrix(Q, [[1, 2]], cols=2).cols == 2
+    assert Matrix(Q, [], cols=3).cols == 3
+    for rows, cols in [([[1, 2]], 3), ([[1, 2]], 0), ([[], []], 1)]:
+        with pytest.raises(DimensionMismatch):
+            Matrix(Q, rows, cols=cols)
+    with pytest.raises(DimensionMismatch):
+        Matrix(Q, [[1, 2], [3]])
+
+
 def test_complement_projection_roundtrip():
     s = Subspace.from_rows(Q, 3, [[1, 2, 0]])
     proj, section = s.complement_projection()
@@ -455,13 +481,20 @@ def printed(m):
 
 
 def sparse_scalars(field):
-    """Mostly zero, with repeated small values so that updates cancel."""
+    """Mostly zero, with repeated small values so that updates cancel; over
+    Q ints, integral Fractions and proper fractions."""
     ints = st.sampled_from([0, 0, 0, 0, 0, 1, 1, -1, 2, -2, 3])
     if field.p is None:
-        return st.one_of(ints.map(Fraction),
+        return st.one_of(ints, ints.map(Fraction),
                          st.tuples(st.integers(-3, 3), st.integers(1, 3)).map(
                              lambda t: Fraction(*t)))
     return st.one_of(ints, st.integers(0, field.p - 1)).map(field.of)
+
+
+def nonzero_scalars(field):
+    """1, as an int or an integral Fraction, or another nonzero value."""
+    ones = st.sampled_from([1, Fraction(1)] if field.p is None else [1])
+    return st.one_of(ones, sparse_scalars(field).filter(bool))
 
 
 @st.composite
@@ -469,6 +502,11 @@ def sparse_matrices(draw, field, rows=None, cols=None):
     rows = draw(st.integers(0, 7)) if rows is None else rows
     cols = draw(st.integers(0, 7)) if cols is None else cols
     ent = [[draw(sparse_scalars(field)) for _ in range(cols)] for _ in range(rows)]
+    # rows with a single nonzero entry, 1 or another value
+    for r in draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=3)):
+        if r < rows and cols:
+            ent[r] = [field.zero()] * cols
+            ent[r][draw(st.integers(0, cols - 1))] = draw(nonzero_scalars(field))
     # whole zero rows and columns, and rows repeated up to a scalar
     for r in draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2)):
         if r < rows:
@@ -483,7 +521,7 @@ def sparse_matrices(draw, field, rows=None, cols=None):
     return Matrix(field, ent, cols=cols)
 
 
-kernel_fields = st.sampled_from([Q, F5, F10007])
+kernel_fields = st.sampled_from([Q, Field(2), F5, F10007])
 
 
 @settings(max_examples=150, deadline=None)
@@ -599,10 +637,24 @@ def test_inverse_rejects_non_square():
         Matrix(Q, [[1, 2]]).inverse()
 
 
-@settings(max_examples=150, deadline=None)
-@given(kernel_fields.flatmap(lambda F: st.tuples(
-    st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)).flatmap(lambda s: st.tuples(
-        sparse_matrices(F, s[0], s[1]), sparse_matrices(F, s[1], s[2])))))
+@st.composite
+def factor_pairs(draw, field):
+    """a (n x k) and b (k x m); sometimes single-entry rows of a meet a zero row of b."""
+    n, k, m = (draw(st.integers(0, 6)) for _ in range(3))
+    a, b = draw(sparse_matrices(field, n, k)), draw(sparse_matrices(field, k, m))
+    if n and k and draw(st.booleans()):
+        j = draw(st.integers(0, k - 1))
+        arows, brows = [list(r) for r in a.entries], [list(r) for r in b.entries]
+        brows[j] = [field.zero()] * m
+        for i in draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2)):
+            arows[i] = [field.zero()] * k
+            arows[i][j] = draw(nonzero_scalars(field))
+        a, b = Matrix(field, arows, cols=k), Matrix(field, brows, cols=m)
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_fields.flatmap(factor_pairs))
 def test_matmul_matches_dense_reference(pair):
     a, b = pair
     prod = a @ b
