@@ -15,12 +15,15 @@ nonzero entry is a row of the right factor, shared when the entry is 1.
 
 Every span is kept in reduced row echelon form (RREF: each row has a
 leading 1, its pivot, where every other row is 0), so equal subspaces have
-equal basis matrices, and one pass over the pivots a vector holds
-(`reduce_by_pivots`) reduces it against a span, for subspaces, coordinate
-maps and `structure`'s closures alike.  `coordinates` row-reduces an
-independent family once and then reads the coordinates of a vector in its
-span at its pivots, refusing vectors outside it, or of a product known to
-lie there without forming it.
+equal basis matrices.  There is one elimination, `insert_row`: it reduces a
+sparse row against RREF rows keyed by their pivots, in one pass over the
+pivots the row holds (`reduce_by_pivots`), scales what is left to a leading
+1 and clears that pivot from the other rows.  `Matrix.rref`, `kernel` and
+`solve`, `sparse_kernel`, `coordinates`, `Subspace.from_rows` and
+`structure`'s closures all build their rows with it.  `coordinates` inserts
+an independent family once and then reads the coordinates of a vector in
+its span, refusing vectors outside it, or of a product known to lie there
+at its pivots without forming it.
 Everything is deterministic: no floats, no hashing order, no randomness.
 """
 
@@ -349,92 +352,53 @@ class Matrix:
 
     # -- elimination -----------------------------------------------------------------
 
+    def _echelon(self) -> dict:
+        """The RREF rows of the row space, keyed by their pivots."""
+        return _insert_rows(self.field, [{j: x for j, x in enumerate(r) if x}
+                                         for r in self.entries if any(r)])
+
     def rref(self):
         """Reduced row echelon form: (matrix, pivot column tuple, rank).
 
-        Touches only nonzero entries: the pivot is found by truthiness, the
-        normalised pivot row's nonzero (column, value) pairs are listed once,
-        and each row with a nonzero entry in the pivot column is updated at
-        those columns only.  The result equals the dense elimination's entry
-        by entry (the tests keep that loop as the reference).
-        """
-        F = self.field
-        p = F.p
-        zero, one = F.zero(), F.one()
-        m = [list(r) for r in self.entries if any(r)]
-        nrows, ncols = len(m), self.cols
-        pivots = []
-        prow = 0
-        for col in range(ncols):
-            for sel in range(prow, nrows):
-                if m[sel][col]:
-                    break
-            else:
-                continue
-            m[prow], m[sel] = m[sel], m[prow]
-            pivot_row = m[prow]
-            a = pivot_row[col]
-            # entries left of col vanish in every row from prow down
-            nz = [(j, x) for j in range(col + 1, ncols) if (x := pivot_row[j])]
-            if a != 1:
-                inv = F.inv(a)
-                if p is None:
-                    nz = [(j, inv * x) for j, x in nz]
-                else:
-                    nz = [(j, inv * x % p) for j, x in nz]
-                for j, x in nz:
-                    pivot_row[j] = x
-            pivot_row[col] = one
-            for r in range(nrows):
-                c = m[r][col]
-                if c and r != prow:
-                    row = m[r]
-                    if p is None:
-                        for j, y in nz:
-                            row[j] -= c * y
-                    else:
-                        for j, y in nz:
-                            row[j] = (row[j] - c * y) % p
-                    row[col] = zero
-            pivots.append(col)
-            prow += 1
-            if prow == nrows:
-                break
-        zero_rows = ((zero,) * ncols,) * (self.rows - nrows)
-        return Matrix._of(F, tuple(map(tuple, m)) + zero_rows, ncols), tuple(pivots), len(pivots)
+        The rows of `_echelon` in pivot order, then the zero rows.  A row
+        space has one RREF, so the result equals the dense elimination's
+        entry by entry (the tests keep that loop as the reference)."""
+        rows, ncols = self._echelon(), self.cols
+        out = _dense_rows(self.field, rows, ncols)
+        out += [(self.field.zero(),) * ncols] * (self.rows - len(out))
+        return Matrix._of(self.field, tuple(out), ncols), tuple(sorted(rows)), len(rows)
 
     def rank(self) -> int:
-        return self.rref()[2]
+        return len(self._echelon())
 
     def kernel(self):
         """Canonical (RREF) basis of the right null space, as matrix rows."""
-        red, pivots, _ = self.rref()
-        return _null_space(self.field, red, pivots, self.cols)
+        return _null_space(self.field, self._echelon(), self.cols)
 
     def solve(self, b: "Matrix", with_kernel: bool = False):
         """A particular solution X of self @ X = b, every free variable zero.
 
         Raises InconsistentSystem when some column of b is outside the column
         space; the solutions differ from X by columns in kernel().  With
-        with_kernel, returns (X, kernel()) from the one elimination: the left
-        block of the RREF of [self | b] is the RREF of self.
+        with_kernel, returns (X, kernel()) from the one elimination: the rows
+        of [self | b] are inserted, and the left block of their RREF is the
+        RREF of self.
         """
         if b.rows != self.rows:
             raise DimensionMismatch("solve: row counts differ")
-        F = self.field
-        aug = Matrix(F, [list(ra) + list(rb) for ra, rb in zip(self.entries, b.entries)],
-                     cols=self.cols + b.cols)
-        red, pivots, _ = aug.rref()
-        for pc in pivots:
-            if pc >= self.cols:
-                raise InconsistentSystem("right-hand side outside column space")
+        F, n = self.field, self.cols
+        rows = _insert_rows(F, ({j: x for j, x in enumerate(ra + rb) if x}
+                                for ra, rb in zip(self.entries, b.entries)))
+        if any(pc >= n for pc in rows):
+            raise InconsistentSystem("right-hand side outside column space")
         zero = F.zero()
-        part = [[zero] * b.cols for _ in range(self.cols)]
-        for i, pc in enumerate(pivots):
-            for j in range(b.cols):
-                part[pc][j] = red.entries[i][self.cols + j]
+        part = [[zero] * b.cols for _ in range(n)]
+        for pc, r in rows.items():
+            for j, x in r.items():
+                if j >= n:
+                    part[pc][j - n] = x
         part = Matrix(F, part, cols=b.cols)
-        return (part, _null_space(F, red, pivots, self.cols)) if with_kernel else part
+        return (part, _null_space(F, rows, n)) if with_kernel else part
 
     def inverse(self):
         """The solution X of self @ X = I.  A singular matrix raises
@@ -450,35 +414,74 @@ class Matrix:
         return self.rows == self.cols and self.rank() == self.rows
 
 
-def _null_space(F: Field, red: Matrix, pivots, cols: int) -> Matrix:
+def insert_row(field: Field, v: dict, rows: dict) -> dict | None:
+    """The one elimination step: reduce v, a {column: nonzero value} dict,
+    in place against `rows`, RREF rows keyed by their pivots; a remainder
+    joins them, scaled to a leading 1 and cleared from the other rows at
+    its pivot.  A cleared row is replaced, never changed in place, so
+    copies of `rows` share rows.  Returns the new row, or None when v lay
+    in the span."""
+    p = field.p
+    if not v or rows and not reduce_by_pivots(p, v, rows):
+        return None
+    lead = min(v)
+    s = 1 if v[lead] == 1 else field.inv(v[lead])
+    row = v if s == 1 else {t: x * s if p is None else x * s % p for t, x in v.items()}
+    for c, r in rows.items():
+        d = r.get(lead)
+        if d:
+            r = dict(r)
+            for t, x in row.items():
+                y = r.get(t, 0) - d * x
+                if p is not None:
+                    y %= p
+                if y:
+                    r[t] = y
+                else:
+                    del r[t]
+            rows[c] = r
+    rows[lead] = row
+    return row
+
+
+def _insert_rows(F: Field, vecs) -> dict:
+    """The RREF rows, keyed by their pivots, of the span of `vecs`,
+    {column: nonzero value} dicts, each inserted by `insert_row`."""
+    rows = {}
+    for v in vecs:
+        insert_row(F, v, rows)
+    return rows
+
+
+def _dense_rows(F: Field, rows: dict, cols: int) -> list:
+    """RREF rows keyed by their pivots as `cols`-long tuples, in pivot order."""
+    zero = F.zero()
+    out = []
+    for _, r in sorted(rows.items()):
+        row = [zero] * cols
+        for j, x in r.items():
+            row[j] = x
+        out.append(tuple(row))
+    return out
+
+
+def _null_space(F: Field, rows: dict, cols: int) -> Matrix:
     """Canonical (RREF) basis of the null space of the first `cols` columns
-    of a matrix, read from its RREF `red` with `pivots` (all below cols)."""
-    free = [c for c in range(cols) if c not in pivots]
-    if not free:
-        return Matrix(F, [], cols=cols)
-    vecs = []
-    for fc in free:
-        v = [F.zero()] * cols
-        v[fc] = F.one()
-        for i, pc in enumerate(pivots):
-            v[pc] = F.neg(red.entries[i][fc])
-        vecs.append(v)
-    return Matrix(F, vecs).rref()[0]
+    of the RREF rows `rows`, keyed by their pivots (all below cols): the
+    vector of each free column, inserted by `insert_row`."""
+    one = F.one()
+    vecs = {fc: {fc: one} for fc in range(cols) if fc not in rows}
+    for pc, r in rows.items():
+        for j, x in r.items():
+            if j in vecs:
+                vecs[j][pc] = F.neg(x)
+    return Matrix._of(F, tuple(_dense_rows(F, _insert_rows(F, vecs.values()), cols)), cols)
 
 
 def sparse_kernel(F: Field, rows, width: int) -> Matrix:
     """Matrix.kernel() of the rows, {column: nonzero coefficient} dicts on
-    `width` unknowns.  The unknowns that one-unknown rows force to 0 leave
-    every row, repeatedly, and the dense kernel runs on the rest; zero
-    columns put back into its RREF basis keep it RREF."""
-    forced = set()
-    while single := {j for r in rows if len(r) == 1 for j in r}:
-        forced |= single
-        rows = [r for r in ({j: x for j, x in r.items() if j not in single} for r in rows) if r]
-    free = [j for j in range(width) if j not in forced]
-    ker = Matrix(F, [[r.get(j, 0) for j in free] for r in rows], cols=len(free)).kernel()
-    vecs = [dict(zip(free, v)) for v in ker.entries]
-    return Matrix(F, [[v.get(j, 0) for j in range(width)] for v in vecs], cols=width)
+    `width` unknowns, inserted by `insert_row` in the order given."""
+    return _null_space(F, _insert_rows(F, map(dict, rows)), width)
 
 
 # -- coordinates and linear combinations ---------------------------------------
@@ -506,50 +509,53 @@ def reduce_by_pivots(p, v: dict, rows: dict) -> dict:
 def coordinates(field: Field, rows, width: int):
     """Coordinate map of an independent family of vectors in K^width.
 
-    Row-reduces the family beside an identity block once.  A vector's
-    coefficient on reduced row i is its entry at that row's pivot, and the
-    transform rows take these to its coordinates.  The returned map checks
-    exactly that the vector is that combination of the reduced rows
-    (InconsistentSystem if not); its pivot reader `of_product(a, b)` reads
-    a @ b, flattened row-major, of one shape at every call and known to lie
-    in the span, at the pivots alone: entry (r, c) is row r of a times
+    Inserts each vector v_i, with a 1 beside it at column width + i, by
+    `insert_row`: the RREF rows of [family | I], whose pivots all fall in
+    the family block.  Reducing a vector against them leaves 0 in that block
+    exactly when it lies in the span (InconsistentSystem if not), and minus
+    its coordinates in the identity block, since each row is the
+    combination of the family its identity block gives.  The pivot reader
+    `of_product(a, b)` reads a @ b, flattened row-major, of one shape at
+    every call and known to lie in the span, at the pivots alone: its entry
+    there is its multiple of that row, and entry (r, c) is row r of a times
     column c of b, whose columns are listed once per b.  A dependent family
-    raises DependentFamily.
+    raises DependentFamily, and a vector of another length
+    DimensionMismatch.
     """
     F = field
     p = F.p
     k = len(rows)
     z, o = F.zero(), F.one()
-    red, pivots, _ = Matrix(F, [list(r) + [o if t == i else z for t in range(k)]
-                                for i, r in enumerate(rows)], cols=width + k).rref()
-    if pivots and pivots[-1] >= width:
+    ech = _insert_rows(F, ({**{c: x for c, x in enumerate(r) if x}, width + i: o}
+                       for i, r in enumerate(rows)))
+    if any(pc >= width for pc in ech):
         raise DependentFamily(f"family of {k} vectors in K^{width} is linearly dependent")
-    prows = {pc: {c: x for c, x in enumerate(r[:width]) if x}
-             for pc, r in zip(pivots, red.entries)}
-    trows = [[(t, x) for t, x in enumerate(r[width:]) if x] for r in red.entries]
     columns, places = {}, []
 
-    def read(values):
-        out = [z] * k
-        for d, trow in zip(values, trows):
-            if d:
-                for t, x in trow:
-                    out[t] += d * x
-        return tuple(out) if p is None else tuple([x % p for x in out])
-
     def coords(vec):
-        if reduce_by_pivots(p, {c: x for c, x in enumerate(vec) if x}, prows):
+        if len(vec) != width:
+            raise DimensionMismatch(f"vector of length {len(vec)} in K^{width}")
+        v = reduce_by_pivots(p, {c: x for c, x in enumerate(vec) if x}, ech)
+        if min(v, default=width) < width:
             raise InconsistentSystem("vector outside the span of the family")
-        return read([vec[pc] for pc in pivots])
+        out = [z] * k
+        for t, x in v.items():
+            out[t - width] = -x if p is None else -x % p
+        return tuple(out)
 
     def of_product(a: Matrix, b: Matrix):
         if not places:
-            places.extend(divmod(pc, b.cols) for pc in pivots)
+            places.extend((pc, *divmod(pc, b.cols)) for pc in sorted(ech))
         if b not in columns:
             columns[b] = [dict(c) for c in b.transpose().sparse_rows()]
         cols, arows = columns[b], a.sparse_rows()
-        return read([sum([x * cols[c][j] for j, x in arows[r] if j in cols[c]]) if arows[r] else 0
-                     for r, c in places])
+        out = [z] * k
+        for pc, r, c in places:
+            if arows[r] and (d := sum([x * cols[c][j] for j, x in arows[r] if j in cols[c]])):
+                for t, x in ech[pc].items():
+                    if t >= width:
+                        out[t - width] += d * x
+        return tuple(out) if p is None else tuple([x % p for x in out])
 
     coords.of_product = of_product
     return coords
@@ -658,11 +664,12 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, field: Field, ambient: int, rows) -> "Subspace":
-        rows = [r for r in rows if any(r)]
-        if not rows:
-            return cls.zero(field, ambient)
-        red, _, rank = Matrix(field, rows).rref()
-        return cls(ambient, Matrix(field, red.entries[:rank], cols=ambient))
+        """The span of the rows, keeping its pivot-keyed RREF rows for
+        `contains_vector`."""
+        ech = Matrix(field, rows, cols=ambient)._echelon()
+        space = cls(ambient, Matrix._of(field, tuple(_dense_rows(field, ech, ambient)), ambient))
+        space._pivot_rows = ech
+        return space
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":
@@ -696,7 +703,7 @@ class Subspace:
     def contains_vector(self, vec) -> bool:
         """Membership by reducing vec against the RREF basis, whose rows are
         listed by pivot once per subspace; no elimination is run."""
-        if self.dim and len(vec) != self.ambient:
+        if len(vec) != self.ambient:
             raise DimensionMismatch("vector length differs from ambient dimension")
         if not any(vec):
             return True

@@ -4,8 +4,9 @@ set that `hom_space` imposes its intertwining equations for.
 
 Neither forms a matrix.  A subalgebra is grown as the span of the words in
 its generators applied to the unit, kept in reduced row echelon form on
-sparse rows, so a vector is reduced against it in one pass over the pivots
-it holds (`linalg.reduce_by_pivots`).
+sparse rows by the package's one elimination step (`linalg.insert_row`), so
+a vector is reduced against it in one pass over the pivots it holds
+(`linalg.reduce_by_pivots`).
 
 Lemma: A's checks of a multiplicative identity may take the first factor
 among the generators only.  The a for which it holds against all other
@@ -34,7 +35,7 @@ a bottom-up walk probes 13 of the 14 cells, the top-down one 6.
 
 from __future__ import annotations
 
-from .linalg import reduce_by_pivots
+from .linalg import insert_row, reduce_by_pivots
 
 
 def sparse_table(algebra):
@@ -98,8 +99,8 @@ class _Closure:
     ideal of the vectors added (`add_vector`).  Rows are sparse dicts in
     reduced row echelon form, keyed by their pivots (leading 1s), so a vector
     lies in the span exactly when reducing it at its pivots leaves nothing.
-    A new row is cleared from the others at its pivot by replacing them, never
-    by changing a row in place, so `extended` copies share rows.  sparse[g][j]
+    `linalg.insert_row` adds a row and replaces the rows it clears, never
+    changing a row in place, so `extended` copies share rows.  sparse[g][j]
     lists the nonzero (k, c) of b_g b_j, read for the generators g only, when
     g is first used; a row whose support misses every j with b_g b_j != 0 is
     not multiplied by g."""
@@ -111,7 +112,7 @@ class _Closure:
         self.support = {}     # generator g -> the j with b_g b_j != 0
         self.rows = {}        # pivot -> row
         self.gens = []
-        self._insert({k: c for k, c in enumerate(unit) if c})
+        insert_row(field, {k: c for k, c in enumerate(unit) if c}, self.rows)
 
     def full(self) -> bool:
         return len(self.rows) == self.dim
@@ -135,7 +136,7 @@ class _Closure:
 
     def add_vector(self, v) -> bool:
         """Add v and close again; False if v lay in the span."""
-        row = self._insert({k: c for k, c in enumerate(v) if c})
+        row = insert_row(self.field, {k: c for k, c in enumerate(v) if c}, self.rows)
         self._close([(g, row) for g in self.gens] if row else [])
         return bool(row)
 
@@ -147,24 +148,9 @@ class _Closure:
                 support[h] = frozenset(j for j, r in enumerate(self.sparse[h]) if r)
             if support[h].isdisjoint(v):
                 continue
-            row = self._insert(self._left_mult(h, v))
+            row = insert_row(self.field, self._left_mult(h, v), self.rows)
             if row is not None:
                 work.extend((k, row) for k in self.gens)
-
-    def _insert(self, v: dict) -> dict | None:
-        """Reduce v; a remainder joins the rows, scaled to a leading 1 and
-        cleared from the other rows at its pivot."""
-        p, rows = self.field.p, self.rows
-        if not v or not reduce_by_pivots(p, v, rows):
-            return None
-        lead = min(v)
-        s = self.field.inv(v[lead])
-        row = {t: x * s if p is None else x * s % p for t, x in v.items()}
-        new = {lead: row}
-        for c in [c for c, r in rows.items() if lead in r]:
-            rows[c] = reduce_by_pivots(p, dict(rows[c]), new)
-        rows[lead] = row
-        return row
 
     def _left_mult(self, g: int, v: dict) -> dict:
         p, row = self.field.p, self.sparse[g]

@@ -1013,18 +1013,19 @@ def test_hom_space_imposes_generator_equations_only(monkeypatch):
     alg = AlgebraPresentation(F10007, cached.dim, cached.table, cached.unit, check=False)
     A = alg.regular_module()
     shapes = []
-    kernel = Matrix.kernel
-    monkeypatch.setattr(Matrix, "kernel",
-                        lambda self: shapes.append((self.rows, self.cols)) or kernel(self))
+    kernel = algebra_module.sparse_kernel
+    monkeypatch.setattr(algebra_module, "sparse_kernel",
+                        lambda F, rows, width: shapes.append((len(rows), width))
+                        or kernel(F, rows, width))
     homs = hom_space(A, A)
     again = hom_space(A, A)
     monkeypatch.undo()
     gens = alg.generators()
-    # 473 nonzero equations from the 6 generators, against 904 from all 14;
-    # those with one unknown force 156 of the 196 unknowns to zero, and 29
-    # equations are left on the 40 free unknowns; the second call solves nothing
+    # 473 nonzero equations from the 6 generators, against 904 from all 14,
+    # on the 196 unknowns, solved in one sparse elimination; the second call
+    # solves nothing
     assert len(gens) == 6 and len(homs) == 14
-    assert shapes == [(29, 40)]
+    assert shapes == [(473, 196)]
     assert [f.matrix for f in again] == [f.matrix for f in homs]
     assert len(equation_rows(A, A, gens)) == 473 and len(equation_rows(A, A, range(14))) == 904
 

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -119,6 +118,20 @@ def test_subspace_canonical_equality():
     b = Subspace.from_rows(Q, 2, [[2, 3], [1, 1]])
     assert a == b
     assert a.basis == b.basis
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=repr)
+def test_contains_vector_checks_length_on_every_subspace(field):
+    # a vector of the wrong length is refused by the zero subspace as by any
+    # other, and Subspace.from_rows refuses a row of the wrong length
+    for space in (Subspace.zero(field, 3), Subspace.from_rows(field, 3, [[0, 0, 0]]),
+                  Subspace.from_rows(field, 3, [[1, 0, 2]]), Subspace.full(field, 3)):
+        for vec in ((0, 0), (0, 0, 0, 0), (1, 0)):
+            with pytest.raises(DimensionMismatch):
+                space.contains_vector(vec)
+        assert space.contains_vector((0, 0, 0))
+    with pytest.raises(DimensionMismatch):
+        Subspace.from_rows(field, 3, [[1, 0, 2], [0, 0]])
 
 
 @pytest.mark.parametrize("field", [Q, F5], ids=repr)
@@ -271,6 +284,11 @@ def test_coordinates_in_independent_family(case):
         bumped[outside] = F.add(bumped[outside], F.one())
         with pytest.raises(InconsistentSystem):
             coords(bumped)
+    # a vector of another length is refused, even one that reads as a
+    # combination of the family followed by more entries
+    for other in (tuple(vec) + (F.one(),), tuple(vec)[:-1]):
+        with pytest.raises(DimensionMismatch):
+            coords(other)
     # a dependent family is refused
     with pytest.raises(DependentFamily):
         coordinates(F, list(fam.entries) + [vec], n)
@@ -571,20 +589,38 @@ def presolve_systems(draw, field):
 def test_sparse_kernel_matches_dense_kernel(case):
     F, width, rows = case
     dense = Matrix(F, [[r.get(j, F.zero()) for j in range(width)] for r in rows], cols=width)
-    reduced, kernel = [], Matrix.kernel
-    with mock.patch.object(Matrix, "kernel", lambda m: reduced.append(m) or kernel(m)):
-        got = sparse_kernel(F, rows, width)
+    got = sparse_kernel(F, rows, width)
     want = dense.kernel()
     assert got == want and (got.rows, got.cols) == (want.rows, want.cols)
     assert printed(got) == printed(want)
-    # the dense kernel sees no forced unknown and no row with fewer than two
-    forced, left = set(), rows
-    while single := {j for r in left for j in r if len(r) == 1}:
-        forced |= single
-        left = [{j: x for j, x in r.items() if j not in forced} for r in left]
-    assert [(m.rows, m.cols) for m in reduced] == [
-        (sum(len(r) > 1 for r in left), width - len(forced))]
-    assert all(sum(map(bool, r)) > 1 for r in reduced[0].entries)
+    ref = dense_kernel(dense)
+    assert want == ref and (want.rows, want.cols) == (ref.rows, ref.cols)
+    assert printed(want) == printed(ref)
+
+
+def dense_kernel(m):
+    """The null space read off `dense_rref`: one vector per free column c,
+    1 at c and minus column c of the reduced rows at their pivots, put in
+    RREF by the dense loop."""
+    F = m.field
+    red, pivots, _ = dense_rref(m)
+    vecs = []
+    for c in range(m.cols):
+        if c not in pivots:
+            v = [F.zero()] * m.cols
+            v[c] = F.one()
+            for i, pc in enumerate(pivots):
+                v[pc] = F.neg(red.entries[i][c])
+            vecs.append(v)
+    return dense_rref(Matrix(F, vecs, cols=m.cols))[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_fields.flatmap(sparse_matrices))
+def test_kernel_matches_dense_reference(m):
+    got, ref = m.kernel(), dense_kernel(m)
+    assert got == ref and (got.rows, got.cols) == (ref.rows, ref.cols)
+    assert printed(got) == printed(ref)
 
 
 def reference_inverse(m):

@@ -97,6 +97,8 @@ CLOSED_FORMS = [
     # [[0,1,0],[1,0,1],[0,1,0]] on 2 and the zero 2x2 matrix on 0
     pytest.param(4, F2, {"0": (1, 1), "1": (3, 3), "2": (2, 2)}, {"0": 1, "1": 2, "2": 0},
                  id="r4-F2"),
+    pytest.param(5, Q, {"0": (1, 1), "1": (4, 4), "2": (5, 5)}, {"0": 1, "1": 4, "2": 5},
+                 id="r5-Q"),
     pytest.param(5, F3, {"0": (1, 1), "1": (4, 4), "2": (5, 5)}, {"0": 1, "1": 4, "2": 1},
                  id="r5-F3"),
 ]
